@@ -209,13 +209,29 @@ def preper_total_bound(B: int, C: int, d: int, digit_budget: int = 10**6) -> int
     """
     if B < 1 or C < 1 or d < 2:
         raise DomainError("need B, C >= 1 and d >= 2")
-    n = math.lcm(*range(1, C + 1))
-    digits_estimate = (B + n) * math.log10(d) + 1
-    if digits_estimate > digit_budget:
+    # lcm(1..C) >= 2^(C-1): refuse on that lower bound before computing the
+    # lcm, which for a large cycle bound C does not even fit in memory.
+    # Past the first test 2^(C-1) alone has more digits than the budget.
+    if C - 1 > digit_budget.bit_length() + 2 or _too_many_digits(
+        B + 2 ** (C - 1), d, digit_budget
+    ):
         raise BudgetExceededError(
-            f"result would have ~{digits_estimate:.0f} digits"
+            f"result would have more than {digit_budget} digits "
+            f"(n = lcm(1..{C}) >= 2^{C - 1})"
         )
+    n = math.lcm(*range(1, C + 1))
+    if _too_many_digits(B + n, d, digit_budget):
+        raise BudgetExceededError(f"result would have more than {digit_budget} digits")
     return d**B * (d**n + 1)
+
+
+def _too_many_digits(e: int, d: int, digit_budget: int) -> bool:
+    """Whether d^e has more than digit_budget digits, by e*log10(d) + 1.
+
+    Exponents above 4*digit_budget are decided without a float conversion,
+    which would overflow: log10(d) > 0.3 puts them over the budget.
+    """
+    return e > 4 * digit_budget or e * math.log10(d) + 1 > digit_budget
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,7 @@ def _orbit_json(outcome) -> dict:
         "n": 0,
         "undecided": not outcome.divergent,
         "divergent": outcome.divergent,
+        "reason": outcome.reason,
         "steps": outcome.steps,
         "last_height": str(outcome.last_height),
     }

@@ -5,10 +5,11 @@ a hash map of visited canonical points, and the first revisit splits the
 trajectory into its tail and cycle with the minimal period for free
 (cycle points are distinct by construction).  Non-preperiodicity is only
 semi-decided in general: hitting the step or height budget yields an
-ExceededBudget outcome that claims nothing.  For maps of the shape
-[F : u*Y^d] with unit u and unit leading coefficient (after the primitive
-normalization) a rigorous divergence argument applies, and such outcomes
-carry divergent=True: a non-unit denominator grows strictly under
+ExceededBudget outcome that claims nothing and names the budget that ran
+out ("steps" or "height").  For maps of the shape [F : u*Y^d] with unit u
+and unit leading coefficient (after the primitive normalization) a
+rigorous divergence argument applies, and such outcomes carry reason
+"escape" and divergent=True: a non-unit denominator grows strictly under
 iteration, and beyond an explicit radius the numerator does.
 
 The functional graph of a reduced map is the complete successor structure
@@ -84,18 +85,29 @@ class OrbitReport:
         return self.m + self.n
 
 
+REASON_HEIGHT = "height"
+REASON_STEPS = "steps"
+REASON_ESCAPE = "escape"
+
+
 @dataclass(frozen=True, slots=True)
 class ExceededBudget:
     """Iteration stopped without finding a cycle.
 
-    divergent=True means the orbit was proved infinite by the escape
-    criterion; otherwise only the budget ran out and nothing is claimed.
+    `reason` says what stopped it: REASON_ESCAPE when the orbit was proved
+    infinite by the escape criterion (then `divergent` is True), otherwise
+    the budget that ran out, REASON_HEIGHT for the height cap or
+    REASON_STEPS for the step count; a budget stop claims nothing.
     """
 
     start: ProjPoint
     steps: int
     last_height: int
-    divergent: bool = False
+    reason: str
+
+    @property
+    def divergent(self) -> bool:
+        return self.reason == REASON_ESCAPE
 
 
 def _diverges(profile, point: ProjPoint, is_rationals: bool) -> bool:
@@ -127,7 +139,7 @@ def orbit(
     current = start
     while True:
         if profile is not None and _diverges(profile, current, is_q):
-            return ExceededBudget(start, len(pts) - 1, current.height(), divergent=True)
+            return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE)
         nxt = apply_map(phi, current)
         hit = index.get(nxt)
         if hit is not None:
@@ -136,9 +148,9 @@ def orbit(
             return report
         h = nxt.height()
         if h > cap:
-            return ExceededBudget(start, len(pts), h)
+            return ExceededBudget(start, len(pts), h, REASON_HEIGHT)
         if len(pts) >= budget.max_steps:
-            return ExceededBudget(start, len(pts), h)
+            return ExceededBudget(start, len(pts), h, REASON_STEPS)
         index[nxt] = len(pts)
         pts.append(nxt)
         current = nxt

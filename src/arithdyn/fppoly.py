@@ -8,6 +8,23 @@ used by the rest of the package wherever speed matters.  The `FpPoly`
 class is a thin immutable wrapper providing operators, hashing and
 printing for the public API.
 
+`pmul` multiplies by Kronecker substitution once both operands have at
+least KRONECKER_CUTOFF coefficients: each coefficient tuple is packed into
+one Python int with a fixed slot width w, the two ints are multiplied
+once (CPython switches to Karatsuba for large operands), and the product
+is unpacked slot by slot and reduced mod p.  Slot i of the integer product
+holds sum_{j+k=i} a_j * b_k exactly, with no carry into slot i+1, as long
+as that sum stays below 2^w; every term is at most (p-1)^2 and a slot
+collects at most min(len a, len b) terms, so
+w >= (min(len a, len b) * (p-1)^2).bit_length() makes the substitution
+exact.  The width is rounded up to whole bytes, so packing and unpacking
+go through `array` and `int.from_bytes`/`int.to_bytes` instead of a Python
+loop over shifts.  Below the cutoff the schoolbook loop, which skips zero
+coefficients, is as fast or faster: timed on balanced random operands of
+6-24 coefficients over F_2, F_3, F_5 and F_7 (CPython 3.11 on x86-64), the
+Kronecker path is slower at 6, about even at 8-9 over F_2, and faster for
+every p from 10 on.
+
 Irreducible polynomials are enumerated in (degree, code) order, where the
 code of (c_0, ..., c_n) is the base-p integer sum(c_i * p^i).  A product
 sieve marks every monic reducible of a given degree, so the survivors are
@@ -18,6 +35,8 @@ the Moebius-inversion formula I(n) = (1/n) * sum_{d|n} mu(n/d) p^d.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,9 +88,54 @@ def psub(p: int, a: Coeffs, b: Coeffs) -> Coeffs:
     return padd(p, a, pneg(p, b))
 
 
+# Kronecker substitution pays off once the shorter operand has this many
+# coefficients (see the module docstring).
+KRONECKER_CUTOFF = 10
+
+# array typecode for each slot width in bytes; wider slots pack by hand
+_SLOT_TYPECODES = {array(tc).itemsize: tc for tc in "QIHB"}
+
+
+def _pack(a: Coeffs, nbytes: int) -> int:
+    tc = _SLOT_TYPECODES.get(nbytes)
+    if tc is None:
+        return int.from_bytes(
+            b"".join(c.to_bytes(nbytes, "little") for c in a), "little"
+        )
+    arr = array(tc, a)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def _unpack(p: int, value: int, n: int, nbytes: int) -> list[int]:
+    buf = value.to_bytes(n * nbytes, "little")
+    tc = _SLOT_TYPECODES.get(nbytes)
+    if tc is None:
+        return [
+            int.from_bytes(buf[i : i + nbytes], "little") % p
+            for i in range(0, n * nbytes, nbytes)
+        ]
+    arr = array(tc, buf)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return [c % p for c in arr]
+
+
+def _pmul_kronecker(p: int, a: Coeffs, b: Coeffs) -> Coeffs:
+    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    nbytes = (width + 7) // 8
+    # widen to the next slot size `array` has, if there is one
+    nbytes = next((k for k in sorted(_SLOT_TYPECODES) if k >= nbytes), nbytes)
+    prod = _pack(a, nbytes) * _pack(b, nbytes)
+    return ptrim(_unpack(p, prod, len(a) + len(b) - 1, nbytes))
+
+
 def pmul(p: int, a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ZERO
+    if len(a) >= KRONECKER_CUTOFF and len(b) >= KRONECKER_CUTOFF:
+        return _pmul_kronecker(p, a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -83,9 +83,9 @@ def _canon_pair_q(x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
-def _canon_pair_ff(p: int, x: Coeffs, y: Coeffs) -> tuple[Coeffs, Coeffs]:
-    g = fppoly.pgcd(p, x, y)
-    if fppoly.pdeg(g) > 0 or fppoly.plead(g) != 1:
+def _canon_pair_ff(p: int, x: Coeffs, y: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """Canonical form of [x : y] over F_p[t], given their monic gcd g."""
+    if fppoly.pdeg(g) > 0:
         x = fppoly.pexactdiv(p, x, g)
         y = fppoly.pexactdiv(p, y, g)
     lead = fppoly.plead(y) if y else fppoly.plead(x)
@@ -106,7 +106,7 @@ def point_from_raw(field: BaseField, x, y) -> ProjPoint:
     yc = y.coeffs if isinstance(y, fppoly.FpPoly) else fppoly.ptrim([c % p for c in y]) if isinstance(y, (tuple, list)) else fppoly.pconst(p, y)
     if not xc and not yc:
         raise DomainError("(0, 0) does not define a projective point")
-    return ProjPoint(field, *_canon_pair_ff(p, xc, yc))
+    return ProjPoint(field, *_canon_pair_ff(p, xc, yc, fppoly.pgcd(p, xc, yc)))
 
 
 def normalize(x_raw: GlobalFieldElement, y_raw: GlobalFieldElement) -> ProjPoint:

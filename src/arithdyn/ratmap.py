@@ -42,7 +42,7 @@ from .fields import (
     valuation,
 )
 from .fppoly import Coeffs
-from .projective import ProjPoint, ReducedPoint, point_from_raw
+from .projective import ProjPoint, ReducedPoint, _canon_pair_ff, point_from_raw
 from .residue import ResidueField, residue_field
 
 # ---------------------------------------------------------------------------
@@ -344,22 +344,42 @@ def _eval_form_q(co: tuple, x: int, y: int) -> int:
     return acc
 
 
-def _eval_form_ff(p: int, co: tuple, x: Coeffs, y: Coeffs) -> Coeffs:
-    d = len(co) - 1
-    acc = fppoly.ZERO
-    xp = fppoly.ONE
+def _eval_pair_ff(p: int, fco: tuple, gco: tuple, x: Coeffs, y: Coeffs):
+    """F(x, y) and G(x, y) by homogeneous Horner over one table of y-powers.
+
+    acc runs through c_d, c_d*x + c_(d-1)*y, ..., ending at
+    sum_i c_i x^i y^(d-i).
+    """
+    d = len(fco) - 1
     yp = [fppoly.ONE] * (d + 1)
     for i in range(1, d + 1):
         yp[i] = fppoly.pmul(p, yp[i - 1], y)
-    for i, c in enumerate(co):
-        if c:
-            acc = fppoly.padd(p, acc, fppoly.pmul(p, fppoly.pmul(p, c, xp), yp[d - i]))
-        xp = fppoly.pmul(p, xp, x)
-    return acc
+    out = []
+    for co in (fco, gco):
+        acc = co[d]
+        for i in range(d - 1, -1, -1):
+            acc = fppoly.pmul(p, acc, x)
+            if co[i]:
+                acc = fppoly.padd(p, acc, fppoly.pmul(p, co[i], yp[d - i]))
+        out.append(acc)
+    return out
 
 
 def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
-    """phi(P), renormalized to canonical coprime coordinates."""
+    """phi(P), renormalized to canonical coprime coordinates.
+
+    Over F_p(t) the common factor of F(x, y) and G(x, y) is taken against
+    the resultant instead of by a Euclid run on the two values.  Sylvester
+    elimination gives forms A, B, C, D in X, Y with
+        A*F + B*G = Res(F, G) * Y^(2d-1),   C*F + D*G = Res(F, G) * X^(2d-1),
+    so any common divisor g of F(x, y) and G(x, y) divides
+    Res * gcd(x^(2d-1), y^(2d-1)) = Res, because the coordinates of a
+    canonical point are coprime.  Hence gcd(F(x, y), G(x, y)) =
+    gcd(Res, F(x, y), G(x, y)) exactly, every remainder in that gcd has
+    degree below deg Res <= 2*d*M, and a unit resultant (deg Res = 0)
+    leaves nothing to divide out.  Dividing by it and scaling to the monic
+    convention gives the same point as `point_from_raw`.
+    """
     if phi.field != point.field:
         raise DomainError("map and point over different base fields")
     if phi.field.is_rationals:
@@ -369,11 +389,14 @@ def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
             _eval_form_q(phi.gco, point.x, point.y),
         )
     p = phi.field.char
-    return point_from_raw(
-        phi.field,
-        _eval_form_ff(p, phi.fco, point.x, point.y),
-        _eval_form_ff(p, phi.gco, point.x, point.y),
-    )
+    fx, gx = _eval_pair_ff(p, phi.fco, phi.gco, point.x, point.y)
+    res = resultant_raw(phi)
+    g = fppoly.ONE
+    if fppoly.pdeg(res) > 0:
+        g = fppoly.pgcd(p, res, fx)
+        if fppoly.pdeg(g) > 0:
+            g = fppoly.pgcd(p, g, gx)
+    return ProjPoint(phi.field, *_canon_pair_ff(p, fx, gx, g))
 
 
 def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:

@@ -3,7 +3,8 @@
 Everything here deliberately recomputes results by a different route than
 the package: determinants by Fraction Gaussian elimination or cofactor
 expansion instead of fraction-free elimination, irreducibility by
-all-pairs product enumeration instead of the product sieve, and so on.
+all-pairs product enumeration instead of the product sieve, polynomial
+products by the plain double loop instead of `fppoly.pmul`, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -40,6 +41,32 @@ def frac_det(rows) -> Fraction:
     return det
 
 
+def schoolbook_pmul(p: int, a, b) -> tuple:
+    """Product over F_p by the plain double loop, trimmed like fppoly."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    out = [c % p for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def eval_form_ff(p: int, co, x, y) -> tuple:
+    """sum_i co[i] * x^i * y^(d-i) over F_p[t] from explicit monomials."""
+    d = len(co) - 1
+    total = ()
+    for i, c in enumerate(co):
+        term = c
+        for _ in range(i):
+            term = schoolbook_pmul(p, term, x)
+        for _ in range(d - i):
+            term = schoolbook_pmul(p, term, y)
+        total = fppoly.padd(p, total, term)
+    return total
+
+
 def poly_det(rows, p: int):
     """Determinant over F_p[t] by cofactor expansion along the first column."""
     n = len(rows)
@@ -50,7 +77,7 @@ def poly_det(rows, p: int):
         if not rows[i][0]:
             continue
         minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = fppoly.pmul(p, rows[i][0], poly_det(minor, p))
+        term = schoolbook_pmul(p, rows[i][0], poly_det(minor, p))
         if i % 2:
             term = fppoly.pneg(p, term)
         total = fppoly.padd(p, total, term)
@@ -84,5 +111,5 @@ def brute_monic_irreducibles(p: int, n: int) -> set:
             continue
         for g in monics(a):
             for h in monics(b):
-                composites.add(fppoly.pmul(p, g, h))
+                composites.add(schoolbook_pmul(p, g, h))
     return {f for f in monics(n) if f not in composites}

@@ -159,6 +159,9 @@ class TestAuxiliaryBounds:
     def test_preper_total_digit_budget(self):
         with pytest.raises(BudgetExceededError):
             ad.preper_total_bound(10, 60, 2, digit_budget=1000)
+        # refused from lcm(1..C) >= 2^(C-1), before the lcm is computed
+        with pytest.raises(BudgetExceededError):
+            ad.preper_total_bound(10, 10**9, 2)
 
     def test_context_validation(self):
         with pytest.raises(DomainError):

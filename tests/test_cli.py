@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from arithdyn.cli import run
 
@@ -43,6 +46,19 @@ class TestBoundsCommand:
         # CLI reports the exact construction data instead of the number
         assert result["preper_total_bound"] is None
         assert "lcm(1..60)" in result["preper_total_note"]
+
+    def test_huge_cycle_bound_refused_before_lcm(self, capsys):
+        # C = 90331006 here: lcm(1..C) itself would exhaust memory
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "bounds", "--char", "0", "--degree", "1", "--s", "2",
+            "--map-degree", "2", "--json",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["preper_total_bound"] is None
+        assert "lcm(1..90331006)" in result["preper_total_note"]
 
 
 class TestAnalyzeCommand:
@@ -93,6 +109,21 @@ class TestOrbitCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["divergent"] and not result["undecided"]
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["z^2", "--point", "5"], "escape"),
+            (["z+1", "--point", "0", "--max-steps", "25"], "steps"),
+            (["z+1", "--point", "0", "--height-cap", "10"], "height"),
+        ],
+    )
+    def test_json_names_what_stopped_the_orbit(self, capsys, args, reason):
+        code, out, _ = run_cli(capsys, "orbit", "--field", "Q", *args, "--json")
+        result = json.loads(out)["result"]
+        assert result["reason"] == reason
+        assert result["divergent"] == (reason == "escape")
+        assert code == (0 if reason == "escape" else 2)
 
     def test_undecided_exits_two(self, capsys):
         code, out, _ = run_cli(

@@ -36,12 +36,21 @@ class TestOrbit:
         out = ad.orbit(phi, ad.from_affine(ad.QQ.element(2)), Budget(height_cap=10**6))
         assert isinstance(out, ad.ExceededBudget)
         assert out.divergent  # escape criterion proves it
+        assert out.reason == "escape"
 
     def test_budget_without_divergence_proof(self):
         shift = ad.parse_map("z+1", ad.QQ)  # degree 1: no escape profile
         out = ad.orbit(shift, ad.from_affine(ad.QQ.zero()), Budget(max_steps=50))
         assert isinstance(out, ad.ExceededBudget)
         assert not out.divergent
+        assert (out.reason, out.steps) == ("steps", 50)
+
+    def test_budget_reason_names_the_height_cap(self):
+        shift = ad.parse_map("z+1", ad.QQ)
+        out = ad.orbit(shift, ad.from_affine(ad.QQ.zero()), Budget(height_cap=10))
+        assert isinstance(out, ad.ExceededBudget)
+        assert not out.divergent
+        assert (out.reason, out.last_height) == ("height", 11)
 
     def test_function_field_cycle(self):
         phi = ad.parse_map("z^2+1", F2T)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,7 @@ from arithdyn import fppoly
 from arithdyn.errors import BudgetExceededError, DomainError
 from arithdyn.fppoly import FpPoly
 
-from oracles import brute_monic_irreducibles
+from oracles import brute_monic_irreducibles, schoolbook_pmul
 
 
 def poly(p, *coeffs):
@@ -65,6 +67,54 @@ class TestArithmetic:
         assert fppoly.pderiv(2, (0, 0, 1)) == ()
         assert fppoly.pderiv(3, (0, 0, 0, 1)) == ()
         assert fppoly.pderiv(5, (1, 2, 3)) == (2, 6 % 5)
+
+
+
+def _random_poly(rng, p, n):
+    """n coefficients mod p with a nonzero leading one (zero for n = 0)."""
+    cs = [rng.randrange(p) for _ in range(n)]
+    if cs:
+        cs[-1] = rng.randrange(1, p)
+    return tuple(cs)
+
+
+class TestPmulOracle:
+    """pmul (schoolbook below the cutoff, Kronecker above) against the
+    plain double loop of the oracle module."""
+
+    PRIMES = [2, 3, 5, 7, 2**31 - 1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_all_lengths_around_cutoff(self, p):
+        rng = random.Random(p)
+        top = 3 * fppoly.KRONECKER_CUTOFF
+        for la in range(top + 1):
+            for lb in range(top + 1):
+                a, b = _random_poly(rng, p, la), _random_poly(rng, p, lb)
+                assert fppoly.pmul(p, a, b) == schoolbook_pmul(p, a, b), (la, lb)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_unbalanced_lengths(self, p):
+        rng = random.Random(p + 1)
+        for short in (1, 3, fppoly.KRONECKER_CUTOFF, fppoly.KRONECKER_CUTOFF + 1):
+            a, b = _random_poly(rng, p, short), _random_poly(rng, p, 400)
+            want = schoolbook_pmul(p, a, b)
+            assert fppoly.pmul(p, a, b) == want
+            assert fppoly.pmul(p, b, a) == want
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_full_slots(self, p):
+        # all coefficients p-1: the middle slot reaches n*(p-1)^2, the
+        # largest value the slot width has to hold
+        a = (p - 1,) * 400
+        assert fppoly.pmul(p, a, a) == schoolbook_pmul(p, a, a)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_operands(self, p):
+        long = _random_poly(random.Random(p + 2), p, 3 * fppoly.KRONECKER_CUTOFF)
+        assert fppoly.pmul(p, (), long) == ()
+        assert fppoly.pmul(p, long, ()) == ()
+        assert fppoly.pmul(p, (), ()) == ()
 
 
 class TestIrreducibles:

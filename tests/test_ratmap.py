@@ -10,13 +10,14 @@ from arithdyn.errors import (
     MapParseError,
     PreconditionError,
 )
-from arithdyn.ratmap import sylvester_resultant
+from arithdyn.ratmap import resultant_raw, sylvester_resultant
 
 from conftest import good_test_places, random_map, random_point
-from oracles import frac_det, poly_det, sylvester_rows
+from oracles import eval_form_ff, frac_det, poly_det, sylvester_rows
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
+F5T = ad.function_field(5)
 
 
 class TestParse:
@@ -219,6 +220,91 @@ class TestApply:
         assert ad.apply_map(phi, zero) == ad.from_affine(ad.QQ.element(-1))
         sq = ad.parse_map("z^2", ad.QQ)
         assert ad.apply_map(sq, ad.infinity(ad.QQ)).is_infinity
+
+    @staticmethod
+    def _check_against_full_gcd(phi, pt):
+        """apply_map against point_from_raw on independently evaluated forms
+        (the full Euclid canonicalization); True when a common factor of
+        positive degree had to be divided out."""
+        p = phi.field.char
+        fx = eval_form_ff(p, phi.fco, pt.x, pt.y)
+        gx = eval_form_ff(p, phi.gco, pt.x, pt.y)
+        assert ad.apply_map(phi, pt) == ad.point_from_raw(phi.field, fx, gx)
+        return fppoly.pdeg(fppoly.pgcd(p, fx, gx)) > 0
+
+    @pytest.mark.parametrize("field", [F2T, F3T, F5T])
+    def test_function_field_matches_full_gcd_on_random_orbits(self, field):
+        rng = random.Random(field.char * 101)
+        for _ in range(25):
+            phi = random_map(field, rng, max_degree=3)
+            pt = random_point(field, rng)
+            # follow the orbit so the coordinates grow past the cutoff of
+            # the Kronecker product
+            for _ in range(5):
+                self._check_against_full_gcd(phi, pt)
+                if pt.height() > 60:
+                    break
+                pt = ad.apply_map(phi, pt)
+
+    @pytest.mark.parametrize("field", [F2T, F3T, F5T])
+    def test_function_field_common_root_at_bad_place(self, field):
+        # F = (X - aY)*F1 + pi*F2 and G = (X - aY)*G1 + pi*G2 share the root
+        # (a : 1) mod pi, so pi divides Res(F, G), and at x = a*y + pi*k both
+        # F(x, y) and G(x, y) are divisible by pi
+        p = field.char
+        rng = random.Random(p * 7 + 1)
+        irreducibles = fppoly.enumerate_monic_irreducibles(p, 2)
+
+        def small():
+            return tuple(rng.randrange(p) for _ in range(rng.randint(1, 2)))
+
+        nontrivial = 0
+        for _ in range(40):
+            d = rng.randint(2, 3)
+            pi = rng.choice(irreducibles)
+            a = rng.randrange(p)
+            forms = []
+            for _ in range(2):
+                low = [small() for _ in range(d)]  # the degree-(d-1) cofactor
+                pert = [small() for _ in range(d + 1)]
+                co = []
+                for j in range(d + 1):
+                    c = low[j - 1] if j >= 1 else ()
+                    if j < d:
+                        c = fppoly.psub(p, c, fppoly.pscale(p, low[j], a))
+                    co.append(fppoly.padd(p, c, fppoly.pmul(p, pi, pert[j])))
+                forms.append(co)
+            try:
+                phi = ad.make_map(field, *forms)
+            except ad.DegenerateMapError:
+                continue
+            assert fppoly.pmod(p, resultant_raw(phi), pi) == ()
+            y = fppoly.padd(p, small(), (0, 0, 1))
+            x = fppoly.padd(p, fppoly.pscale(p, y, a), fppoly.pmul(p, pi, small()))
+            pt = ad.point_from_raw(field, x, y)
+            nontrivial += self._check_against_full_gcd(phi, pt)
+        assert nontrivial >= 10
+
+    @pytest.mark.parametrize("field", [F2T, F3T, F5T])
+    def test_function_field_unit_resultant(self, field):
+        # z^d + c(t) has resultant 1: the gcd step is skipped outright
+        p = field.char
+        rng = random.Random(p + 13)
+        for d in (2, 3):
+            c = tuple(rng.randrange(p) for _ in range(3)) + (1,)
+            phi = ad.make_map(field, [c] + [()] * (d - 1) + [(1,)], [(1,)] + [()] * d)
+            assert fppoly.pdeg(resultant_raw(phi)) == 0
+            pt = random_point(field, rng)
+            for _ in range(4):
+                assert not self._check_against_full_gcd(phi, pt)
+                pt = ad.apply_map(phi, pt)
+
+    def test_function_field_worked_example(self):
+        # [X^2 : t*Y^2] at [t : 1]: F = t^2 and G = t share t, so the image
+        # is [t : 1] again
+        phi = ad.make_map(F2T, [(), (), (1,)], [(0, 1), (), ()])
+        pt = ad.point_from_raw(F2T, (0, 1), (1,))
+        assert ad.apply_map(phi, pt) == pt
 
 
 class TestMultiplier:

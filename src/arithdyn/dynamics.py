@@ -44,7 +44,7 @@ from .ratmap import (
     reduce_map,
     _INF_MARK,
 )
-from .residue import ResidueField
+from .residue import DEFAULT_NODE_BUDGET, ResidueField
 
 DEFAULT_MAX_STEPS = 2000
 DEFAULT_HEIGHT_CAP_Q = 10**40
@@ -203,14 +203,12 @@ class FunctionalGraph:
         return out
 
 
-def functional_graph(psi: ReducedMap, node_budget: int = 100_000) -> FunctionalGraph:
+def functional_graph(psi: ReducedMap, node_budget: int = DEFAULT_NODE_BUDGET) -> FunctionalGraph:
     """Successor table plus cycle/tail decomposition by iterative marking."""
     q = psi.rfield.q
     if q + 1 > node_budget:
         raise BudgetExceededError(f"P^1(F_{q}) exceeds the node budget {node_budget}")
-    succ = [0] * (q + 1)
-    for code in range(q + 1):
-        succ[code] = psi.apply(ReducedPoint.from_code(psi.rfield, code)).code()
+    succ = psi.successors()
 
     UNSEEN, ACTIVE, DONE = 0, 1, 2
     state = [UNSEEN] * (q + 1)

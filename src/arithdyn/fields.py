@@ -8,7 +8,8 @@ valuation at infinity of F_p(t).  Every non-archimedean place carries the
 normalized valuation with value group Z; the infinite place of F_p(t) is
 an ordinary non-archimedean place with uniformizer 1/t.
 
-Integer factorization is trial division with an explicit budget: a budget
+Integer factorization is trial division with an explicit budget, and
+primality is deterministic Miller-Rabin below an explicit bound: a budget
 overflow raises BudgetExceededError, it never produces a wrong answer.
 """
 
@@ -239,7 +240,7 @@ def make_element(field: BaseField, num, den=1) -> GlobalFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# integer utilities (trial division, with budgets)
+# integer utilities (Miller-Rabin and trial division, with budgets)
 
 
 def iter_primes():
@@ -251,10 +252,40 @@ def iter_primes():
             yield n
 
 
+# Miller-Rabin with these bases is exact below MR_EXACT_BOUND
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime_int(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin.
+
+    Multiples of the bases are decided at any size; any other n at or
+    above MR_EXACT_BOUND raises BudgetExceededError.
+    """
     if n < 2:
         return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MR_EXACT_BOUND:
+        raise BudgetExceededError(f"primality of {n} is beyond the exact Miller-Rabin range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factor_int(n: int, budget: int = 10**6) -> dict[int, int]:

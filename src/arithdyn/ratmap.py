@@ -411,7 +411,11 @@ def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
 
 @dataclass(frozen=True, slots=True)
 class ReducedMap:
-    """The mod-p map over the residue field, same degree as the original."""
+    """The mod-p map over the residue field, same degree as the original.
+
+    Its points are the nodes of P^1(F_q): node i < q is [i : 1], node q is
+    [1 : 0] (see ReducedPoint.code).
+    """
 
     rfield: ResidueField
     fco: tuple[int, ...]
@@ -421,23 +425,113 @@ class ReducedMap:
     def degree(self) -> int:
         return len(self.fco) - 1
 
+    def successors(self) -> list[int]:
+        """The image node of every node 0..q."""
+        return list(map(_successor_step(self), range(self.rfield.q + 1)))
+
     def apply(self, point: ReducedPoint) -> ReducedPoint:
         rf = self.rfield
         if point.rfield != rf:
             raise DomainError("point of a different residue field")
-        x, y = point.x, point.y
-        d = self.degree
-        xp = [1] * (d + 1)
-        yp = [1] * (d + 1)
-        for i in range(1, d + 1):
-            xp[i] = rf.mul(xp[i - 1], x)
-            yp[i] = rf.mul(yp[i - 1], y)
-        fx = 0
-        gx = 0
-        for i in range(d + 1):
-            fx = rf.add(fx, rf.mul(self.fco[i], rf.mul(xp[i], yp[d - i])))
-            gx = rf.add(gx, rf.mul(self.gco[i], rf.mul(xp[i], yp[d - i])))
-        return ReducedPoint.make(rf, fx, gx)
+        if point.y not in (0, 1):
+            point = ReducedPoint.make(rf, point.x, point.y)
+        return ReducedPoint.from_code(rf, _successor_step(self)(point.code()))
+
+
+@lru_cache(maxsize=64)
+def _successor_step(psi: ReducedMap):
+    """node -> image node, by Horner on F(x, 1) and G(x, 1) from c_d down.
+
+    Node q (infinity) maps to [c_d : g_d].  Prime fields run on ints mod p
+    with one modular inverse.  Extension fields with exp/log tables skip
+    node 0 (it has no log): over F_2 they run on codes, a sum being an XOR
+    and a product exp[log a + log b]; over odd p they run on logs (-1 for
+    zero), a sum g^a + g^c being g^(a + zech[c - a]).  Other extensions
+    use the field's polynomial arithmetic.
+    """
+    rf = psi.rfield
+    p, q, d = rf.p, rf.q, psi.degree
+    fco, gco = psi.fco, psi.gco
+    fd, gd = fco[d], gco[d]
+    rest = tuple(zip(fco[:d][::-1], gco[:d][::-1]))
+    ends = {0: (fco[0], gco[0]), q: (fd, gd)}
+    t = rf.tables()
+
+    if rf.modulus is None:
+
+        def step(x):
+            if x == q:
+                return ReducedPoint.make(rf, fd, gd).code()
+            f, g = fd, gd
+            for cf, cg in rest:
+                f = (f * x + cf) % p
+                g = (g * x + cg) % p
+            if g:
+                return f * pow(g, -1, p) % p
+            return ReducedPoint.make(rf, f, g).code()
+
+    elif t is None:
+        mul, add = rf.mul, rf.add
+
+        def step(x):
+            if x == q:
+                return ReducedPoint.make(rf, fd, gd).code()
+            f, g = fd, gd
+            for cf, cg in rest:
+                f = add(mul(f, x), cf)
+                g = add(mul(g, x), cg)
+            return ReducedPoint.make(rf, f, g).code()
+
+    elif p == 2:
+        exp, log, n = t.exp, t.log, t.n
+
+        def step(x):
+            if not x or x == q:
+                return ReducedPoint.make(rf, *ends[x]).code()
+            lx = log[x]
+            f, g = fd, gd
+            for cf, cg in rest:
+                if f:
+                    f = exp[log[f] + lx]
+                if g:
+                    g = exp[log[g] + lx]
+                f ^= cf
+                g ^= cg
+            if f and g:
+                return exp[log[f] - log[g] + n]
+            return ReducedPoint.make(rf, f, g).code()
+
+    else:
+        exp, log, zech, n = t.exp, t.log, t.zech, t.n
+        lfd, lgd = log[fd], log[gd]
+        lrest = tuple((log[cf], log[cg]) for cf, cg in rest)
+
+        def step(x):
+            if not x or x == q:
+                return ReducedPoint.make(rf, *ends[x]).code()
+            lx = log[x]
+            f, g = lfd, lgd
+            for cf, cg in lrest:
+                if f < 0:
+                    f = cf
+                else:
+                    f += lx
+                    if cf >= 0:
+                        z = zech[(cf - f) % n]
+                        f = f + z if z >= 0 else -1
+                if g < 0:
+                    g = cg
+                else:
+                    g += lx
+                    if cg >= 0:
+                        z = zech[(cg - g) % n]
+                        g = g + z if z >= 0 else -1
+            if f >= 0 and g >= 0:
+                return exp[(f - g) % n]
+            # only whether F and G vanish matters now
+            return ReducedPoint.make(rf, int(f >= 0), int(g >= 0)).code()
+
+    return step
 
 
 def reduce_map(phi: RationalMap, place: Place) -> ReducedMap:

@@ -5,16 +5,44 @@ prime field the code is the element itself; for F_p[u]/(pi) the code is
 the base-p encoding of the residue polynomial.  Integer codes keep
 reduced points hashable and make functional-graph nodes plain array
 indices.
+
+An extension field small enough for a functional graph gets exp/log
+tables of a primitive element (and a Zech table for odd p), built once
+and kept in a bounded cache; its products and inverses are then table
+lookups.  Larger extensions use polynomial arithmetic mod pi.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fppoly
-from .errors import UnsupportedPlaceError
-from .fields import KIND_INF, KIND_IRREDUCIBLE, KIND_PRIME, Place
+from .errors import DomainError, UnsupportedPlaceError
+from .fields import KIND_INF, KIND_IRREDUCIBLE, KIND_PRIME, Place, factor_int
 from .fppoly import Coeffs
+
+# Largest P^1(F_q) a functional graph walks by default; extension fields
+# with q + 1 within it get exp/log tables.
+DEFAULT_NODE_BUDGET = 100_000
+
+
+@dataclass(frozen=True, slots=True)
+class FieldTables:
+    """exp/log tables of F_q^* = <g> on element codes, with n = q - 1.
+
+    exp[i] is the code of g^i for 0 <= i < 2n (doubled, so a sum of two
+    logs needs no reduction); log[a] is the exponent of a nonzero code a,
+    and log[0] = -1.  For odd p, zech[i] = log(1 + g^i), or -1 where
+    1 + g^i = 0; over F_2 a sum of codes is their XOR and zech is None.
+    """
+
+    n: int
+    exp: array
+    log: array
+    zech: array | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +68,12 @@ class ResidueField:
     def elements(self):
         return range(self.q)
 
+    def tables(self) -> FieldTables | None:
+        """The exp/log tables of an extension field with q < DEFAULT_NODE_BUDGET."""
+        if self.modulus is None or self.q >= DEFAULT_NODE_BUDGET:
+            return None
+        return _field_tables(self)
+
     # -- arithmetic on int codes ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -61,6 +95,9 @@ class ResidueField:
     def mul(self, a: int, b: int) -> int:
         if self.modulus is None:
             return (a * b) % self.p
+        t = self.tables()
+        if t is not None:
+            return t.exp[t.log[a] + t.log[b]] if a and b else 0
         prod = fppoly.pmul(self.p, fppoly.pfromcode(self.p, a), fppoly.pfromcode(self.p, b))
         return fppoly.pcode(self.p, fppoly.pmod(self.p, prod, self.modulus))
 
@@ -68,9 +105,13 @@ class ResidueField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a residue field")
         if self.modulus is None:
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
+        t = self.tables()
+        if t is not None:
+            return t.exp[t.n - t.log[a]]
         g, u, _ = fppoly.pxgcd(self.p, fppoly.pfromcode(self.p, a), self.modulus)
-        assert g == fppoly.ONE
+        if g != fppoly.ONE:
+            raise DomainError(f"{self.element_str(a)} is not invertible in {self}")
         return fppoly.pcode(self.p, fppoly.pmod(self.p, u, self.modulus))
 
     def div(self, a: int, b: int) -> int:
@@ -96,17 +137,10 @@ class ResidueField:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         order = self.q - 1
-        n, d = order, 2
-        prime_factors = []
-        while d * d <= n:
-            if n % d == 0:
-                prime_factors.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            prime_factors.append(n)
-        for ell in prime_factors:
+        t = self.tables()
+        if t is not None:
+            return order // math.gcd(order, t.log[a])
+        for ell in factor_int(order):
             while order % ell == 0 and self.pow(a, order // ell) == 1:
                 order //= ell
         return order
@@ -120,6 +154,85 @@ class ResidueField:
         if self.modulus is None:
             return f"F{self.p}"
         return f"F{self.p}[u]/({fppoly.poly_str(self.modulus, var='u')})"
+
+
+@lru_cache(maxsize=16)
+def _field_tables(rf: ResidueField) -> FieldTables | None:
+    """exp/log (and Zech) tables of F_p[u]/(pi) in O(q) integer steps.
+
+    None when the modulus is reducible (the ring is not a field).  The
+    powers of the primitive element g come from a table of c -> g*c on all
+    codes c, filled from g*(c - 1) + g or u*(g*(c/p)).  Inside that pass an
+    element is "spread" into one b-bit slot per coefficient, so that a sum
+    is a few integer operations: adding the bias 2^(b-1) - p to each slot
+    sets the slot's top bit exactly where the coefficient sum reached p.
+    """
+    p = rf.p
+    modulus = fppoly.pmonic(p, rf.modulus)
+    if not fppoly.is_irreducible(p, modulus):
+        return None
+    k = len(modulus) - 1
+    q = p**k
+    n = q - 1
+    b = p.bit_length() + 1
+
+    def spread(code: int) -> int:
+        x = shift = 0
+        while code:
+            code, c = divmod(code, p)
+            x |= c << shift
+            shift += b
+        return x
+
+    ones = sum(1 << (b * i) for i in range(k))
+    top_bits = ones << (b - 1)
+    bias = ones * ((1 << (b - 1)) - p)
+    mask = (1 << (b * k)) - 1
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + bias) & top_bits) >> (b - 1)) * p
+
+    # t * u^k = -t * (pi - u^k), spread, for each top coefficient t
+    reduce_top = [spread(fppoly.pcode(p, fppoly.pscale(p, modulus[:k], -t))) for t in range(p)]
+    g = spread(_primitive_code(p, modulus, n))
+    times_g = [0] * q
+    for c in range(1, q):
+        if c % p:
+            times_g[c] = add(times_g[c - 1], g)
+        else:
+            x = times_g[c // p] << b
+            times_g[c] = add(x & mask, reduce_top[x >> (b * k)])
+    # back from spread to code, half of the coefficients at a time
+    half = (k + 1) // 2
+    code_of_half = {spread(c): c for c in range(p**half)}
+    half_shift, half_mask, half_q = b * half, (1 << (b * half)) - 1, p**half
+    exp = array("i", [0]) * (2 * n)
+    log = array("i", [-1]) * q
+    c = 1
+    for i in range(n):
+        exp[i] = exp[i + n] = c
+        log[c] = i
+        x = times_g[c]
+        c = code_of_half[x & half_mask] + half_q * code_of_half[x >> half_shift]
+    zech = None
+    if p != 2:
+        # 1 + g^i raises the constant coefficient of g^i by one
+        zech = array("i", (log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp[:n]))
+    return FieldTables(n, exp, log, zech)
+
+
+def _primitive_code(p: int, modulus: Coeffs, n: int) -> int:
+    """The smallest code of a generator of the unit group of order n.
+
+    u itself need not generate it: u^4+u^3+u^2+u+1 over F_2 makes u a
+    fifth root of unity in F_16.
+    """
+    ells = factor_int(n)
+    for code in range(p, n + 1):
+        g = fppoly.pfromcode(p, code)
+        if all(fppoly.ppow_mod(p, g, n // ell, modulus) != fppoly.ONE for ell in ells):
+            return code
 
 
 def residue_field(place: Place) -> ResidueField:

@@ -4,11 +4,14 @@ Everything here deliberately recomputes results by a different route than
 the package: determinants by Fraction Gaussian elimination or cofactor
 expansion instead of fraction-free elimination, irreducibility by
 all-pairs product enumeration instead of the product sieve, polynomial
-products by the plain double loop instead of `fppoly.pmul`, and so on.
+products by the plain double loop instead of `fppoly.pmul`, residue-field
+arithmetic on coefficient tuples instead of exp/log tables, primality by
+trial division instead of Miller-Rabin, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -113,3 +116,80 @@ def brute_monic_irreducibles(p: int, n: int) -> set:
             for h in monics(b):
                 composites.add(schoolbook_pmul(p, g, h))
     return {f for f in monics(n) if f not in composites}
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class PolyResidueField:
+    """F_p[u]/(modulus) on coefficient tuples: schoolbook products, pdivmod.
+
+    The modulus (0, 1) gives F_p itself.  Elements cross the interface as
+    the package's base-p codes.
+    """
+
+    def __init__(self, p: int, modulus):
+        self.p = p
+        self.modulus = tuple(modulus)
+        self.q = p ** (len(modulus) - 1)
+
+    def _red(self, a):
+        return fppoly.pdivmod(self.p, a, self.modulus)[1]
+
+    def _mul(self, a, b):
+        return self._red(schoolbook_pmul(self.p, a, b))
+
+    def _pow(self, a, e: int):
+        out = self._red((1,))
+        for bit in bin(e)[2:]:
+            out = self._mul(out, out)
+            if bit == "1":
+                out = self._mul(out, a)
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        p = self.p
+        return fppoly.pcode(p, self._mul(fppoly.pfromcode(p, a), fppoly.pfromcode(p, b)))
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        return fppoly.pcode(p, fppoly.padd(p, fppoly.pfromcode(p, a), fppoly.pfromcode(p, b)))
+
+    def inv(self, a: int) -> int:
+        return fppoly.pcode(self.p, self._pow(fppoly.pfromcode(self.p, a), self.q - 2))
+
+    def order(self, a: int) -> int:
+        """Multiplicative order by repeated multiplication."""
+        e, x = 1, a
+        while x != 1:
+            x = self.mul(x, a)
+            e += 1
+        return e
+
+    def successors(self, fco, gco) -> list:
+        """The image node of every node of P^1: [i : 1] is node i, [1 : 0] node q.
+
+        [F(x, y) : G(x, y)] is summed from explicit monomials c_i x^i y^(d-i)
+        and divided by G^(q-2); None marks a node where F and G both vanish.
+        """
+        p, q, d = self.p, self.q, len(fco) - 1
+        out = []
+        for node in range(q + 1):
+            x, y = ((1,), ()) if node == q else (fppoly.pfromcode(p, node), (1,))
+            f, g = (
+                self._form([fppoly.pfromcode(p, c) for c in co], d, x, y)
+                for co in (fco, gco)
+            )
+            if not g:
+                out.append(q if f else None)
+            else:
+                out.append(fppoly.pcode(p, self._mul(f, self._pow(g, q - 2))))
+        return out
+
+    def _form(self, co, d, x, y):
+        total = ()
+        for i, c in enumerate(co):
+            term = self._mul(self._mul(c, self._pow(x, i)), self._pow(y, d - i))
+            total = fppoly.padd(self.p, total, term)
+        return total

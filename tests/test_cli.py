@@ -182,6 +182,17 @@ class TestGraphCommand:
         result = json.loads(out)["result"]
         assert result["q"] == 3 and result["nodes"] == 4
 
+    def test_huge_prime_place_refused_by_node_budget(self, capsys):
+        # 10^18 + 3 is prime: Miller-Rabin says so at once, and the graph
+        # of its residue field is then refused before any node is built
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "graph", "--field", "Q", "z^2", "--place", "p:1000000000000000003"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "node budget" in err
+
     def test_graph_at_bad_place_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "graph", "--field", "Q", "z^2/3", "--place", "p:3"

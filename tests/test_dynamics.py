@@ -123,7 +123,7 @@ class TestFunctionalGraph:
             cycle_nodes = sum(len(c) for c in g.cycles)
             tail_nodes = sum(1 for d in g.tail_depth if d > 0)
             assert cycle_nodes + tail_nodes == q + 1
-            # every node has out-degree one and orbit_of walks the servers
+            # every node has out-degree one and orbit_of follows the successor table
             for code in range(q + 1):
                 walk = g.orbit_of(code)
                 for a, b in zip(walk, walk[1:]):

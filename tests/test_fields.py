@@ -3,9 +3,12 @@ from hypothesis import given, strategies as st
 
 import arithdyn as ad
 from arithdyn.errors import (
+    BudgetExceededError,
     DomainError,
     UnsupportedPlaceError,
 )
+from arithdyn.fields import MR_EXACT_BOUND, is_prime_int
+from oracles import trial_division_is_prime
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -89,6 +92,37 @@ class TestValuation:
         x = field.element(num, den)
         total = sum(pl.degree * v for pl, v in ad.support(x).items())
         assert total == 0
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        assert all(is_prime_int(n) == trial_division_is_prime(n) for n in range(10**5))
+
+    def test_strong_pseudoprimes(self):
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        assert 151 * 751 * 28351 == 3215031751
+        assert not trial_division_is_prime(3215031751)
+        assert not is_prime_int(3215031751)
+        # strong pseudoprime to every prime base up to 31
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert not is_prime_int(3825123056546413051)
+        # ... up to 37: only the base 41 exposes it
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime_int(318665857834031151167461)
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59):
+            assert is_prime_int(n)
+        assert not is_prime_int((2**31 - 1) * (10**9 + 7))
+
+    def test_refuses_beyond_the_exact_range(self):
+        with pytest.raises(BudgetExceededError):
+            is_prime_int(2**89 - 1)
+        # the bound is the least strong pseudoprime to all thirteen bases
+        with pytest.raises(BudgetExceededError):
+            is_prime_int(MR_EXACT_BOUND)
+        # a multiple of a base is decided at any size
+        assert not is_prime_int(3 * 2**89)
 
 
 class TestResidueSizes:

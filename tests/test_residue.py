@@ -1,0 +1,183 @@
+"""Residue-field tables and the successor kernel against coefficient-tuple oracles."""
+
+import random
+import time
+
+import pytest
+
+from arithdyn import fppoly, ratmap, residue
+from arithdyn.dynamics import functional_graph
+from arithdyn.errors import BudgetExceededError, DomainError
+from arithdyn.projective import ReducedPoint
+from arithdyn.ratmap import ReducedMap
+from arithdyn.residue import ResidueField, field_of_size
+from oracles import PolyResidueField
+
+# u is not primitive modulo these: it has order 5 in F_16 and 4 in F_9
+NON_PRIMITIVE = [(2, (1, 1, 1, 1, 1)), (3, (1, 0, 1))]
+EXTENSIONS = NON_PRIMITIVE + [
+    (2, (1, 1, 0, 1)),
+    (2, (1, 0, 1, 0, 0, 1)),
+    (3, (1, 2, 0, 1)),
+    (5, (2, 0, 1)),
+    (7, (1, 0, 1)),
+]
+PRIMES = [2, 3, 5, 7, 13, 101]
+
+
+def oracle_for(rf):
+    return PolyResidueField(rf.p, rf.modulus or (0, 1))
+
+
+@pytest.fixture(params=["tables", "polynomial"])
+def arithmetic(request, monkeypatch):
+    """Run a test with exp/log tables and again with polynomial arithmetic."""
+    ratmap._successor_step.cache_clear()
+    if request.param == "polynomial":
+        monkeypatch.setattr(residue, "DEFAULT_NODE_BUDGET", 0)
+    yield request.param
+    ratmap._successor_step.cache_clear()
+
+
+class TestTables:
+    @pytest.mark.parametrize("p, modulus", EXTENSIONS)
+    def test_exp_log_inverse(self, p, modulus):
+        rf = ResidueField(p, modulus)
+        t = rf.tables()
+        assert t.n == rf.q - 1
+        assert t.log[0] == -1
+        assert all(t.exp[t.log[a]] == a for a in range(1, rf.q))
+        assert sorted(t.log[1:]) == list(range(t.n))
+        assert list(t.exp[t.n:]) == list(t.exp[: t.n])
+
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256, 9, 27, 81, 243, 25, 125, 49, 343])
+    def test_exp_is_powers_of_a_generator(self, q):
+        rf = field_of_size(q)
+        t = rf.tables()
+        orc = oracle_for(rf)
+        g = t.exp[1]
+        assert orc.order(g) == rf.q - 1
+        assert all(t.exp[i + 1] == orc.mul(t.exp[i], g) for i in range(t.n))
+
+    @pytest.mark.parametrize("p, modulus", NON_PRIMITIVE)
+    def test_non_primitive_modulus(self, p, modulus):
+        rf = ResidueField(p, modulus)
+        assert oracle_for(rf).order(p) < rf.q - 1  # the code p is u
+        assert rf.tables().exp[1] != p
+
+    @pytest.mark.parametrize(
+        "p, modulus",
+        [(2, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)), (3, (1, 0, 2) + (0,) * 7 + (1,)), (17, (3, 0, 0, 0, 1))],
+    )
+    def test_largest_fields_build_quickly(self, p, modulus):
+        rf = ResidueField(p, modulus)
+        start = time.perf_counter()
+        t = residue._field_tables(rf)
+        assert time.perf_counter() - start < 5.0
+        assert all(t.exp[t.log[a]] == a for a in range(1, rf.q, 97))
+
+    def test_only_extension_fields_within_the_node_budget(self):
+        assert ResidueField(101).tables() is None
+        assert ResidueField(2, (1, 0, 0, 1) + (0,) * 13 + (1,)).tables() is None  # q = 2^17
+
+    def test_reducible_modulus(self):
+        rf = ResidueField(2, (1, 0, 1))  # (u + 1)^2
+        assert rf.tables() is None
+        with pytest.raises(DomainError):
+            rf.inv(3)  # u + 1
+
+
+class TestArithmetic:
+    @pytest.mark.parametrize("p, modulus", EXTENSIONS + [(p, None) for p in (2, 7)])
+    def test_all_pairs(self, arithmetic, p, modulus):
+        rf = ResidueField(p, modulus)
+        orc = oracle_for(rf)
+        for a in range(rf.q):
+            for b in range(rf.q):
+                assert rf.mul(a, b) == orc.mul(a, b)
+                assert rf.add(a, b) == orc.add(a, b)
+                if b:
+                    assert rf.div(a, b) == orc.mul(a, orc.inv(b))
+            if a:
+                assert rf.inv(a) == orc.inv(a)
+        with pytest.raises(ZeroDivisionError):
+            rf.inv(0)
+
+    @pytest.mark.parametrize(
+        "p, modulus", EXTENSIONS + [(2, (1, 1, 0, 0, 0, 0, 1)), (3, (2, 1, 0, 0, 1))]
+        + [(p, None) for p in PRIMES]
+    )
+    def test_multiplicative_order_brute_force(self, arithmetic, p, modulus):
+        rf = ResidueField(p, modulus)
+        orc = oracle_for(rf)
+        for a in range(1, rf.q):
+            assert rf.multiplicative_order(a) == orc.order(a)
+
+    def test_order_refused_when_q_minus_1_resists_factoring(self):
+        # x^61 + x^5 + x^2 + x + 1 is irreducible (Rabin: 61 is prime) and
+        # 2^61 - 1 is prime, too large to certify by trial division
+        p, pi = 2, (1, 1, 1, 0, 0, 1) + (0,) * 55 + (1,)
+        x = (0, 1)
+        assert fppoly.ppow_mod(p, x, 2**61, pi) == x
+        assert fppoly.pgcd(p, fppoly.psub(p, fppoly.ppow_mod(p, x, 2, pi), x), pi) == fppoly.ONE
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            ResidueField(p, pi).multiplicative_order(2)
+        assert time.perf_counter() - start < 5.0
+
+
+def kernel_maps(rf, rng):
+    """Maps of degree 1-5 of four shapes, as (fco, gco) over rf's codes."""
+    q = rf.q
+
+    def rand(d, lead_nonzero=False):
+        co = [rng.randrange(q) for _ in range(d + 1)]
+        if lead_nonzero:
+            co[d] = rng.randrange(1, q)
+        return tuple(co)
+
+    for d in range(1, 6):
+        # infinity goes to a finite point
+        yield rand(d), rand(d, lead_nonzero=True)
+        # a polynomial map: G = Y^d
+        yield rand(d, lead_nonzero=True), (1,) + (0,) * d
+        # G(x, 1) vanishes at a nonzero x and at 0
+        a = rng.randrange(1, q)
+        h = rand(d - 1, lead_nonzero=True)
+        g = [0] * (d + 1)
+        for i, c in enumerate(h):  # G = (X - a*Y) * h
+            g[i + 1] = rf.add(g[i + 1], c)
+            g[i] = rf.add(g[i], rf.mul(rf.neg(a), c))
+        yield rand(d), tuple(g)
+        yield rand(d), (0,) + rand(d - 1, lead_nonzero=True)
+        # anything
+        yield rand(d), rand(d)
+
+
+class TestSuccessorKernel:
+    @pytest.mark.parametrize(
+        "p, modulus", EXTENSIONS + [(p, None) for p in PRIMES] + [(2, (1, 1, 0, 0, 0, 0, 1))]
+    )
+    def test_graph_and_apply_against_oracle(self, arithmetic, p, modulus):
+        rf = ResidueField(p, modulus)
+        orc = oracle_for(rf)
+        rng = random.Random(p * 1000 + rf.q)
+        valid = 0
+        for fco, gco in kernel_maps(rf, rng):
+            psi = ReducedMap(rf, fco, gco)
+            want = orc.successors(fco, gco)
+            if None in want:
+                with pytest.raises(DomainError):
+                    functional_graph(psi)
+                continue
+            valid += 1
+            assert list(functional_graph(psi).successors) == want
+            for code in range(rf.q + 1):
+                image = psi.apply(ReducedPoint.from_code(rf, code))
+                assert image == ReducedPoint.from_code(rf, want[code])
+        assert valid >= 10
+
+    def test_apply_checks_the_field(self):
+        psi = ReducedMap(ResidueField(5), (1, 0, 1), (1, 0, 0))
+        with pytest.raises(DomainError):
+            psi.apply(ReducedPoint(ResidueField(7), 1, 1))

@@ -254,7 +254,9 @@ def pfromcode(p: int, code: int) -> Coeffs:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    from .fields import is_prime_int  # fields builds on this module
+
+    if not is_prime_int(p):
         raise DomainError(f"{p} is not a prime")
 
 

@@ -5,8 +5,9 @@ F_p(t) the symbol t denotes the coefficient-field generator), or an
 explicit homogeneous pair "[F(X,Y) : G(X,Y)]".  Parsing is a small
 recursive-descent evaluator over exact field arithmetic; the affine form
 is evaluated in K(z) as a numerator/denominator pair, the bracket form in
-K[X,Y] with a homogeneity check.  Syntax errors carry the character
-position.
+K[X,Y] with a homogeneity check.  Powers are taken by square-and-multiply,
+and a product or power whose degree would pass MAX_DEGREE is refused
+before it is expanded.  Syntax errors carry the character position.
 """
 
 from __future__ import annotations
@@ -16,10 +17,16 @@ import re
 from dataclasses import dataclass
 
 from . import fppoly
-from .errors import MapParseError
+from .errors import BudgetExceededError, MapParseError
 from .fields import BaseField, GlobalFieldElement
 from .projective import ProjPoint, from_affine, infinity, normalize
 from .ratmap import RationalMap, make_map
+
+# Largest degree of any value built while parsing, checked before a
+# product or power is expanded: a dense (z+1)^256 takes about half a
+# second, and dense forms over Q pass ratmap.RESULTANT_BUDGET only up to
+# degree ~200.
+MAX_DEGREE = 256
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
@@ -141,15 +148,39 @@ def _padd_k(a, b, field):
     return _ptrim_k(out)
 
 
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise BudgetExceededError(
+            f"expression of degree {d} exceeds the parser limit {MAX_DEGREE}"
+        )
+
+
 def _pmul_k(a, b, field):
     if not a or not b:
         return []
+    _check_degree(len(a) + len(b) - 2)
     out = [field.zero()] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai.is_zero:
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
     return _ptrim_k(out)
+
+
+def _ppow_k(a, e: int, field):
+    """a^e by square-and-multiply; a monomial c*z^k in one step."""
+    support = [k for k, c in enumerate(a) if not c.is_zero]
+    if len(support) == 1:
+        k = support[0]
+        return [field.zero()] * (k * e) + [a[k] ** e]
+    out = [field.one()]
+    while e:
+        if e & 1:
+            out = _pmul_k(out, a, field)
+        e >>= 1
+        if e:
+            a = _pmul_k(a, a, field)
+    return out
 
 
 class _RatFuncAlgebra:
@@ -199,11 +230,8 @@ class _RatFuncAlgebra:
 
     def pow(self, a, e: int):
         n, d = a
-        f = self.field
-        rn, rd = [f.one()], [f.one()]
-        for _ in range(e):
-            rn, rd = _pmul_k(rn, n, f), _pmul_k(rd, d, f)
-        return rn, rd
+        _check_degree((max(len(n), len(d)) - 1) * e)
+        return _ppow_k(n, e, self.field), _ppow_k(d, e, self.field)
 
 
 class _BivariateAlgebra:
@@ -243,7 +271,12 @@ class _BivariateAlgebra:
     def neg(self, a):
         return {k: -c for k, c in a.items()}
 
+    @staticmethod
+    def degree(a) -> int:
+        return max((i + j for i, j in a), default=0)
+
     def mul(self, a, b):
+        _check_degree(self.degree(a) + self.degree(b))
         out = {}
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
@@ -264,9 +297,18 @@ class _BivariateAlgebra:
         return {k: v / c for k, v in a.items()}
 
     def pow(self, a, e: int):
+        """a^e by square-and-multiply; a monomial c*X^i*Y^j in one step."""
+        _check_degree(self.degree(a) * e)
+        if len(a) == 1:
+            ((i, j), c), = a.items()
+            return {(i * e, j * e): c**e}
         out = self.const(1)
-        for _ in range(e):
-            out = self.mul(out, a)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
         return out
 
 

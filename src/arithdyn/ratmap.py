@@ -13,9 +13,17 @@ the integral model there is t^-M * (F, G) with M the maximal coefficient
 degree, so the map has good reduction at infinity exactly when
 deg_t Res(F, G) = 2*d*M.
 
-The resultant is the determinant of the 2d x 2d Sylvester matrix,
-computed fraction-free (Bareiss) so every intermediate value stays in the
-integral ring.
+The resultant is the determinant of the 2d x 2d Sylvester matrix.  Over
+Z it is computed modulo primes just below 2^62 by Euclid's algorithm on
+the dehomogenized forms (Collins 1971; von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 6), with the degree-drop rule
+Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g) and a swap of F and G when
+f_d vanishes.  The rule holds over every field, so no prime is unlucky.
+The residues are combined by CRT until the modulus exceeds twice the
+Hadamard bound |F|_2^d * |G|_2^d, which makes the value exact.  Inputs
+whose cost (primes needed times d^2 + primes) passes RESULTANT_BUDGET are
+refused before any reduction.  Over F_p[t] the determinant is computed
+fraction-free (Bareiss), so every intermediate value stays in F_p[t].
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from math import gcd
 
 from . import fppoly
 from .errors import (
+    BudgetExceededError,
     DegenerateMapError,
     DomainError,
     PreconditionError,
@@ -39,6 +48,7 @@ from .fields import (
     GlobalFieldElement,
     Place,
     factor_int,
+    is_prime_int,
     valuation,
 )
 from .fppoly import Coeffs
@@ -46,103 +56,148 @@ from .projective import ProjPoint, ReducedPoint, _canon_pair_ff, point_from_raw
 from .residue import ResidueField, residue_field
 
 # ---------------------------------------------------------------------------
-# integral-ring adapters for fraction-free elimination
+# resultants: modular over Z, fraction-free over F_p[t]
+
+# Largest (CRT primes needed) * (d^2 + primes) accepted over Q: the cost
+# of the Euclid runs plus the CRT steps, refused before any reduction.
+RESULTANT_BUDGET = 2 * 10**6
 
 
-class _IntRing:
-    zero = 0
-    one = 1
+@lru_cache(maxsize=None)
+def _crt_prime(i: int) -> int:
+    """The i-th prime below 2^62, counting down.
 
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def exact_div(a, b):
-        q, r = divmod(a, b)
-        assert r == 0
-        return q
+    Callers ask for i = 0, 1, 2, ... in turn, so the recursion on i - 1
+    always stops at a cached value.
+    """
+    n = _crt_prime(i - 1) - 2 if i else 2**62 - 1
+    while not is_prime_int(n):
+        n -= 2
+    return n
 
 
-class _PolyRing:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = fppoly.ZERO
-        self.one = fppoly.ONE
+def _resultant_mod(ell: int, fco: tuple, gco: tuple) -> int:
+    """Res_{d,d}(F, G) mod the prime ell, by Euclid over F_ell.
 
-    @staticmethod
-    def is_zero(a):
-        return not a
+    With f_d != 0 and n = deg g, Res_{d,d}(F, G) = f_d^(d-n) * Res(f, g);
+    with f_d = 0 the rows swap, Res_{d,d}(F, G) = (-1)^d * Res_{d,d}(G, F);
+    with f_d = g_d = 0 the first Sylvester column vanishes.  These hold
+    over every field, so every prime gives the true residue.
+    """
+    d = len(fco) - 1
+    f = [c % ell for c in reversed(fco)]  # descending X-power
+    g = [c % ell for c in reversed(gco)]
+    sign = 1
+    if not f[0]:
+        if not g[0]:
+            return 0
+        f, g = g, f
+        sign = -1 if d & 1 else 1
+    k = next((i for i, c in enumerate(g) if c), None)
+    if k is None:
+        return 0
+    acc = pow(f[0], k, ell)
+    g = g[k:]
+    m = d
+    # Res(f, g) = (-1)^(mn) * lc(g)^(m - deg r) * Res(g, r), r = f mod g
+    while len(g) > 1:
+        n = len(g) - 1
+        inv = pow(g[0], -1, ell)
+        tail = g[1:]
+        r = f
+        for _ in range(m - n + 1):
+            c = r[0] * inv % ell
+            r = [a - c * b for a, b in zip(r[1:], tail)] + r[n + 1 :]
+        r = [a % ell for a in r]  # one reduction per division step
+        k = next((i for i, c in enumerate(r) if c), None)
+        if k is None:
+            return 0
+        if m * n & 1:
+            sign = -sign
+        acc = acc * pow(g[0], m - n + 1 + k, ell) % ell
+        f, g, m = g, r[k:], n
+    acc = acc * pow(g[0], m, ell) % ell
+    return acc if sign > 0 else -acc % ell
 
-    def mul(self, a, b):
-        return fppoly.pmul(self.p, a, b)
 
-    def sub(self, a, b):
-        return fppoly.psub(self.p, a, b)
+def _resultant_int(fco: tuple, gco: tuple) -> int:
+    """Res_{d,d}(F, G) over Z from residues modulo primes below 2^62.
 
-    def neg(self, a):
-        return fppoly.pneg(self.p, a)
+    Hadamard on the Sylvester rows gives |Res| <= |F|_2^d * |G|_2^d, so
+    residues combined by CRT past twice that bound fix the value exactly.
+    """
+    d = len(fco) - 1
+    sf = sum(c * c for c in fco)
+    sg = sum(c * c for c in gco)
+    if not sf or not sg:
+        return 0
+    # each prime exceeds 2^61 and 2 * bound < 2^(d * (bits sf + bits sg) / 2 + 1)
+    nprimes = (d * (sf.bit_length() + sg.bit_length()) // 2 + 2) // 61 + 1
+    if nprimes * (d * d + nprimes) > RESULTANT_BUDGET:
+        raise BudgetExceededError(
+            f"resultant at degree {d} needs about {nprimes} CRT primes"
+        )
+    bound_sq = 4 * (sf * sg) ** d  # (2 * Hadamard bound)^2
+    value, modulus = 0, 1
+    i = 0
+    while modulus * modulus <= bound_sq:
+        ell = _crt_prime(i)
+        i += 1
+        t = (_resultant_mod(ell, fco, gco) - value) * pow(modulus, -1, ell) % ell
+        value += modulus * t
+        modulus *= ell
+    return value - modulus if 2 * value > modulus else value
 
-    def exact_div(self, a, b):
-        return fppoly.pexactdiv(self.p, a, b)
 
-
-def _ring_for(field: BaseField):
-    return _IntRing() if field.is_rationals else _PolyRing(field.char)
-
-
-def _bareiss_det(rows, ring):
-    """Fraction-free determinant; all divisions are exact in the ring."""
+def _bareiss_det(p: int, rows) -> Coeffs:
+    """Fraction-free determinant over F_p[t]; every division is exact."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
-    prev = ring.one
+    prev = fppoly.ONE
     for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not ring.is_zero(m[i][k]):
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return ring.zero
+                return fppoly.ZERO
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(m[i][j], m[k][k]), ring.mul(m[i][k], m[k][j])
+                num = fppoly.psub(
+                    p,
+                    fppoly.pmul(p, m[i][j], m[k][k]),
+                    fppoly.pmul(p, m[i][k], m[k][j]),
                 )
-                m[i][j] = ring.exact_div(num, prev)
-            m[i][k] = ring.zero
+                m[i][j] = fppoly.pexactdiv(p, num, prev)
+            m[i][k] = fppoly.ZERO
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return ring.neg(det) if sign < 0 else det
+    return fppoly.pneg(p, det) if sign < 0 else det
 
 
 def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple):
-    """Resultant of two degree-d coefficient tuples (ascending X-power)."""
+    """Resultant of two degree-d coefficient tuples (ascending X-power).
+
+    The determinant of the 2d x 2d Sylvester matrix with the d rows of F
+    first, coefficients by descending X-power: by CRT over Z, by Bareiss
+    elimination over F_p[t].
+    """
+    if field.is_rationals:
+        return _resultant_int(fco, gco)
     d = len(fco) - 1
-    ring = _ring_for(field)
+    zero = fppoly.ZERO
     frow = list(reversed(fco))  # univariate-in-X descending coefficients
     grow = list(reversed(gco))
     n = 2 * d
     rows = []
     for i in range(d):
-        rows.append([ring.zero] * i + frow + [ring.zero] * (n - d - 1 - i))
+        rows.append([zero] * i + frow + [zero] * (n - d - 1 - i))
     for i in range(d):
-        rows.append([ring.zero] * i + grow + [ring.zero] * (n - d - 1 - i))
-    return _bareiss_det(rows, ring)
+        rows.append([zero] * i + grow + [zero] * (n - d - 1 - i))
+    return _bareiss_det(field.char, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Everything here deliberately recomputes results by a different route than
 the package: determinants by Fraction Gaussian elimination or cofactor
-expansion instead of fraction-free elimination, irreducibility by
-all-pairs product enumeration instead of the product sieve, polynomial
+expansion instead of fraction-free elimination or modular Euclid and CRT,
+resultants from the values of a form at the roots of a split one, powers
+by repeated multiplication instead of square-and-multiply, irreducibility
+by all-pairs product enumeration instead of the product sieve, polynomial
 products by the plain double loop instead of `fppoly.pmul`, residue-field
 arithmetic on coefficient tuples instead of exp/log tables, primality by
 trial division instead of Miller-Rabin, and so on.
@@ -99,6 +101,39 @@ def sylvester_rows(fco, gco, zero):
     for i in range(d):
         rows.append([zero] * i + grow + [zero] * (n - d - 1 - i))
     return rows
+
+
+def form_from_linear_factors(factors) -> tuple:
+    """prod (a*X - b*Y) over the pairs (a, b), ascending X-power."""
+    co = [1]
+    for a, b in factors:
+        out = [0] * (len(co) + 1)
+        for i, c in enumerate(co):
+            out[i + 1] += a * c
+            out[i] -= b * c
+        co = out
+    return tuple(co)
+
+
+def resultant_by_roots(fco, factors) -> int:
+    """Res(F, prod (a_i X - b_i Y)) from the values of F at the roots.
+
+    Res(F, aX - bY) = (-1)^d F(b, a) for F of degree d, and the resultant
+    is multiplicative in each argument, so no elimination is involved.
+    """
+    d = len(fco) - 1
+    out = 1
+    for a, b in factors:
+        out *= (-1) ** d * sum(c * b**i * a ** (d - i) for i, c in enumerate(fco))
+    return out
+
+
+def repeated_pow(algebra, a, e: int):
+    """a^e by e multiplications from 1, as the parser once computed it."""
+    out = algebra.const(1)
+    for _ in range(e):
+        out = algebra.mul(out, a)
+    return out
 
 
 def brute_monic_irreducibles(p: int, n: int) -> set:

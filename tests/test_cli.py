@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from arithdyn.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -284,3 +289,38 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error" in err
+
+
+class TestRobustness:
+    def test_huge_degree_refused_in_a_subprocess(self):
+        # the parser refuses z^99999 before expanding it
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "arithdyn.cli", "analyze", "--field", "Q", "z^99999+1"],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "BudgetExceededError" in proc.stderr
+        assert time.perf_counter() - start < 5
+
+    def test_huge_characteristic_checked_by_miller_rabin(self, capsys):
+        # 10^18 + 3 is prime: the field is accepted at once and P^1 of the
+        # residue field at infinity is refused by the node budget
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "graph", "--field", "Fp:1000000000000000003", "z^2", "--place", "inf"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "node budget" in err
+
+    def test_composite_characteristic_rejected(self, capsys):
+        # 10^18 + 1 = 101 * 9901 * 999999000001; the square of that prime
+        # has no factor below 10^12, so trial division would not finish
+        for p in ("1000000000000000001", str(999999000001**2), "4"):
+            code, _, err = run_cli(capsys, "analyze", "--field", f"Fp:{p}", "z^2")
+            assert code == 2
+            assert "DomainError" in err and "not a prime" in err

@@ -1,0 +1,193 @@
+"""Square-and-multiply powers in the parser, its degree limit and errors."""
+
+import random
+import time
+
+import pytest
+
+import arithdyn as ad
+from arithdyn.errors import ArithDynError, BudgetExceededError, MapParseError
+from arithdyn.parsing import (
+    MAX_DEGREE,
+    _BivariateAlgebra,
+    _Parser,
+    _RatFuncAlgebra,
+    _tokenize,
+)
+
+from oracles import repeated_pow
+
+F2T = ad.function_field(2)
+F3T = ad.function_field(3)
+FIELDS = [ad.QQ, F2T, F3T]
+
+
+def value(algebra, s):
+    return _Parser(_tokenize(s), algebra).parse_expr()
+
+
+def outcome(s, field):
+    """The parsed map, or the name of the error it raises."""
+    try:
+        return ad.parse_map(s, field)
+    except ArithDynError as exc:
+        return type(exc).__name__
+
+
+def random_coeff(rng, field):
+    if field.is_rationals:
+        return rng.choice(["1", "-1", "2", "3/2", "-5/7", "1/4"])
+    return rng.choice(["1", "t", "(t+1)", "1/t", "(t^2+1)/(t+1)"])
+
+
+def random_bracket_base(rng, field, k=None):
+    """A sum of terms c*X^i*Y^j; homogeneous of degree k when k is given."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, 3 if k is None else k)
+        j = rng.randint(0, 3) if k is None else k - i
+        terms.append(f"{random_coeff(rng, field)}*X^{i}*Y^{j}")
+    return "(" + "+".join(terms) + ")"
+
+
+def random_affine_base(rng, field):
+    def poly(n_terms, max_power):
+        return "+".join(
+            f"{random_coeff(rng, field)}*z^{rng.randint(0, max_power)}"
+            for _ in range(n_terms)
+        )
+
+    num = poly(rng.randint(1, 3), 3)
+    if rng.random() < 0.4:
+        return f"(({num})/({poly(rng.randint(1, 2), 2)}))"
+    return f"({num})"
+
+
+class TestPowAgainstRepeatedMultiplication:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_bracket_values(self, field):
+        rng = random.Random(11)
+        algebra = _BivariateAlgebra(field)
+        bases = ["(X+Y)", "X", "X^0", "(X*Y)", "0", "(X^2*Y)", "(X+1)"]
+        bases += ["(2*X-3/2*Y)", "1/3"] if field.is_rationals else ["(X+t*Y)", "1/t"]
+        bases += [random_bracket_base(rng, field) for _ in range(12)]
+        for s in bases:
+            a = value(algebra, s)
+            for e in range(8):
+                assert algebra.pow(a, e) == repeated_pow(algebra, a, e), (s, e)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_affine_values(self, field):
+        rng = random.Random(13)
+        algebra = _RatFuncAlgebra(field)
+        bases = ["z", "(z+1)", "(z^0)", "(z/(z+1))", "0", "1/z"]
+        bases += ["(1/2*z^2-3)", "(2*z)^2"] if field.is_rationals else ["(t*z^2-1/t)"]
+        bases += [random_affine_base(rng, field) for _ in range(12)]
+        for s in bases:
+            a = value(algebra, s)
+            for e in range(8):
+                assert algebra.pow(a, e) == repeated_pow(algebra, a, e), (s, e)
+
+    def test_monomial_in_one_step(self):
+        algebra = _BivariateAlgebra(ad.QQ)
+        a = value(algebra, "3/2*X^2*Y")
+        assert algebra.pow(a, 40) == {(80, 40): ad.QQ.element(3**40, 2**40)}
+        algebra = _RatFuncAlgebra(F2T)
+        num, den = algebra.pow(value(algebra, "t*z^3"), 5)
+        assert num == [F2T.zero()] * 15 + [F2T.gen() ** 5] and den == [F2T.one()]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_maps_equal_written_out_products(self, field):
+        rng = random.Random(17)
+        for _ in range(12):
+            k, e = rng.randint(1, 3), rng.randint(1, 4)
+            base = random_bracket_base(rng, field, k)
+            g = f"X^{k * e} + 5*Y^{k * e}"
+            assert outcome(f"[{base}^{e} : {g}]", field) == outcome(
+                f"[{'*'.join([base] * e)} : {g}]", field
+            )
+            base = random_affine_base(rng, field)
+            assert outcome(f"z*{base}^{e} + 1", field) == outcome(
+                f"z*{'*'.join([base] * e)} + 1", field
+            )
+
+
+class TestDegreeLimit:
+    def test_power_refused_before_expanding(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("(z+1)^99999 + 1", ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("[(X+Y)^99999 : Y^99999]", ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("z^99999 + t", F2T)
+        assert time.perf_counter() - start < 0.5
+
+    def test_products_refused_past_the_limit(self):
+        half = MAX_DEGREE // 2 + 1
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map(f"(z^{half}+1) * (z^{half}-1)", ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map(f"1/(z^{half}+1) + 1/(z^{half}-1)", ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map(f"[X^{half} * (X^{half} + Y^{half}) : Y]", ad.QQ)
+
+    def test_limit_itself_is_allowed(self):
+        for algebra, s in ((_RatFuncAlgebra(ad.QQ), "z"), (_BivariateAlgebra(ad.QQ), "X")):
+            a = value(algebra, s)
+            algebra.pow(a, MAX_DEGREE)
+            with pytest.raises(BudgetExceededError):
+                algebra.pow(a, MAX_DEGREE + 1)
+
+    def test_dense_degree_80_map_answers(self):
+        rng = random.Random(19)
+        d = 80
+
+        def form():
+            return " + ".join(
+                f"({rng.randint(-10**6, 10**6)})*X^{i}*Y^{d - i}" for i in range(d + 1)
+            )
+
+        phi = ad.parse_map(f"[{form()} : {form()}]", ad.QQ)
+        assert phi.degree == d
+        assert ad.resultant(phi) != ad.QQ.zero()
+
+
+# positions as reported before powers were computed by square-and-multiply
+ERROR_POSITIONS = [
+    ("z^2 + $", ad.QQ, 6),
+    ("z^", ad.QQ, 1),
+    ("z^-2", ad.QQ, 1),
+    ("z^x", ad.QQ, 1),
+    ("(z+1", ad.QQ, 4),
+    ("z+1)", ad.QQ, 3),
+    ("z^2 + w", ad.QQ, 6),
+    ("t*z^2", ad.QQ, 0),
+    ("[X^2 : Y^2", ad.QQ, 10),
+    ("[X^2 : Y^2] z", ad.QQ, 12),
+    ("[X^2 Y^2]", ad.QQ, 5),
+    ("[Z^2 : Y^2]", ad.QQ, 1),
+    ("[X^2 : Y]", ad.QQ, None),
+    ("[X^0 : Y^0]", ad.QQ, None),
+    ("z^2/0", ad.QQ, None),
+    ("[X^2/(X) : Y^2]", ad.QQ, None),
+    ("[X^2/0 : Y^2]", ad.QQ, None),
+    ("z^2^3", ad.QQ, 3),
+    ("(z+1)^(2)", ad.QQ, 5),
+    ("z^2 +", ad.QQ, 5),
+    ("*z", ad.QQ, 0),
+    ("0", ad.QQ, None),
+    ("0*z", ad.QQ, None),
+    ("1/(z-z)", ad.QQ, None),
+    ("  z^2 + @", ad.QQ, 6),
+    ("z^2 + s", F2T, 6),
+    ("[X^2 : Y^2 : X]", ad.QQ, 11),
+    ("(t*z^3+1)/z^", F2T, 11),
+]
+
+
+@pytest.mark.parametrize("expr,field,position", ERROR_POSITIONS)
+def test_parse_error_positions(expr, field, position):
+    with pytest.raises(MapParseError) as err:
+        ad.parse_map(expr, field)
+    assert err.value.position == position

@@ -54,8 +54,20 @@ def _parse_field(token: str) -> BaseField:
     if token in ("Q", "q"):
         return QQ
     if token.lower().startswith("fp:"):
-        return function_field(int(token[3:]))
+        try:
+            p = int(token[3:])
+        except ValueError:
+            raise UsageError(f"bad characteristic in {token!r} (use Fp:<prime>)") from None
+        return function_field(p)
     raise UsageError(f"unknown field {token!r} (use Q or Fp:<prime>)")
+
+
+def _parse_places(parse, field: BaseField, token: str):
+    """parse_place or parse_place_set, a malformed number being a usage error."""
+    try:
+        return parse(field, token)
+    except ValueError:
+        raise UsageError(f"bad place {token!r} (use p:<prime>, pi:<c0,c1,...> or inf)") from None
 
 
 def _budget(args) -> Budget:
@@ -119,7 +131,7 @@ def _cmd_analyze(args) -> int:
     bad = sorted(bad_places(phi), key=lambda p: p.sort_key())
     # the smallest S making the orbit bounds applicable to this map
     default_S = place_set(
-        field, set(bad) | {infinite_place(field) if not field.is_rationals else archimedean_place()}
+        field, set(bad) | {infinite_place(field)}
     )
     ctx = BoundContext(field.char, 1, default_S.size)
     bs = compute_bounds(ctx)
@@ -226,7 +238,7 @@ def _cmd_search(args) -> int:
 def _cmd_graph(args) -> int:
     field = _parse_field(args.field)
     phi = parse_map(args.map, field)
-    place = parse_place(field, args.place)
+    place = _parse_places(parse_place, field, args.place)
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
     from .projective import ReducedPoint
@@ -297,7 +309,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sunit_solve(args) -> int:
     field = _parse_field(args.field)
-    S = parse_place_set(field, args.S)
+    S = _parse_places(parse_place_set, field, args.S)
     a = parse_element(field, args.a)
     b = parse_element(field, args.b)
     inst = UnitEquationInstance(a, b, S, args.cap)

@@ -35,7 +35,6 @@ from .projective import (
 from .ratmap import (
     RationalMap,
     ReducedMap,
-    _ResidueOps,
     apply_map,
     bad_places,
     cycle_multiplier,
@@ -44,7 +43,7 @@ from .ratmap import (
     reduce_map,
     _INF_MARK,
 )
-from .residue import DEFAULT_NODE_BUDGET, ResidueField
+from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
 
 DEFAULT_MAX_STEPS = 2000
 DEFAULT_HEIGHT_CAP_Q = 10**40
@@ -110,17 +109,11 @@ class ExceededBudget:
         return self.reason == REASON_ESCAPE
 
 
-def _diverges(profile, point: ProjPoint, is_rationals: bool) -> bool:
+def _diverges(profile, point: ProjPoint, ring) -> bool:
     # denominator already non-unit, or numerator beyond the escape radius
     if point.is_infinity:
         return False
-    if is_rationals:
-        if point.y >= 2:
-            return True
-        return abs(point.x) >= profile.radius
-    if fppoly.pdeg(point.y) >= 1:
-        return True
-    return fppoly.pdeg(point.x) >= profile.radius
+    return not ring.is_unit(point.y) or ring.size(point.x) >= profile.radius
 
 
 def orbit(
@@ -133,12 +126,12 @@ def orbit(
         budget = Budget()
     cap = budget.cap_for(phi.field)
     profile = escape_profile(phi)
-    is_q = phi.field.is_rationals
+    ring = phi.field.ring
     pts: list[ProjPoint] = [start]
     index: dict[ProjPoint, int] = {start: 0}
     current = start
     while True:
-        if profile is not None and _diverges(profile, current, is_q):
+        if profile is not None and _diverges(profile, current, ring):
             return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE)
         nxt = apply_map(phi, current)
         hit = index.get(nxt)
@@ -275,11 +268,10 @@ def reduced_period_data(
     start = reduce_point(point, place)
     cycle = _reduced_cycle_from(psi, start)
     m = len(cycle)
-    ops = _ResidueOps(psi.rfield)
     chain = [
         _INF_MARK if q.is_infinity else q.x for q in cycle
     ]
-    lam = cycle_multiplier(ops, list(psi.fco), list(psi.gco), chain)
+    lam = cycle_multiplier(psi.rfield, list(psi.fco), list(psi.gco), chain)
     if lam == 0:
         return PeriodData(m, INFINITE)
     return PeriodData(m, psi.rfield.multiplicative_order(lam))
@@ -319,9 +311,7 @@ def check_period_relation(
             return PeriodRelationVerdict("ii", None, m, r, n)
         if n % (m * r) == 0:
             quotient = n // (m * r)
-            p_char = (
-                place.payload if place.field.is_rationals else place.field.char
-            )
+            p_char = residue_field(place).p
             e = 0
             while quotient % p_char == 0:
                 quotient //= p_char

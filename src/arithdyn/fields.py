@@ -1,4 +1,5 @@
-"""Base fields Q and F_p(t), their elements, places and valuations.
+"""Base fields Q and F_p(t), their integral rings, elements, places and
+valuations.
 
 Elements are kept in a canonical form that makes equality and hashing
 structural: lowest terms with positive denominator over Q, lowest terms
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+import operator
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +33,151 @@ from .errors import (
 from .fppoly import Coeffs, FpPoly
 
 # ---------------------------------------------------------------------------
+# integral rings
+#
+# Z and F_p[t] are both principal ideal domains, and everything that works
+# on integral values (canonical forms, contents, valuations, evaluation of
+# forms) goes through one of the two ring objects below.  They act on the
+# raw values stored everywhere else, ints and coefficient tuples, and call
+# fppoly through the module at each call.
+
+
+class IntegerRing:
+    """Z on ints: units +-1, canonical associates positive, size |a|."""
+
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    scale = staticmethod(operator.mul)  # by a unit from unit_inverse
+    gcd = staticmethod(math.gcd)
+    exactdiv = staticmethod(operator.floordiv)
+    size = staticmethod(abs)
+    to_str = staticmethod(str)
+    serialize = staticmethod(str)
+
+    @staticmethod
+    def is_unit(a: int) -> bool:
+        return a == 1 or a == -1
+
+    @staticmethod
+    def unit_inverse(a: int) -> int:
+        """The unit u making u*a canonical: the sign of a."""
+        return -1 if a < 0 else 1
+
+    @staticmethod
+    def ord(a: int, pi: int) -> int:
+        """Exact power of the prime pi dividing a != 0."""
+        e = 0
+        while a % pi == 0:
+            a //= pi
+            e += 1
+        return e
+
+    @staticmethod
+    def coerce(v) -> int:
+        if isinstance(v, int):
+            return v
+        raise DomainError(f"cannot coerce {v!r} into Z")
+
+
+Z = IntegerRing()
+
+
+class PolynomialRing:
+    """F_p[t] on coefficient tuples: units the nonzero constants,
+    canonical associates monic, size the degree (-1 for zero)."""
+
+    zero = fppoly.ZERO
+    one = fppoly.ONE
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        return fppoly.padd(self.p, a, b)
+
+    def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        return fppoly.psub(self.p, a, b)
+
+    def neg(self, a: Coeffs) -> Coeffs:
+        return fppoly.pneg(self.p, a)
+
+    def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        return fppoly.pmul(self.p, a, b)
+
+    def scale(self, a: Coeffs, u: int) -> Coeffs:
+        """a times the constant unit u from unit_inverse."""
+        return fppoly.pscale(self.p, a, u)
+
+    def gcd(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        return fppoly.pgcd(self.p, a, b)
+
+    def exactdiv(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        return fppoly.pexactdiv(self.p, a, b)
+
+    @staticmethod
+    def size(a: Coeffs) -> int:
+        return len(a) - 1
+
+    @staticmethod
+    def is_unit(a: Coeffs) -> bool:
+        return len(a) == 1
+
+    def unit_inverse(self, a: Coeffs) -> int:
+        """The unit u making u*a monic: the inverse of the leading coefficient."""
+        return pow(a[-1], -1, self.p)
+
+    def ord(self, a: Coeffs, pi: Coeffs) -> int:
+        """Exact power of the irreducible pi dividing a != 0."""
+        e = 0
+        while True:
+            q, r = fppoly.pdivmod(self.p, a, pi)
+            if r:
+                return e
+            a = q
+            e += 1
+
+    def coerce(self, v) -> Coeffs:
+        if isinstance(v, FpPoly):
+            return v.coeffs
+        if isinstance(v, (tuple, list)):
+            return fppoly.ptrim([c % self.p for c in v])
+        if isinstance(v, int):
+            return fppoly.pconst(self.p, v)
+        raise DomainError(f"cannot coerce {v!r} into F_{self.p}[t]")
+
+    @staticmethod
+    def to_str(a: Coeffs) -> str:
+        return fppoly.poly_str(a)
+
+    @staticmethod
+    def serialize(a: Coeffs) -> str:
+        return fppoly.coeff_string(a)
+
+
+@lru_cache(maxsize=None)
+def polynomial_ring(p: int) -> PolynomialRing:
+    return PolynomialRing(p)
+
+
+def canon_pair(ring, x, y, g):
+    """[x : y] divided by g, scaled by the unit that makes y canonical.
+
+    g must divide x and y; g = gcd(x, y) gives the canonical coprime pair.
+    When y is zero the unit is taken from x instead.
+    """
+    if not ring.is_unit(g):
+        x, y = ring.exactdiv(x, g), ring.exactdiv(y, g)
+    u = ring.unit_inverse(y if y else x)
+    if u != 1:
+        x, y = ring.scale(x, u), ring.scale(y, u)
+    return x, y
+
+
+# ---------------------------------------------------------------------------
 # base fields
 
 
@@ -39,13 +187,20 @@ class BaseField:
 
     Computations always happen over the prime global field itself; the
     extension degree D appears only as a parameter of bound formulas.
+    `ring` is the integral ring, Z or F_p[t].  The methods from_int, add,
+    sub, mul and div on elements match ResidueField's, so the multiplier
+    kernel runs on either kind of field.
     """
 
     char: int
+    ring: IntegerRing | PolynomialRing = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.char:
             fppoly._check_prime(self.char)
+        object.__setattr__(self, "ring", polynomial_ring(self.char) if self.char else Z)
 
     @property
     def is_rationals(self) -> bool:
@@ -70,6 +225,25 @@ class BaseField:
             raise DomainError("the rationals have no generator t")
         return GlobalFieldElement(self, (0, 1), fppoly.ONE)
 
+    def from_int(self, n: int) -> "GlobalFieldElement":
+        return self.element(n)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
     def __str__(self) -> str:
         return "Q" if self.is_rationals else f"F{self.char}(t)"
 
@@ -86,21 +260,14 @@ def function_field(p: int) -> BaseField:
 # elements
 
 
-def _canon_ff(p: int, num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
+def _quotient(field: BaseField, num, den) -> "GlobalFieldElement":
+    """num/den in lowest terms with a canonical denominator."""
     if not den:
         raise ZeroDivisionError("zero denominator")
+    ring = field.ring
     if not num:
-        return fppoly.ZERO, fppoly.ONE
-    g = fppoly.pgcd(p, num, den)
-    if g != fppoly.ONE:
-        num = fppoly.pexactdiv(p, num, g)
-        den = fppoly.pexactdiv(p, den, g)
-    lead = fppoly.plead(den)
-    if lead != 1:
-        c = pow(lead, p - 2, p)
-        num = fppoly.pscale(p, num, c)
-        den = fppoly.pscale(p, den, c)
-    return num, den
+        return GlobalFieldElement(field, ring.zero, ring.one)
+    return GlobalFieldElement(field, *canon_pair(ring, num, den, ring.gcd(num, den)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +282,7 @@ class GlobalFieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.num == 0 or self.num == ()
+        return not self.num
 
     def _check(self, other: "GlobalFieldElement") -> None:
         if self.field != other.field:
@@ -134,57 +301,30 @@ class GlobalFieldElement:
 
     def __add__(self, other):
         self._check(other)
-        if self.field.is_rationals:
-            return _from_fraction(self.field, self.as_fraction() + other.as_fraction())
-        p = self.field.char
-        num = fppoly.padd(
-            p,
-            fppoly.pmul(p, self.num, other.den),
-            fppoly.pmul(p, other.num, self.den),
-        )
-        return GlobalFieldElement(
-            self.field, *_canon_ff(p, num, fppoly.pmul(p, self.den, other.den))
+        r = self.field.ring
+        return _quotient(
+            self.field,
+            r.add(r.mul(self.num, other.den), r.mul(other.num, self.den)),
+            r.mul(self.den, other.den),
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.field.is_rationals:
-            return GlobalFieldElement(self.field, -self.num, self.den)
-        return GlobalFieldElement(
-            self.field, fppoly.pneg(self.field.char, self.num), self.den
-        )
+        return GlobalFieldElement(self.field, self.field.ring.neg(self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        if self.field.is_rationals:
-            return _from_fraction(self.field, self.as_fraction() * other.as_fraction())
-        p = self.field.char
-        return GlobalFieldElement(
-            self.field,
-            *_canon_ff(
-                p,
-                fppoly.pmul(p, self.num, other.num),
-                fppoly.pmul(p, self.den, other.den),
-            ),
-        )
+        r = self.field.ring
+        return _quotient(self.field, r.mul(self.num, other.num), r.mul(self.den, other.den))
 
     def __truediv__(self, other):
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero element")
-        if self.field.is_rationals:
-            return _from_fraction(self.field, self.as_fraction() / other.as_fraction())
-        p = self.field.char
-        return GlobalFieldElement(
-            self.field,
-            *_canon_ff(
-                p,
-                fppoly.pmul(p, self.num, other.den),
-                fppoly.pmul(p, self.den, other.num),
-            ),
-        )
+        r = self.field.ring
+        return _quotient(self.field, r.mul(self.num, other.den), r.mul(self.den, other.num))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -199,44 +339,37 @@ class GlobalFieldElement:
         return result
 
     def __str__(self) -> str:
-        if self.field.is_rationals:
-            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
-        num = fppoly.poly_str(self.num)
-        if self.den == fppoly.ONE:
+        to_str = self.field.ring.to_str
+        num = to_str(self.num)
+        if self.den == self.field.ring.one:
             return num
-        return f"({num})/({fppoly.poly_str(self.den)})"
+        den = to_str(self.den)
+        # a denominator other than 1 over F_p(t) has positive degree
+        return f"{num}/{den}" if den.isdigit() else f"({num})/({den})"
 
     def __repr__(self) -> str:
         return f"<{self} in {self.field}>"
 
 
-def _from_fraction(field: BaseField, fr: Fraction) -> GlobalFieldElement:
-    return GlobalFieldElement(field, fr.numerator, fr.denominator)
+def _as_quotient(ring, v):
+    if isinstance(v, GlobalFieldElement):
+        if v.field.ring is not ring:
+            raise DomainError("element of a different base field")
+        return v.num, v.den
+    if isinstance(v, numbers.Rational):
+        return ring.coerce(v.numerator), ring.coerce(v.denominator)
+    return ring.coerce(v), ring.one
 
 
 def make_element(field: BaseField, num, den=1) -> GlobalFieldElement:
-    """Build a canonical element from ints, Fractions, FpPoly or tuples."""
-    if field.is_rationals:
-        fr = Fraction(
-            num.as_fraction() if isinstance(num, GlobalFieldElement) else num
-        ) / Fraction(den.as_fraction() if isinstance(den, GlobalFieldElement) else den)
-        return _from_fraction(field, fr)
-    p = field.char
-
-    def to_coeffs(v) -> Coeffs:
-        if isinstance(v, GlobalFieldElement):
-            if v.den != fppoly.ONE:
-                raise DomainError("expected a polynomial, got a proper fraction")
-            return v.num
-        if isinstance(v, FpPoly):
-            return v.coeffs
-        if isinstance(v, tuple):
-            return fppoly.ptrim([c % p for c in v])
-        if isinstance(v, int):
-            return fppoly.pconst(p, v)
-        raise DomainError(f"cannot coerce {v!r} into F_{p}[t]")
-
-    return GlobalFieldElement(field, *_canon_ff(p, to_coeffs(num), to_coeffs(den)))
+    """Build a canonical element num/den from ints, Fractions, elements,
+    FpPoly or coefficient tuples."""
+    ring = field.ring
+    n, d = _as_quotient(ring, num)
+    if den != 1:
+        n2, d2 = _as_quotient(ring, den)
+        n, d = ring.mul(n, d2), ring.mul(d, n2)
+    return _quotient(field, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +444,6 @@ def factor_int(n: int, budget: int = 10**6) -> dict[int, int]:
             )
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def int_ord(n: int, p: int) -> int:
-    """Exact power of p dividing n != 0."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def poly_ord(a: Coeffs, p: int, pi: Coeffs) -> int:
-    """Exact power of pi dividing a != 0."""
-    e = 0
-    while True:
-        q, r = fppoly.pdivmod(p, a, pi)
-        if r:
-            return e
-        a = q
-        e += 1
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +614,13 @@ def parse_place_set(field: BaseField, s: str) -> PlaceSet:
 # valuations
 
 
+def ord_at(ring, a, place: Place) -> int:
+    """Valuation of a nonzero integral value at a non-archimedean place."""
+    if place.kind == KIND_INF:
+        return -ring.size(a)
+    return ring.ord(a, place.payload)
+
+
 def valuation(x: GlobalFieldElement, place: Place) -> int:
     """Normalized valuation of a nonzero element at a non-archimedean place."""
     if x.is_zero:
@@ -509,12 +629,8 @@ def valuation(x: GlobalFieldElement, place: Place) -> int:
         raise UnsupportedPlaceError("no normalized valuation at the archimedean place")
     if place.field != x.field:
         raise DomainError("place of a different base field")
-    if place.kind == KIND_PRIME:
-        return int_ord(x.num, place.payload) - int_ord(x.den, place.payload)
-    p = x.field.char
-    if place.kind == KIND_INF:
-        return fppoly.pdeg(x.den) - fppoly.pdeg(x.num)
-    return poly_ord(x.num, p, place.payload) - poly_ord(x.den, p, place.payload)
+    ring = x.field.ring
+    return ord_at(ring, x.num, place) - ord_at(ring, x.den, place)
 
 
 def residue_field_size(place: Place) -> int:

@@ -270,12 +270,12 @@ def _monic_irreducibles_of_degree(p: int, n: int) -> tuple[Coeffs, ...]:
     composite: set[Coeffs] = set()
     for a in range(1, n // 2 + 1):
         for g in _monic_irreducibles_of_degree(p, a):
-            for h in _monic_of_degree(p, n - a):
+            for h in monic_of_degree(p, n - a):
                 composite.add(pmul(p, g, h))
-    return tuple(f for f in _monic_of_degree(p, n) if f not in composite)
+    return tuple(f for f in monic_of_degree(p, n) if f not in composite)
 
 
-def _monic_of_degree(p: int, n: int):
+def monic_of_degree(p: int, n: int):
     """All monic polynomials of degree n, in code order."""
     for lower in itertools.product(range(p), repeat=n):
         # itertools.product varies the LAST element fastest; we want the

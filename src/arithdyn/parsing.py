@@ -12,11 +12,9 @@ before it is expanded.  Syntax errors carry the character position.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
-from . import fppoly
 from .errors import BudgetExceededError, MapParseError
 from .fields import BaseField, GlobalFieldElement
 from .projective import ProjPoint, from_affine, infinity, normalize
@@ -129,25 +127,6 @@ class _Parser:
         raise MapParseError("expected a value", tok.pos)
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over K (for the affine K(z) algebra)
-
-
-def _ptrim_k(cs: list[GlobalFieldElement]) -> list[GlobalFieldElement]:
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
-
-
-def _padd_k(a, b, field):
-    out = [field.zero()] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim_k(out)
-
-
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
         raise BudgetExceededError(
@@ -155,90 +134,12 @@ def _check_degree(d: int) -> None:
         )
 
 
-def _pmul_k(a, b, field):
-    if not a or not b:
-        return []
-    _check_degree(len(a) + len(b) - 2)
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _ptrim_k(out)
-
-
-def _ppow_k(a, e: int, field):
-    """a^e by square-and-multiply; a monomial c*z^k in one step."""
-    support = [k for k, c in enumerate(a) if not c.is_zero]
-    if len(support) == 1:
-        k = support[0]
-        return [field.zero()] * (k * e) + [a[k] ** e]
-    out = [field.one()]
-    while e:
-        if e & 1:
-            out = _pmul_k(out, a, field)
-        e >>= 1
-        if e:
-            a = _pmul_k(a, a, field)
-    return out
-
-
-class _RatFuncAlgebra:
-    """Values are pairs (num, den) of K-coefficient polynomials in z."""
-
-    def __init__(self, field: BaseField, allow_z: bool = True):
-        self.field = field
-        self.allow_z = allow_z
-
-    def const(self, n: int):
-        return [self.field.element(n)], [self.field.one()]
-
-    def variable(self, name: str, pos: int):
-        if name == "z":
-            if not self.allow_z:
-                raise MapParseError("the variable z is not allowed here", pos)
-            return [self.field.zero(), self.field.one()], [self.field.one()]
-        if name == "t":
-            if self.field.is_rationals:
-                raise MapParseError("t is only defined over F_p(t)", pos)
-            return [self.field.gen()], [self.field.one()]
-        raise MapParseError(f"unknown symbol {name!r}", pos)
-
-    def add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        f = self.field
-        return _padd_k(_pmul_k(n1, d2, f), _pmul_k(n2, d1, f), f), _pmul_k(d1, d2, f)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        n, d = a
-        return [-c for c in n], d
-
-    def mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        f = self.field
-        return _pmul_k(n1, n2, f), _pmul_k(d1, d2, f)
-
-    def div(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n2:
-            raise MapParseError("division by zero")
-        f = self.field
-        return _pmul_k(n1, d2, f), _pmul_k(d1, n2, f)
-
-    def pow(self, a, e: int):
-        n, d = a
-        _check_degree((max(len(n), len(d)) - 1) * e)
-        return _ppow_k(n, e, self.field), _ppow_k(d, e, self.field)
-
-
 class _BivariateAlgebra:
     """Values are dicts {(i, j): coeff} for X^i Y^j over K."""
 
     def __init__(self, field: BaseField):
         self.field = field
+        self.zero = field.zero()
 
     def const(self, n: int):
         e = self.field.element(n)
@@ -258,7 +159,7 @@ class _BivariateAlgebra:
     def add(self, a, b):
         out = dict(a)
         for key, c in b.items():
-            s = out.get(key, self.field.zero()) + c
+            s = out.get(key, self.zero) + c
             if s.is_zero:
                 out.pop(key, None)
             else:
@@ -281,7 +182,7 @@ class _BivariateAlgebra:
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, self.field.zero()) + c1 * c2
+                s = out.get(key, self.zero) + c1 * c2
                 if s.is_zero:
                     out.pop(key, None)
                 else:
@@ -312,25 +213,65 @@ class _BivariateAlgebra:
         return out
 
 
+class _RatFuncAlgebra:
+    """Values are pairs (num, den) of polynomials in z over K, each a
+    _BivariateAlgebra dict {(i, 0): c} for c*z^i."""
+
+    def __init__(self, field: BaseField, allow_z: bool = True):
+        self.field = field
+        self.allow_z = allow_z
+        self.poly = _BivariateAlgebra(field)
+
+    def const(self, n: int):
+        return self.poly.const(n), self.poly.const(1)
+
+    def variable(self, name: str, pos: int):
+        if name == "z":
+            if not self.allow_z:
+                raise MapParseError("the variable z is not allowed here", pos)
+            return self.poly.variable("X", pos), self.poly.const(1)
+        if name == "t":
+            return self.poly.variable("t", pos), self.poly.const(1)
+        raise MapParseError(f"unknown symbol {name!r}", pos)
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        mul = self.poly.mul
+        return self.poly.add(mul(n1, d2), mul(n2, d1)), mul(d1, d2)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        n, d = a
+        return self.poly.neg(n), d
+
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return self.poly.mul(n1, n2), self.poly.mul(d1, d2)
+
+    def div(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not n2:
+            raise MapParseError("division by zero")
+        return self.poly.mul(n1, d2), self.poly.mul(d1, n2)
+
+    def pow(self, a, e: int):
+        n, d = a
+        return self.poly.pow(n, e), self.poly.pow(d, e)
+
+
 # ---------------------------------------------------------------------------
 # integral clearing
 
 
 def _clear_denominators(field: BaseField, coeffs: list[GlobalFieldElement]):
-    """Scale a list of K-elements by a common factor to integral values."""
-    if field.is_rationals:
-        mult = 1
-        for c in coeffs:
-            mult = mult * c.den // math.gcd(mult, c.den)
-        return [c.num * (mult // c.den) for c in coeffs]
-    p = field.char
-    mult = fppoly.ONE
+    """Scale a list of K-elements by the lcm of their denominators."""
+    ring = field.ring
+    mult = ring.one
     for c in coeffs:
-        g = fppoly.pgcd(p, mult, c.den)
-        mult = fppoly.pexactdiv(p, fppoly.pmul(p, mult, c.den), g)
-    return [
-        fppoly.pmul(p, c.num, fppoly.pexactdiv(p, mult, c.den)) for c in coeffs
-    ]
+        mult = ring.mul(mult, ring.exactdiv(c.den, ring.gcd(mult, c.den)))
+    return [ring.mul(c.num, ring.exactdiv(mult, c.den)) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +285,8 @@ def parse_element(field: BaseField, s: str) -> GlobalFieldElement:
     tok = parser.peek()
     if tok.kind != "end":
         raise MapParseError("trailing input", tok.pos)
-    if len(num) > 1 or len(den) > 1:
-        raise MapParseError("expected a constant, found a polynomial in z")
-    if not den:
-        raise MapParseError("division by zero")
-    value = num[0] if num else field.zero()
-    return value / den[0]
+    # without z every value is a constant {(0, 0): c} or zero {}
+    return num.get((0, 0), field.zero()) / den[(0, 0)]
 
 
 def parse_point(field: BaseField, s: str) -> ProjPoint:
@@ -384,12 +321,12 @@ def parse_map(expr: str, field: BaseField) -> RationalMap:
         raise MapParseError("zero denominator")
     if not num:
         raise MapParseError("the zero map is not a self-map of P^1")
-    d = max(len(num), len(den)) - 1
+    d = max(_BivariateAlgebra.degree(num), _BivariateAlgebra.degree(den))
     if d < 1:
         raise MapParseError("constant expressions do not define a map")
     zero = field.zero()
-    fk = list(num) + [zero] * (d + 1 - len(num))
-    gk = list(den) + [zero] * (d + 1 - len(den))
+    fk = [num.get((i, 0), zero) for i in range(d + 1)]
+    gk = [den.get((i, 0), zero) for i in range(d + 1)]
     cleared = _clear_denominators(field, fk + gk)
     return make_map(field, cleared[: d + 1], cleared[d + 1 :])
 

@@ -27,8 +27,8 @@ from .fields import (
     BaseField,
     GlobalFieldElement,
     Place,
-    int_ord,
-    poly_ord,
+    canon_pair,
+    ord_at,
 )
 from .fppoly import Coeffs
 from .residue import ResidueField, residue_field
@@ -46,19 +46,19 @@ class ProjPoint:
 
     @property
     def is_infinity(self) -> bool:
-        return self.y == 0 or self.y == ()
+        return not self.y
 
     def affine(self) -> GlobalFieldElement | None:
         """x/y as a field element, or None for the point at infinity."""
         if self.is_infinity:
             return None
-        return self.field.element(self.x, self.y)
+        # coprime coordinates with a canonical y are already lowest terms
+        return GlobalFieldElement(self.field, self.x, self.y)
 
     def height(self) -> int:
         """max(|x|, |y|) over Q; max coordinate degree over F_p(t)."""
-        if self.field.is_rationals:
-            return max(abs(self.x), abs(self.y))
-        return max(fppoly.pdeg(self.x), fppoly.pdeg(self.y), 0)
+        size = self.field.ring.size
+        return max(size(self.x), size(self.y))
 
     def sort_key(self):
         if self.field.is_rationals:
@@ -67,63 +67,36 @@ class ProjPoint:
         return (self.height(), fppoly.pcode(p, self.y), fppoly.pcode(p, self.x))
 
     def __str__(self) -> str:
-        if self.field.is_rationals:
-            return f"[{self.x} : {self.y}]"
-        return f"[{fppoly.poly_str(self.x)} : {fppoly.poly_str(self.y)}]"
+        to_str = self.field.ring.to_str
+        return f"[{to_str(self.x)} : {to_str(self.y)}]"
 
     def __repr__(self) -> str:
         return str(self)
 
 
-def _canon_pair_q(x: int, y: int) -> tuple[int, int]:
-    g = math.gcd(x, y)
-    x, y = x // g, y // g
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
-    return x, y
-
-
-def _canon_pair_ff(p: int, x: Coeffs, y: Coeffs, g: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Canonical form of [x : y] over F_p[t], given their monic gcd g."""
-    if fppoly.pdeg(g) > 0:
-        x = fppoly.pexactdiv(p, x, g)
-        y = fppoly.pexactdiv(p, y, g)
-    lead = fppoly.plead(y) if y else fppoly.plead(x)
-    if lead != 1:
-        c = pow(lead, p - 2, p)
-        x, y = fppoly.pscale(p, x, c), fppoly.pscale(p, y, c)
-    return x, y
-
-
 def point_from_raw(field: BaseField, x, y) -> ProjPoint:
-    """Canonical point from raw integral coordinates (ints or coefficient tuples)."""
-    if field.is_rationals:
-        if x == 0 and y == 0:
-            raise DomainError("(0, 0) does not define a projective point")
-        return ProjPoint(field, *_canon_pair_q(x, y))
-    p = field.char
-    xc = x.coeffs if isinstance(x, fppoly.FpPoly) else fppoly.ptrim([c % p for c in x]) if isinstance(x, (tuple, list)) else fppoly.pconst(p, x)
-    yc = y.coeffs if isinstance(y, fppoly.FpPoly) else fppoly.ptrim([c % p for c in y]) if isinstance(y, (tuple, list)) else fppoly.pconst(p, y)
-    if not xc and not yc:
+    """Canonical point from raw integral coordinates.
+
+    Coordinates are ints over Q; over F_p(t) ints, coefficient tuples or
+    lists, or FpPoly.
+    """
+    ring = field.ring
+    x, y = ring.coerce(x), ring.coerce(y)
+    if not x and not y:
         raise DomainError("(0, 0) does not define a projective point")
-    return ProjPoint(field, *_canon_pair_ff(p, xc, yc, fppoly.pgcd(p, xc, yc)))
+    return ProjPoint(field, *canon_pair(ring, x, y, ring.gcd(x, y)))
 
 
 def normalize(x_raw: GlobalFieldElement, y_raw: GlobalFieldElement) -> ProjPoint:
     """Canonical coprime-integral representative of [x_raw : y_raw]."""
     if x_raw.field != y_raw.field:
         raise DomainError("coordinates from different base fields")
-    field = x_raw.field
     if x_raw.is_zero and y_raw.is_zero:
         raise DomainError("(0, 0) does not define a projective point")
-    if field.is_rationals:
-        # clear denominators by cross multiplication
-        return point_from_raw(field, x_raw.num * y_raw.den, y_raw.num * x_raw.den)
-    p = field.char
+    # clear denominators by cross multiplication
+    mul = x_raw.field.ring.mul
     return point_from_raw(
-        field,
-        fppoly.pmul(p, x_raw.num, y_raw.den),
-        fppoly.pmul(p, y_raw.num, x_raw.den),
+        x_raw.field, mul(x_raw.num, y_raw.den), mul(y_raw.num, x_raw.den)
     )
 
 
@@ -133,20 +106,12 @@ def from_affine(value: GlobalFieldElement) -> ProjPoint:
 
 
 def infinity(field: BaseField) -> ProjPoint:
-    if field.is_rationals:
-        return ProjPoint(field, 1, 0)
-    return ProjPoint(field, fppoly.ONE, fppoly.ZERO)
+    return ProjPoint(field, field.ring.one, field.ring.zero)
 
 
-def _coord_valuation(field: BaseField, c, place: Place) -> float:
+def _coord_valuation(ring, c, place: Place) -> float:
     """Valuation of one integral coordinate; +inf for the zero coordinate."""
-    if c == 0 or c == ():
-        return INFINITE
-    if place.kind == KIND_PRIME:
-        return int_ord(c, place.payload)
-    if place.kind == KIND_INF:
-        return -fppoly.pdeg(c)
-    return poly_ord(c, field.char, place.payload)
+    return ord_at(ring, c, place) if c else INFINITE
 
 
 def log_distance(p1: ProjPoint, p2: ProjPoint, place: Place):
@@ -158,26 +123,13 @@ def log_distance(p1: ProjPoint, p2: ProjPoint, place: Place):
         raise UnsupportedPlaceError("logarithmic distance needs a non-archimedean place")
     if p1.field != p2.field or p1.field != place.field:
         raise DomainError("mixed base fields")
-    field = p1.field
-    if field.is_rationals:
-        det = p1.x * p2.y - p2.x * p1.y
-        if det == 0:
-            return INFINITE
-        det_val = int_ord(det, place.payload)
-    else:
-        p = field.char
-        det = fppoly.psub(
-            p, fppoly.pmul(p, p1.x, p2.y), fppoly.pmul(p, p2.x, p1.y)
-        )
-        if not det:
-            return INFINITE
-        if place.kind == KIND_INF:
-            det_val = -fppoly.pdeg(det)
-        else:
-            det_val = poly_ord(det, p, place.payload)
-    m1 = min(_coord_valuation(field, p1.x, place), _coord_valuation(field, p1.y, place))
-    m2 = min(_coord_valuation(field, p2.x, place), _coord_valuation(field, p2.y, place))
-    delta = det_val - m1 - m2
+    ring = p1.field.ring
+    det = ring.sub(ring.mul(p1.x, p2.y), ring.mul(p2.x, p1.y))
+    if not det:
+        return INFINITE
+    m1 = min(_coord_valuation(ring, p1.x, place), _coord_valuation(ring, p1.y, place))
+    m2 = min(_coord_valuation(ring, p2.x, place), _coord_valuation(ring, p2.y, place))
+    delta = ord_at(ring, det, place) - m1 - m2
     assert delta >= 0
     return int(delta)
 

@@ -23,14 +23,15 @@ The residues are combined by CRT until the modulus exceeds twice the
 Hadamard bound |F|_2^d * |G|_2^d, which makes the value exact.  Inputs
 whose cost (primes needed times d^2 + primes) passes RESULTANT_BUDGET are
 refused before any reduction.  Over F_p[t] the determinant is computed
-fraction-free (Bareiss), so every intermediate value stays in F_p[t].
+fraction-free (Bareiss), so every intermediate value stays in F_p[t];
+inputs whose cost estimate passes BAREISS_BUDGET are refused before any
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from . import fppoly
 from .errors import (
@@ -52,7 +53,7 @@ from .fields import (
     valuation,
 )
 from .fppoly import Coeffs
-from .projective import ProjPoint, ReducedPoint, _canon_pair_ff, point_from_raw
+from .projective import ProjPoint, ReducedPoint, canon_pair
 from .residue import ResidueField, residue_field
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,14 @@ from .residue import ResidueField, residue_field
 # Largest (CRT primes needed) * (d^2 + primes) accepted over Q: the cost
 # of the Euclid runs plus the CRT steps, refused before any reduction.
 RESULTANT_BUDGET = 2 * 10**6
+
+# Largest d^3 * (d*M + 16)^2 accepted over F_p[t], M the largest
+# coefficient degree: Bareiss makes about d^3 entry updates on polynomials
+# of degree up to about d*M, and the 16 stands for the fixed cost of one
+# update.  Timed on random dense forms (CPython 3.11, x86-64): d = 40,
+# M = 1 (2.0e8) takes 9-14 s and d = 60, M = 0 (5.5e7) 2.6 s; z^200+t
+# (3.7e11) would run for minutes.
+BAREISS_BUDGET = 25 * 10**7
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +197,11 @@ def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple):
     if field.is_rationals:
         return _resultant_int(fco, gco)
     d = len(fco) - 1
+    M = max(map(len, fco + gco)) - 1
+    if d**3 * (d * M + 16) ** 2 > BAREISS_BUDGET:
+        raise BudgetExceededError(
+            f"Bareiss resultant at degree {d} with coefficient degree {M} is over budget"
+        )
     zero = fppoly.ZERO
     frow = list(reversed(fco))  # univariate-in-X descending coefficients
     grow = list(reversed(gco))
@@ -228,15 +242,10 @@ class RationalMap:
 
     def coefficient_arrays(self) -> dict:
         """JSON-ready coefficient arrays, ascending X-power."""
-        if self.field.is_rationals:
-            return {
-                "F": [str(c) for c in self.fco],
-                "G": [str(c) for c in self.gco],
-                "degree": self.degree,
-            }
+        serialize = self.field.ring.serialize
         return {
-            "F": [fppoly.coeff_string(c) for c in self.fco],
-            "G": [fppoly.coeff_string(c) for c in self.gco],
+            "F": [serialize(c) for c in self.fco],
+            "G": [serialize(c) for c in self.gco],
             "degree": self.degree,
         }
 
@@ -248,28 +257,21 @@ def _form_affine_str(field: BaseField, co: tuple, var: str = "z") -> str:
     terms = []
     for i in range(len(co) - 1, -1, -1):
         c = co[i]
-        if c == 0 or c == ():
+        if not c:
             continue
-        if field.is_rationals:
-            cs = str(c)
-            unit = cs == "1"
-            negunit = cs == "-1"
-        else:
-            cs = fppoly.poly_str(c)
-            unit = cs == "1"
-            negunit = False
-            if i > 0 and fppoly.pdeg(c) > 0:
-                cs = f"({cs})"
+        cs = field.ring.to_str(c)
         if i == 0:
-            term = cs if not negunit else "-1"
+            term = cs
         else:
             power = var if i == 1 else f"{var}^{i}"
-            if unit:
+            if cs == "1":
                 term = power
-            elif negunit:
+            elif cs == "-1":
                 term = f"-{power}"
-            else:
+            elif cs.lstrip("-").isdigit():
                 term = f"{cs}*{power}"
+            else:  # a polynomial in t
+                term = f"({cs})*{power}"
         terms.append(term)
     if not terms:
         return "0"
@@ -285,55 +287,26 @@ def make_map(field: BaseField, fco, gco) -> RationalMap:
     Raises DegenerateMapError when the forms share a projective root
     (vanishing resultant) and DomainError on shape problems.
     """
-    fco = tuple(fco)
-    gco = tuple(gco)
+    ring = field.ring
+    fco = tuple(ring.coerce(c) for c in fco)
+    gco = tuple(ring.coerce(c) for c in gco)
     if len(fco) != len(gco) or len(fco) < 2:
         raise DomainError("forms must have equal degree >= 1")
-    if field.is_rationals:
-        fco = tuple(int(c) for c in fco)
-        gco = tuple(int(c) for c in gco)
-        content = 0
-        for c in fco + gco:
-            content = gcd(content, abs(c))
-        if content == 0:
-            raise DegenerateMapError("both forms are zero")
-        if content > 1:
-            fco = tuple(c // content for c in fco)
-            gco = tuple(c // content for c in gco)
-        # sign convention: highest-power-first leading coefficient positive
-        first = next(c for c in fco[::-1] + gco[::-1] if c != 0)
-        if first < 0:
-            fco = tuple(-c for c in fco)
-            gco = tuple(-c for c in gco)
-    else:
-        p = field.char
-
-        def coerce(c) -> Coeffs:
-            if isinstance(c, fppoly.FpPoly):
-                return c.coeffs
-            if isinstance(c, (tuple, list)):
-                return fppoly.ptrim([v % p for v in c])
-            return fppoly.pconst(p, c)
-
-        fco = tuple(coerce(c) for c in fco)
-        gco = tuple(coerce(c) for c in gco)
-        content = fppoly.ZERO
-        for c in fco + gco:
-            content = fppoly.pgcd(p, content, c)
-        if not content:
-            raise DegenerateMapError("both forms are zero")
-        if content != fppoly.ONE:
-            fco = tuple(fppoly.pexactdiv(p, c, content) for c in fco)
-            gco = tuple(fppoly.pexactdiv(p, c, content) for c in gco)
-        first = next(c for c in fco[::-1] + gco[::-1] if c)
-        lead = fppoly.plead(first)
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            fco = tuple(fppoly.pscale(p, c, inv) for c in fco)
-            gco = tuple(fppoly.pscale(p, c, inv) for c in gco)
+    content = ring.zero
+    for c in fco + gco:
+        content = ring.gcd(content, c)
+    if not content:
+        raise DegenerateMapError("both forms are zero")
+    if not ring.is_unit(content):
+        fco = tuple(ring.exactdiv(c, content) for c in fco)
+        gco = tuple(ring.exactdiv(c, content) for c in gco)
+    # the highest-power-first leading coefficient is canonical
+    u = ring.unit_inverse(next(c for c in fco[::-1] + gco[::-1] if c))
+    if u != 1:
+        fco = tuple(ring.scale(c, u) for c in fco)
+        gco = tuple(ring.scale(c, u) for c in gco)
     phi = RationalMap(field, fco, gco)
-    res = resultant_raw(phi)
-    if res == 0 or res == ():
+    if not resultant_raw(phi):
         raise DegenerateMapError("forms share a root: resultant vanishes")
     return phi
 
@@ -385,37 +358,24 @@ def has_good_reduction(phi: RationalMap, place: Place) -> bool:
 # evaluation
 
 
-def _eval_form_q(co: tuple, x: int, y: int) -> int:
-    d = len(co) - 1
-    acc = 0
-    xp = 1
-    yp = [1] * (d + 1)
-    for i in range(1, d + 1):
-        yp[i] = yp[i - 1] * y
-    for i, c in enumerate(co):
-        if c:
-            acc += c * xp * yp[d - i]
-        xp *= x
-    return acc
-
-
-def _eval_pair_ff(p: int, fco: tuple, gco: tuple, x: Coeffs, y: Coeffs):
+def _eval_pair(ring, fco: tuple, gco: tuple, x, y):
     """F(x, y) and G(x, y) by homogeneous Horner over one table of y-powers.
 
     acc runs through c_d, c_d*x + c_(d-1)*y, ..., ending at
     sum_i c_i x^i y^(d-i).
     """
+    add, mul = ring.add, ring.mul
     d = len(fco) - 1
-    yp = [fppoly.ONE] * (d + 1)
+    yp = [ring.one] * (d + 1)
     for i in range(1, d + 1):
-        yp[i] = fppoly.pmul(p, yp[i - 1], y)
+        yp[i] = mul(yp[i - 1], y)
     out = []
     for co in (fco, gco):
         acc = co[d]
         for i in range(d - 1, -1, -1):
-            acc = fppoly.pmul(p, acc, x)
+            acc = mul(acc, x)
             if co[i]:
-                acc = fppoly.padd(p, acc, fppoly.pmul(p, co[i], yp[d - i]))
+                acc = add(acc, mul(co[i], yp[d - i]))
         out.append(acc)
     return out
 
@@ -423,35 +383,30 @@ def _eval_pair_ff(p: int, fco: tuple, gco: tuple, x: Coeffs, y: Coeffs):
 def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
     """phi(P), renormalized to canonical coprime coordinates.
 
-    Over F_p(t) the common factor of F(x, y) and G(x, y) is taken against
-    the resultant instead of by a Euclid run on the two values.  Sylvester
+    The common factor of F(x, y) and G(x, y) is taken against the
+    resultant instead of by a Euclid run on the two values.  Sylvester
     elimination gives forms A, B, C, D in X, Y with
         A*F + B*G = Res(F, G) * Y^(2d-1),   C*F + D*G = Res(F, G) * X^(2d-1),
     so any common divisor g of F(x, y) and G(x, y) divides
     Res * gcd(x^(2d-1), y^(2d-1)) = Res, because the coordinates of a
     canonical point are coprime.  Hence gcd(F(x, y), G(x, y)) =
-    gcd(Res, F(x, y), G(x, y)) exactly, every remainder in that gcd has
-    degree below deg Res <= 2*d*M, and a unit resultant (deg Res = 0)
-    leaves nothing to divide out.  Dividing by it and scaling to the monic
-    convention gives the same point as `point_from_raw`.
+    gcd(Res, F(x, y), G(x, y)) exactly, over Z as over F_p[t], and a unit
+    resultant leaves nothing to divide out.  Over F_p[t] every remainder
+    in that gcd has degree below deg Res <= 2*d*M.  Dividing by it and
+    scaling to the canonical unit gives the same point as `point_from_raw`.
     """
-    if phi.field != point.field:
+    field = phi.field
+    if field != point.field:
         raise DomainError("map and point over different base fields")
-    if phi.field.is_rationals:
-        return point_from_raw(
-            phi.field,
-            _eval_form_q(phi.fco, point.x, point.y),
-            _eval_form_q(phi.gco, point.x, point.y),
-        )
-    p = phi.field.char
-    fx, gx = _eval_pair_ff(p, phi.fco, phi.gco, point.x, point.y)
+    ring = field.ring
+    fx, gx = _eval_pair(ring, phi.fco, phi.gco, point.x, point.y)
     res = resultant_raw(phi)
-    g = fppoly.ONE
-    if fppoly.pdeg(res) > 0:
-        g = fppoly.pgcd(p, res, fx)
-        if fppoly.pdeg(g) > 0:
-            g = fppoly.pgcd(p, g, gx)
-    return ProjPoint(phi.field, *_canon_pair_ff(p, fx, gx, g))
+    g = ring.one
+    if not ring.is_unit(res):
+        g = ring.gcd(res, fx)
+        if not ring.is_unit(g):
+            g = ring.gcd(g, gx)
+    return ProjPoint(field, *canon_pair(ring, fx, gx, g))
 
 
 def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
@@ -628,89 +583,33 @@ def reduce_map(phi: RationalMap, place: Place) -> ReducedMap:
 _INF_MARK = object()  # chart marker for the point at infinity
 
 
-class _ExactOps:
-    """Field operations on GlobalFieldElement for the multiplier kernel."""
-
-    def __init__(self, field: BaseField):
-        self.field = field
-        self.zero = field.zero()
-        self.one = field.one()
-
-    def from_int(self, n: int) -> GlobalFieldElement:
-        return self.field.element(n)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a.is_zero
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-
-class _ResidueOps:
-    """Same protocol over int codes of a residue field."""
-
-    def __init__(self, rf: ResidueField):
-        self.rf = rf
-        self.zero = 0
-        self.one = 1
-
-    def from_int(self, n: int) -> int:
-        return self.rf.from_int(n)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    def add(self, a, b):
-        return self.rf.add(a, b)
-
-    def sub(self, a, b):
-        return self.rf.sub(a, b)
-
-    def mul(self, a, b):
-        return self.rf.mul(a, b)
-
-    def div(self, a, b):
-        return self.rf.div(a, b)
-
-
-def _horner(ops, co: list, z):
-    acc = ops.zero
+def _horner(field, co: list, z):
+    acc = field.from_int(0)
     for c in reversed(co):
-        acc = ops.add(ops.mul(acc, z), c)
+        acc = field.add(field.mul(acc, z), c)
     return acc
 
 
-def _deriv(ops, co: list) -> list:
-    return [ops.mul(co[i], ops.from_int(i)) for i in range(1, len(co))]
+def _deriv(field, co: list) -> list:
+    return [field.mul(co[i], field.from_int(i)) for i in range(1, len(co))]
 
 
-def _rational_derivative(ops, num: list, den: list, z):
+def _rational_derivative(field, num: list, den: list, z):
     """d/dz (num/den) at z; caller guarantees den(z) != 0."""
-    nz = _horner(ops, num, z)
-    dz = _horner(ops, den, z)
-    npz = _horner(ops, _deriv(ops, num), z)
-    dpz = _horner(ops, _deriv(ops, den), z)
-    return ops.div(ops.sub(ops.mul(npz, dz), ops.mul(nz, dpz)), ops.mul(dz, dz))
+    nz = _horner(field, num, z)
+    dz = _horner(field, den, z)
+    npz = _horner(field, _deriv(field, num), z)
+    dpz = _horner(field, _deriv(field, den), z)
+    return field.div(
+        field.sub(field.mul(npz, dz), field.mul(nz, dpz)), field.mul(dz, dz)
+    )
 
 
-def cycle_multiplier(ops, fco: list, gco: list, cycle: list):
+def cycle_multiplier(field, fco: list, gco: list, cycle: list):
     """Derivative of the n-th iterate along a cycle, by the chain rule.
 
+    `field` is a BaseField (elements GlobalFieldElement) or a ResidueField
+    (elements int codes); both give from_int, add, sub, mul and div.
     `cycle` lists the affine values of the cycle points with _INF_MARK for
     the point at infinity; fco/gco are the affine numerator/denominator
     coefficients (ascending).  Chart changes w = 1/z are applied wherever
@@ -720,23 +619,24 @@ def cycle_multiplier(ops, fco: list, gco: list, cycle: list):
     n = len(cycle)
     frev = list(reversed(fco))
     grev = list(reversed(gco))
-    result = ops.one
+    zero = field.from_int(0)
+    result = field.from_int(1)
     for i in range(n):
         z = cycle[i]
         z_next = cycle[(i + 1) % n]
         at_inf = z is _INF_MARK
         next_inf = z_next is _INF_MARK
         if not at_inf and not next_inf:
-            factor = _rational_derivative(ops, fco, gco, z)
+            factor = _rational_derivative(field, fco, gco, z)
         elif not at_inf and next_inf:
-            factor = _rational_derivative(ops, gco, fco, z)
+            factor = _rational_derivative(field, gco, fco, z)
         elif at_inf and not next_inf:
             # chart w = 1/z; phi(1/w) = frev(w)/grev(w), evaluated at w = 0
-            factor = _rational_derivative(ops, frev, grev, ops.zero)
+            factor = _rational_derivative(field, frev, grev, zero)
         else:
-            factor = _rational_derivative(ops, grev, frev, ops.zero)
-        result = ops.mul(result, factor)
-        if ops.is_zero(result):
+            factor = _rational_derivative(field, grev, frev, zero)
+        result = field.mul(result, factor)
+        if result == zero:
             return result
     return result
 
@@ -772,12 +672,11 @@ def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
         cycle_pts.append(current)
     if cycle_pts[-1] != point:
         raise PreconditionError(f"{point} is not {n}-periodic under {phi}")
-    ops = _ExactOps(phi.field)
     fco, gco = affine_coefficients(phi)
     chain = [
         _INF_MARK if q.is_infinity else q.affine() for q in cycle_pts[:-1]
     ]
-    value = cycle_multiplier(ops, fco, gco, chain)
+    value = cycle_multiplier(phi.field, fco, gco, chain)
     return MultiplierValue(value, n, point)
 
 

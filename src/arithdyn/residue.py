@@ -260,6 +260,6 @@ def field_of_size(q: int) -> ResidueField:
         k += 1
     if k == 1:
         return ResidueField(p)
-    modulus = fppoly.enumerate_monic_irreducibles(p, k)
-    first_of_deg_k = next(cs for cs in modulus if fppoly.pdeg(cs) == k)
-    return ResidueField(p, first_of_deg_k)
+    # about one monic in k is irreducible, so the scan stops early
+    modulus = next(f for f in fppoly.monic_of_degree(p, k) if fppoly.is_irreducible(p, f))
+    return ResidueField(p, modulus)

@@ -290,6 +290,21 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--field", "Fp:abc", "z^2"),
+            ("graph", "--field", "Q", "z^2", "--place", "p:abc"),
+            ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf;p:x", "--cap", "2"),
+        ],
+        ids=["characteristic", "place", "place-set"],
+    )
+    def test_malformed_number_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
 
 class TestRobustness:
     def test_huge_degree_refused_in_a_subprocess(self):
@@ -305,6 +320,13 @@ class TestRobustness:
         assert proc.returncode == 2
         assert "BudgetExceededError" in proc.stderr
         assert time.perf_counter() - start < 5
+
+    def test_function_field_resultant_refused_by_budget(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "analyze", "--field", "Fp:2", "z^200+t")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "BudgetExceededError" in err
 
     def test_huge_characteristic_checked_by_miller_rabin(self, capsys):
         # 10^18 + 3 is prime: the field is accepted at once and P^1 of the

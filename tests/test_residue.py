@@ -76,6 +76,20 @@ class TestTables:
         assert time.perf_counter() - start < 5.0
         assert all(t.exp[t.log[a]] == a for a in range(1, rf.q, 97))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+    def test_field_of_size_takes_the_first_irreducible(self, p):
+        k = 2
+        while p**k <= 3**7:
+            first = next(f for f in fppoly.enumerate_monic_irreducibles(p, k) if len(f) == k + 1)
+            assert field_of_size(p**k) == ResidueField(p, first)
+            k += 1
+
+    def test_field_of_size_without_the_sieve(self):
+        start = time.perf_counter()
+        rf = field_of_size(2**20)
+        assert time.perf_counter() - start < 1.0
+        assert rf.q == 2**20 and fppoly.is_irreducible(2, rf.modulus)
+
     def test_only_extension_fields_within_the_node_budget(self):
         assert ResidueField(101).tables() is None
         assert ResidueField(2, (1, 0, 0, 1) + (0,) * 13 + (1,)).tables() is None  # q = 2^17

@@ -7,7 +7,12 @@ import pytest
 
 import arithdyn as ad
 from arithdyn.errors import BudgetExceededError
-from arithdyn.ratmap import RESULTANT_BUDGET, _crt_prime, sylvester_resultant
+from arithdyn.ratmap import (
+    BAREISS_BUDGET,
+    RESULTANT_BUDGET,
+    _crt_prime,
+    sylvester_resultant,
+)
 
 from oracles import (
     form_from_linear_factors,
@@ -198,3 +203,33 @@ class TestBudget:
             d += 1
         with pytest.raises(BudgetExceededError):
             res((1,) + (0,) * (d + 1), (0,) * (d + 1) + (1,))
+
+
+def sparse_form(d, M):
+    """X^d + t^M Y^d over F_p[t]: degree d, coefficient degree M, cheap rows."""
+    return ((0,) * M + (1,),) + ((),) * (d - 1) + ((1,),)
+
+
+class TestBareissBudget:
+    F2 = ad.function_field(2)
+
+    def test_degree_200_refused_before_elimination(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            sylvester_resultant(self.F2, sparse_form(200, 1), ((1,),) + ((),) * 200)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("d, M", [(14, 2), (3, 24), (40, 1)])
+    def test_benchmark_and_degree_40_shapes_admitted(self, d, M):
+        # analyze jobs reach d = 14 with M = 2, graph jobs d = 3 with M = 24;
+        # the estimate depends on d and M only, so sparse rows stand in
+        # for dense ones
+        # Res(X^d + t^M Y^d, X^d) = (t^M)^d up to sign, and -1 = 1 over F_2
+        gco = ((),) * d + ((1,),)
+        assert sylvester_resultant(self.F2, sparse_form(d, M), gco) == (0,) * (d * M) + (1,)
+
+    def test_coefficient_degree_counts(self):
+        d = 40
+        M = next(m for m in range(10) if d**3 * (d * m + 16) ** 2 > BAREISS_BUDGET)
+        with pytest.raises(BudgetExceededError):
+            sylvester_resultant(self.F2, sparse_form(d, M), ((1,),) + ((),) * d)

@@ -203,10 +203,10 @@ def functional_graph(psi: ReducedMap, node_budget: int = DEFAULT_NODE_BUDGET) ->
         raise BudgetExceededError(f"P^1(F_{q}) exceeds the node budget {node_budget}")
     succ = psi.successors()
 
-    UNSEEN, ACTIVE, DONE = 0, 1, 2
+    # a node on the path being walked holds its position in `path`
+    UNSEEN, DONE = -2, -1
     state = [UNSEEN] * (q + 1)
     depth = [0] * (q + 1)
-    on_cycle = [False] * (q + 1)
     cycles: list[tuple[int, ...]] = []
     for v in range(q + 1):
         if state[v] != UNSEEN:
@@ -214,20 +214,17 @@ def functional_graph(psi: ReducedMap, node_budget: int = DEFAULT_NODE_BUDGET) ->
         path = []
         u = v
         while state[u] == UNSEEN:
-            state[u] = ACTIVE
+            state[u] = len(path)
             path.append(u)
             u = succ[u]
-        if state[u] == ACTIVE:
-            k = path.index(u)
-            cyc = tuple(path[k:])
-            cycles.append(cyc)
-            for w in cyc:
-                on_cycle[w] = True
+        k = state[u]
+        if k >= 0:
+            # the walk closed a new cycle; its nodes keep depth 0
+            cycles.append(tuple(path[k:]))
+            for w in path[k:]:
                 state[w] = DONE
-            tail_part = path[:k]
-        else:
-            tail_part = path
-        for w in reversed(tail_part):
+            del path[k:]
+        for w in reversed(path):
             depth[w] = depth[succ[w]] + 1
             state[w] = DONE
     return FunctionalGraph(psi.rfield, tuple(succ), tuple(cycles), tuple(depth))
@@ -368,14 +365,11 @@ def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500
         for cs in itertools.product(range(p), repeat=deg + 1)
         if deg == 0 or cs[-1] != 0
     ]
-    seen = set()
+    # distinct (x, monic y) pairs are distinct points
     for y in monic_ys:
         for x in all_xs:
             if fppoly.pgcd(p, x, y) == fppoly.ONE:
-                pt = ProjPoint(field, x, y)
-                if pt not in seen:
-                    seen.add(pt)
-                    yield pt
+                yield ProjPoint(field, x, y)
 
 
 def preperiodic_search(

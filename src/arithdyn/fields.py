@@ -9,9 +9,10 @@ valuation at infinity of F_p(t).  Every non-archimedean place carries the
 normalized valuation with value group Z; the infinite place of F_p(t) is
 an ordinary non-archimedean place with uniformizer 1/t.
 
-Integer factorization is trial division with an explicit budget, and
-primality is deterministic Miller-Rabin below an explicit bound: a budget
-overflow raises BudgetExceededError, it never produces a wrong answer.
+Factorization in both integral rings is trial division with an explicit
+budget, and primality is deterministic Miller-Rabin below an explicit
+bound: a budget overflow raises BudgetExceededError, it never produces a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -32,13 +33,23 @@ from .errors import (
 )
 from .fppoly import Coeffs, FpPoly
 
+# kinds of places; see Place
+KIND_PRIME = "prime"
+KIND_IRREDUCIBLE = "irreducible"
+KIND_INF = "inf"
+KIND_ARCH = "arch"
+
 # ---------------------------------------------------------------------------
 # integral rings
 #
 # Z and F_p[t] are both principal ideal domains, and everything that works
 # on integral values (canonical forms, contents, valuations, evaluation of
-# forms) goes through one of the two ring objects below.  They act on the
-# raw values stored everywhere else, ints and coefficient tuples, and call
+# forms) goes through one of the two ring objects below.  They also own the
+# finite places: `factor` splits a value into prime elements under a budget,
+# `primes` yields the prime elements in scan order, `residue` gives the
+# residue-field code of a value modulo a prime element, and `units` lists
+# the unit group (as ints, constants of the ring).  They act on the raw
+# values stored everywhere else, ints and coefficient tuples, and call
 # fppoly through the module at each call.
 
 
@@ -47,6 +58,8 @@ class IntegerRing:
 
     zero = 0
     one = 1
+    units = (1, -1)
+    place_kind = KIND_PRIME
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
@@ -82,6 +95,18 @@ class IntegerRing:
             return v
         raise DomainError(f"cannot coerce {v!r} into Z")
 
+    @staticmethod
+    def factor(a: int, budget: int = 10**6) -> dict[int, int]:
+        return factor_int(a, budget)
+
+    @staticmethod
+    def primes():
+        return iter_primes()
+
+    @staticmethod
+    def residue(a: int, pi: int) -> int:
+        return a % pi
+
 
 Z = IntegerRing()
 
@@ -92,9 +117,11 @@ class PolynomialRing:
 
     zero = fppoly.ZERO
     one = fppoly.ONE
+    place_kind = KIND_IRREDUCIBLE
 
     def __init__(self, p: int):
         self.p = p
+        self.units = range(1, p)
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return fppoly.padd(self.p, a, b)
@@ -156,6 +183,15 @@ class PolynomialRing:
     @staticmethod
     def serialize(a: Coeffs) -> str:
         return fppoly.coeff_string(a)
+
+    def factor(self, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
+        return fppoly.factor_poly(self.p, a, budget)
+
+    def primes(self):
+        return fppoly.iter_monic_irreducibles(self.p)
+
+    def residue(self, a: Coeffs, pi: Coeffs) -> int:
+        return fppoly.pcode(self.p, fppoly.pmod(self.p, a, pi))
 
 
 @lru_cache(maxsize=None)
@@ -449,10 +485,8 @@ def factor_int(n: int, budget: int = 10**6) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # places
 
-KIND_PRIME = "prime"
-KIND_IRREDUCIBLE = "irreducible"
-KIND_INF = "inf"
-KIND_ARCH = "arch"
+# token prefix of a finite place, as in 'p:7' and 'pi:1,1,1'
+PLACE_PREFIX = {KIND_PRIME: "p", KIND_IRREDUCIBLE: "pi"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,18 +534,14 @@ class Place:
         return (1, fppoly.pdeg(self.payload), fppoly.pcode(self.field.char, self.payload))
 
     def serialize(self) -> str:
-        if self.kind == KIND_PRIME:
-            return f"p:{self.payload}"
-        if self.kind == KIND_IRREDUCIBLE:
-            return f"pi:{fppoly.coeff_string(self.payload)}"
-        return "inf"
+        if self.payload is None:
+            return "inf"
+        return f"{PLACE_PREFIX[self.kind]}:{self.field.ring.serialize(self.payload)}"
 
     def __str__(self) -> str:
-        if self.kind == KIND_PRIME:
-            return f"({self.payload})"
-        if self.kind == KIND_IRREDUCIBLE:
-            return f"({fppoly.poly_str(self.payload)})"
-        return "inf"
+        if self.payload is None:
+            return "inf"
+        return f"({self.field.ring.to_str(self.payload)})"
 
 
 def prime_place(q: int) -> Place:
@@ -579,10 +609,10 @@ class PlaceSet:
         return iter(self.places)
 
     def finite_places(self) -> tuple[Place, ...]:
-        return tuple(p for p in self.places if p.kind in (KIND_PRIME, KIND_IRREDUCIBLE))
+        return tuple(p for p in self.places if p.payload is not None)
 
     def contains_infinite(self) -> bool:
-        return any(p.kind in (KIND_INF, KIND_ARCH) for p in self.places)
+        return any(p.payload is None for p in self.places)
 
     def serialize(self) -> str:
         return ";".join(p.serialize() for p in self.places)
@@ -645,25 +675,16 @@ def support(x: GlobalFieldElement, budget: int = 10**6) -> dict[Place, int]:
     """
     if x.is_zero:
         raise DomainError("support of zero undefined")
+    ring = x.field.ring
     out: dict[Place, int] = {}
-    if x.field.is_rationals:
-        for q, e in factor_int(x.num, budget).items():
-            if q > 1:
-                out[prime_place(q)] = e
-        for q, e in factor_int(x.den, budget).items():
-            if q > 1:
-                out[prime_place(q)] = out.get(prime_place(q), 0) - e
-        return {pl: e for pl, e in out.items() if e}
-    p = x.field.char
-    # factor_poly only emits irreducibles, so skip re-validation
-    for pi, e in fppoly.factor_poly(p, x.num).items():
-        out[Place(x.field, KIND_IRREDUCIBLE, pi)] = e
-    for pi, e in fppoly.factor_poly(p, x.den).items():
-        pl = Place(x.field, KIND_IRREDUCIBLE, pi)
-        out[pl] = out.get(pl, 0) - e
-    v_inf = fppoly.pdeg(x.den) - fppoly.pdeg(x.num)
-    if v_inf:
-        out[infinite_place(x.field)] = v_inf
+    for value, sign in ((x.num, 1), (x.den, -1)):
+        # ring.factor only emits prime elements, so skip re-validation
+        for pi, e in ring.factor(value, budget).items():
+            pl = Place(x.field, ring.place_kind, pi)
+            out[pl] = out.get(pl, 0) + sign * e
+    inf = infinite_place(x.field)
+    if not inf.is_archimedean:
+        out[inf] = valuation(x, inf)
     return {pl: e for pl, e in out.items() if e}
 
 
@@ -704,13 +725,12 @@ def iter_places_by_size(field: BaseField):
     Q: primes ascending.  F_p(t): infinity first (smallest residue field,
     fixed tie-break), then monic irreducibles by (degree, code).
     """
-    if field.is_rationals:
-        for q in iter_primes():
-            yield prime_place(q)
-        return
-    yield infinite_place(field)
-    for cs in fppoly.iter_monic_irreducibles(field.char):
-        yield Place(field, KIND_IRREDUCIBLE, cs)
+    inf = infinite_place(field)
+    if not inf.is_archimedean:
+        yield inf
+    ring = field.ring
+    for pi in ring.primes():
+        yield Place(field, ring.place_kind, pi)
 
 
 def find_small_prime_outside(S: PlaceSet) -> Place:

@@ -348,35 +348,65 @@ def enumerate_monic_irreducibles(
 
 
 def iter_monic_irreducibles(p: int):
-    """Endless iterator over monic irreducibles in (degree, code) order."""
-    for n in itertools.count(1):
+    """Endless iterator over monic irreducibles in (degree, code) order.
+
+    The p linear ones are generated one at a time, so a scan that stops
+    early costs nothing at a huge p.
+    """
+    yield from ((c, 1) for c in range(p))
+    for n in itertools.count(2):
         yield from _monic_irreducibles_of_degree(p, n)
 
 
-def factor_poly(p: int, a: Coeffs) -> dict[Coeffs, int]:
+def _squarefree_parts(p: int, f: Coeffs, mult: int = 1):
+    """(g, e) pairs with f = prod g^e, the g squarefree, monic and pairwise
+    coprime, for monic f (Yun's algorithm in characteristic p).
+
+    The factors whose multiplicity p divides stay in c after the loop;
+    c is then a p-th power, and over F_p its p-th root is c[::p].
+    """
+    c = pgcd(p, f, pderiv(p, f))
+    w = pexactdiv(p, f, c)
+    i = 1
+    while len(w) > 1:
+        y = pgcd(p, w, c)
+        g = pexactdiv(p, w, y)
+        if len(g) > 1:
+            yield g, i * mult
+        w, c, i = y, pexactdiv(p, c, y), i + 1
+    if len(c) > 1:
+        yield from _squarefree_parts(p, c[::p], mult * p)
+
+
+def factor_poly(p: int, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
     """Factor a nonzero polynomial into monic irreducibles.
 
     Returns {irreducible: multiplicity}; the unit (leading coefficient) is
-    discarded.  Trial division in enumeration order, fine at desk scale.
+    discarded.  Each squarefree part is split by trial division in
+    enumeration order.  As `fields.factor_int` stops at divisors above
+    its budget, candidates of degree k with p^k > budget are never tried:
+    a cofactor of degree below 2k is then irreducible, one of degree 2k or
+    more raises BudgetExceededError.
     """
     if not a:
         raise DomainError("cannot factor the zero polynomial")
-    a = pmonic(p, a)
     factors: dict[Coeffs, int] = {}
-    for g in iter_monic_irreducibles(p):
-        if pdeg(a) < 1:
-            break
-        if pdeg(g) > pdeg(a) - pdeg(g):
-            # remaining cofactor is irreducible
-            if pdeg(a) >= 1:
-                factors[a] = factors.get(a, 0) + 1
-            break
-        while True:
-            q, r = pdivmod(p, a, g)
-            if r:
+    for part, e in _squarefree_parts(p, pmonic(p, a)):
+        for g in iter_monic_irreducibles(p):
+            k = pdeg(g)
+            if 2 * k > pdeg(part):
                 break
-            a = q
-            factors[g] = factors.get(g, 0) + 1
+            if p**k > budget:
+                raise BudgetExceededError(
+                    f"factorization cofactor of degree {pdeg(part)} over F_{p} "
+                    f"needs trial divisors of degree {k}, over budget {budget}"
+                )
+            q, r = pdivmod(p, part, g)
+            if not r:
+                factors[g] = e
+                part = q
+        if pdeg(part) >= 1:
+            factors[part] = e
     return factors
 
 
@@ -405,10 +435,8 @@ def coeff_string(a: Coeffs) -> str:
 
 
 def parse_coeff_string(p: int, s: str) -> Coeffs:
-    try:
-        return ptrim([int(part) % p for part in s.split(",")])
-    except ValueError as exc:
-        raise DomainError(f"bad coefficient string {s!r}") from exc
+    """Inverse of coeff_string; a malformed string raises ValueError."""
+    return ptrim([int(part) % p for part in s.split(",")])
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,8 +22,6 @@ from . import fppoly
 from .errors import DomainError, UnsupportedPlaceError
 from .fields import (
     KIND_ARCH,
-    KIND_INF,
-    KIND_PRIME,
     BaseField,
     GlobalFieldElement,
     Place,
@@ -31,7 +29,7 @@ from .fields import (
     ord_at,
 )
 from .fppoly import Coeffs
-from .residue import ResidueField, residue_field
+from .residue import ResidueField, reduce_values, residue_field
 
 INFINITE = math.inf
 
@@ -171,20 +169,7 @@ class ReducedPoint:
 def reduce_coordinates(point: ProjPoint, place: Place) -> tuple[ResidueField, int, int]:
     """Residue-field codes of locally renormalized coordinates at a place."""
     rf = residue_field(place)
-    field = point.field
-    if place.kind == KIND_PRIME:
-        return rf, point.x % place.payload, point.y % place.payload
-    p = field.char
-    if place.kind == KIND_INF:
-        # globally coprime polynomials need a local rescale by t^-m here
-        m = max(fppoly.pdeg(point.x), fppoly.pdeg(point.y))
-        xt = point.x[m] if fppoly.pdeg(point.x) == m else 0
-        yt = point.y[m] if fppoly.pdeg(point.y) == m else 0
-        return rf, xt, yt
-    pi = place.payload
-    xr = fppoly.pmod(p, point.x, pi)
-    yr = fppoly.pmod(p, point.y, pi)
-    return rf, fppoly.pcode(p, xr), fppoly.pcode(p, yr)
+    return (rf, *reduce_values(place, (point.x, point.y)))
 
 
 def reduce_point(point: ProjPoint, place: Place) -> ReducedPoint:

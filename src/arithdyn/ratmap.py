@@ -42,19 +42,16 @@ from .errors import (
 )
 from .fields import (
     KIND_ARCH,
-    KIND_INF,
-    KIND_IRREDUCIBLE,
-    KIND_PRIME,
     BaseField,
     GlobalFieldElement,
     Place,
-    factor_int,
+    infinite_place,
     is_prime_int,
     valuation,
 )
 from .fppoly import Coeffs
 from .projective import ProjPoint, ReducedPoint, canon_pair
-from .residue import ResidueField, residue_field
+from .residue import ResidueField, reduce_values, residue_field
 
 # ---------------------------------------------------------------------------
 # resultants: modular over Z, fraction-free over F_p[t]
@@ -332,19 +329,13 @@ def bad_places(phi: RationalMap, budget: int = 10**6) -> frozenset[Place]:
     """Non-archimedean places where no model keeps a unit resultant."""
     res = resultant_raw(phi)
     field = phi.field
-    out: set[Place] = set()
-    if field.is_rationals:
-        for q in factor_int(res, budget):
-            out.add(Place(field, KIND_PRIME, q))
-        return frozenset(out)
-    p = field.char
-    if fppoly.pdeg(res) > 0:
-        for pi in fppoly.factor_poly(p, res):
-            out.add(Place(field, KIND_IRREDUCIBLE, pi))
-    # at infinity the integral model is t^-M (F, G); its resultant has
-    # v_inf = 2*d*M - deg Res, minimal over all integral models
-    if fppoly.pdeg(res) < 2 * phi.degree * max_coeff_degree(phi):
-        out.add(Place(field, KIND_INF, None))
+    ring = field.ring
+    out = {Place(field, ring.place_kind, pi) for pi in ring.factor(res, budget)}
+    # at the infinite place of F_p(t) the integral model is t^-M (F, G);
+    # its resultant has v_inf = 2*d*M - deg Res, minimal over all models
+    inf = infinite_place(field)
+    if not inf.is_archimedean and ring.size(res) < 2 * phi.degree * max_coeff_degree(phi):
+        out.add(inf)
     return frozenset(out)
 
 
@@ -550,31 +541,9 @@ def reduce_map(phi: RationalMap, place: Place) -> ReducedMap:
         raise DomainError("cannot reduce at the archimedean place")
     if place in bad_places(phi):
         raise PreconditionError(f"{phi} has bad reduction at {place}")
-    rf = residue_field(place)
-    field = phi.field
-    if place.kind == KIND_PRIME:
-        q = place.payload
-        return ReducedMap(
-            rf,
-            tuple(c % q for c in phi.fco),
-            tuple(c % q for c in phi.gco),
-        )
-    p = field.char
-    if place.kind == KIND_INF:
-        m = max_coeff_degree(phi)
-
-        def red_inf(c: Coeffs) -> int:
-            return c[m] if fppoly.pdeg(c) == m else 0
-
-        return ReducedMap(
-            rf, tuple(red_inf(c) for c in phi.fco), tuple(red_inf(c) for c in phi.gco)
-        )
-    pi = place.payload
-    return ReducedMap(
-        rf,
-        tuple(fppoly.pcode(p, fppoly.pmod(p, c, pi)) for c in phi.fco),
-        tuple(fppoly.pcode(p, fppoly.pmod(p, c, pi)) for c in phi.gco),
-    )
+    codes = reduce_values(place, phi.fco + phi.gco)
+    d = phi.degree
+    return ReducedMap(residue_field(place), codes[: d + 1], codes[d + 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,21 @@ def residue_field(place: Place) -> ResidueField:
     raise UnsupportedPlaceError("the archimedean place has no residue field")
 
 
+def reduce_values(place: Place, values) -> tuple[int, ...]:
+    """Residue codes of integral values at a non-archimedean place.
+
+    At a finite place each value is reduced modulo the prime element.  At
+    the infinite place of F_p(t) the values are first rescaled jointly by
+    t^-m, m their largest degree, so the code of a value is its t^m
+    coefficient.
+    """
+    if place.kind == KIND_INF:
+        m = max(fppoly.pdeg(v) for v in values)
+        return tuple(v[m] if fppoly.pdeg(v) == m else 0 for v in values)
+    residue = place.field.ring.residue
+    return tuple(residue(v, place.payload) for v in values)
+
+
 def field_of_size(q: int) -> ResidueField:
     """A deterministic F_q: smallest p with q = p^k, first irreducible modulus."""
     p = 2

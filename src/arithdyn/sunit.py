@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import fppoly
 from .bounds import evertse_solution_bound, unit_equation_solution_bound
 from .errors import (
     BudgetExceededError,
@@ -26,9 +25,8 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .fields import (
-    KIND_IRREDUCIBLE,
-    KIND_PRIME,
     GlobalFieldElement,
+    Place,
     PlaceSet,
     is_s_unit,
     valuation,
@@ -47,6 +45,15 @@ class SUnitGroupDesc:
         return len(self.free_generators)
 
 
+def _free_places(S: PlaceSet) -> tuple[Place, ...]:
+    """The finite places of S; over F_p(t) infinity must be in S."""
+    if not S.contains_infinite():
+        raise UnsupportedConfigurationError(
+            "S-unit generators over F_p(t) need the infinite place in S"
+        )
+    return S.finite_places()
+
+
 def s_unit_generators(S: PlaceSet) -> SUnitGroupDesc:
     """Torsion and free generators of the S-units.
 
@@ -55,40 +62,24 @@ def s_unit_generators(S: PlaceSet) -> SUnitGroupDesc:
     irreducibles of S.  Raises UnsupportedConfigurationError otherwise.
     """
     field = S.field
-    if field.is_rationals:
-        torsion = (field.one(), -field.one())
-        gens = tuple(
-            field.element(pl.payload)
-            for pl in S.places
-            if pl.kind == KIND_PRIME
-        )
-        return SUnitGroupDesc(torsion, gens)
-    if not S.contains_infinite():
-        raise UnsupportedConfigurationError(
-            "S-unit generators over F_p(t) need the infinite place in S"
-        )
-    p = field.char
-    torsion = tuple(field.element(c) for c in range(1, p))
-    gens = tuple(
-        field.element(pl.payload)
-        for pl in S.places
-        if pl.kind == KIND_IRREDUCIBLE
-    )
-    return SUnitGroupDesc(torsion, gens)
+    gens = tuple(field.element(pl.payload) for pl in _free_places(S))
+    return SUnitGroupDesc(tuple(field.element(u) for u in field.ring.units), gens)
 
 
 def enumerate_s_units(S: PlaceSet, exponent_cap: int, size_budget: int = 2_000_000):
     """All torsion * prod g_i^{e_i} with |e_i| <= cap, each exactly once.
 
     Deterministic order: torsion first, then exponent vectors
-    lexicographically from -cap to cap.
+    lexicographically from -cap to cap.  The size is checked before the
+    torsion is built, which over F_p(t) has p - 1 elements.
     """
     if exponent_cap < 1:
         raise DomainError("exponent cap must be >= 1")
-    desc = s_unit_generators(S)
-    total = len(desc.torsion) * (2 * exponent_cap + 1) ** desc.rank
+    rank = len(_free_places(S))
+    total = len(S.field.ring.units) * (2 * exponent_cap + 1) ** rank
     if total > size_budget:
         raise BudgetExceededError(f"S-unit enumeration of size {total} over budget")
+    desc = s_unit_generators(S)
     exponent_range = range(-exponent_cap, exponent_cap + 1)
     for u in desc.torsion:
         for vec in itertools.product(exponent_range, repeat=desc.rank):
@@ -108,27 +99,17 @@ def s_unit_exponents(
     """
     if x.is_zero:
         return None
-    desc = s_unit_generators(S)
-    field = S.field
     exponents = []
     rest = x
-    for g, pl in zip(desc.free_generators, _free_places(S)):
+    for pl in _free_places(S):
         e = valuation(x, pl)
         exponents.append(e)
         if e:
-            rest = rest / g**e
-    if field.is_rationals:
-        if rest.den != 1 or abs(rest.num) != 1:
-            return None
-        return rest, tuple(exponents)
-    if rest.den != fppoly.ONE or fppoly.pdeg(rest.num) != 0:
+            rest = rest / S.field.element(pl.payload) ** e
+    ring = S.field.ring
+    if rest.den != ring.one or not ring.is_unit(rest.num):
         return None
     return rest, tuple(exponents)
-
-
-def _free_places(S: PlaceSet):
-    kind = KIND_PRIME if S.field.is_rationals else KIND_IRREDUCIBLE
-    return tuple(pl for pl in S.places if pl.kind == kind)
 
 
 def is_s_trivial(a: GlobalFieldElement, b: GlobalFieldElement, S: PlaceSet) -> bool:

@@ -296,8 +296,10 @@ class TestExitCodes:
             ("analyze", "--field", "Fp:abc", "z^2"),
             ("graph", "--field", "Q", "z^2", "--place", "p:abc"),
             ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf;p:x", "--cap", "2"),
+            ("graph", "--field", "Fp:2", "z^2", "--place", "pi:a,b"),
+            ("graph", "--field", "Fp:2", "z^2", "--place", "pi:"),
         ],
-        ids=["characteristic", "place", "place-set"],
+        ids=["characteristic", "place", "place-set", "poly-place", "empty-poly-place"],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -306,7 +308,49 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "usage"
 
 
+def run_subprocess(*argv, timeout=10):
+    """The CLI in a fresh process: (exit code, stdout, stderr, seconds)."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithdyn.cli", *argv],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
 class TestRobustness:
+    def test_square_of_a_linear_factor_at_huge_p(self):
+        # Res = (t+1)^2: its squarefree part t+1 is irreducible, so no
+        # trial division over the 10^18 linear candidates is needed
+        code, out, _, seconds = run_subprocess(
+            "analyze", "--field", "Fp:1000000000000000003", "z^2/(t+1)"
+        )
+        assert code == 0
+        assert "bad places: inf, (t+1)" in out
+        assert seconds < 2
+
+    def test_factoring_past_the_budget_refused(self):
+        # Res = (t^2+1)^2 with t^2+1 irreducible over F_1000003: its linear
+        # trial divisors alone would pass the budget of 10^6
+        code, _, err, seconds = run_subprocess(
+            "analyze", "--field", "Fp:1000003", "z^2/(t^2+1)"
+        )
+        assert code == 2
+        assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    def test_sunit_torsion_counted_before_it_is_built(self):
+        code, _, err, seconds = run_subprocess(
+            "sunit-solve", "--field", "Fp:1000000000000000003",
+            "--a", "1", "--b", "1", "--S", "inf", "--cap", "1",
+        )
+        assert code == 2
+        assert "BudgetExceededError" in err
+        assert seconds < 2
+
     def test_huge_degree_refused_in_a_subprocess(self):
         # the parser refuses z^99999 before expanding it
         start = time.perf_counter()

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +17,7 @@ from oracles import trial_division_is_prime
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestElements:
@@ -202,6 +208,24 @@ class TestSmallPrimeOutside:
 
         S3 = ad.place_set(F3T, [ad.infinite_place(F3T)])
         assert ad.find_small_prime_outside(S3) == ad.parse_place(F3T, "pi:0,1")
+
+    def test_huge_characteristic_scans_lazily(self):
+        # the first place outside {inf} is t, whatever the size of p
+        code = (
+            "import arithdyn as ad; F = ad.function_field(1000000000000000003); "
+            "print(ad.find_small_prime_outside(ad.place_set(F, [ad.infinite_place(F)])).serialize())"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "pi:0,1"
+        assert time.perf_counter() - start < 2
 
     def test_residue_bound_small_grid(self):
         # |k(p)| < (p|S|)^2 for S made of the smallest places (worst case)

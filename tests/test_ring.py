@@ -5,16 +5,28 @@ the element code does not use; over F_p(t) against cross-multiplication
 with the schoolbook product.  `canon_pair` is checked against
 `point_from_raw`, and `ord` against the divisibility rule it encodes,
 with divisibility decided by schoolbook long division.
+
+The place API of the rings (`factor`, `primes`, `residue`) is checked
+through its callers: `support` must rebuild the element from the places
+it names, the place scan must match a sieve of Eratosthenes or the
+all-pairs irreducible enumeration, and reduction at a place must match
+schoolbook long division, or at infinity the reversed polynomial modulo
+its variable.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import arithdyn as ad
-from arithdyn.fields import Z, canon_pair, polynomial_ring
-from oracles import schoolbook_pmul
+from arithdyn.errors import BudgetExceededError, DegenerateMapError
+from arithdyn.fields import Z, canon_pair, iter_places_by_size, polynomial_ring
+from arithdyn.projective import reduce_coordinates
+from arithdyn.residue import reduce_values
+from oracles import brute_monic_irreducibles, schoolbook_pmul, trial_division_is_prime
 
 FUNCTION_FIELDS = [ad.function_field(p) for p in (2, 3, 5)]
 
@@ -35,15 +47,24 @@ def oracle_add(p, a, b):
     return trim(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n))
 
 
-def oracle_divides(p, b, a) -> bool:
-    """Whether b != 0 divides a over F_p, by schoolbook long division."""
+def oracle_rem(p, a, b):
+    """a modulo b != 0 over F_p, by schoolbook long division."""
     rem = list(a)
     inv = pow(b[-1], -1, p)
     for shift in range(len(rem) - len(b), -1, -1):
         f = rem[shift + len(b) - 1] * inv % p
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - f * c) % p
-    return not any(rem)
+    return trim(rem)
+
+
+def oracle_divides(p, b, a) -> bool:
+    """Whether b != 0 divides a over F_p."""
+    return not oracle_rem(p, a, b)
+
+
+def oracle_code(p, cs) -> int:
+    return sum(c * p**i for i, c in enumerate(cs))
 
 
 def oracle_pow(p, a, e):
@@ -171,3 +192,209 @@ class TestOrd:
             e = ring.ord(a, pi)
             assert oracle_divides(p, oracle_pow(p, pi, e), a)
             assert not oracle_divides(p, oracle_pow(p, pi, e + 1), a)
+
+
+def sieve_primes(n):
+    """The primes up to n by the sieve of Eratosthenes."""
+    flags = [True] * (n + 1)
+    flags[0] = flags[1] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, n + 1, i))
+    return [i for i, f in enumerate(flags) if f]
+
+
+def oracle_monic(p, a):
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+# all monic irreducibles up to degree 4, for factors of random polynomials
+IRREDUCIBLES = {
+    p: set().union(*(brute_monic_irreducibles(p, n) for n in range(1, 5))) for p in (2, 3, 5)
+}
+
+
+class TestSupport:
+    def test_rationals_rebuilt_from_primes(self):
+        rng = random.Random(139)
+        for _ in range(300):
+            x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**5), rng.randint(1, 10**5))
+            supp = ad.support(ad.QQ.element(x.numerator, x.denominator))
+            rebuilt = Fraction(1)
+            for pl, e in supp.items():
+                assert pl.kind == "prime" and trial_division_is_prime(pl.payload) and e
+                rebuilt *= Fraction(pl.payload) ** e
+            assert rebuilt == abs(x)  # the unit is the sign
+
+    @pytest.mark.parametrize("field", FUNCTION_FIELDS, ids=str)
+    def test_function_field_rebuilt_from_irreducibles(self, field):
+        p = field.char
+        rng = random.Random(149 + p)
+        inf = ad.infinite_place(field)
+        for _ in range(200):
+            # a random square or p-th power factor exercises the squarefree split
+            square = oracle_pow(p, random_poly(rng, p, 2) or (1,), rng.randint(0, 3))
+            num = schoolbook_pmul(p, random_poly(rng, p), square)
+            den = random_poly(rng, p) or (1,)
+            if not num:
+                continue
+            x = field.element(num, den)
+            supp = ad.support(x)
+            top = bottom = (1,)
+            for pl, e in supp.items():
+                assert e
+                if pl == inf:
+                    continue
+                assert pl.payload in IRREDUCIBLES[p]
+                if e > 0:
+                    top = schoolbook_pmul(p, top, oracle_pow(p, pl.payload, e))
+                else:
+                    bottom = schoolbook_pmul(p, bottom, oracle_pow(p, pl.payload, -e))
+            assert bottom == x.den
+            assert top == oracle_monic(p, x.num)  # the unit is the leading coefficient
+            assert supp.get(inf, 0) == (len(x.den) - 1) - (len(x.num) - 1)
+
+
+class TestFactor:
+    # sympy's own sort of the factors warns about comparing residues
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_agrees_with_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(151 + p)
+        for _ in range(60):
+            a = schoolbook_pmul(
+                p,
+                random_poly(rng, p, 8) or (1,),
+                oracle_pow(p, random_poly(rng, p, 3) or (1,), rng.randint(0, p + 1)),
+            )
+            if len(a) < 2:
+                continue
+            _, pairs = sympy.factor_list(sympy.Poly(a[::-1], t, modulus=p))
+            want = {}
+            for f, e in pairs:
+                g = oracle_monic(p, trim(int(c) % p for c in f.all_coeffs()[::-1]))
+                want[g] = want.get(g, 0) + e
+            assert polynomial_ring(p).factor(a) == want
+
+    def test_budget_rule_matches_the_integers(self):
+        # Z tries divisors up to the budget; a cofactor that might still
+        # split into larger primes is refused
+        assert Z.factor(-1009, budget=40) == {1009: 1}
+        with pytest.raises(BudgetExceededError):
+            Z.factor(1009 * 1013, budget=40)
+        # F_2[t] tries divisors of degree k while 2^k <= budget; a cofactor
+        # of degree >= 2k might still split and is refused
+        ring = polynomial_ring(2)
+        cubic, other_cubic = (1, 1, 0, 1), (1, 0, 1, 1)
+        assert ring.factor(cubic, budget=2) == {cubic: 1}
+        with pytest.raises(BudgetExceededError):
+            ring.factor(cubic, budget=1)
+        sextic = schoolbook_pmul(2, cubic, other_cubic)
+        with pytest.raises(BudgetExceededError):
+            ring.factor(sextic, budget=7)
+        assert ring.factor(sextic, budget=8) == {cubic: 1, other_cubic: 1}
+        # factors of different multiplicities are split apart before any
+        # trial division, so each cubic is a cofactor of degree below 2*2
+        mixed = schoolbook_pmul(2, oracle_pow(2, cubic, 3), other_cubic)
+        assert ring.factor(mixed, budget=2) == {cubic: 3, other_cubic: 1}
+
+    def test_constants_and_units(self):
+        assert polynomial_ring(3).factor((2,)) == {}
+        assert Z.factor(-1) == {}
+        assert Z.units == (1, -1)
+        assert list(polynomial_ring(5).units) == [1, 2, 3, 4]
+
+
+class TestPlaceScan:
+    def test_rationals_match_a_sieve(self):
+        scan = list(itertools.islice(iter_places_by_size(ad.QQ), 30))
+        assert [pl.payload for pl in scan] == sieve_primes(200)[:30]
+        assert {pl.kind for pl in scan} == {"prime"}
+
+    @pytest.mark.parametrize("field,degree", zip(FUNCTION_FIELDS, (7, 4, 3)), ids=str)
+    def test_function_fields_match_all_pairs_enumeration(self, field, degree):
+        p = field.char
+        scan = list(itertools.islice(iter_places_by_size(field), 30))
+        assert scan[0] == ad.infinite_place(field)
+        irreducibles = sorted(
+            set().union(*(brute_monic_irreducibles(p, n) for n in range(1, degree + 1))),
+            key=lambda cs: (len(cs), oracle_code(p, cs)),
+        )
+        assert [pl.payload for pl in scan[1:]] == irreducibles[:29]
+        assert {pl.kind for pl in scan[1:]} == {"irreducible"}
+
+
+def oracle_reduce(p, place, values):
+    """Schoolbook residue codes: long division by the place polynomial; at
+    infinity each value is rewritten in s = 1/t and scaled by s^m, m the
+    largest degree, and the result is taken modulo s."""
+    if place.kind == "inf":
+        m = max(len(v) for v in values) - 1
+        values = [tuple(reversed(v + (0,) * (m + 1 - len(v)))) for v in values]
+        pi = (0, 1)
+    else:
+        pi = place.payload
+    return tuple(oracle_code(p, oracle_rem(p, v, pi)) for v in values)
+
+
+class TestReduceValues:
+    def test_prime_places(self):
+        rng = random.Random(157)
+        for q in (2, 3, 7, 101):
+            place = ad.prime_place(q)
+            for _ in range(50):
+                values = [rng.randint(-10**6, 10**6) for _ in range(4)]
+                assert reduce_values(place, values) == tuple(
+                    next(r for r in range(q) if (v - r) // q * q == v - r) for v in values
+                )
+
+    @pytest.mark.parametrize("field", FUNCTION_FIELDS, ids=str)
+    def test_function_field_places(self, field):
+        p = field.char
+        rng = random.Random(163 + p)
+        places = [ad.infinite_place(field)] + [
+            ad.irreducible_place(field, pi) for pi in sorted(IRREDUCIBLES[p])[:6]
+        ]
+        for place in places:
+            for _ in range(40):
+                values = [random_poly(rng, p, 6) for _ in range(3)]
+                if not any(values):
+                    continue
+                assert reduce_values(place, values) == oracle_reduce(p, place, values)
+
+    @pytest.mark.parametrize("field", [ad.QQ] + FUNCTION_FIELDS, ids=str)
+    def test_points_and_maps(self, field):
+        rng = random.Random(167 + field.char)
+        if field.char:
+            p = field.char
+            draw = lambda: random_poly(rng, p, 3)  # noqa: E731
+            places = [ad.infinite_place(field)] + [
+                ad.irreducible_place(field, pi) for pi in sorted(IRREDUCIBLES[p])[:4]
+            ]
+            oracle = lambda place, vs: oracle_reduce(p, place, vs)  # noqa: E731
+        else:
+            draw = lambda: rng.randint(-50, 50)  # noqa: E731
+            places = [ad.prime_place(q) for q in (2, 3, 5, 7)]
+            oracle = lambda place, vs: tuple(v % place.payload for v in vs)  # noqa: E731
+        checked = 0
+        for _ in range(150):
+            x, y = draw(), draw()
+            if x or y:
+                pt = ad.point_from_raw(field, x, y)
+                for place in places:
+                    _, *codes = reduce_coordinates(pt, place)
+                    assert tuple(codes) == oracle(place, (pt.x, pt.y))
+            fco, gco = [draw() for _ in range(3)], [draw() for _ in range(3)]
+            try:
+                phi = ad.make_map(field, fco, gco)
+            except DegenerateMapError:
+                continue
+            for place in places:
+                if ad.has_good_reduction(phi, place):
+                    psi = ad.reduce_map(phi, place)
+                    assert psi.fco + psi.gco == oracle(place, phi.fco + phi.gco)
+                    checked += 1
+        assert checked > 100

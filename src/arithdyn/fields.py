@@ -48,9 +48,12 @@ KIND_ARCH = "arch"
 # finite places: `factor` splits a value into prime elements under a budget,
 # `primes` yields the prime elements in scan order, `residue` gives the
 # residue-field code of a value modulo a prime element, and `units` lists
-# the unit group (as ints, constants of the ring).  They act on the raw
-# values stored everywhere else, ints and coefficient tuples, and call
-# fppoly through the module at each call.
+# the unit group (as ints, constants of the ring).  `form_height` bounds
+# the coefficient size of a form (bits of its 2-norm over Z, largest
+# t-degree over F_p[t]), and `height_unit` is the size that costs one unit
+# of resultant work (ratmap.RESULTANT_BUDGET).  They act on the raw values
+# stored everywhere else, ints and coefficient tuples, and call fppoly
+# through the module at each call.
 
 
 class IntegerRing:
@@ -70,10 +73,16 @@ class IntegerRing:
     size = staticmethod(abs)
     to_str = staticmethod(str)
     serialize = staticmethod(str)
+    height_unit = 256
 
     @staticmethod
     def is_unit(a: int) -> bool:
         return a == 1 or a == -1
+
+    @staticmethod
+    def form_height(co) -> int:
+        """Bits of the 2-norm of a coefficient tuple, rounded up."""
+        return (sum(c * c for c in co).bit_length() + 1) // 2
 
     @staticmethod
     def unit_inverse(a: int) -> int:
@@ -118,6 +127,7 @@ class PolynomialRing:
     zero = fppoly.ZERO
     one = fppoly.ONE
     place_kind = KIND_IRREDUCIBLE
+    height_unit = 1
 
     def __init__(self, p: int):
         self.p = p
@@ -152,6 +162,11 @@ class PolynomialRing:
     @staticmethod
     def is_unit(a: Coeffs) -> bool:
         return len(a) == 1
+
+    @staticmethod
+    def form_height(co) -> int:
+        """Largest t-degree in a coefficient tuple."""
+        return max(map(len, co)) - 1
 
     def unit_inverse(self, a: Coeffs) -> int:
         """The unit u making u*a monic: the inverse of the leading coefficient."""
@@ -328,12 +343,6 @@ class GlobalFieldElement:
         if not self.field.is_rationals:
             raise DomainError("not a rational number")
         return Fraction(self.num, self.den)
-
-    def num_poly(self) -> FpPoly:
-        return FpPoly(self.field.char, self.num)
-
-    def den_poly(self) -> FpPoly:
-        return FpPoly(self.field.char, self.den)
 
     def __add__(self, other):
         self._check(other)

@@ -30,6 +30,10 @@ code of (c_0, ..., c_n) is the base-p integer sum(c_i * p^i).  A product
 sieve marks every monic reducible of a given degree, so the survivors are
 exactly the monic irreducibles; counts are cross-checked elsewhere against
 the Moebius-inversion formula I(n) = (1/n) * sum_{d|n} mu(n/d) p^d.
+A single polynomial of degree n is tested by Ben-Or's variant of Rabin's
+test (Ben-Or 1981; Rabin 1980), which needs at most n/2 Frobenius powers
+modulo it and no list of candidate divisors, so its cost does not grow
+with p.
 """
 
 from __future__ import annotations
@@ -224,8 +228,9 @@ def ppow_mod(p: int, a: Coeffs, e: int, m: Coeffs) -> Coeffs:
     while e:
         if e & 1:
             result = pmod(p, pmul(p, result, base), m)
-        base = pmod(p, pmul(p, base, base), m)
         e >>= 1
+        if e:
+            base = pmod(p, pmul(p, base, base), m)
     return result
 
 
@@ -283,17 +288,24 @@ def monic_of_degree(p: int, n: int):
         yield tuple(reversed(lower)) + (1,)
 
 
+# a place's modulus is tested when the place is made and again when its
+# residue field builds its tables
+@lru_cache(maxsize=4096)
 def is_irreducible(p: int, a: Coeffs) -> bool:
-    """Irreducibility of a nonconstant polynomial by trial division."""
+    """Irreducibility of a nonconstant polynomial by Ben-Or's test.
+
+    a of degree n is reducible iff it has a factor of some degree
+    k <= n/2, that is iff gcd(t^(p^k) - t, a) != 1 for some k <= n/2; a
+    reducible a exits at the degree of its smallest factor.
+    """
     n = pdeg(a)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    for d in range(1, n // 2 + 1):
-        for g in _monic_irreducibles_of_degree(p, d):
-            if not pmod(p, a, g):
-                return False
+    if n < 2:
+        return n == 1
+    t = frob = (0, 1)  # frob = t^(p^k) mod a
+    for _ in range(n // 2):
+        frob = ppow_mod(p, frob, p, a)
+        if pgcd(p, psub(p, frob, t), a) != ONE:
+            return False
     return True
 
 

@@ -13,19 +13,16 @@ the integral model there is t^-M * (F, G) with M the maximal coefficient
 degree, so the map has good reduction at infinity exactly when
 deg_t Res(F, G) = 2*d*M.
 
-The resultant is the determinant of the 2d x 2d Sylvester matrix.  Over
-Z it is computed modulo primes just below 2^62 by Euclid's algorithm on
-the dehomogenized forms (Collins 1971; von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 6), with the degree-drop rule
+The resultant is the determinant of the 2d x 2d Sylvester matrix, computed
+by one routine for both rings: Collins' subresultant PRS (Collins, J. ACM
+14, 1967; Cohen, *A Course in Computational Algebraic Number Theory*,
+Alg. 3.3.7) on the dehomogenized forms, which needs only the ring's
+mul, sub and exactdiv, with the degree-drop rule
 Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g) and a swap of F and G when
-f_d vanishes.  The rule holds over every field, so no prime is unlucky.
-The residues are combined by CRT until the modulus exceeds twice the
-Hadamard bound |F|_2^d * |G|_2^d, which makes the value exact.  Inputs
-whose cost (primes needed times d^2 + primes) passes RESULTANT_BUDGET are
-refused before any reduction.  Over F_p[t] the determinant is computed
-fraction-free (Bareiss), so every intermediate value stays in F_p[t];
-inputs whose cost estimate passes BAREISS_BUDGET are refused before any
-elimination.
+f_d vanishes.  Inputs whose cost estimate d^2 * (s + 1)^2 passes
+RESULTANT_BUDGET are refused before any elimination; s bounds the size of
+the resultant, d * (h(F) + h(G)) in units of 256 bits of the 2-norm over
+Z and of one t-degree over F_p[t].
 """
 
 from __future__ import annotations
@@ -46,169 +43,86 @@ from .fields import (
     GlobalFieldElement,
     Place,
     infinite_place,
-    is_prime_int,
     valuation,
 )
-from .fppoly import Coeffs
 from .projective import ProjPoint, ReducedPoint, canon_pair
 from .residue import ResidueField, reduce_values, residue_field
 
 # ---------------------------------------------------------------------------
-# resultants: modular over Z, fraction-free over F_p[t]
+# resultants: one subresultant PRS on the integral ring
 
-# Largest (CRT primes needed) * (d^2 + primes) accepted over Q: the cost
-# of the Euclid runs plus the CRT steps, refused before any reduction.
-RESULTANT_BUDGET = 2 * 10**6
-
-# Largest d^3 * (d*M + 16)^2 accepted over F_p[t], M the largest
-# coefficient degree: Bareiss makes about d^3 entry updates on polynomials
-# of degree up to about d*M, and the 16 stands for the fixed cost of one
-# update.  Timed on random dense forms (CPython 3.11, x86-64): d = 40,
-# M = 1 (2.0e8) takes 9-14 s and d = 60, M = 0 (5.5e7) 2.6 s; z^200+t
-# (3.7e11) would run for minutes.
-BAREISS_BUDGET = 25 * 10**7
+# Largest d^2 * (s + 1)^2 accepted, with s = d * (h(F) + h(G)) // unit the
+# bound on the size of Res(F, G) from the ring's form_height and
+# height_unit.  The PRS makes about d^2 ring operations, and their exact
+# divisions cost the square of the coefficient size in both rings.  Timed
+# on random dense forms (CPython 3.11, x86-64), one unit of the estimate
+# costs 0.05-0.1 us over Z and over F_p[t]: degree 80 over Q with 64-bit
+# coefficients (1.4e7) takes 0.9 s, d = 40 with M = 1 over F_3(t) (1.1e7)
+# 0.27 s, and d = 100 with M = 1 (4.0e8) would take 7 s.
+RESULTANT_BUDGET = 3 * 10**7
 
 
-@lru_cache(maxsize=None)
-def _crt_prime(i: int) -> int:
-    """The i-th prime below 2^62, counting down.
-
-    Callers ask for i = 0, 1, 2, ... in turn, so the recursion on i - 1
-    always stops at a cached value.
-    """
-    n = _crt_prime(i - 1) - 2 if i else 2**62 - 1
-    while not is_prime_int(n):
-        n -= 2
-    return n
+def _power(ring, a, e: int):
+    out = ring.one
+    for _ in range(e):
+        out = ring.mul(out, a)
+    return out
 
 
-def _resultant_mod(ell: int, fco: tuple, gco: tuple) -> int:
-    """Res_{d,d}(F, G) mod the prime ell, by Euclid over F_ell.
-
-    With f_d != 0 and n = deg g, Res_{d,d}(F, G) = f_d^(d-n) * Res(f, g);
-    with f_d = 0 the rows swap, Res_{d,d}(F, G) = (-1)^d * Res_{d,d}(G, F);
-    with f_d = g_d = 0 the first Sylvester column vanishes.  These hold
-    over every field, so every prime gives the true residue.
-    """
-    d = len(fco) - 1
-    f = [c % ell for c in reversed(fco)]  # descending X-power
-    g = [c % ell for c in reversed(gco)]
-    sign = 1
-    if not f[0]:
-        if not g[0]:
-            return 0
-        f, g = g, f
-        sign = -1 if d & 1 else 1
-    k = next((i for i, c in enumerate(g) if c), None)
-    if k is None:
-        return 0
-    acc = pow(f[0], k, ell)
-    g = g[k:]
-    m = d
-    # Res(f, g) = (-1)^(mn) * lc(g)^(m - deg r) * Res(g, r), r = f mod g
-    while len(g) > 1:
-        n = len(g) - 1
-        inv = pow(g[0], -1, ell)
-        tail = g[1:]
-        r = f
-        for _ in range(m - n + 1):
-            c = r[0] * inv % ell
-            r = [a - c * b for a, b in zip(r[1:], tail)] + r[n + 1 :]
-        r = [a % ell for a in r]  # one reduction per division step
-        k = next((i for i, c in enumerate(r) if c), None)
-        if k is None:
-            return 0
-        if m * n & 1:
-            sign = -sign
-        acc = acc * pow(g[0], m - n + 1 + k, ell) % ell
-        f, g, m = g, r[k:], n
-    acc = acc * pow(g[0], m, ell) % ell
-    return acc if sign > 0 else -acc % ell
+def _strip(co: list) -> list:
+    """co without its leading zeros (descending powers)."""
+    return co[next((i for i, c in enumerate(co) if c), len(co)) :]
 
 
-def _resultant_int(fco: tuple, gco: tuple) -> int:
-    """Res_{d,d}(F, G) over Z from residues modulo primes below 2^62.
-
-    Hadamard on the Sylvester rows gives |Res| <= |F|_2^d * |G|_2^d, so
-    residues combined by CRT past twice that bound fix the value exactly.
-    """
-    d = len(fco) - 1
-    sf = sum(c * c for c in fco)
-    sg = sum(c * c for c in gco)
-    if not sf or not sg:
-        return 0
-    # each prime exceeds 2^61 and 2 * bound < 2^(d * (bits sf + bits sg) / 2 + 1)
-    nprimes = (d * (sf.bit_length() + sg.bit_length()) // 2 + 2) // 61 + 1
-    if nprimes * (d * d + nprimes) > RESULTANT_BUDGET:
-        raise BudgetExceededError(
-            f"resultant at degree {d} needs about {nprimes} CRT primes"
-        )
-    bound_sq = 4 * (sf * sg) ** d  # (2 * Hadamard bound)^2
-    value, modulus = 0, 1
-    i = 0
-    while modulus * modulus <= bound_sq:
-        ell = _crt_prime(i)
-        i += 1
-        t = (_resultant_mod(ell, fco, gco) - value) * pow(modulus, -1, ell) % ell
-        value += modulus * t
-        modulus *= ell
-    return value - modulus if 2 * value > modulus else value
-
-
-def _bareiss_det(p: int, rows) -> Coeffs:
-    """Fraction-free determinant over F_p[t]; every division is exact."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = fppoly.ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return fppoly.ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = fppoly.psub(
-                    p,
-                    fppoly.pmul(p, m[i][j], m[k][k]),
-                    fppoly.pmul(p, m[i][k], m[k][j]),
-                )
-                m[i][j] = fppoly.pexactdiv(p, num, prev)
-            m[i][k] = fppoly.ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return fppoly.pneg(p, det) if sign < 0 else det
+def _prem(ring, a: list, b: list) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b, descending powers, deg a >= deg b."""
+    mul, sub = ring.mul, ring.sub
+    lb, tail, n = b[0], b[1:], len(b) - 1
+    for _ in range(len(a) - n):
+        c = a[0]
+        a = [mul(lb, x) for x in a[1:]]
+        if c:
+            a[:n] = [sub(x, mul(c, y)) for x, y in zip(a, tail)]
+    return a
 
 
 def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple):
     """Resultant of two degree-d coefficient tuples (ascending X-power).
 
     The determinant of the 2d x 2d Sylvester matrix with the d rows of F
-    first, coefficients by descending X-power: by CRT over Z, by Bareiss
-    elimination over F_p[t].
+    first, coefficients by descending X-power, from the subresultant PRS
+    of the dehomogenized forms (Cohen, Alg. 3.3.7).
     """
-    if field.is_rationals:
-        return _resultant_int(fco, gco)
+    ring = field.ring
     d = len(fco) - 1
-    M = max(map(len, fco + gco)) - 1
-    if d**3 * (d * M + 16) ** 2 > BAREISS_BUDGET:
-        raise BudgetExceededError(
-            f"Bareiss resultant at degree {d} with coefficient degree {M} is over budget"
-        )
-    zero = fppoly.ZERO
-    frow = list(reversed(fco))  # univariate-in-X descending coefficients
-    grow = list(reversed(gco))
-    n = 2 * d
-    rows = []
-    for i in range(d):
-        rows.append([zero] * i + frow + [zero] * (n - d - 1 - i))
-    for i in range(d):
-        rows.append([zero] * i + grow + [zero] * (n - d - 1 - i))
-    return _bareiss_det(field.char, rows)
+    s = d * (ring.form_height(fco) + ring.form_height(gco)) // ring.height_unit
+    if d * d * (s + 1) ** 2 > RESULTANT_BUDGET:
+        raise BudgetExceededError(f"resultant at degree {d} and size {s} is over budget")
+    f, g = _strip(list(fco[::-1])), _strip(list(gco[::-1]))
+    sign = 1
+    if len(f) <= d:  # f_d = 0: Res_{d,d}(F, G) = (-1)^d * Res_{d,d}(G, F)
+        f, g = g, f
+        sign = -1 if d & 1 else 1
+    if len(f) <= d or not g:  # a zero first Sylvester column, or a zero form
+        return ring.zero
+    # Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g)
+    acc = _power(ring, f[0], d + 1 - len(g))
+    lead = h = ring.one
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        if m & n & 1:
+            sign = -sign
+        r = _strip(_prem(ring, f, g))
+        if not r:
+            return ring.zero
+        div = ring.mul(lead, _power(ring, h, m - n))
+        f, g = g, [ring.exactdiv(c, div) for c in r]
+        lead = f[0]
+        if m > n:  # h = lead^(m-n) / h^(m-n-1)
+            h = ring.exactdiv(_power(ring, lead, m - n), _power(ring, h, m - n - 1))
+    m = len(f) - 1
+    acc = ring.mul(acc, ring.exactdiv(_power(ring, g[0], m), _power(ring, h, m - 1)))
+    return acc if sign > 0 else ring.neg(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately recomputes results by a different route than
-the package: determinants by Fraction Gaussian elimination or cofactor
-expansion instead of fraction-free elimination or modular Euclid and CRT,
+the package: determinants by Gaussian elimination over Q or a residue
+field, or by cofactor expansion, instead of the subresultant PRS,
 resultants from the values of a form at the roots of a split one, powers
 by repeated multiplication instead of square-and-multiply, irreducibility
-by all-pairs product enumeration instead of the product sieve, polynomial
-products by the plain double loop instead of `fppoly.pmul`, residue-field
-arithmetic on coefficient tuples instead of exp/log tables, primality by
-trial division instead of Miller-Rabin, and so on.
+by all-pairs product enumeration instead of the product sieve or Ben-Or's
+test, polynomial products by the plain double loop instead of
+`fppoly.pmul`, residue-field arithmetic on coefficient tuples instead of
+exp/log tables, primality by trial division instead of Miller-Rabin, and
+so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -103,28 +104,53 @@ def sylvester_rows(fco, gco, zero):
     return rows
 
 
-def form_from_linear_factors(factors) -> tuple:
-    """prod (a*X - b*Y) over the pairs (a, b), ascending X-power."""
-    co = [1]
+def _ring_ops(p):
+    """(zero, one, mul, add, neg) on ints, or on F_p[t] tuples with
+    schoolbook products when p is given."""
+    if p is None:
+        return 0, 1, (lambda a, b: a * b), (lambda a, b: a + b), (lambda a: -a)
+    return (
+        (),
+        (1,),
+        lambda a, b: schoolbook_pmul(p, a, b),
+        lambda a, b: fppoly.padd(p, a, b),
+        lambda a: fppoly.pneg(p, a),
+    )
+
+
+def form_from_linear_factors(factors, p=None) -> tuple:
+    """prod (a*X - b*Y) over the pairs (a, b), ascending X-power.
+
+    Over Z by default, over F_p[t] (a, b coefficient tuples) when p is given.
+    """
+    zero, one, mul, add, neg = _ring_ops(p)
+    co = [one]
     for a, b in factors:
-        out = [0] * (len(co) + 1)
+        out = [zero] * (len(co) + 1)
         for i, c in enumerate(co):
-            out[i + 1] += a * c
-            out[i] -= b * c
+            out[i + 1] = add(out[i + 1], mul(a, c))
+            out[i] = add(out[i], neg(mul(b, c)))
         co = out
     return tuple(co)
 
 
-def resultant_by_roots(fco, factors) -> int:
+def resultant_by_roots(fco, factors, p=None):
     """Res(F, prod (a_i X - b_i Y)) from the values of F at the roots.
 
     Res(F, aX - bY) = (-1)^d F(b, a) for F of degree d, and the resultant
     is multiplicative in each argument, so no elimination is involved.
+    F(b, a) is summed by Horner's rule in the homogeneous form.  Over Z by
+    default, over F_p[t] when p is given.
     """
+    zero, one, mul, add, neg = _ring_ops(p)
     d = len(fco) - 1
-    out = 1
+    out = one
     for a, b in factors:
-        out *= (-1) ** d * sum(c * b**i * a ** (d - i) for i, c in enumerate(fco))
+        value, apow = fco[d], one
+        for c in reversed(fco[:d]):
+            apow = mul(apow, a)
+            value = add(mul(value, b), mul(c, apow))
+        out = mul(out, neg(value) if d % 2 else value)
     return out
 
 
@@ -193,6 +219,33 @@ class PolyResidueField:
 
     def inv(self, a: int) -> int:
         return fppoly.pcode(self.p, self._pow(fppoly.pfromcode(self.p, a), self.q - 2))
+
+    def det(self, rows) -> int:
+        """Determinant of a square matrix of codes by Gaussian elimination,
+        on addition and multiplication tables built from add and mul."""
+        q = self.q
+        add = [[self.add(a, b) for b in range(q)] for a in range(q)]
+        mul = [[self.mul(a, b) for b in range(q)] for a in range(q)]
+        neg = [row.index(0) for row in add]
+        m = [list(r) for r in rows]
+        n = len(m)
+        det = 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            if pivot != k:
+                m[k], m[pivot] = m[pivot], m[k]
+                det = neg[det]
+            det = mul[det][m[k][k]]
+            inv = self.inv(m[k][k])
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    f = neg[mul[m[i][k]][inv]]
+                    mf, mk, mi = mul[f], m[k], m[i]
+                    for j in range(k, n):
+                        mi[j] = add[mi[j]][mf[mk[j]]]
+        return det
 
     def order(self, a: int) -> int:
         """Multiplicative order by repeated multiplication."""

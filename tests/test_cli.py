@@ -383,6 +383,18 @@ class TestRobustness:
         assert code == 2
         assert "node budget" in err
 
+    @pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])
+    def test_irreducible_place_at_huge_p(self, p):
+        # t^2 + 1 is irreducible for both primes (each is 3 mod 4); Ben-Or's
+        # test needs no list of the p linear polynomials, and P^1 of the
+        # residue field is refused by the node budget
+        code, _, err, seconds = run_subprocess(
+            "graph", "--field", f"Fp:{p}", "z^2", "--place", "pi:1,0,1", timeout=20
+        )
+        assert code == 2
+        assert "node budget" in err
+        assert seconds < 1.0
+
     def test_composite_characteristic_rejected(self, capsys):
         # 10^18 + 1 = 101 * 9901 * 999999000001; the square of that prime
         # has no factor below 10^12, so trial division would not finish

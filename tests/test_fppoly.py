@@ -138,6 +138,19 @@ class TestIrreducibles:
         }
         assert ours == brute_monic_irreducibles(p, n)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_irreducibility_test_matches_bruteforce(self, p):
+        # every monic of degree n when there are at most 3125 of them, else
+        # a seeded sample with 200 irreducibles in it
+        rng = random.Random(p)
+        for n in range(1, 7):
+            brute = brute_monic_irreducibles(p, n)
+            monics = list(fppoly.monic_of_degree(p, n))
+            if len(monics) > 5**5:
+                monics = rng.sample(monics, 600) + rng.sample(sorted(brute), 200)
+            got = {f for f in monics if fppoly.is_irreducible(p, f)}
+            assert got == brute.intersection(monics)
+
     def test_enumeration_order(self):
         assert fppoly.enumerate_monic_irreducibles(2, 2) == [(0, 1), (1, 1), (1, 1, 1)]
         assert fppoly.enumerate_monic_irreducibles(2, 1) == [(0, 1), (1, 1)]

@@ -105,8 +105,9 @@ class TestResultant:
             assert scaled == lam ** (2 * phi.degree) * base
 
     def test_zero_pivot_patterns(self):
-        # forms with vanishing leading coefficients force row swaps in the
-        # fraction-free elimination; cross-check against plain Gaussian
+        # forms with vanishing leading coefficients take the swap and
+        # degree-drop rules of the PRS; cross-check against plain Gaussian
+        # elimination
         cases = [
             ((0, 1, 0), (1, 0, 1)),  # XY vs X^2 + Y^2
             ((1, 0, 0), (0, 1, 1)),  # Y^2 vs X^2 + XY

@@ -84,6 +84,26 @@ class TestTables:
             assert field_of_size(p**k) == ResidueField(p, first)
             k += 1
 
+    @pytest.mark.parametrize(
+        "q, modulus",
+        [
+            (2**8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+            (2**16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)),
+            (2**17, (1, 0, 0, 1) + (0,) * 13 + (1,)),
+            (2**24, (1, 1, 0, 1, 1) + (0,) * 19 + (1,)),
+            (3**9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
+            (3**12, (2, 0, 1) + (0,) * 9 + (1,)),
+            (5**7, (1, 1, 0, 0, 0, 0, 0, 1)),
+            (7**6, (2, 0, 0, 0, 0, 0, 1)),
+            (101**3, (1, 1, 0, 1)),
+            (1009**2, (11, 0, 1)),
+        ],
+    )
+    def test_field_of_size_moduli_frozen(self, q, modulus):
+        # the first irreducible in code order, frozen from the trial-division
+        # irreducibility test
+        assert field_of_size(q).modulus == modulus
+
     def test_field_of_size_without_the_sieve(self):
         start = time.perf_counter()
         rf = field_of_size(2**20)

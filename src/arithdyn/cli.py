@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .bounds import BoundContext, compute_bounds, preper_total_bound, verify_report
 from .dynamics import (
+    DEFAULT_MAX_STEPS,
     Budget,
     OrbitReport,
     functional_graph,
@@ -37,6 +38,7 @@ from .fields import (
 )
 from .parsing import parse_element, parse_map, parse_point
 from .ratmap import bad_places, reduce_map, resultant
+from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
 
 
@@ -71,10 +73,14 @@ def _parse_places(parse, field: BaseField, token: str):
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_steps=getattr(args, "max_steps", None) or 2000,
-        height_cap=getattr(args, "height_cap", None),
-    )
+    return Budget(max_steps=args.max_steps, height_cap=args.height_cap)
+
+
+def _positive_int(token: str) -> int:
+    n = int(token)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
+    return n
 
 
 def _point_json(pt) -> str:
@@ -434,7 +440,7 @@ def _build_parser() -> _Parser:
     def add_common(sp, with_budgets=True):
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if with_budgets:
-            sp.add_argument("--max-steps", type=int, default=None)
+            sp.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
             sp.add_argument("--height-cap", type=int, default=None)
 
     sp = sub.add_parser("analyze", help="degree, resultant, bad places")
@@ -458,7 +464,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--field", required=True)
     sp.add_argument("map")
     sp.add_argument("--place", required=True)
-    sp.add_argument("--node-budget", type=int, default=100_000)
+    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     add_common(sp, with_budgets=False)
 
     sp = sub.add_parser("bounds", help="evaluate all bound formulas")

@@ -41,7 +41,6 @@ from .ratmap import (
     escape_profile,
     iterate_map,
     reduce_map,
-    _INF_MARK,
 )
 from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
 
@@ -264,14 +263,11 @@ def reduced_period_data(
     psi = reduce_map(phi, place)
     start = reduce_point(point, place)
     cycle = _reduced_cycle_from(psi, start)
-    m = len(cycle)
-    chain = [
-        _INF_MARK if q.is_infinity else q.x for q in cycle
-    ]
-    lam = cycle_multiplier(psi.rfield, list(psi.fco), list(psi.gco), chain)
-    if lam == 0:
-        return PeriodData(m, INFINITE)
-    return PeriodData(m, psi.rfield.multiplicative_order(lam))
+    rf = psi.rfield
+    num, den = cycle_multiplier(rf, psi.fco, psi.gco, [(q.x, q.y) for q in cycle])
+    if not num:
+        return PeriodData(len(cycle), INFINITE)
+    return PeriodData(len(cycle), rf.multiplicative_order(rf.div(num, den)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,9 +287,11 @@ def check_period_relation(
     """Verify n in {m, m*r, p^e*m*r} for the reduction at a good place.
 
     n must be the exact minimal period of the point; this is re-verified
-    by iteration.  A "violation" verdict would indicate an implementation
-    bug, not a counterexample.
+    by iteration, and n < 1 raises PreconditionError.  A "violation"
+    verdict would indicate an implementation bug, not a counterexample.
     """
+    if n < 1:
+        raise PreconditionError("period must be >= 1")
     if iterate_map(phi, point, n) != point:
         raise PreconditionError("point is not n-periodic")
     for d in range(1, n):

@@ -51,9 +51,10 @@ KIND_ARCH = "arch"
 # the unit group (as ints, constants of the ring).  `form_height` bounds
 # the coefficient size of a form (bits of its 2-norm over Z, largest
 # t-degree over F_p[t]), and `height_unit` is the size that costs one unit
-# of resultant work (ratmap.RESULTANT_BUDGET).  They act on the raw values
-# stored everywhere else, ints and coefficient tuples, and call fppoly
-# through the module at each call.
+# of resultant work (ratmap.RESULTANT_BUDGET).  `escape_radius` is the
+# radius of the escape criterion in ratmap.escape_profile.  They act on the
+# raw values stored everywhere else, ints and coefficient tuples, and call
+# fppoly through the module at each call.
 
 
 class IntegerRing:
@@ -67,7 +68,7 @@ class IntegerRing:
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
-    scale = staticmethod(operator.mul)  # by a unit from unit_inverse
+    scale = staticmethod(operator.mul)  # by an int, e.g. from unit_inverse
     gcd = staticmethod(math.gcd)
     exactdiv = staticmethod(operator.floordiv)
     size = staticmethod(abs)
@@ -83,6 +84,12 @@ class IntegerRing:
     def form_height(co) -> int:
         """Bits of the 2-norm of a coefficient tuple, rounded up."""
         return (sum(c * c for c in co).bit_length() + 1) // 2
+
+    @staticmethod
+    def escape_radius(co) -> int:
+        """The |z| from which z -> F(z)/u doubles |z|, where F is monic up to
+        sign with lower coefficients co and u is a unit."""
+        return sum(map(abs, co)) + 2
 
     @staticmethod
     def unit_inverse(a: int) -> int:
@@ -146,7 +153,7 @@ class PolynomialRing:
         return fppoly.pmul(self.p, a, b)
 
     def scale(self, a: Coeffs, u: int) -> Coeffs:
-        """a times the constant unit u from unit_inverse."""
+        """a times the integer u, e.g. the unit from unit_inverse."""
         return fppoly.pscale(self.p, a, u)
 
     def gcd(self, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -167,6 +174,12 @@ class PolynomialRing:
     def form_height(co) -> int:
         """Largest t-degree in a coefficient tuple."""
         return max(map(len, co)) - 1
+
+    @staticmethod
+    def escape_radius(co) -> int:
+        """The deg z from which z -> F(z)/u raises deg z, where F has a
+        constant leading coefficient and lower coefficients co, u a unit."""
+        return max(1, *map(len, co))
 
     def unit_inverse(self, a: Coeffs) -> int:
         """The unit u making u*a monic: the inverse of the leading coefficient."""
@@ -238,9 +251,7 @@ class BaseField:
 
     Computations always happen over the prime global field itself; the
     extension degree D appears only as a parameter of bound formulas.
-    `ring` is the integral ring, Z or F_p[t].  The methods from_int, add,
-    sub, mul and div on elements match ResidueField's, so the multiplier
-    kernel runs on either kind of field.
+    `ring` is the integral ring, Z or F_p[t].
     """
 
     char: int
@@ -275,25 +286,6 @@ class BaseField:
         if self.is_rationals:
             raise DomainError("the rationals have no generator t")
         return GlobalFieldElement(self, (0, 1), fppoly.ONE)
-
-    def from_int(self, n: int) -> "GlobalFieldElement":
-        return self.element(n)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
 
     def __str__(self) -> str:
         return "Q" if self.is_rationals else f"F{self.char}(t)"

@@ -362,7 +362,8 @@ def _successor_step(psi: ReducedMap):
     node 0 (it has no log): over F_2 they run on codes, a sum being an XOR
     and a product exp[log a + log b]; over odd p they run on logs (-1 for
     zero), a sum g^a + g^c being g^(a + zech[c - a]).  Other extensions
-    use the field's polynomial arithmetic.
+    evaluate both forms by `_eval_pair` on the field's polynomial
+    arithmetic.
     """
     rf = psi.rfield
     p, q, d = rf.p, rf.q, psi.degree
@@ -386,16 +387,11 @@ def _successor_step(psi: ReducedMap):
             return ReducedPoint.make(rf, f, g).code()
 
     elif t is None:
-        mul, add = rf.mul, rf.add
 
         def step(x):
             if x == q:
                 return ReducedPoint.make(rf, fd, gd).code()
-            f, g = fd, gd
-            for cf, cg in rest:
-                f = add(mul(f, x), cf)
-                g = add(mul(g, x), cg)
-            return ReducedPoint.make(rf, f, g).code()
+            return ReducedPoint.make(rf, *_eval_pair(rf, fco, gco, x, 1)).code()
 
     elif p == 2:
         exp, log, n = t.exp, t.log, t.n
@@ -463,65 +459,38 @@ def reduce_map(phi: RationalMap, place: Place) -> ReducedMap:
 # ---------------------------------------------------------------------------
 # multipliers
 
-_INF_MARK = object()  # chart marker for the point at infinity
+def cycle_multiplier(ring, fco: tuple, gco: tuple, cycle: list):
+    """The multiplier of a cycle of (F, G) as a fraction (num, den) in `ring`.
 
-
-def _horner(field, co: list, z):
-    acc = field.from_int(0)
-    for c in reversed(co):
-        acc = field.add(field.mul(acc, z), c)
-    return acc
-
-
-def _deriv(field, co: list) -> list:
-    return [field.mul(co[i], field.from_int(i)) for i in range(1, len(co))]
-
-
-def _rational_derivative(field, num: list, den: list, z):
-    """d/dz (num/den) at z; caller guarantees den(z) != 0."""
-    nz = _horner(field, num, z)
-    dz = _horner(field, den, z)
-    npz = _horner(field, _deriv(field, num), z)
-    dpz = _horner(field, _deriv(field, den), z)
-    return field.div(
-        field.sub(field.mul(npz, dz), field.mul(nz, dpz)), field.mul(dz, dz)
-    )
-
-
-def cycle_multiplier(field, fco: list, gco: list, cycle: list):
-    """Derivative of the n-th iterate along a cycle, by the chain rule.
-
-    `field` is a BaseField (elements GlobalFieldElement) or a ResidueField
-    (elements int codes); both give from_int, add, sub, mul and div.
-    `cycle` lists the affine values of the cycle points with _INF_MARK for
-    the point at infinity; fco/gco are the affine numerator/denominator
-    coefficients (ascending).  Chart changes w = 1/z are applied wherever
-    a step enters or leaves infinity, and the telescoped product is the
-    chart-independent multiplier of the cycle.
+    `ring` is an integral ring (Z or F_p[t]) or a ResidueField, and `cycle`
+    lists the points as coordinate pairs (x, y) in it.  For a step P -> P',
+    write (u, v) = (F, G)(P) = mu * P' and let J be the Jacobian of (F, G).
+    With a chart chosen at each point, the derivative of the step is
+        det(P', J(P) w) / (mu * det(P, w)) * k(P) / k(P')
+    for any w off the line of P, where k = y^2 in the chart X/Y and x^2 in
+    the chart Y/X.  The k's cancel around the cycle, so no chart is
+    chosen: w = (0, 1) with det(P, w) = x, or (1, 0) with det = -y when
+    x = 0, and mu = s / c with (c, s) = (x', u), or (y', v) when x' = 0.
+    The denominator is nonzero because F and G have no common zero.
     """
-    n = len(cycle)
-    frev = list(reversed(fco))
-    grev = list(reversed(gco))
-    zero = field.from_int(0)
-    result = field.from_int(1)
-    for i in range(n):
-        z = cycle[i]
-        z_next = cycle[(i + 1) % n]
-        at_inf = z is _INF_MARK
-        next_inf = z_next is _INF_MARK
-        if not at_inf and not next_inf:
-            factor = _rational_derivative(field, fco, gco, z)
-        elif not at_inf and next_inf:
-            factor = _rational_derivative(field, gco, fco, z)
-        elif at_inf and not next_inf:
-            # chart w = 1/z; phi(1/w) = frev(w)/grev(w), evaluated at w = 0
-            factor = _rational_derivative(field, frev, grev, zero)
+    d = len(fco) - 1
+    scale, mul, sub = ring.scale, ring.mul, ring.sub
+    # the partial derivatives, degree d - 1 forms by ascending X-power
+    fx, gx = ([scale(co[i], i) for i in range(1, d + 1)] for co in (fco, gco))
+    fy, gy = ([scale(co[i], d - i) for i in range(d)] for co in (fco, gco))
+    num = den = ring.one
+    for (x, y), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]):
+        u, v = _eval_pair(ring, fco, gco, x, y)
+        if x:
+            a, b = _eval_pair(ring, fy, gy, x, y)
+            det = x
         else:
-            factor = _rational_derivative(field, grev, frev, zero)
-        result = field.mul(result, factor)
-        if result == zero:
-            return result
-    return result
+            a, b = _eval_pair(ring, fx, gx, x, y)
+            det = ring.neg(y)
+        c, s = (x1, u) if x1 else (y1, v)
+        num = mul(num, mul(c, sub(mul(x1, b), mul(y1, a))))
+        den = mul(den, mul(s, det))
+    return num, den
 
 
 @dataclass(frozen=True, slots=True)
@@ -529,15 +498,6 @@ class MultiplierValue:
     value: GlobalFieldElement
     period: int
     point: ProjPoint
-
-
-def affine_coefficients(phi: RationalMap) -> tuple[list, list]:
-    """F(z, 1) and G(z, 1) as ascending lists of field elements."""
-    field = phi.field
-    return (
-        [field.element(c) for c in phi.fco],
-        [field.element(c) for c in phi.gco],
-    )
 
 
 def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
@@ -555,11 +515,9 @@ def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
         cycle_pts.append(current)
     if cycle_pts[-1] != point:
         raise PreconditionError(f"{point} is not {n}-periodic under {phi}")
-    fco, gco = affine_coefficients(phi)
-    chain = [
-        _INF_MARK if q.is_infinity else q.affine() for q in cycle_pts[:-1]
-    ]
-    value = cycle_multiplier(phi.field, fco, gco, chain)
+    field = phi.field
+    cycle = [(q.x, q.y) for q in cycle_pts[:-1]]
+    value = field.element(*cycle_multiplier(field.ring, phi.fco, phi.gco, cycle))
     return MultiplierValue(value, n, point)
 
 
@@ -612,20 +570,8 @@ class EscapeProfile:
 
 def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     """The divergence profile, or None when the criterion does not apply."""
-    d = phi.degree
-    if d < 2:
+    fco, gco, d = phi.fco, phi.gco, len(phi.fco) - 1
+    ring = phi.field.ring
+    if d < 2 or any(gco[1:]) or not (ring.is_unit(gco[0]) and ring.is_unit(fco[d])):
         return None
-    field = phi.field
-    if field.is_rationals:
-        if any(phi.gco[i] != 0 for i in range(1, d + 1)):
-            return None
-        if abs(phi.gco[0]) != 1 or abs(phi.fco[d]) != 1:
-            return None
-        s = sum(abs(phi.fco[i]) for i in range(d))
-        return EscapeProfile(radius=s + 2)
-    if any(phi.gco[i] for i in range(1, d + 1)):
-        return None
-    if fppoly.pdeg(phi.gco[0]) != 0 or fppoly.pdeg(phi.fco[d]) != 0:
-        return None
-    t = max((fppoly.pdeg(phi.fco[i]) for i in range(d) if phi.fco[i]), default=0)
-    return EscapeProfile(radius=max(t + 1, 1))
+    return EscapeProfile(ring.escape_radius(fco[:d]))

@@ -47,7 +47,12 @@ class FieldTables:
 
 @dataclass(frozen=True, slots=True)
 class ResidueField:
-    """F_q presented as F_p (modulus None) or F_p[u]/(modulus)."""
+    """F_q presented as F_p (modulus None) or F_p[u]/(modulus).
+
+    Its one, add, sub, neg, mul and scale match those of the integral
+    rings (fields.Z, fields.polynomial_ring), so ratmap evaluates forms and
+    cycle multipliers over residue fields by the same code.
+    """
 
     p: int
     modulus: Coeffs | None = None
@@ -75,6 +80,8 @@ class ResidueField:
         return _field_tables(self)
 
     # -- arithmetic on int codes ------------------------------------------
+
+    one = 1
 
     def add(self, a: int, b: int) -> int:
         if self.modulus is None:
@@ -114,6 +121,10 @@ class ResidueField:
             raise DomainError(f"{self.element_str(a)} is not invertible in {self}")
         return fppoly.pcode(self.p, fppoly.pmod(self.p, u, self.modulus))
 
+    def scale(self, a: int, n: int) -> int:
+        """a times the integer n (n mod p is the code of its image)."""
+        return self.mul(a, n % self.p)
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -127,10 +138,6 @@ class ResidueField:
             a = self.mul(a, a)
             e >>= 1
         return result
-
-    def from_int(self, n: int) -> int:
-        """The image of an integer (the prime subfield element n mod p)."""
-        return n % self.p
 
     def multiplicative_order(self, a: int) -> int:
         """Order of a nonzero element in the unit group of size q-1."""

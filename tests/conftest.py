@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
+from arithdyn import ratmap, residue
 from arithdyn.parsing import _clear_denominators
 
 settings.register_profile(
@@ -118,3 +119,13 @@ def good_test_places(phi: ad.RationalMap, extra_support=()):
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(params=["tables", "polynomial"])
+def arithmetic(request, monkeypatch):
+    """Run a test with exp/log tables and again with polynomial arithmetic."""
+    ratmap._successor_step.cache_clear()
+    if request.param == "polynomial":
+        monkeypatch.setattr(residue, "DEFAULT_NODE_BUDGET", 0)
+    yield request.param
+    ratmap._successor_step.cache_clear()

@@ -8,13 +8,15 @@ by repeated multiplication instead of square-and-multiply, irreducibility
 by all-pairs product enumeration instead of the product sieve or Ben-Or's
 test, polynomial products by the plain double loop instead of
 `fppoly.pmul`, residue-field arithmetic on coefficient tuples instead of
-exp/log tables, primality by trial division instead of Miller-Rabin, and
-so on.
+exp/log tables, primality by trial division instead of Miller-Rabin,
+cycle multipliers by the affine chain rule with chart swaps at infinity
+instead of the homogeneous Jacobian, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -281,3 +283,100 @@ class PolyResidueField:
             term = self._mul(self._mul(c, self._pow(x, i)), self._pow(y, d - i))
             total = fppoly.padd(self.p, total, term)
         return total
+
+
+# ---------------------------------------------------------------------------
+# cycle multipliers by the affine chain rule, the package's kernel before
+# the homogeneous Jacobian replaced it (kept verbatim below the adapters)
+
+
+class GlobalFieldOps:
+    """from_int, add, sub, mul and div on the elements of Q or F_p(t)."""
+
+    add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
+
+    def __init__(self, field):
+        self.from_int = field.element
+
+
+class ResidueFieldOps:
+    """from_int, add, sub, mul and div on the int codes of a ResidueField."""
+
+    def __init__(self, rf):
+        self.from_int = lambda n: n % rf.p
+        self.add, self.sub, self.mul, self.div = rf.add, rf.sub, rf.mul, rf.div
+
+
+def chart_swap_multiplier(phi, cycle):
+    """The multiplier of a cycle of ProjPoints of a RationalMap, a field element."""
+    field = phi.field
+    chain = [_INF_MARK if q.is_infinity else q.affine() for q in cycle]
+    fco = [field.element(c) for c in phi.fco]
+    gco = [field.element(c) for c in phi.gco]
+    return cycle_multiplier(GlobalFieldOps(field), fco, gco, chain)
+
+
+def reduced_chart_swap_multiplier(psi, cycle) -> int:
+    """The multiplier of a cycle of ReducedPoints of a ReducedMap, an int code."""
+    chain = [_INF_MARK if q.is_infinity else q.x for q in cycle]
+    return cycle_multiplier(ResidueFieldOps(psi.rfield), list(psi.fco), list(psi.gco), chain)
+
+
+_INF_MARK = object()  # chart marker for the point at infinity
+
+
+def _horner(field, co: list, z):
+    acc = field.from_int(0)
+    for c in reversed(co):
+        acc = field.add(field.mul(acc, z), c)
+    return acc
+
+
+def _deriv(field, co: list) -> list:
+    return [field.mul(co[i], field.from_int(i)) for i in range(1, len(co))]
+
+
+def _rational_derivative(field, num: list, den: list, z):
+    """d/dz (num/den) at z; caller guarantees den(z) != 0."""
+    nz = _horner(field, num, z)
+    dz = _horner(field, den, z)
+    npz = _horner(field, _deriv(field, num), z)
+    dpz = _horner(field, _deriv(field, den), z)
+    return field.div(
+        field.sub(field.mul(npz, dz), field.mul(nz, dpz)), field.mul(dz, dz)
+    )
+
+
+def cycle_multiplier(field, fco: list, gco: list, cycle: list):
+    """Derivative of the n-th iterate along a cycle, by the chain rule.
+
+    `field` is a GlobalFieldOps or a ResidueFieldOps; both give from_int,
+    add, sub, mul and div.  `cycle` lists the affine values of the cycle
+    points with _INF_MARK for the point at infinity; fco/gco are the affine
+    numerator/denominator coefficients (ascending).  Chart changes w = 1/z
+    are applied wherever a step enters or leaves infinity, and the
+    telescoped product is the chart-independent multiplier of the cycle.
+    """
+    n = len(cycle)
+    frev = list(reversed(fco))
+    grev = list(reversed(gco))
+    zero = field.from_int(0)
+    result = field.from_int(1)
+    for i in range(n):
+        z = cycle[i]
+        z_next = cycle[(i + 1) % n]
+        at_inf = z is _INF_MARK
+        next_inf = z_next is _INF_MARK
+        if not at_inf and not next_inf:
+            factor = _rational_derivative(field, fco, gco, z)
+        elif not at_inf and next_inf:
+            factor = _rational_derivative(field, gco, fco, z)
+        elif at_inf and not next_inf:
+            # chart w = 1/z; phi(1/w) = frev(w)/grev(w), evaluated at w = 0
+            factor = _rational_derivative(field, frev, grev, zero)
+        else:
+            factor = _rational_derivative(field, grev, frev, zero)
+        result = field.mul(result, factor)
+        if result == zero:
+            return result
+    return result

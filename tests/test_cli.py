@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from arithdyn.cli import run
+from arithdyn.dynamics import DEFAULT_MAX_STEPS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -298,14 +299,32 @@ class TestExitCodes:
             ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf;p:x", "--cap", "2"),
             ("graph", "--field", "Fp:2", "z^2", "--place", "pi:a,b"),
             ("graph", "--field", "Fp:2", "z^2", "--place", "pi:"),
+            ("orbit", "--field", "Q", "z+1", "--point", "0", "--max-steps", "0"),
+            ("search", "--field", "Q", "z+1", "--height", "1", "--max-steps", "-2"),
+            ("verify-corollary3", "--c-range=-1:1", "--max-steps", "0"),
         ],
-        ids=["characteristic", "place", "place-set", "poly-place", "empty-poly-place"],
+        ids=[
+            "characteristic", "place", "place-set", "poly-place", "empty-poly-place",
+            "zero-max-steps", "negative-max-steps", "zero-max-steps-sweep",
+        ],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("steps", [None, 1])
+    def test_smallest_and_default_max_steps(self, capsys, steps):
+        argv = ["orbit", "--field", "Q", "z+1", "--point", "0", "--json"]
+        if steps is not None:
+            argv += ["--max-steps", str(steps)]
+        code, out, _ = run_cli(capsys, *argv)
+        result = json.loads(out)["result"]
+        want = DEFAULT_MAX_STEPS if steps is None else steps
+        assert code == 2
+        assert result["budget"]["max_steps"] == want
+        assert (result["reason"], result["steps"]) == ("steps", want)
 
 
 def run_subprocess(*argv, timeout=10):

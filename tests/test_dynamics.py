@@ -1,13 +1,16 @@
 import random
+from math import gcd
 
 import pytest
 
 import arithdyn as ad
+from arithdyn import fppoly
 from arithdyn.dynamics import Budget
 from arithdyn.errors import BudgetExceededError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import good_test_places, interpolated_polynomial_map, random_map
+from oracles import eval_form_ff
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -82,6 +85,104 @@ class TestOrbit:
         fake = ad.OrbitReport(rep.start, rep.tail, rep.cycle + rep.cycle)
         with pytest.raises(PreconditionError):
             ad.validate_orbit_report(phi, fake)
+
+
+def shaped_maps(field, rng, count):
+    """Maps [F : u*Y^d], d = 2, 3 over Q and d = 2 over F_p(t), with unit
+    u and unit leading coefficient of F: the shape escape_profile covers."""
+    maps = []
+    while len(maps) < count:
+        if field.is_rationals:
+            d = rng.choice((2, 3))
+            lower = [rng.randint(-6, 6) for _ in range(d)]
+            fco, u = lower + [rng.choice((1, -1))], rng.choice((1, -1))
+        else:
+            d, p = 2, field.char
+            lower = [[rng.randrange(p) for _ in range(rng.randint(1, 3))] for _ in range(d)]
+            fco, u = lower + [rng.randrange(1, p)], rng.randrange(1, p)
+        maps.append(ad.make_map(field, fco, [u] + [0] * d))
+    return maps
+
+
+def oracle_step(phi, x, y):
+    """The coprime coordinates of phi([x : y]) from explicit monomial sums."""
+    field = phi.field
+    if field.is_rationals:
+        d = phi.degree
+        fx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.fco))
+        gx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.gco))
+        g = gcd(fx, gx)
+        return fx // g, gx // g
+    p = field.char
+    fx, gx = eval_form_ff(p, phi.fco, x, y), eval_form_ff(p, phi.gco, x, y)
+    g = fppoly.pgcd(p, fx, gx)
+    return fppoly.pdivmod(p, fx, g)[0], fppoly.pdivmod(p, gx, g)[0]
+
+
+class TestEscapeProfile:
+    FIELDS = [ad.QQ, F2T, F3T]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_radius_formula(self, field):
+        for phi in shaped_maps(field, random.Random(71), 40):
+            lower = phi.fco[:-1]
+            if field.is_rationals:
+                want = sum(abs(c) for c in lower) + 2
+            else:
+                want = max([fppoly.pdeg(c) + 1 for c in lower if c], default=1)
+            assert ad.escape_profile(phi).radius == want
+
+    @pytest.mark.parametrize(
+        "field, expr",
+        [
+            (ad.QQ, "z+3"),
+            (ad.QQ, "2*z^2+1"),
+            (ad.QQ, "z^2/3"),
+            (ad.QQ, "(z^2+1)/(z+1)"),
+            (F2T, "t*z^2+1"),
+            (F2T, "z^2/t"),
+            (F3T, "(z^3+1)/(z^2+1)"),
+        ],
+    )
+    def test_other_shapes_have_no_profile(self, field, expr):
+        assert ad.escape_profile(ad.parse_map(expr, field)) is None
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_escaped_orbits_grow(self, field):
+        # what the proof claims, checked on 8 oracle steps past the point
+        # where it fired: a non-unit denominator grows strictly; a unit
+        # denominator means an integral point whose numerator grows (by a
+        # factor 2 at least over Q).  The projective height itself can
+        # drop: z^2-6 sends 5/2 to 1/4.
+        ring, rng = field.ring, random.Random(72)
+        integral = fractional = 0
+        for phi in shaped_maps(field, rng, 12):
+            points = ad.enumerate_points(field, 4 if field.is_rationals else 1)
+            outs = [ad.orbit(phi, pt) for pt in points]
+            escaped = [o for o in outs if isinstance(o, ad.ExceededBudget) and o.divergent]
+            # the oracle steps are slow on long polynomials: six per map
+            for out in rng.sample(escaped, min(6, len(escaped))):
+                x, y = out.start.x, out.start.y
+                for _ in range(out.steps):
+                    x, y = oracle_step(phi, x, y)
+                assert max(ring.size(x), ring.size(y)) == out.last_height
+                if ring.is_unit(y):
+                    integral += 1
+                    assert ring.size(x) >= ad.escape_profile(phi).radius
+                else:
+                    fractional += 1
+                for _ in range(8):
+                    x1, y1 = oracle_step(phi, x, y)
+                    if ring.is_unit(y):
+                        assert ring.is_unit(y1)
+                        if field.is_rationals:
+                            assert abs(x1) >= 2 * abs(x)
+                        else:
+                            assert ring.size(x1) > ring.size(x)
+                    else:
+                        assert ring.size(y1) > ring.size(y)
+                    x, y = x1, y1
+        assert integral >= 10 and fractional >= 10
 
 
 class TestFunctionalGraph:
@@ -206,6 +307,13 @@ class TestCheckMst:
         one = ad.from_affine(ad.QQ.one())
         with pytest.raises(PreconditionError):
             ad.check_period_relation(sq, one, 2, ad.prime_place(7))  # 2 is not minimal
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_period_rejected(self, n):
+        phi = ad.parse_map("z^2-1", ad.QQ)
+        zero = ad.from_affine(ad.QQ.zero())
+        with pytest.raises(PreconditionError):
+            ad.check_period_relation(phi, zero, n, ad.prime_place(3))
 
 
 class TestPreperiodicSearch:

@@ -1,19 +1,35 @@
 """Cross-checks of cycle multipliers against independent computations.
 
-The chain-rule kernel with chart swaps at infinity is the subtlest piece
-of exact dynamics here, so it gets a second, structurally different
-oracle: explicit symbolic composition of the iterate as one big rational
-function over Fraction coefficients, gcd-reduced, then differentiated at
-a finite cycle point.  A third check reduces an exact multiplier modulo a
-prime and compares with the residue-side computation.
+`ratmap.cycle_multiplier` takes the multiplier from the homogeneous
+Jacobian of (F, G), with no chart at all, so it is checked against three
+structurally different routes:
+
+- explicit symbolic composition of the iterate as one big rational
+  function over Fraction coefficients, gcd-reduced, then differentiated at
+  a finite cycle point;
+- the affine chain rule with chart swaps at infinity (`oracles.
+  cycle_multiplier`, the package's former kernel), on random cycles over
+  Q, F_2(t), F_3(t) and F_5(t) and on every cycle of their reductions at
+  prime places, the infinite place and extension places, the last both
+  with exp/log tables and with polynomial arithmetic;
+- the reduction of an exact multiplier modulo a prime, compared with the
+  residue-side computation.
 """
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
 import arithdyn as ad
-from arithdyn.projective import INFINITE
+from arithdyn import ratmap
+from arithdyn.fields import KIND_INF
+from arithdyn.parsing import _clear_denominators
+from arithdyn.projective import INFINITE, ReducedPoint
+from arithdyn.residue import reduce_values
+
+import oracles
 
 
 def _ptrim(a):
@@ -211,3 +227,157 @@ class TestFunctionFieldMultipliers:
         rep = ad.orbit(phi, one_pt)
         assert rep.n == 2
         assert ad.multiplier(phi, one_pt, 2).value == F2T.one()
+
+
+# ---------------------------------------------------------------------------
+# random cycles against the chart-swap chain rule
+
+FIELDS = [ad.QQ, ad.function_field(2), ad.function_field(3), ad.function_field(5)]
+
+
+def _random_coordinate(field, rng):
+    if field.is_rationals:
+        return rng.randint(-6, 6)
+    return field.ring.coerce([rng.randrange(field.char) for _ in range(rng.randint(1, 3))])
+
+
+def _random_points(field, rng, n):
+    """n distinct points, one in four sets containing infinity."""
+    pts = [ad.infinity(field)] if rng.random() < 0.25 else []
+    while len(pts) < n:
+        x, y = _random_coordinate(field, rng), _random_coordinate(field, rng)
+        if x or y:
+            pt = ad.point_from_raw(field, x, y)
+            if pt not in pts:
+                pts.append(pt)
+    rng.shuffle(pts)
+    return pts
+
+
+def _null_vector(field, rows, rng):
+    """A random vector of the kernel of a matrix of field elements."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        k = next((i for i in range(len(pivots), len(rows)) if not rows[i][c].is_zero), None)
+        if k is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    sol = [field.zero()] * ncols
+    for j in free:
+        sol[j] = field.element(_random_coordinate(field, rng))
+    for r, c in enumerate(pivots):
+        sol[c] = -sum((rows[r][j] * sol[j] for j in free), field.zero())
+    return sol
+
+
+def map_with_cycle(field, pts, d, rng, step=1):
+    """A random degree-d map sending each point of pts to the next, or None.
+
+    Only the coefficients of X^i Y^(d-i) with step | i may be nonzero, so
+    step = p gives a map in X^p and Y^p, whose derivative vanishes in
+    characteristic p.  (F, G) maps P to P' exactly when
+    y' F(P) - x' G(P) = 0, which is linear in the coefficients.
+    """
+    idx = range(0, d + 1, step)
+    el = field.element
+    rows = []
+    for P, Q in zip(pts, pts[1:] + pts[:1]):
+        mono = [el(P.x) ** i * el(P.y) ** (d - i) for i in idx]
+        rows.append([el(Q.y) * m for m in mono] + [-el(Q.x) * m for m in mono])
+    sol = _null_vector(field, rows, rng)
+    if all(c.is_zero for c in sol):
+        return None
+    fco, gco = [field.zero()] * (d + 1), [field.zero()] * (d + 1)
+    for k, i in enumerate(idx):
+        fco[i], gco[i] = sol[k], sol[len(idx) + k]
+    raw = _clear_denominators(field, fco + gco)
+    try:
+        return ad.make_map(field, raw[: d + 1], raw[d + 1 :])
+    except ad.DegenerateMapError:
+        return None
+
+
+def random_cycles(field, seed, count):
+    """(map, cycle) pairs: degree 1..3, period 1..2d+1, some inseparable."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        step = 1
+        if field.char and d % field.char == 0 and rng.random() < 0.5:
+            step = field.char
+        n = rng.randint(1, 2 * len(range(0, d + 1, step)) - 1)
+        pts = _random_points(field, rng, n)
+        phi = map_with_cycle(field, pts, d, rng, step)
+        if phi is not None:
+            out.append((phi, pts))
+    return out
+
+
+def reduced_cycles(phi):
+    """(reduced map, cycle of ReducedPoints) at a few good places."""
+    field = phi.field
+    if field.is_rationals:
+        places = [ad.prime_place(q) for q in (2, 3, 5, 7)]
+    else:
+        irr = ad.enumerate_monic_irreducibles(field, 3)
+        places = [ad.infinite_place(field)]
+        for k in (1, 2, 3):
+            places += [ad.irreducible_place(field, f) for f in irr if f.degree == k][:2]
+    ring, res, d = field.ring, ratmap.resultant_raw(phi), phi.degree
+    for place in places:
+        # good reduction read off the resultant, without factoring it
+        if place.kind == KIND_INF:
+            good = ring.size(res) == 2 * d * ratmap.max_coeff_degree(phi)
+        else:
+            good = ring.residue(res, place.payload) != 0
+        if not good:
+            continue
+        codes = reduce_values(place, phi.fco + phi.gco)
+        psi = ratmap.ReducedMap(ad.residue_field(place), codes[: d + 1], codes[d + 1 :])
+        for cyc in ad.functional_graph(psi).cycles:
+            yield psi, [ReducedPoint.from_code(psi.rfield, c) for c in cyc]
+
+
+class TestChartSwapOracle:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_global_cycles(self, field):
+        cases = random_cycles(field, 8000 + field.char, 60)
+        through_inf = zero = linear = 0
+        for phi, pts in cases:
+            assert all(ad.apply_map(phi, P) == Q for P, Q in zip(pts, pts[1:] + pts[:1]))
+            got = ad.multiplier(phi, pts[0], len(pts)).value
+            assert got == oracles.chart_swap_multiplier(phi, pts), (phi, pts)
+            through_inf += any(P.is_infinity for P in pts)
+            zero += got.is_zero
+            linear += phi.degree == 1
+        assert through_inf >= 10 and linear >= 10
+        if field.char in (2, 3):  # maps in X^p, Y^p of degree p
+            assert zero >= 3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_reduced_cycles(self, field, arithmetic):
+        kinds = set()
+        through_inf = zero = 0
+        for phi, _ in random_cycles(field, 9000 + field.char, 25):
+            for psi, pts in reduced_cycles(phi):
+                rf = psi.rfield
+                cycle = [(P.x, P.y) for P in pts]
+                got = rf.div(*ratmap.cycle_multiplier(rf, psi.fco, psi.gco, cycle))
+                assert got == oracles.reduced_chart_swap_multiplier(psi, pts), (psi, pts)
+                kinds.add((rf.modulus is None, rf.tables() is None))
+                through_inf += any(P.is_infinity for P in pts)
+                zero += not got
+        assert through_inf >= 10 and zero >= 5
+        assert (True, True) in kinds
+        if field.char:
+            assert (False, arithmetic == "polynomial") in kinds

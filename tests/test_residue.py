@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from arithdyn import fppoly, ratmap, residue
+from arithdyn import fppoly, residue
 from arithdyn.dynamics import functional_graph
 from arithdyn.errors import BudgetExceededError, DomainError
 from arithdyn.projective import ReducedPoint
@@ -27,16 +27,6 @@ PRIMES = [2, 3, 5, 7, 13, 101]
 
 def oracle_for(rf):
     return PolyResidueField(rf.p, rf.modulus or (0, 1))
-
-
-@pytest.fixture(params=["tables", "polynomial"])
-def arithmetic(request, monkeypatch):
-    """Run a test with exp/log tables and again with polynomial arithmetic."""
-    ratmap._successor_step.cache_clear()
-    if request.param == "polynomial":
-        monkeypatch.setattr(residue, "DEFAULT_NODE_BUDGET", 0)
-    yield request.param
-    ratmap._successor_step.cache_clear()
 
 
 class TestTables:

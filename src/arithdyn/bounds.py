@@ -56,11 +56,6 @@ def ln_interval(x: Fraction, terms: int = 24) -> Interval:
     )
 
 
-def _imul(a: Interval, b: Interval) -> Interval:
-    # both intervals nonnegative in every use here
-    return a[0] * b[0], a[1] * b[1]
-
-
 def _ipow(a: Interval, e: int) -> Interval:
     return a[0] ** e, a[1] ** e
 
@@ -68,11 +63,6 @@ def _ipow(a: Interval, e: int) -> Interval:
 def _iscale(a: Interval, c) -> Interval:
     c = Fraction(c)
     return a[0] * c, a[1] * c
-
-
-def _iadd_const(a: Interval, c) -> Interval:
-    c = Fraction(c)
-    return a[0] + c, a[1] + c
 
 
 def _imax(a: Interval, b: Interval) -> Interval:

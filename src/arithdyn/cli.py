@@ -457,7 +457,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("search", help="preperiodic points up to a height")
     sp.add_argument("--field", required=True)
     sp.add_argument("map")
-    sp.add_argument("--height", type=int, required=True)
+    sp.add_argument("--height", type=_positive_int, required=True)
     add_common(sp)
 
     sp = sub.add_parser("graph", help="functional graph of the reduced map")
@@ -479,7 +479,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--S", required=True, help="';'-separated place tokens")
-    sp.add_argument("--cap", type=int, required=True)
+    sp.add_argument("--cap", type=_positive_int, required=True)
     add_common(sp, with_budgets=False)
 
     sp = sub.add_parser(
@@ -489,7 +489,7 @@ def _build_parser() -> _Parser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--c-range", type=_parse_range, default=None)
     group.add_argument("--maps-file", default=None)
-    sp.add_argument("--height", type=int, default=100)
+    sp.add_argument("--height", type=_positive_int, default=100)
     add_common(sp)
 
     return parser

@@ -36,7 +36,6 @@ from .ratmap import (
     RationalMap,
     ReducedMap,
     apply_map,
-    bad_places,
     cycle_multiplier,
     escape_profile,
     iterate_map,
@@ -258,8 +257,6 @@ def reduced_period_data(
     phi: RationalMap, point: ProjPoint, place: Place
 ) -> PeriodData:
     """(m, r) for the reduction of a point at a good place."""
-    if place in bad_places(phi):
-        raise PreconditionError(f"bad reduction at {place}")
     psi = reduce_map(phi, place)
     start = reduce_point(point, place)
     cycle = _reduced_cycle_from(psi, start)

@@ -268,10 +268,6 @@ class BaseField:
     def is_rationals(self) -> bool:
         return self.char == 0
 
-    @property
-    def is_function_field(self) -> bool:
-        return self.char != 0
-
     def element(self, num, den=1) -> "GlobalFieldElement":
         return make_element(self, num, den)
 
@@ -669,7 +665,7 @@ def residue_field_size(place: Place) -> int:
     return place.residue_size()
 
 
-def support(x: GlobalFieldElement, budget: int = 10**6) -> dict[Place, int]:
+def support(x: GlobalFieldElement) -> dict[Place, int]:
     """All places with nonzero valuation, mapped to that valuation.
 
     Over Q the archimedean place is not included (no normalized valuation).
@@ -680,7 +676,7 @@ def support(x: GlobalFieldElement, budget: int = 10**6) -> dict[Place, int]:
     out: dict[Place, int] = {}
     for value, sign in ((x.num, 1), (x.den, -1)):
         # ring.factor only emits prime elements, so skip re-validation
-        for pi, e in ring.factor(value, budget).items():
+        for pi, e in ring.factor(value).items():
             pl = Place(x.field, ring.place_kind, pi)
             out[pl] = out.get(pl, 0) + sign * e
     inf = infinite_place(x.field)
@@ -689,18 +685,37 @@ def support(x: GlobalFieldElement, budget: int = 10**6) -> dict[Place, int]:
     return {pl: e for pl, e in out.items() if e}
 
 
+def strip_places(
+    x: GlobalFieldElement, S: PlaceSet
+) -> tuple[GlobalFieldElement, tuple[int, ...]]:
+    """(rest, exponents), x = rest * prod pi^e over the finite places of S
+    in order, by valuation and not by factoring; rest.num and rest.den are
+    units exactly when v(x) = 0 at every finite place outside S."""
+    rest, exponents = x, []
+    for pl in S.finite_places():
+        e = valuation(x, pl)
+        exponents.append(e)
+        if e:
+            rest = rest / x.field.element(pl.payload) ** e
+    return rest, tuple(exponents)
+
+
 def is_s_integer(x: GlobalFieldElement, S: PlaceSet) -> bool:
     """v(x) >= 0 at every place outside S (zero is an S-integer)."""
     if x.is_zero:
         return True
-    return all(e >= 0 for pl, e in support(x).items() if pl not in S)
+    rest, _ = strip_places(x, S)
+    return x.field.ring.is_unit(rest.den) and (
+        S.contains_infinite() or valuation(x, infinite_place(x.field)) >= 0
+    )
 
 
 def is_s_unit(x: GlobalFieldElement, S: PlaceSet) -> bool:
-    """v(x) == 0 at every place outside S; undefined for zero."""
+    """v(x) == 0 at every place outside S (x and 1/x are S-integers);
+    undefined for zero."""
     if x.is_zero:
         raise DomainError("zero is not an S-unit")
-    return all(pl in S for pl in support(x))
+    return is_s_integer(x, S) and is_s_integer(x.field.one() / x, S)
 
 
 # ---------------------------------------------------------------------------

@@ -234,14 +234,6 @@ def ppow_mod(p: int, a: Coeffs, e: int, m: Coeffs) -> Coeffs:
     return result
 
 
-def peval(p: int, a: Coeffs, x: int) -> int:
-    """Evaluate at a field element given as an int mod p."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def pcode(p: int, a: Coeffs) -> int:
     """Base-p integer code of the coefficient tuple."""
     acc = 0
@@ -481,14 +473,6 @@ class FpPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
-    def is_monic(self) -> bool:
-        return plead(self.coeffs) == 1
 
     def leading(self) -> int:
         return plead(self.coeffs)

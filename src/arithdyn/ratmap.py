@@ -39,6 +39,7 @@ from .errors import (
 )
 from .fields import (
     KIND_ARCH,
+    KIND_INF,
     BaseField,
     GlobalFieldElement,
     Place,
@@ -239,24 +240,30 @@ def max_coeff_degree(phi: RationalMap) -> int:
 
 
 @lru_cache(maxsize=4096)
-def bad_places(phi: RationalMap, budget: int = 10**6) -> frozenset[Place]:
+def bad_places(phi: RationalMap) -> frozenset[Place]:
     """Non-archimedean places where no model keeps a unit resultant."""
-    res = resultant_raw(phi)
     field = phi.field
     ring = field.ring
-    out = {Place(field, ring.place_kind, pi) for pi in ring.factor(res, budget)}
-    # at the infinite place of F_p(t) the integral model is t^-M (F, G);
-    # its resultant has v_inf = 2*d*M - deg Res, minimal over all models
+    out = {Place(field, ring.place_kind, pi) for pi in ring.factor(resultant_raw(phi))}
     inf = infinite_place(field)
-    if not inf.is_archimedean and ring.size(res) < 2 * phi.degree * max_coeff_degree(phi):
+    if not inf.is_archimedean and not has_good_reduction(phi, inf):
         out.add(inf)
     return frozenset(out)
 
 
 def has_good_reduction(phi: RationalMap, place: Place) -> bool:
+    """Whether some model of phi has a unit resultant at `place`, read off
+    Res(F, G) there without factoring: Res mod pi != 0 at a finite place,
+    where the primitive model is integral, and deg Res = 2*d*M at the
+    infinite place of F_p(t) (see the module docstring)."""
     if place.kind == KIND_ARCH:
         raise DomainError("good reduction is defined at non-archimedean places")
-    return place not in bad_places(phi)
+    if place.field != phi.field:
+        raise DomainError("map and place over different base fields")
+    res, ring = resultant_raw(phi), phi.field.ring
+    if place.kind == KIND_INF:
+        return ring.size(res) == 2 * phi.degree * max_coeff_degree(phi)
+    return ring.residue(res, place.payload) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +454,7 @@ def _successor_step(psi: ReducedMap):
 
 def reduce_map(phi: RationalMap, place: Place) -> ReducedMap:
     """Reduce the coefficients at a good-reduction place."""
-    if place.kind == KIND_ARCH:
-        raise DomainError("cannot reduce at the archimedean place")
-    if place in bad_places(phi):
+    if not has_good_reduction(phi, place):
         raise PreconditionError(f"{phi} has bad reduction at {place}")
     codes = reduce_values(place, phi.fco + phi.gco)
     d = phi.degree
@@ -535,9 +540,7 @@ def classify_periodic_point(
     A vanishing multiplier counts as attracting (valuation +infinity).
     The place must be one of good reduction for phi.
     """
-    if place.kind == KIND_ARCH:
-        raise DomainError("classification needs a non-archimedean place")
-    if place in bad_places(phi):
+    if not has_good_reduction(phi, place):
         raise PreconditionError(f"bad reduction at {place}")
     lam = multiplier(phi, point, n).value
     if lam.is_zero:

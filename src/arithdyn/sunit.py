@@ -29,7 +29,7 @@ from .fields import (
     Place,
     PlaceSet,
     is_s_unit,
-    valuation,
+    strip_places,
 )
 
 
@@ -99,17 +99,12 @@ def s_unit_exponents(
     """
     if x.is_zero:
         return None
-    exponents = []
-    rest = x
-    for pl in _free_places(S):
-        e = valuation(x, pl)
-        exponents.append(e)
-        if e:
-            rest = rest / S.field.element(pl.payload) ** e
+    _free_places(S)  # refuses S without infinity over F_p(t)
+    rest, exponents = strip_places(x, S)
     ring = S.field.ring
     if rest.den != ring.one or not ring.is_unit(rest.num):
         return None
-    return rest, tuple(exponents)
+    return rest, exponents
 
 
 def is_s_trivial(a: GlobalFieldElement, b: GlobalFieldElement, S: PlaceSet) -> bool:

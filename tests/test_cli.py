@@ -302,10 +302,16 @@ class TestExitCodes:
             ("orbit", "--field", "Q", "z+1", "--point", "0", "--max-steps", "0"),
             ("search", "--field", "Q", "z+1", "--height", "1", "--max-steps", "-2"),
             ("verify-corollary3", "--c-range=-1:1", "--max-steps", "0"),
+            ("search", "--field", "Q", "z^2", "--height", "0"),
+            ("search", "--field", "Fp:2", "z^2", "--height", "-1"),
+            ("verify-corollary3", "--c-range=-1:1", "--height", "0"),
+            ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf;p:2", "--cap", "0"),
+            ("sunit-solve", "--field", "Fp:2", "--a", "1", "--b", "1", "--S", "inf", "--cap", "-3"),
         ],
         ids=[
             "characteristic", "place", "place-set", "poly-place", "empty-poly-place",
             "zero-max-steps", "negative-max-steps", "zero-max-steps-sweep",
+            "zero-height", "negative-height", "zero-height-sweep", "zero-cap", "negative-cap",
         ],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
@@ -368,6 +374,38 @@ class TestRobustness:
         )
         assert code == 2
         assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    # D = t^36 + ... is a product of two degree-18 irreducibles, too many
+    # for trial division: good reduction at one place is read off Res = D^2
+    # there, without factoring it
+    @pytest.mark.parametrize(
+        "place, want", [("pi:1,1", 0), ("inf", 2)], ids=["good-place", "bad-infinity"]
+    )
+    def test_given_place_decided_without_factoring(self, place, want):
+        code, out, err, seconds = run_subprocess(
+            "graph", "--field", "Fp:2",
+            "z^2/(t^36+t^23+t^22+t^20+t^19+t^12+t^11+t^10+t^7+t^3+t^2+t+1)",
+            "--place", place,
+        )
+        assert code == want
+        assert ("3 nodes, 3 cycles" in out) if want == 0 else ("PreconditionError" in err)
+        assert seconds < 2
+
+    # a = (10^9 + 7) * (10^9 + 9), and a degree-61 polynomial over F_2 whose
+    # cofactor trial division cannot split: S-membership strips the places
+    # of S instead of factoring a
+    @pytest.mark.parametrize(
+        "field, a, S",
+        [("Q", "1000000016000000063", "inf;p:2"), ("Fp:2", "t^61+t^5+t^3+t+1", "inf;pi:0,1")],
+        ids=["Q", "F2"],
+    )
+    def test_s_membership_decided_without_factoring(self, field, a, S):
+        code, out, _, seconds = run_subprocess(
+            "sunit-solve", "--field", field, "--a", a, "--b", "1", "--S", S, "--cap", "2"
+        )
+        assert code == 0
+        assert "S-trivial: False" in out
         assert seconds < 2
 
     def test_huge_degree_refused_in_a_subprocess(self):

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import time
@@ -140,6 +141,20 @@ class TestResidueSizes:
             ad.residue_field_size(ad.archimedean_place())
 
 
+def _random_s_value(field, rng, places):
+    """A product of powers of `places`, sometimes times one more small
+    value, as an integral value of the ring."""
+    ring = field.ring
+    value = ring.one
+    for pl in places:
+        for _ in range(rng.randint(0, 2)):
+            value = ring.mul(value, pl.payload)
+    if rng.random() < 0.4:
+        extra = rng.randint(1, 30) if field.is_rationals else (rng.randrange(1, field.char), 1, 1, 1)
+        value = ring.mul(value, extra)
+    return value
+
+
 class TestSUnits:
     def test_examples(self):
         S = ad.place_set(
@@ -155,6 +170,37 @@ class TestSUnits:
         assert ad.is_s_integer(ad.QQ.element(3, 4), S)
         assert not ad.is_s_integer(ad.QQ.element(1, 3), S)
         assert ad.is_s_integer(ad.QQ.zero(), S)
+
+    @pytest.mark.parametrize("field", [ad.QQ, F2T, F3T], ids=str)
+    def test_strip_matches_support(self, field):
+        # stripping the places of S answers as the factored support does,
+        # also for sets without the infinite place of F_p(t)
+        rng = random.Random(143 + field.char)
+        if field.is_rationals:
+            finite = [ad.prime_place(q) for q in (2, 3, 5, 7)]
+        else:
+            finite = [ad.irreducible_place(field, f) for f in ad.enumerate_monic_irreducibles(field, 2)]
+        inf = ad.infinite_place(field)
+        outcomes = set()
+        for _ in range(400):
+            chosen = rng.sample(finite, rng.randint(0, 3))
+            if field.is_rationals or rng.random() < 0.5 or not chosen:
+                chosen.append(inf)
+            S = ad.place_set(field, chosen)
+            pool = S.finite_places() if rng.random() < 0.5 else finite
+            x = field.element(_random_s_value(field, rng, pool), _random_s_value(field, rng, pool))
+            supp = ad.support(x)
+            unit = all(pl in S for pl in supp)
+            integral = all(e >= 0 for pl, e in supp.items() if pl not in S)
+            assert ad.is_s_unit(x, S) == unit, (x, S)
+            assert ad.is_s_integer(x, S) == integral, (x, S)
+            rest, exponents = ad.fields.strip_places(x, S)
+            assert exponents == tuple(supp.get(pl, 0) for pl in S.finite_places())
+            outcomes.add((inf in S, unit, integral))
+        want = {(True, True, True), (True, False, True), (True, False, False)}
+        if not field.is_rationals:
+            want |= {(False, True, True), (False, False, True), (False, False, False)}
+        assert outcomes == want
 
     def test_s_unit_of_zero(self):
         S = ad.place_set(ad.QQ, [ad.archimedean_place()])

@@ -24,10 +24,8 @@ import pytest
 
 import arithdyn as ad
 from arithdyn import ratmap
-from arithdyn.fields import KIND_INF
 from arithdyn.parsing import _clear_denominators
 from arithdyn.projective import INFINITE, ReducedPoint
-from arithdyn.residue import reduce_values
 
 import oracles
 
@@ -333,17 +331,10 @@ def reduced_cycles(phi):
         places = [ad.infinite_place(field)]
         for k in (1, 2, 3):
             places += [ad.irreducible_place(field, f) for f in irr if f.degree == k][:2]
-    ring, res, d = field.ring, ratmap.resultant_raw(phi), phi.degree
     for place in places:
-        # good reduction read off the resultant, without factoring it
-        if place.kind == KIND_INF:
-            good = ring.size(res) == 2 * d * ratmap.max_coeff_degree(phi)
-        else:
-            good = ring.residue(res, place.payload) != 0
-        if not good:
+        if not ad.has_good_reduction(phi, place):
             continue
-        codes = reduce_values(place, phi.fco + phi.gco)
-        psi = ratmap.ReducedMap(ad.residue_field(place), codes[: d + 1], codes[d + 1 :])
+        psi = ad.reduce_map(phi, place)
         for cyc in ad.functional_graph(psi).cycles:
             yield psi, [ReducedPoint.from_code(psi.rfield, c) for c in cyc]
 

@@ -10,7 +10,8 @@ from arithdyn.errors import (
     MapParseError,
     PreconditionError,
 )
-from arithdyn.ratmap import resultant_raw, sylvester_resultant
+from arithdyn.fields import KIND_INF, IntegerRing, Place, PolynomialRing
+from arithdyn.ratmap import max_coeff_degree, resultant_raw, sylvester_resultant
 
 from conftest import good_test_places, random_map, random_point
 from oracles import eval_form_ff, frac_det, poly_det, sylvester_rows
@@ -422,3 +423,162 @@ class TestClassification:
                     assert cls != ad.Classification.REPELLING
                     checked += 1
         assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# good reduction at a given place, against factoring the resultant
+
+
+def _random_form(field, rng, d, max_len):
+    if field.is_rationals:
+        return [rng.randint(-6, 6) for _ in range(d + 1)]
+    p = field.char
+    return [tuple(rng.randrange(p) for _ in range(rng.randint(1, max_len))) for _ in range(d + 1)]
+
+
+def _map_bad_at(field, place, rng, d):
+    """A random (A, A + pi*B), whose resultant pi^d * Res(A, B) vanishes at
+    `place`; at infinity pi*B is a B of lower t-degree than A."""
+    ring = field.ring
+    if place.kind == KIND_INF:
+        a = _random_form(field, rng, d, 4)
+        m = max(map(len, a)) - 1
+        b = _random_form(field, rng, d, m) if m else [0] * (d + 1)
+    else:
+        a, b = _random_form(field, rng, d, 3), _random_form(field, rng, d, 3)
+        b = [ring.mul(place.payload, ring.coerce(c)) for c in b]
+    g = [ring.add(ring.coerce(x), ring.coerce(y)) for x, y in zip(a, b)]
+    return (a, g) if rng.random() < 0.5 else (g, a)
+
+
+def _integral_model_at_infinity(phi):
+    """(F, G) times t^-M as forms over F_p[s], s = 1/t the uniformizer."""
+    m = max_coeff_degree(phi)
+    return [
+        tuple(fppoly.ptrim((c + (0,) * (m + 1 - len(c)))[::-1]) for c in co)
+        for co in (phi.fco, phi.gco)
+    ]
+
+
+def factor_based_bad_places(phi):
+    """Bad places by factoring the resultant of a model integral at each.
+
+    At infinity the model is t^-M (F, G) over F_p[s]; the place is bad
+    when the uniformizer s divides its resultant.
+    """
+    field, ring = phi.field, phi.field.ring
+    bad = {Place(field, ring.place_kind, pi) for pi in ring.factor(resultant_raw(phi))}
+    if field.char:
+        res_inf = sylvester_resultant(field, *_integral_model_at_infinity(phi))
+        if (0, 1) in ring.factor(res_inf):
+            bad.add(ad.infinite_place(field))
+    return bad
+
+
+def local_rule_good(phi, place):
+    """The factor-free rule: Res mod pi != 0, or deg Res = 2*d*M at infinity."""
+    ring, res = phi.field.ring, resultant_raw(phi)
+    if place.kind == KIND_INF:
+        return ring.size(res) == 2 * phi.degree * max_coeff_degree(phi)
+    return ring.residue(res, place.payload) != 0
+
+
+def _oracle_places(field):
+    if field.is_rationals:
+        return [ad.prime_place(q) for q in (2, 3, 5, 7, 11, 13)]
+    irr = ad.enumerate_monic_irreducibles(field, 3)
+    places = [ad.infinite_place(field)]
+    for k in (1, 2, 3):
+        places += [ad.irreducible_place(field, f) for f in irr if f.degree == k][:3]
+    return places
+
+
+def _place_kind(place):
+    return place.kind if place.kind != "irreducible" else f"degree {place.degree}"
+
+
+class TestGoodReductionOracle:
+    @pytest.mark.parametrize("field", [ad.QQ, F2T, F3T, F5T], ids=str)
+    def test_local_test_matches_factoring(self, field):
+        rng = random.Random(900 + field.char)
+        places = _oracle_places(field)
+        outcomes = {(_place_kind(pl), good) for pl in places for good in (True, False)}
+        seen = set()
+        pairs = 0
+        while pairs < 1300:
+            d = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                raw = _map_bad_at(field, rng.choice(places), rng, d)
+            else:
+                raw = _random_form(field, rng, d, 3), _random_form(field, rng, d, 3)
+            try:
+                phi = ad.make_map(field, *raw)
+            except ad.DegenerateMapError:
+                continue
+            bad = factor_based_bad_places(phi)
+            assert ad.bad_places(phi) == bad
+            for pl in places:
+                good = ad.has_good_reduction(phi, pl)
+                assert good == (pl not in bad) == local_rule_good(phi, pl), (phi, pl)
+                seen.add((_place_kind(pl), good))
+                pairs += 1
+        assert seen == outcomes
+
+    def test_archimedean_and_foreign_places_refused(self):
+        phi = ad.parse_map("z^2-1", ad.QQ)
+        for call in (ad.has_good_reduction, ad.reduce_map):
+            with pytest.raises(ad.DomainError):
+                call(phi, ad.archimedean_place())
+            with pytest.raises(ad.DomainError):
+                call(phi, ad.infinite_place(F2T))
+        with pytest.raises(ad.DomainError):
+            ad.classify_periodic_point(phi, ad.infinity(ad.QQ), 1, ad.archimedean_place())
+
+
+class TestGivenPlacesNeverFactor:
+    """Questions about a given place or S answer with factoring disabled."""
+
+    @pytest.fixture(autouse=True)
+    def no_factoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored while deciding a given place")
+
+        for ring_class in (IntegerRing, PolynomialRing):
+            monkeypatch.setattr(ring_class, "factor", refuse)
+        monkeypatch.setattr(fppoly, "factor_poly", refuse)
+
+    # trial division to the default budget cannot split either resultant:
+    # D^2 with D = t^36 + ... a product of two degree-18 irreducibles, and
+    # N^2 with N = (10^9 + 7) * (10^9 + 9)
+    def test_reduction_and_period_relation(self):
+        for field, expr, good, bad in [
+            (F2T, "z^2/(t^36+t^23+t^22+t^20+t^19+t^12+t^11+t^10+t^7+t^3+t^2+t+1)",
+             "pi:1,1", "inf"),
+            (ad.QQ, "z^2/1000000016000000063", "p:5", "p:1000000007"),
+        ]:
+            phi = ad.parse_map(expr, field)
+            good, bad = ad.parse_place(field, good), ad.parse_place(field, bad)
+            zero = ad.parse_point(field, "0")  # a superattracting fixed point
+            assert ad.has_good_reduction(phi, good)
+            assert ad.reduce_map(phi, good).degree == 2
+            assert ad.classify_periodic_point(phi, zero, 1, good) == ad.Classification.ATTRACTING
+            assert ad.check_period_relation(phi, zero, 1, good).case == "i"
+            assert not ad.has_good_reduction(phi, bad)
+            with pytest.raises(PreconditionError):
+                ad.reduce_map(phi, bad)
+
+    def test_s_membership(self):
+        for field, value, tokens in [
+            (ad.QQ, "1000000016000000063/4", ["p:2"]),
+            (F2T, "(t^61+t^5+t^3+t+1)/t^3", ["pi:0,1"]),
+        ]:
+            x = ad.parse_element(field, value)
+            S = ad.place_set(
+                field,
+                [ad.infinite_place(field)] + [ad.parse_place(field, tok) for tok in tokens],
+            )
+            assert not ad.is_s_unit(x, S) and ad.is_s_integer(x, S)
+            assert not ad.is_s_integer(field.one() / x, S)
+            assert ad.s_unit_exponents(x, S) is None
+            assert ad.is_s_unit(field.element(4 if field.is_rationals else (0, 0, 1)), S)
+            assert not ad.is_s_trivial(x, field.one(), S)

@@ -91,6 +91,7 @@ from .ratmap import (
     bad_places,
     classify_periodic_point,
     escape_profile,
+    escapes,
     has_good_reduction,
     iterate_map,
     make_map,

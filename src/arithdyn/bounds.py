@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
-from .fields import KIND_ARCH, PlaceSet, is_prime_int
-from .ratmap import RationalMap, bad_places
+from .fields import KIND_ARCH, PlaceSet, infinite_place, is_prime_int, strip_places
+from .ratmap import RationalMap, has_good_reduction, resultant
 
 _LN_BASE_ADJUST = 1  # natural log; documented single point of change
 
@@ -240,9 +240,16 @@ def verify_report(report, phi: RationalMap, ctx: BoundContext, S: PlaceSet) -> l
     """Compare one orbit report against every applicable bound.
 
     Precondition: S contains every bad-reduction place of phi, otherwise
-    the bounds would not apply and PreconditionError is raised.
+    the bounds would not apply and PreconditionError is raised.  That is
+    decided without factoring: the finite bad places are those dividing
+    Res(F, G), so stripping the finite places of S from it must leave a
+    unit, and the infinite place, when not in S, must be good.
     """
-    if not bad_places(phi) <= set(S.places):
+    rest, _ = strip_places(resultant(phi), S)
+    inf = infinite_place(phi.field)
+    if not phi.field.ring.is_unit(rest.num) or (
+        inf not in S and not has_good_reduction(phi, inf)
+    ):
         raise PreconditionError("S does not contain all bad-reduction places")
     if ctx.p != phi.field.char:
         raise PreconditionError("context characteristic differs from the base field")

@@ -98,7 +98,7 @@ def _orbit_json(outcome) -> dict:
             "undecided": False,
             "divergent": False,
         }
-    return {
+    out = {
         "start": _point_json(outcome.start),
         "tail": [],
         "cycle": [],
@@ -110,6 +110,9 @@ def _orbit_json(outcome) -> dict:
         "steps": outcome.steps,
         "last_height": str(outcome.last_height),
     }
+    if outcome.proof is not None:
+        out["proof"] = {"clause": outcome.proof.clause, "radius": str(outcome.proof.radius)}
+    return out
 
 
 def _emit(args, result: dict, text_lines: list[str]) -> None:
@@ -191,10 +194,15 @@ def _cmd_orbit(args) -> int:
         _emit(args, result, lines)
         return 0
     if outcome.divergent:
+        proof = outcome.proof
         _emit(
             args,
             result,
-            [f"start: {outcome.start}", "orbit diverges (escape criterion): not preperiodic"],
+            [
+                f"start: {outcome.start}",
+                f"orbit diverges (escape criterion, {proof.clause} clause, "
+                f"radius {proof.radius}, step {outcome.steps}): not preperiodic",
+            ],
         )
         return 0
     _emit(

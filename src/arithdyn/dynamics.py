@@ -6,11 +6,15 @@ trajectory into its tail and cycle with the minimal period for free
 (cycle points are distinct by construction).  Non-preperiodicity is only
 semi-decided in general: hitting the step or height budget yields an
 ExceededBudget outcome that claims nothing and names the budget that ran
-out ("steps" or "height").  For maps of the shape [F : u*Y^d] with unit u
-and unit leading coefficient (after the primitive normalization) a
-rigorous divergence argument applies, and such outcomes carry reason
-"escape" and divergent=True: a non-unit denominator grows strictly under
-iteration, and beyond an explicit radius the numerator does.
+out ("steps" or "height").  For every map of degree d >= 2 an exact escape
+criterion (`ratmap.escape_profile`) proves divergence: beyond a height
+radius computed from the Sylvester cofactors the height grows strictly at
+every step, and for maps of the shape [F : u*Y^d] with unit u and unit
+leading coefficient a non-unit denominator or a numerator beyond an
+affine radius does too.  Such outcomes carry reason "escape",
+divergent=True and the clause that fired.  `orbit` tests the criterion
+at every step, and `preperiodic_search` tests it on each enumerated point
+before it starts an orbit.
 
 The functional graph of a reduced map is the complete successor structure
 on the q + 1 points of P^1(F_q), decomposed into cycles and tails; it
@@ -33,11 +37,13 @@ from .projective import (
     reduce_point,
 )
 from .ratmap import (
+    EscapeProof,
     RationalMap,
     ReducedMap,
     apply_map,
     cycle_multiplier,
     escape_profile,
+    escapes,
     iterate_map,
     reduce_map,
 )
@@ -92,26 +98,21 @@ class ExceededBudget:
     """Iteration stopped without finding a cycle.
 
     `reason` says what stopped it: REASON_ESCAPE when the orbit was proved
-    infinite by the escape criterion (then `divergent` is True), otherwise
-    the budget that ran out, REASON_HEIGHT for the height cap or
-    REASON_STEPS for the step count; a budget stop claims nothing.
+    infinite by the escape criterion (then `divergent` is True and `proof`
+    names the clause that fired at the last point), otherwise the budget
+    that ran out, REASON_HEIGHT for the height cap or REASON_STEPS for the
+    step count; a budget stop claims nothing.
     """
 
     start: ProjPoint
     steps: int
     last_height: int
     reason: str
+    proof: EscapeProof | None = None
 
     @property
     def divergent(self) -> bool:
         return self.reason == REASON_ESCAPE
-
-
-def _diverges(profile, point: ProjPoint, ring) -> bool:
-    # denominator already non-unit, or numerator beyond the escape radius
-    if point.is_infinity:
-        return False
-    return not ring.is_unit(point.y) or ring.size(point.x) >= profile.radius
 
 
 def orbit(
@@ -124,13 +125,15 @@ def orbit(
         budget = Budget()
     cap = budget.cap_for(phi.field)
     profile = escape_profile(phi)
-    ring = phi.field.ring
     pts: list[ProjPoint] = [start]
     index: dict[ProjPoint, int] = {start: 0}
     current = start
     while True:
-        if profile is not None and _diverges(profile, current, ring):
-            return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE)
+        proof = escapes(profile, current)
+        if proof is not None:
+            return ExceededBudget(
+                start, len(pts) - 1, current.height(), REASON_ESCAPE, proof
+            )
         nxt = apply_map(phi, current)
         hit = index.get(nxt)
         if hit is not None:
@@ -377,14 +380,19 @@ def preperiodic_search(
 
     Returns the preperiodic orbits, plus the budget-unresolved points as
     undecided; points with a divergence proof are counted but are neither
-    preperiodic nor undecided.
+    preperiodic nor undecided.  A point the escape criterion proves at
+    once is counted without an `orbit` call, which would stop at step 0.
     """
+    profile = escape_profile(phi)
     reports = []
     undecided = []
     divergent = 0
     scanned = 0
     for pt in enumerate_points(phi.field, height_bound, enum_budget):
         scanned += 1
+        if escapes(profile, pt) is not None:
+            divergent += 1
+            continue
         outcome = orbit(phi, pt, budget)
         if isinstance(outcome, OrbitReport):
             reports.append(outcome)

@@ -52,9 +52,9 @@ KIND_ARCH = "arch"
 # the coefficient size of a form (bits of its 2-norm over Z, largest
 # t-degree over F_p[t]), and `height_unit` is the size that costs one unit
 # of resultant work (ratmap.RESULTANT_BUDGET).  `escape_radius` is the
-# radius of the escape criterion in ratmap.escape_profile.  They act on the
-# raw values stored everywhere else, ints and coefficient tuples, and call
-# fppoly through the module at each call.
+# affine radius of the polynomial clause of ratmap.escape_profile.  They
+# act on the raw values stored everywhere else, ints and coefficient
+# tuples, and call fppoly through the module at each call.
 
 
 class IntegerRing:

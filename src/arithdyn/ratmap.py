@@ -62,6 +62,13 @@ from .residue import ResidueField, reduce_values, residue_field
 # 0.27 s, and d = 100 with M = 1 (4.0e8) would take 7 s.
 RESULTANT_BUDGET = 3 * 10**7
 
+# Units of RESULTANT_BUDGET charged per plain unit of a run that tracks the
+# cofactors.  Its rows are 2d entries wider, and one such run costs 5.6-6.6
+# plain runs (d = 40 and 80 with 64-bit coefficients over Q); the escape
+# profile makes two, so an admitted profile takes about as long as an
+# admitted resultant.
+COFACTOR_COST = 12
+
 
 def _power(ring, a, e: int):
     out = ring.one
@@ -87,43 +94,70 @@ def _prem(ring, a: list, b: list) -> list:
     return a
 
 
-def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple):
+def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple, cofactors: bool = False):
     """Resultant of two degree-d coefficient tuples (ascending X-power).
 
     The determinant of the 2d x 2d Sylvester matrix with the d rows of F
     first, coefficients by descending X-power, from the subresultant PRS
     of the dehomogenized forms (Cohen, Alg. 3.3.7).
+
+    With cofactors=True the result is (res, a, b): forms of degree d - 1,
+    as ascending X-power tuples, with a*F + b*G = res * Y^(2d-1).  The same
+    PRS tracks them: every row P carries 2d trailing entries that hold the
+    polynomials s and t with s*f + t*g = P, each of degree below d, so
+    that the row is P*x^(2d) + s*x^d + t and pseudo-division and the exact
+    divisions act on s and t as they act on P.  The cofactors of a
+    subresultant are minors of the Sylvester matrix, so those divisions
+    stay exact.  Such a run is charged COFACTOR_COST times the estimate.
     """
     ring = field.ring
+    zero, one = ring.zero, ring.one
     d = len(fco) - 1
     s = d * (ring.form_height(fco) + ring.form_height(gco)) // ring.height_unit
-    if d * d * (s + 1) ** 2 > RESULTANT_BUDGET:
+    if d * d * (s + 1) ** 2 * (COFACTOR_COST if cofactors else 1) > RESULTANT_BUDGET:
         raise BudgetExceededError(f"resultant at degree {d} and size {s} is over budget")
     f, g = _strip(list(fco[::-1])), _strip(list(gco[::-1]))
     sign = 1
-    if len(f) <= d:  # f_d = 0: Res_{d,d}(F, G) = (-1)^d * Res_{d,d}(G, F)
+    swap = len(f) <= d
+    if swap:  # f_d = 0: Res_{d,d}(F, G) = (-1)^d * Res_{d,d}(G, F)
         f, g = g, f
         sign = -1 if d & 1 else 1
+    low = 2 * d if cofactors else 0
+    vanished = (zero, (zero,) * d, (zero,) * d) if cofactors else zero
     if len(f) <= d or not g:  # a zero first Sylvester column, or a zero form
-        return ring.zero
+        return vanished
+    if cofactors:
+        pad = [zero] * (d - 1)
+        f = f + pad + [one] + pad + [zero]
+        g = g + pad + [zero] + pad + [one]
     # Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g)
-    acc = _power(ring, f[0], d + 1 - len(g))
-    lead = h = ring.one
-    while len(g) > 1:
+    acc = _power(ring, f[0], d + 1 - len(g) + low)
+    lead = h = one
+    while len(g) - low > 1:
         m, n = len(f) - 1, len(g) - 1
-        if m & n & 1:
+        if (m - low) & (n - low) & 1:
             sign = -sign
         r = _strip(_prem(ring, f, g))
-        if not r:
-            return ring.zero
+        if len(r) <= low:
+            return vanished
         div = ring.mul(lead, _power(ring, h, m - n))
         f, g = g, [ring.exactdiv(c, div) for c in r]
         lead = f[0]
         if m > n:  # h = lead^(m-n) / h^(m-n-1)
             h = ring.exactdiv(_power(ring, lead, m - n), _power(ring, h, m - n - 1))
-    m = len(f) - 1
-    acc = ring.mul(acc, ring.exactdiv(_power(ring, g[0], m), _power(ring, h, m - 1)))
-    return acc if sign > 0 else ring.neg(acc)
+    if sign < 0:
+        acc = ring.neg(acc)
+    m = len(f) - 1 - low
+    res = ring.mul(acc, ring.exactdiv(_power(ring, g[0], m), _power(ring, h, m - 1)))
+    if not cofactors:
+        return res
+    # res = acc * (g0 / h)^(m-1) * (s*f + t*g), an integral multiple
+    num, den = _power(ring, g[0], m - 1), _power(ring, h, m - 1)
+    a, b = (
+        tuple(ring.mul(acc, ring.exactdiv(ring.mul(num, c), den)) for c in part[::-1])
+        for part in (g[1 : d + 1], g[d + 1 :])
+    )
+    return (res, b, a) if swap else (res, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -554,27 +588,113 @@ def classify_periodic_point(
 
 
 # ---------------------------------------------------------------------------
-# data for the escape criterion used by orbit iteration
+# the escape criterion used by orbit iteration
+
+CLAUSE_HEIGHT = "height"
+CLAUSE_POLYNOMIAL = "polynomial"
+
+
+@dataclass(frozen=True, slots=True)
+class EscapeProof:
+    """One clause of the escape criterion and the radius at which it fires."""
+
+    clause: str  # CLAUSE_HEIGHT or CLAUSE_POLYNOMIAL
+    radius: int
 
 
 @dataclass(frozen=True, slots=True)
 class EscapeProfile:
-    """Rigorous divergence data for maps [F : u*Y^d], d >= 2, with unit u
-    and unit leading coefficient of F.
+    """Divergence data of a map of degree d >= 2 (see `escape_profile`).
 
-    Over Q: a non-unit denominator grows strictly forever, and an integer
-    point z with |z| >= radius satisfies |phi(z)| >= 2|z|, so either way
-    the orbit is provably infinite.  Over F_p(t) the same holds with
-    degrees in place of absolute values.
+    `height` fires at points of height H(P) >= radius over Q, or t-degree
+    h(P) >= radius over F_p(t); `constant` is the c of
+    H(phi(P)) >= H(P)^d / c over Q, or the a of h(phi(P)) >= d*h(P) - a
+    over F_p(t).  Both are None when the cofactors are over budget.
+    `polynomial` is None unless the map is [F : u*Y^d] with unit u and
+    unit leading coefficient of F; it fires at an affine point with a
+    non-unit denominator or with |z| (deg z) >= radius.  Neither clause
+    contains the other.
     """
 
-    radius: int  # escape radius for |z| (Q) or deg z (F_p(t))
+    constant: int | None
+    height: EscapeProof | None
+    polynomial: EscapeProof | None
 
 
+def _least_root_above(c: int, e: int) -> int:
+    """The least integer r >= 1 with r^e > c >= 0: one more than the
+    integer e-th root of c, by Newton's iteration from above."""
+    r = 1 << -(-c.bit_length() // e)
+    while r:
+        s = ((e - 1) * r + c // r ** (e - 1)) // e
+        if s >= r:
+            break
+        r = s
+    return r + 1
+
+
+@lru_cache(maxsize=4096)
 def escape_profile(phi: RationalMap) -> EscapeProfile | None:
-    """The divergence profile, or None when the criterion does not apply."""
-    fco, gco, d = phi.fco, phi.gco, len(phi.fco) - 1
-    ring = phi.field.ring
-    if d < 2 or any(gco[1:]) or not (ring.is_unit(gco[0]) and ring.is_unit(fco[d])):
+    """The escape criterion of a map of degree d >= 2; None for degree 1
+    and wherever no clause applies.
+
+    Sylvester elimination gives forms A, B, C, D of degree d - 1 with
+    A*F + B*G = R * Y^(2d-1) and C*F + D*G = R * X^(2d-1), R = +-Res(F, G).
+    For coprime P = (x, y) the common factor g of F(P) and G(P) divides R,
+    so over Z, with c = max(|A|_1 + |B|_1, |C|_1 + |D|_1) and
+    H(P) = max(|x|, |y|),
+        |R| * H(P)^(2d-1) <= c * H(P)^(d-1) * g * H(phi(P)),  g <= |R|,
+    that is H(phi(P)) >= H(P)^d / c, and over F_p[t] with degrees in
+    place of absolute values h(phi(P)) >= d*h(P) - a, with a the largest
+    t-degree among the coefficients of A..D (Call & Silverman, Compositio
+    1993; Silverman, *The Arithmetic of Dynamical Systems*, Thm 3.11).
+    Once H(P)^(d-1) > c, or (d-1)*h(P) > a, the height grows strictly at
+    every later step, so the orbit is infinite.  Over Z the cofactors come
+    from `sylvester_resultant` on (F, G) and on (F, G) with X and Y
+    swapped; where RESULTANT_BUDGET refuses those runs the height clause
+    is left out, and the orbit runs as it would without it.  Over F_p[t]
+    every coefficient of A..D is a (2d-1)-minor of the Sylvester matrix,
+    so a = (2d-1)*M with M the largest t-degree among the coefficients of
+    phi, and no elimination runs.
+    """
+    fco, gco, d = phi.fco, phi.gco, phi.degree
+    if d < 2:
         return None
-    return EscapeProfile(ring.escape_radius(fco[:d]))
+    field, ring = phi.field, phi.field.ring
+    c = height = polynomial = None
+    if field.is_rationals:
+        try:
+            runs = (
+                sylvester_resultant(field, fco, gco, cofactors=True),
+                sylvester_resultant(field, fco[::-1], gco[::-1], cofactors=True),
+            )
+        except BudgetExceededError:
+            pass
+        else:
+            c = max(sum(map(abs, a + b)) for _, a, b in runs)
+            height = EscapeProof(CLAUSE_HEIGHT, _least_root_above(c, d - 1))
+    else:
+        c = (2 * d - 1) * max_coeff_degree(phi)
+        height = EscapeProof(CLAUSE_HEIGHT, c // (d - 1) + 1)
+    if not any(gco[1:]) and ring.is_unit(gco[0]) and ring.is_unit(fco[d]):
+        polynomial = EscapeProof(CLAUSE_POLYNOMIAL, ring.escape_radius(fco[:d]))
+    if height is None and polynomial is None:
+        return None
+    return EscapeProfile(c, height, polynomial)
+
+
+def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | None:
+    """The clause of `profile` that proves the orbit of `point` infinite,
+    or None when neither fires (always None for a None profile)."""
+    if profile is None:
+        return None
+    height = profile.height
+    if height is not None and point.height() >= height.radius:
+        return height
+    poly = profile.polynomial
+    if poly is None or point.is_infinity:
+        return None
+    ring = point.field.ring
+    if not ring.is_unit(point.y) or ring.size(point.x) >= poly.radius:
+        return poly
+    return None

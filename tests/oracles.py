@@ -75,6 +75,25 @@ def eval_form_ff(p: int, co, x, y) -> tuple:
     return total
 
 
+def map_step(phi, x, y):
+    """The canonical coprime coordinates of phi([x : y]) from explicit
+    monomial sums and a Euclid gcd: y positive (monic over F_p[t]), or x
+    when y = 0."""
+    d = phi.degree
+    p = phi.field.char
+    if not p:
+        fx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.fco))
+        gx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.gco))
+        g = math.gcd(fx, gx)
+        fx, gx = fx // g, gx // g
+        return (-fx, -gx) if gx < 0 or (gx == 0 and fx < 0) else (fx, gx)
+    fx, gx = eval_form_ff(p, phi.fco, x, y), eval_form_ff(p, phi.gco, x, y)
+    g = fppoly.pgcd(p, fx, gx)
+    fx, gx = fppoly.pdivmod(p, fx, g)[0], fppoly.pdivmod(p, gx, g)[0]
+    u = pow((gx or fx)[-1], -1, p)
+    return fppoly.pscale(p, fx, u), fppoly.pscale(p, gx, u)
+
+
 def poly_det(rows, p: int):
     """Determinant over F_p[t] by cofactor expansion along the first column."""
     n = len(rows)

@@ -198,3 +198,28 @@ class TestVerifyReport:
         checks = ad.verify_report(rep, phi, BoundContext(2, 1, 1), S)
         assert all(c.passed for c in checks)
         assert {c.name for c in checks} == {"orbit_size", "cycle_length"}
+
+    def test_given_s_needs_no_factoring(self):
+        # Res = N^2 with N = 1000000007 * 1000000009 is beyond the trial
+        # division budget, yet S is checked by stripping its places from Res
+        phi = ad.parse_map("z^2/1000000016000000063", ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.bad_places(phi)
+        rep = ad.orbit(phi, ad.from_affine(ad.QQ.zero()))
+        S = ad.parse_place_set(ad.QQ, "inf;p:1000000007;p:1000000009")
+        checks = ad.verify_report(rep, phi, BoundContext(0, 1, S.size), S)
+        assert {c.name for c in checks} == {"orbit_size", "cycle_length"}
+        assert all(c.passed for c in checks)
+        short = ad.parse_place_set(ad.QQ, "inf;p:1000000007")
+        with pytest.raises(PreconditionError):
+            ad.verify_report(rep, phi, BoundContext(0, 1, short.size), short)
+
+    def test_bad_infinite_place_must_be_in_s(self):
+        F2T = ad.function_field(2)
+        phi = ad.parse_map("z^2/t", F2T)  # Res = t^2: bad at t and at infinity
+        rep = ad.orbit(phi, ad.from_affine(F2T.zero()))
+        finite = ad.parse_place_set(F2T, "pi:0,1")
+        with pytest.raises(PreconditionError):
+            ad.verify_report(rep, phi, BoundContext(2, 1, 1), finite)
+        S = ad.parse_place_set(F2T, "inf;pi:0,1")
+        assert all(c.passed for c in ad.verify_report(rep, phi, BoundContext(2, 1, 2), S))

@@ -1,5 +1,4 @@
 import random
-from math import gcd
 
 import pytest
 
@@ -10,7 +9,7 @@ from arithdyn.errors import BudgetExceededError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import good_test_places, interpolated_polynomial_map, random_map
-from oracles import eval_form_ff
+from oracles import map_step
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -89,7 +88,8 @@ class TestOrbit:
 
 def shaped_maps(field, rng, count):
     """Maps [F : u*Y^d], d = 2, 3 over Q and d = 2 over F_p(t), with unit
-    u and unit leading coefficient of F: the shape escape_profile covers."""
+    u and unit leading coefficient of F: the shape of the polynomial clause
+    of escape_profile."""
     maps = []
     while len(maps) < count:
         if field.is_rationals:
@@ -104,21 +104,6 @@ def shaped_maps(field, rng, count):
     return maps
 
 
-def oracle_step(phi, x, y):
-    """The coprime coordinates of phi([x : y]) from explicit monomial sums."""
-    field = phi.field
-    if field.is_rationals:
-        d = phi.degree
-        fx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.fco))
-        gx = sum(c * x**i * y ** (d - i) for i, c in enumerate(phi.gco))
-        g = gcd(fx, gx)
-        return fx // g, gx // g
-    p = field.char
-    fx, gx = eval_form_ff(p, phi.fco, x, y), eval_form_ff(p, phi.gco, x, y)
-    g = fppoly.pgcd(p, fx, gx)
-    return fppoly.pdivmod(p, fx, g)[0], fppoly.pdivmod(p, gx, g)[0]
-
-
 class TestEscapeProfile:
     FIELDS = [ad.QQ, F2T, F3T]
 
@@ -130,7 +115,8 @@ class TestEscapeProfile:
                 want = sum(abs(c) for c in lower) + 2
             else:
                 want = max([fppoly.pdeg(c) + 1 for c in lower if c], default=1)
-            assert ad.escape_profile(phi).radius == want
+            proof = ad.escape_profile(phi).polynomial
+            assert (proof.clause, proof.radius) == ("polynomial", want)
 
     @pytest.mark.parametrize(
         "field, expr",
@@ -145,18 +131,29 @@ class TestEscapeProfile:
         ],
     )
     def test_other_shapes_have_no_profile(self, field, expr):
-        assert ad.escape_profile(ad.parse_map(expr, field)) is None
+        # degree 1 has no profile; at degree >= 2 only the height clause
+        phi = ad.parse_map(expr, field)
+        profile = ad.escape_profile(phi)
+        if phi.degree == 1:
+            assert profile is None
+        else:
+            assert profile.polynomial is None
+            assert profile.height.clause == "height" and profile.height.radius >= 1
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_escaped_orbits_grow(self, field):
-        # what the proof claims, checked on 8 oracle steps past the point
-        # where it fired: a non-unit denominator grows strictly; a unit
-        # denominator means an integral point whose numerator grows (by a
-        # factor 2 at least over Q).  The projective height itself can
-        # drop: z^2-6 sends 5/2 to 1/4.
+        # what the clause that fired claims, checked on 8 oracle steps past
+        # the point where it fired.  The polynomial clause: a non-unit
+        # denominator grows strictly; a unit denominator means an integral
+        # point whose numerator grows (by a factor 2 at least over Q); the
+        # projective height itself can drop: z^2-6 sends 5/2 to 1/4.  The
+        # height clause: H(phi(P)) >= H(P)^d / c over Q and
+        # h(phi(P)) >= d*h(P) - a over F_p(t), so the height grows strictly.
         ring, rng = field.ring, random.Random(72)
-        integral = fractional = 0
+        integral = fractional = by_height = 0
         for phi in shaped_maps(field, rng, 12):
+            d, profile = phi.degree, ad.escape_profile(phi)
+            c = profile.constant
             points = ad.enumerate_points(field, 4 if field.is_rationals else 1)
             outs = [ad.orbit(phi, pt) for pt in points]
             escaped = [o for o in outs if isinstance(o, ad.ExceededBudget) and o.divergent]
@@ -164,15 +161,29 @@ class TestEscapeProfile:
             for out in rng.sample(escaped, min(6, len(escaped))):
                 x, y = out.start.x, out.start.y
                 for _ in range(out.steps):
-                    x, y = oracle_step(phi, x, y)
-                assert max(ring.size(x), ring.size(y)) == out.last_height
+                    x, y = map_step(phi, x, y)
+                h = max(ring.size(x), ring.size(y))
+                assert h == out.last_height
+                if out.proof.clause == "height":
+                    by_height += 1
+                    assert out.proof == profile.height and h >= out.proof.radius
+                    for _ in range(8):
+                        x, y = map_step(phi, x, y)
+                        h1 = max(ring.size(x), ring.size(y))
+                        if field.is_rationals:
+                            assert h1 * c >= h**d and h1 > h
+                        else:
+                            assert h1 >= d * h - c and h1 > h
+                        h = h1
+                    continue
+                assert out.proof == profile.polynomial
                 if ring.is_unit(y):
                     integral += 1
-                    assert ring.size(x) >= ad.escape_profile(phi).radius
+                    assert ring.size(x) >= out.proof.radius
                 else:
                     fractional += 1
                 for _ in range(8):
-                    x1, y1 = oracle_step(phi, x, y)
+                    x1, y1 = map_step(phi, x, y)
                     if ring.is_unit(y):
                         assert ring.is_unit(y1)
                         if field.is_rationals:
@@ -182,7 +193,7 @@ class TestEscapeProfile:
                     else:
                         assert ring.size(y1) > ring.size(y)
                     x, y = x1, y1
-        assert integral >= 10 and fractional >= 10
+        assert integral + by_height >= 10 and fractional >= 10
 
 
 class TestFunctionalGraph:

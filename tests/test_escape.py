@@ -1,0 +1,323 @@
+"""The escape criterion (`ratmap.escape_profile`, `ratmap.escapes`) against
+independent oracles.
+
+- The cofactors: a*F + b*G = Res * Y^(2d-1) checked by schoolbook form
+  products, on both rings, through vanishing leading coefficients and
+  abnormal remainder sequences; over F_p[t] their t-degree stays within
+  the (2d-1)*M minor bound the profile uses.
+- The inequality the height clause rests on, H(phi(P)) >= H(P)^d / c over
+  Q and h(phi(P)) >= d*h(P) - a over F_p(t), on random steps computed from
+  explicit monomial sums and a Euclid gcd.
+- No clause fires on a point that brute-force iteration finds preperiodic.
+- On polynomial maps the old shape-only proof never fires before the
+  criterion does.
+- `preperiodic_search`, which proves points before starting their orbits,
+  returns what `orbit` called on every point gives.
+"""
+
+import random
+import time
+
+import pytest
+
+import arithdyn as ad
+from arithdyn import fppoly
+from arithdyn.dynamics import Budget, SearchResult
+from arithdyn.errors import BudgetExceededError
+from arithdyn.ratmap import RationalMap, sylvester_resultant
+
+from oracles import _ring_ops, map_step
+
+FIELDS = [ad.QQ, ad.function_field(2), ad.function_field(3), ad.function_field(5)]
+
+
+def random_poly(rng, p, max_len):
+    return fppoly.ptrim([rng.randrange(p) for _ in range(rng.randint(0, max_len))])
+
+
+def random_forms(rng, field, d, size=6):
+    """Two random degree-d coefficient lists; leading and constant
+    coefficients vanish now and then (points at infinity, degree drops)."""
+    if field.is_rationals:
+        draw = lambda: rng.randint(-size, size)  # noqa: E731
+    else:
+        draw = lambda: random_poly(rng, field.char, 3)  # noqa: E731
+    zero = field.ring.zero
+    fco, gco = [draw() for _ in range(d + 1)], [draw() for _ in range(d + 1)]
+    for co in (fco, gco):
+        if rng.random() < 0.25:
+            co[d] = zero
+        if rng.random() < 0.15:
+            co[0] = zero
+    return fco, gco
+
+
+def random_maps(rng, field, count, degrees=(2, 3, 4)):
+    maps = []
+    while len(maps) < count:
+        try:
+            maps.append(ad.make_map(field, *random_forms(rng, field, rng.choice(degrees))))
+        except (ad.DegenerateMapError, ad.DomainError):
+            continue
+    return maps
+
+
+def form_product(field, a, b):
+    """The product of two forms, ascending X-power, by the double loop."""
+    zero, _, mul, add, _ = _ring_ops(field.char or None)
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def height(field, x, y):
+    size = field.ring.size
+    return max(size(x), size(y))
+
+
+class TestCofactors:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_identity_on_random_forms(self, field):
+        rng = random.Random(301 + field.char)
+        zero = field.ring.zero
+        nonzero = 0
+        for _ in range(150):
+            d = rng.randint(1, 6)
+            fco, gco = (tuple(co) for co in random_forms(rng, field, d))
+            res, a, b = sylvester_resultant(field, fco, gco, cofactors=True)
+            assert res == sylvester_resultant(field, fco, gco)
+            assert len(a) == len(b) == d
+            lhs = [
+                _ring_ops(field.char or None)[3](u, v)
+                for u, v in zip(form_product(field, a, fco), form_product(field, b, gco))
+            ]
+            assert lhs == [res] + [zero] * (2 * d - 1)
+            if res and not field.is_rationals:
+                M = max(map(fppoly.pdeg, fco + gco))
+                assert max(map(fppoly.pdeg, a + b)) <= (2 * d - 1) * M
+            nonzero += bool(res)
+        assert nonzero >= 50
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_identity_on_abnormal_remainder_sequences(self, p):
+        # G = X^i Y^j (X - b*Y)^(p^e) is a binomial times a monomial in
+        # characteristic p, so the remainder degrees drop by more than one
+        F = ad.function_field(p)
+        rng = random.Random(311 + p)
+        for d in range(p + 2, 20):
+            q = p ** next(e for e in range(5, 0, -1) if p**e < d)
+            i = rng.randint(0, d - q)
+            b = rng.randrange(1, p)
+            binom = [()] * (q + 1)
+            binom[q], binom[0] = (1,), fppoly.pconst(p, (-b) ** q)
+            gco = tuple([()] * i + binom + [()] * (d - q - i))
+            fco = [()] * (d + 1)
+            for k in [0, d] + rng.sample(range(1, d), 2):
+                fco[k] = random_poly(rng, p, 2) or (1,)
+            fco = tuple(fco)
+            res, a, b_co = sylvester_resultant(F, fco, gco, cofactors=True)
+            lhs = [
+                fppoly.padd(p, u, v)
+                for u, v in zip(form_product(F, a, fco), form_product(F, b_co, gco))
+            ]
+            assert lhs == [res] + [()] * (2 * d - 1)
+
+    def test_refused_by_the_resultant_budget(self):
+        # d = 60 with 64-bit coefficients: the plain resultant is admitted
+        # (0.3 s), the tracked runs are refused before any elimination, and
+        # the profile keeps only what needs no cofactors; the polynomial
+        # map needs 128-bit coefficients for that, as its G is Y^d
+        rng = random.Random(317)
+        d = 60
+        fco, gco = ([rng.getrandbits(64) - 2**63 for _ in range(d + 1)] for _ in range(2))
+        with pytest.raises(BudgetExceededError):
+            sylvester_resultant(ad.QQ, tuple(fco), tuple(gco), cofactors=True)
+        lower = [rng.getrandbits(128) - 2**127 for _ in range(d)]
+        shaped = RationalMap(ad.QQ, tuple(lower + [1]), (1,) + (0,) * d)
+        general = RationalMap(ad.QQ, tuple(fco), tuple(gco))
+        start = time.perf_counter()
+        profile = ad.escape_profile(shaped)
+        assert profile.height is profile.constant is None
+        assert profile.polynomial.radius == sum(map(abs, lower)) + 2
+        assert ad.escape_profile(general) is None
+        out = ad.orbit(general, ad.point_from_raw(ad.QQ, 2, 1))
+        assert (out.reason, out.proof) == ("height", None)
+        assert time.perf_counter() - start < 2.0
+
+
+class TestHeightInequality:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_step(self, field):
+        rng = random.Random(321 + field.char)
+        ring = field.ring
+        steps = bad = 0
+        for phi in random_maps(rng, field, 60):
+            d, profile = phi.degree, ad.escape_profile(phi)
+            c = profile.constant
+            bad += not ring.is_unit(ad.ratmap.resultant_raw(phi))
+            for _ in range(6):
+                x, y = (rng.randint(-40, 40), rng.randint(0, 40)) if field.is_rationals else (
+                    random_poly(rng, field.char, 4), random_poly(rng, field.char, 4)
+                )
+                if not (x or y):
+                    continue
+                pt = ad.point_from_raw(field, x, y)
+                x, y = pt.x, pt.y
+                for _ in range(2):
+                    h = height(field, x, y)
+                    x, y = map_step(phi, x, y)
+                    h1 = height(field, x, y)
+                    if field.is_rationals:
+                        assert h1 * c >= h**d
+                    else:
+                        assert h1 >= d * h - c
+                    if h >= profile.height.radius:
+                        assert h1 > h
+                    steps += 1
+        assert steps >= 550 and bad >= 20
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_constant_is_the_cofactor_bound(self, field):
+        rng = random.Random(331 + field.char)
+        for phi in random_maps(rng, field, 30):
+            d, profile = phi.degree, ad.escape_profile(phi)
+            runs = [
+                sylvester_resultant(field, phi.fco, phi.gco, cofactors=True),
+                sylvester_resultant(field, phi.fco[::-1], phi.gco[::-1], cofactors=True),
+            ]
+            if field.is_rationals:
+                assert profile.constant == max(sum(map(abs, a + b)) for _, a, b in runs)
+                r = profile.height.radius
+                assert (r - 1) ** (d - 1) <= profile.constant < r ** (d - 1)
+            else:
+                M = ad.ratmap.max_coeff_degree(phi)
+                assert profile.constant == (2 * d - 1) * M
+                exact = max(max(map(fppoly.pdeg, a + b)) for _, a, b in runs)
+                assert exact <= profile.constant
+                assert profile.height.radius == profile.constant // (d - 1) + 1
+
+
+def brute_force_orbit(phi, pt, steps=40, cap=None):
+    """The tail and cycle of pt by plain iteration with a visited set, or
+    None when no revisit happens within the step or height cap."""
+    field = phi.field
+    cap = cap or (10**30 if field.is_rationals else 60)
+    seen, chain = {}, []
+    x, y = pt.x, pt.y
+    for _ in range(steps):
+        if (x, y) in seen:
+            return chain[: seen[(x, y)]], chain[seen[(x, y)] :]
+        seen[(x, y)] = len(chain)
+        chain.append((x, y))
+        x, y = map_step(phi, x, y)
+        if height(field, x, y) > cap:
+            return None
+    return None
+
+
+def preperiodic_rich_maps(field, rng):
+    """Maps with many preperiodic points of small height, plus random ones."""
+    if field.is_rationals:
+        exprs = ["z^2-1", "z^2-29/16", "z^2-3/4", "z^2-2", "1/z^2", "(z^2-9)/(3*z)",
+                 "z^3-z", "(z^2+1)/(2*z)", "2*z^2-1", "(z^2-2)/(3*z)", "z^2"]
+    else:
+        exprs = ["z^2", "1/z^2", "z^3", "(t*z^2+1)/z", "z^2+t", "(z^2+t)/(z+1)", "t/z^2"]
+    maps = [ad.parse_map(e, field) for e in exprs]
+    return maps + random_maps(rng, field, 8, degrees=(2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_never_fires_on_preperiodic_points(field):
+    rng = random.Random(341 + field.char)
+    found = 0
+    for phi in preperiodic_rich_maps(field, rng):
+        profile = ad.escape_profile(phi)
+        for pt in ad.enumerate_points(field, 4 if field.is_rationals else 1):
+            truth = brute_force_orbit(phi, pt)
+            if truth is None:
+                continue
+            found += 1
+            for x, y in truth[0] + truth[1]:
+                assert ad.escapes(profile, ad.ProjPoint(field, x, y)) is None
+            out = ad.orbit(phi, pt)
+            assert isinstance(out, ad.OrbitReport)
+            assert [(q.x, q.y) for q in out.tail] == truth[0]
+            assert [(q.x, q.y) for q in out.cycle] == truth[1]
+    assert found >= 30
+
+
+def old_proof_step(phi, pt, steps=12):
+    """The step at which the shape-only proof for [F : u*Y^d] fires: a
+    non-unit denominator, or a numerator of size >= ring.escape_radius."""
+    field, ring, d = phi.field, phi.field.ring, phi.degree
+    radius = ring.escape_radius(phi.fco[:d])
+    x, y = pt.x, pt.y
+    for k in range(steps):
+        if y and (not ring.is_unit(y) or ring.size(x) >= radius):
+            return k
+        x, y = map_step(phi, x, y)
+    return None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_old_proof_never_fires_first(field):
+    rng = random.Random(351 + field.char)
+    compared = 0
+    for _ in range(25):
+        d = rng.choice((2, 3))
+        if field.is_rationals:
+            fco = [rng.randint(-8, 8) for _ in range(d)] + [rng.choice((1, -1))]
+            u = rng.choice((1, -1))
+        else:
+            p = field.char
+            fco = [random_poly(rng, p, 3) for _ in range(d)] + [rng.randrange(1, p)]
+            u = rng.randrange(1, p)
+        phi = ad.make_map(field, fco, [u] + [0] * d)
+        assert ad.escape_profile(phi).polynomial is not None
+        for pt in ad.enumerate_points(field, 3 if field.is_rationals else 1):
+            if rng.random() < 0.5:
+                continue
+            k = old_proof_step(phi, pt)
+            if k is None:
+                continue
+            out = ad.orbit(phi, pt, Budget(max_steps=k + 1))
+            assert isinstance(out, ad.ExceededBudget) and out.divergent
+            assert out.steps <= k
+            compared += 1
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_search_pretest_matches_orbit_on_every_point(field):
+    rng = random.Random(361 + field.char)
+    exprs = (["z+1", "z^2-1", "z^2-3/4", "(z^2+1)/(2*z)", "z^3-z"] if field.is_rationals
+             else ["t*z+1", "z^2", "1/z^2", "(t*z^2+1)/z", "z^2+t"])
+    maps = [ad.parse_map(e, field) for e in exprs] + random_maps(rng, field, 4, (2, 3))
+    height_bound = 5 if field.is_rationals else 1
+    budget = Budget(max_steps=60)
+    for phi in maps:
+        reports, undecided, divergent, scanned = [], [], 0, 0
+        for pt in ad.enumerate_points(field, height_bound):
+            scanned += 1
+            out = ad.orbit(phi, pt, budget)
+            if isinstance(out, ad.OrbitReport):
+                reports.append(out)
+            elif out.divergent:
+                divergent += 1
+            else:
+                undecided.append(pt)
+        reports.sort(key=lambda r: r.start.sort_key())
+        undecided.sort(key=ad.ProjPoint.sort_key)
+        want = SearchResult(tuple(reports), tuple(undecided), scanned, divergent)
+        assert ad.preperiodic_search(phi, height_bound, budget) == want
+
+
+def test_fp2_search_leaves_at_most_one_point_undecided():
+    # the orbit heights of (t*z^2+1)/z run h -> 2h + 1; before the height
+    # clause 127 of these 129 points were left undecided at the cap
+    phi = ad.parse_map("(t*z^2+1)/z", ad.function_field(2))
+    res = ad.preperiodic_search(phi, 3)
+    assert res.scanned == 129 and len(res.undecided) <= 1
+    assert res.divergent + len(res.preperiodic) + len(res.undecided) == 129

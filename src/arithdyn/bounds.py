@@ -138,9 +138,30 @@ def evertse_solution_bound(rank: int) -> int:
     return 2 ** (8 * (rank + 1))
 
 
+# CPython's default limit on the digits of an int printed in decimal
+MAX_BOUND_DIGITS = 4300
+
+
+def _eta_digits(p: int, D: int, s: int) -> float:
+    """log10(eta) + 1, at least the digit count of eta; inf past a float."""
+    try:
+        if p > 0:
+            lps = math.log10(p * s)
+            return 4 * D * lps + max(2 * D * lps, (4 * s - 2) * math.log10(p)) + 1
+        return 1 + max(
+            D * math.log10(12 * s * math.log(5 * s)) + (16 * s - 8) * math.log10(2),
+            4 * D * math.log10(12 * (s + 2) * math.log(5 * s + 5)),
+        )
+    except OverflowError:
+        return math.inf
+
+
 def compute_bounds(ctx: BoundContext) -> BoundSet:
-    """Evaluate every bound formula applicable to the context."""
+    """Evaluate every bound formula applicable to the context, refusing one
+    whose eta, the largest value printed, would pass MAX_BOUND_DIGITS."""
     p, D, s = ctx.p, ctx.D, ctx.s
+    if _eta_digits(p, D, s) > MAX_BOUND_DIGITS:
+        raise BudgetExceededError(f"eta would have more than {MAX_BOUND_DIGITS} digits")
     if p > 0:
         ps = p * s
         big = max(ps ** (2 * D), p ** (4 * s - 2))

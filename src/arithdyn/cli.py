@@ -83,6 +83,13 @@ def _positive_int(token: str) -> int:
     return n
 
 
+def _nonnegative_int(token: str) -> int:
+    n = int(token)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{token!r} is a negative integer")
+    return n
+
+
 def _point_json(pt) -> str:
     return str(pt)
 
@@ -449,7 +456,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if with_budgets:
             sp.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
-            sp.add_argument("--height-cap", type=int, default=None)
+            sp.add_argument("--height-cap", type=_nonnegative_int, default=None)
 
     sp = sub.add_parser("analyze", help="degree, resultant, bad places")
     sp.add_argument("--field", required=True)
@@ -472,7 +479,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--field", required=True)
     sp.add_argument("map")
     sp.add_argument("--place", required=True)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     add_common(sp, with_budgets=False)
 
     sp = sub.add_parser("bounds", help="evaluate all bound formulas")

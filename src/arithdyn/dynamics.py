@@ -23,10 +23,8 @@ serves as the brute-force oracle for everything the reductions claim.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import fppoly
 from .errors import BudgetExceededError, DomainError, PreconditionError
 from .fields import BaseField, Place
 from .projective import (
@@ -50,21 +48,17 @@ from .ratmap import (
 from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
 
 DEFAULT_MAX_STEPS = 2000
-DEFAULT_HEIGHT_CAP_Q = 10**40
-DEFAULT_HEIGHT_CAP_FF = 200
 
 
 @dataclass(frozen=True, slots=True)
 class Budget:
-    """Iteration budget; height_cap None picks the per-field default."""
+    """Iteration budget; height_cap None picks the ring's default."""
 
     max_steps: int = DEFAULT_MAX_STEPS
     height_cap: int | None = None
 
     def cap_for(self, field: BaseField) -> int:
-        if self.height_cap is not None:
-            return self.height_cap
-        return DEFAULT_HEIGHT_CAP_Q if field.is_rationals else DEFAULT_HEIGHT_CAP_FF
+        return field.ring.height_cap if self.height_cap is None else self.height_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,44 +323,19 @@ class SearchResult:
 
 
 def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500_000):
-    """All points of P^1(K) of coordinate height <= height_bound.
-
-    Q: coprime pairs [x : y], |x| <= H, 1 <= y <= H, plus infinity.
-    F_p(t): coprime pairs with monic y, max degree <= H, plus infinity.
-    """
+    """All points of P^1(K) of coordinate height <= height_bound: infinity,
+    then the coprime pairs [x : y] from `ring.upto`, which refuses a bound
+    whose pairs pass the budget; y is canonical (positive over Q, monic over
+    F_p(t)), so distinct pairs are distinct points."""
     if height_bound < 1:
         raise DomainError("height bound must be >= 1")
-    if field.is_rationals:
-        count = (2 * height_bound + 1) * height_bound + 1
-        if count > enum_budget:
-            raise BudgetExceededError("point enumeration exceeds budget")
-        from math import gcd
-
-        yield infinity(field)
-        for y in range(1, height_bound + 1):
-            for x in range(-height_bound, height_bound + 1):
-                if gcd(x, y) == 1:
-                    yield ProjPoint(field, x, y)
-        return
-    p = field.char
-    if (p ** (height_bound + 1)) ** 2 > enum_budget:
-        raise BudgetExceededError("point enumeration exceeds budget")
+    ring = field.ring
+    xs, ys = ring.upto(height_bound, enum_budget)
+    gcd, one = ring.gcd, ring.one
     yield infinity(field)
-    monic_ys = [
-        fppoly.ptrim(list(lower) + [1])
-        for deg in range(0, height_bound + 1)
-        for lower in itertools.product(range(p), repeat=deg)
-    ]
-    all_xs = [
-        fppoly.ptrim(list(cs))
-        for deg in range(0, height_bound + 1)
-        for cs in itertools.product(range(p), repeat=deg + 1)
-        if deg == 0 or cs[-1] != 0
-    ]
-    # distinct (x, monic y) pairs are distinct points
-    for y in monic_ys:
-        for x in all_xs:
-            if fppoly.pgcd(p, x, y) == fppoly.ONE:
+    for y in ys:
+        for x in xs:
+            if gcd(x, y) == one:
                 yield ProjPoint(field, x, y)
 
 

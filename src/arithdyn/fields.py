@@ -52,9 +52,11 @@ KIND_ARCH = "arch"
 # the coefficient size of a form (bits of its 2-norm over Z, largest
 # t-degree over F_p[t]), and `height_unit` is the size that costs one unit
 # of resultant work (ratmap.RESULTANT_BUDGET).  `escape_radius` is the
-# affine radius of the polynomial clause of ratmap.escape_profile.  They
-# act on the raw values stored everywhere else, ints and coefficient
-# tuples, and call fppoly through the module at each call.
+# affine radius of the polynomial clause of ratmap.escape_profile.  For
+# heights, `upto` lists the coordinates of the points of height <= h,
+# `pair_key` orders a point's coordinates and `height_cap` is the default
+# orbit cap.  They act on the raw values stored everywhere else, ints and
+# coefficient tuples, and call fppoly through the module at each call.
 
 
 class IntegerRing:
@@ -75,6 +77,18 @@ class IntegerRing:
     to_str = staticmethod(str)
     serialize = staticmethod(str)
     height_unit = 256
+    height_cap = 10**40
+
+    @staticmethod
+    def upto(h: int, budget: int) -> tuple[range, range]:
+        """(-h..h, 1..h), refused when their (2h + 1)*h + 1 points pass the budget."""
+        if (2 * h + 1) * h + 1 > budget:
+            raise BudgetExceededError("point enumeration exceeds budget")
+        return range(-h, h + 1), range(1, h + 1)
+
+    @staticmethod
+    def pair_key(x: int, y: int) -> tuple[int, int]:
+        return x, y
 
     @staticmethod
     def is_unit(a: int) -> bool:
@@ -135,6 +149,7 @@ class PolynomialRing:
     one = fppoly.ONE
     place_kind = KIND_IRREDUCIBLE
     height_unit = 1
+    height_cap = 200
 
     def __init__(self, p: int):
         self.p = p
@@ -180,6 +195,19 @@ class PolynomialRing:
         """The deg z from which z -> F(z)/u raises deg z, where F has a
         constant leading coefficient and lower coefficients co, u a unit."""
         return max(1, *map(len, co))
+
+    def upto(self, h: int, budget: int) -> tuple[list[Coeffs], list[Coeffs]]:
+        """(the codes below p^(h + 1), the monic codes [p^k, 2*p^k) for k <= h)
+        as polynomials, refused when p^(2h + 2) passes the budget, and
+        before any power once even 2^(2h + 2) does."""
+        p = self.p
+        if h >= budget.bit_length() or p ** (2 * h + 2) > budget:
+            raise BudgetExceededError("point enumeration exceeds budget")
+        xs = [fppoly.pfromcode(p, c) for c in range(p ** (h + 1))]
+        return xs, [y for k in range(h + 1) for y in xs[p**k : 2 * p**k]]
+
+    def pair_key(self, x: Coeffs, y: Coeffs) -> tuple[int, int]:
+        return fppoly.pcode(self.p, y), fppoly.pcode(self.p, x)
 
     def unit_inverse(self, a: Coeffs) -> int:
         """The unit u making u*a monic: the inverse of the leading coefficient."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import fppoly
 from .errors import DomainError, UnsupportedPlaceError
 from .fields import (
     KIND_ARCH,
@@ -59,10 +58,7 @@ class ProjPoint:
         return max(size(self.x), size(self.y))
 
     def sort_key(self):
-        if self.field.is_rationals:
-            return (self.height(), self.x, self.y)
-        p = self.field.char
-        return (self.height(), fppoly.pcode(p, self.y), fppoly.pcode(p, self.x))
+        return (self.height(), *self.field.ring.pair_key(self.x, self.y))
 
     def __str__(self) -> str:
         to_str = self.field.ring.to_str

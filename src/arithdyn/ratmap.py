@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fppoly
 from .errors import (
     BudgetExceededError,
     DegenerateMapError,
@@ -270,7 +269,7 @@ def resultant(phi: RationalMap) -> GlobalFieldElement:
 
 def max_coeff_degree(phi: RationalMap) -> int:
     """Largest t-degree among coefficients (function fields only)."""
-    return max(fppoly.pdeg(c) for c in phi.fco + phi.gco)
+    return max(map(phi.field.ring.size, phi.fco + phi.gco))
 
 
 @lru_cache(maxsize=4096)
@@ -399,12 +398,11 @@ def _successor_step(psi: ReducedMap):
     """node -> image node, by Horner on F(x, 1) and G(x, 1) from c_d down.
 
     Node q (infinity) maps to [c_d : g_d].  Prime fields run on ints mod p
-    with one modular inverse.  Extension fields with exp/log tables skip
-    node 0 (it has no log): over F_2 they run on codes, a sum being an XOR
-    and a product exp[log a + log b]; over odd p they run on logs (-1 for
-    zero), a sum g^a + g^c being g^(a + zech[c - a]).  Other extensions
-    evaluate both forms by `_eval_pair` on the field's polynomial
-    arithmetic.
+    with one modular inverse.  Extension fields with tables skip node 0
+    (it has no log) and run on logs (-1 for zero), a product being a sum
+    of logs and a sum g^a + g^c being g^(a + zech[c - a]).  Other
+    extensions evaluate both forms by `_eval_pair` on the field's
+    polynomial arithmetic.
     """
     rf = psi.rfield
     p, q, d = rf.p, rf.q, psi.degree
@@ -433,25 +431,6 @@ def _successor_step(psi: ReducedMap):
             if x == q:
                 return ReducedPoint.make(rf, fd, gd).code()
             return ReducedPoint.make(rf, *_eval_pair(rf, fco, gco, x, 1)).code()
-
-    elif p == 2:
-        exp, log, n = t.exp, t.log, t.n
-
-        def step(x):
-            if not x or x == q:
-                return ReducedPoint.make(rf, *ends[x]).code()
-            lx = log[x]
-            f, g = fd, gd
-            for cf, cg in rest:
-                if f:
-                    f = exp[log[f] + lx]
-                if g:
-                    g = exp[log[g] + lx]
-                f ^= cf
-                g ^= cg
-            if f and g:
-                return exp[log[f] - log[g] + n]
-            return ReducedPoint.make(rf, f, g).code()
 
     else:
         exp, log, zech, n = t.exp, t.log, t.zech, t.n

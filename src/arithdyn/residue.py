@@ -7,9 +7,9 @@ reduced points hashable and make functional-graph nodes plain array
 indices.
 
 An extension field small enough for a functional graph gets exp/log
-tables of a primitive element (and a Zech table for odd p), built once
-and kept in a bounded cache; its products and inverses are then table
-lookups.  Larger extensions use polynomial arithmetic mod pi.
+and Zech tables of a primitive element, built once and kept in a
+bounded cache; its products and inverses are then table lookups.
+Larger extensions use polynomial arithmetic mod pi.
 """
 
 from __future__ import annotations
@@ -31,18 +31,18 @@ DEFAULT_NODE_BUDGET = 100_000
 
 @dataclass(frozen=True, slots=True)
 class FieldTables:
-    """exp/log tables of F_q^* = <g> on element codes, with n = q - 1.
+    """exp/log and Zech tables of F_q^* = <g> on element codes, with n = q - 1.
 
     exp[i] is the code of g^i for 0 <= i < 2n (doubled, so a sum of two
     logs needs no reduction); log[a] is the exponent of a nonzero code a,
-    and log[0] = -1.  For odd p, zech[i] = log(1 + g^i), or -1 where
-    1 + g^i = 0; over F_2 a sum of codes is their XOR and zech is None.
+    and log[0] = -1.  zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0, so
+    g^a + g^c = g^(a + zech[(c - a) mod n]).
     """
 
     n: int
     exp: array
     log: array
-    zech: array | None
+    zech: array
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +165,7 @@ class ResidueField:
 
 @lru_cache(maxsize=16)
 def _field_tables(rf: ResidueField) -> FieldTables | None:
-    """exp/log (and Zech) tables of F_p[u]/(pi) in O(q) integer steps.
+    """exp/log and Zech tables of F_p[u]/(pi) in O(q) integer steps.
 
     None when the modulus is reducible (the ring is not a field).  The
     powers of the primitive element g come from a table of c -> g*c on all
@@ -222,10 +222,8 @@ def _field_tables(rf: ResidueField) -> FieldTables | None:
         log[c] = i
         x = times_g[c]
         c = code_of_half[x & half_mask] + half_q * code_of_half[x >> half_shift]
-    zech = None
-    if p != 2:
-        # 1 + g^i raises the constant coefficient of g^i by one
-        zech = array("i", (log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp[:n]))
+    # 1 + g^i raises the constant coefficient of g^i by one (mod p)
+    zech = array("i", (log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp[:n]))
     return FieldTables(n, exp, log, zech)
 
 

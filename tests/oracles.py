@@ -200,6 +200,42 @@ def brute_monic_irreducibles(p: int, n: int) -> set:
     return {f for f in monics(n) if f not in composites}
 
 
+def brute_points(p: int, H: int) -> set:
+    """Coordinates (x, y) of every point of P^1 of height <= H, without a gcd.
+
+    Over Q (p = 0) the reduced fractions x/y with |x|, |y| <= H by
+    `Fraction`; over F_p(t) the pairs of degree <= H with monic y, minus
+    every multiple g*(x, y) by a monic g of positive degree.  Plus [1 : 0].
+    """
+    if not p:
+        points = {
+            (f.numerator, f.denominator)
+            for y in range(1, H + 1)
+            for f in (Fraction(x, y) for x in range(-H, H + 1))
+        }
+        return points | {(1, 0)}
+
+    def monic(deg):
+        return [lower + (1,) for lower in product(range(p), repeat=deg)]
+
+    def upto(h):
+        """(every polynomial of degree <= h, the monic ones)."""
+        monics = [y for deg in range(h + 1) for y in monic(deg)]
+        scaled = [tuple(c * v % p for v in y) for c in range(1, p) for y in monics]
+        return [()] + scaled, monics
+
+    xs, ys = upto(H)
+    pairs = {(x, y) for x in xs for y in ys}
+    multiples = set()
+    for a in range(1, H + 1):
+        xs, ys = upto(H - a)
+        for g in monic(a):
+            multiples |= {
+                (schoolbook_pmul(p, g, x), schoolbook_pmul(p, g, y)) for x in xs for y in ys
+            }
+    return (pairs - multiples) | {((1,), ())}
+
+
 def trial_division_is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

@@ -60,6 +60,26 @@ class TestPositiveCharacteristic:
                         ps ** (2 * D), p ** (4 * s - 2)
                     )
 
+    @pytest.mark.parametrize("p, D", [(2, 1), (3, 2), (101, 1), (2, 600)])
+    def test_every_admitted_eta_prints(self, p, D):
+        # the largest admitted |S| prints in at most 4,300 digits, and the
+        # next one is refused; every printed bound is at most eta
+        def admitted(s):
+            try:
+                return ad.compute_bounds(BoundContext(p, D, s))
+            except BudgetExceededError:
+                return None
+
+        lo, hi = 0, 10**4  # admitted(lo) or lo == 0; hi refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        if lo:
+            bs = admitted(lo)
+            assert len(str(bs.eta)) <= 4300
+            assert max(bs.cycle_bound, bs.i_bound, bs.r_bound) <= bs.eta
+        assert admitted(lo + 1) is None
+
     def test_cycle_bound_below_eta(self):
         for p in (2, 3, 5):
             for D in (1, 2, 3):

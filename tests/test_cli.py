@@ -307,11 +307,14 @@ class TestExitCodes:
             ("verify-corollary3", "--c-range=-1:1", "--height", "0"),
             ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf;p:2", "--cap", "0"),
             ("sunit-solve", "--field", "Fp:2", "--a", "1", "--b", "1", "--S", "inf", "--cap", "-3"),
+            ("orbit", "--field", "Q", "z^2-1", "--point", "0", "--height-cap", "-1"),
+            ("graph", "--field", "Q", "z^2", "--place", "p:3", "--node-budget", "0"),
         ],
         ids=[
             "characteristic", "place", "place-set", "poly-place", "empty-poly-place",
             "zero-max-steps", "negative-max-steps", "zero-max-steps-sweep",
             "zero-height", "negative-height", "zero-height-sweep", "zero-cap", "negative-cap",
+            "negative-height-cap", "zero-node-budget",
         ],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
@@ -364,6 +367,30 @@ class TestRobustness:
             "analyze", "--field", "Fp:1000003", "z^2/(t^2+1)"
         )
         assert code == 2
+        assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    # p^(2H + 2) is not built for a huge F_p height, nor a range counted
+    # for a huge Q height
+    @pytest.mark.parametrize(
+        "field, height",
+        [("Fp:2", "1000000000"), ("Fp:1000000000000000003", "400000"), ("Q", "100000000000000000000")],
+        ids=["F2", "huge-p", "Q"],
+    )
+    def test_huge_height_refused_at_once(self, field, height):
+        code, _, err, seconds = run_subprocess("search", "--field", field, "z^2", "--height", height)
+        assert code == 2
+        assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    # eta would pass the 4,300 digits an int may print by default; over Q
+    # its certified ceiling would not even finish
+    @pytest.mark.parametrize("char, s", [("2", "5000"), ("0", "1000")], ids=["F2", "Q"])
+    def test_unprintable_bounds_refused_at_once(self, char, s):
+        code, out, err, seconds = run_subprocess(
+            "bounds", "--char", char, "--degree", "1", "--s", s, "--json"
+        )
+        assert (code, out) == (2, "")
         assert "BudgetExceededError" in err
         assert seconds < 2
 

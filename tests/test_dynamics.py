@@ -9,7 +9,7 @@ from arithdyn.errors import BudgetExceededError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import good_test_places, interpolated_polynomial_map, random_map
-from oracles import map_step
+from oracles import brute_points, map_step
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -349,6 +349,14 @@ class TestPreperiodicSearch:
     def test_enumeration_counts(self):
         assert sum(1 for _ in ad.enumerate_points(ad.QQ, 2)) == 8
         assert sum(1 for _ in ad.enumerate_points(F2T, 1)) == 9
+
+    @pytest.mark.parametrize("p, max_height", [(0, 29), (2, 5), (3, 3), (5, 2), (7, 2), (11, 2)])
+    def test_enumeration_matches_brute_force(self, p, max_height):
+        field = ad.function_field(p) if p else ad.QQ
+        for H in range(1, max_height + 1):
+            points = [(pt.x, pt.y) for pt in ad.enumerate_points(field, H, enum_budget=10**7)]
+            assert len(set(points)) == len(points)
+            assert set(points) == brute_points(p, H)
 
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceededError):

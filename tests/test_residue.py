@@ -49,6 +49,19 @@ class TestTables:
         assert orc.order(g) == rf.q - 1
         assert all(t.exp[i + 1] == orc.mul(t.exp[i], g) for i in range(t.n))
 
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256, 512, 1024, 9, 27, 81, 25, 125, 49])
+    def test_zech_is_the_log_of_one_plus_a_power(self, q):
+        rf = field_of_size(q)
+        t = rf.tables()
+        orc = oracle_for(rf)
+        assert len(t.zech) == t.n
+        for i in range(t.n):
+            want = orc.add(1, t.exp[i])
+            if want:
+                assert 0 <= t.zech[i] < t.n and t.exp[t.zech[i]] == want
+            else:
+                assert t.zech[i] == -1
+
     @pytest.mark.parametrize("p, modulus", NON_PRIMITIVE)
     def test_non_primitive_modulus(self, p, modulus):
         rf = ResidueField(p, modulus)

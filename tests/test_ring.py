@@ -327,6 +327,47 @@ class TestPlaceScan:
         assert {pl.kind for pl in scan[1:]} == {"irreducible"}
 
 
+class TestHeights:
+    """`upto` lists the elements by size, and enumeration refuses a height
+    by the ring's own count: (2h + 1)*h + 1 over Z, p^(2h + 2) over F_p[t]."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("field", [ad.QQ] + FUNCTION_FIELDS, ids=str)
+    def test_upto_lists_every_element_of_size_at_most_h(self, field, h):
+        ring, p = field.ring, field.char
+        xs, ys = (list(v) for v in ring.upto(h, 10**7))
+        assert len(set(xs)) == len(xs) == (p ** (h + 1) if p else 2 * h + 1)
+        assert all((len(x) - 1 if p else abs(x)) <= h for x in xs)
+        if p:
+            assert [oracle_code(p, x) for x in xs] == list(range(p ** (h + 1)))
+            monics = [x for x in xs if x and x[-1] == 1]
+            assert ys == sorted(monics, key=lambda y: oracle_code(p, y))
+        else:
+            assert ys == [x for x in xs if x > 0]
+
+    @pytest.mark.parametrize(
+        "p, h, admitted",
+        [
+            (0, 499, True), (0, 500, False), (2, 8, True), (2, 9, False),
+            (3, 4, True), (3, 5, False), (11, 1, True), (11, 2, False),
+            (23, 1, True), (29, 1, False),
+            (0, 10**20, False), (2, 10**9, False), (1000000000000000003, 400000, False),
+        ],
+    )
+    def test_refusal_boundary_at_the_default_budget(self, p, h, admitted):
+        points = ad.enumerate_points(ad.function_field(p) if p else ad.QQ, h)
+        if admitted:
+            assert next(points).is_infinity
+        else:
+            with pytest.raises(BudgetExceededError):
+                next(points)
+
+    def test_pair_key_orders_by_code(self):
+        assert Z.pair_key(-3, 2) == (-3, 2)
+        # y before x, each by its base-p code
+        assert polynomial_ring(3).pair_key((1, 2), (0, 1)) == (3, 7)
+
+
 def oracle_reduce(p, place, values):
     """Schoolbook residue codes: long division by the place polynomial; at
     infinity each value is rewritten in s = 1/t and scaled by s^m, m the

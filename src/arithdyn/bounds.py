@@ -1,16 +1,9 @@
 """Exact evaluation of every explicit bound formula, plus report checking.
 
-Positive-characteristic bounds are plain integer arithmetic.  The
-characteristic-zero bounds involve natural logarithms; those are returned
-as certified integer ceilings: ln is enclosed between exact rational
-lower/upper bounds (argument reduction to [1, 2) plus the atanh series
-with an explicit remainder term), the whole formula is evaluated in
-interval arithmetic over Fraction, and the precision is doubled until the
-two interval ends agree on the ceiling.  The returned integer is provably
->= the real value of the formula, never below it.
-
-log means the natural logarithm throughout; changing the base would be a
-one-line change of _LN_BASE_ADJUST (kept at 1).
+Positive-characteristic bounds are plain integer arithmetic.  Each
+characteristic-zero bound is the largest of a few terms m*(c*ln x)^e, with
+ln the natural logarithm, and is returned as a certified integer ceiling
+(`certified_ceiling`): provably >= the real value, never below it.
 """
 
 from __future__ import annotations
@@ -23,66 +16,82 @@ from .errors import BudgetExceededError, DomainError, PreconditionError
 from .fields import KIND_ARCH, PlaceSet, infinite_place, is_prime_int, strip_places
 from .ratmap import RationalMap, has_good_reduction, resultant
 
-_LN_BASE_ADJUST = 1  # natural log; documented single point of change
-
-Interval = tuple[Fraction, Fraction]
-
-
-def _atanh_interval(y: Fraction, terms: int) -> Interval:
-    """Enclosure of atanh(y) for 0 <= y < 1 by the odd power series."""
-    s = Fraction(0)
-    y2 = y * y
-    power = y
-    for k in range(terms):
-        s += power / (2 * k + 1)
-        power *= y2
-    remainder = power / ((2 * terms + 1) * (1 - y2))
-    return s, s + remainder
+# precision cap of certified_ceiling: an admitted eta has at most
+# MAX_BOUND_DIGITS digits (about 14,300 bits) and is pinned by 2^14 bits
+_MAX_BITS = 1 << 16
 
 
-def ln_interval(x: Fraction, terms: int = 24) -> Interval:
-    """Exact rational enclosure of ln(x) for rational x >= 1."""
+def _atanh_fixed(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    atanh(y) is the sum over k >= 0 of T_k/(2k+1), T_k = 2^bits*y^(2k+1).
+    The powers are kept rounded down, P_0 = floor(2^bits*a/b) and
+    P_k = floor(P_(k-1)*a^2/b^2), so T_k - P_k < 1 + y^2*(T_(k-1) - P_(k-1))
+    stays below 1/(1 - 1/9) = 9/8, and the term floor(P_k/(2k+1)) is within
+    9/8 + 1 < 3 of T_k/(2k+1).  The series stops at the first n with
+    P_n = 0: then T_n < 9/8, and the tail is at most T_n/(1 - y^2) < 2.
+    So the n terms sum to lo, and hi = lo + 3n + 2.
+    """
+    a2, b2 = a * a, b * b
+    power = (a << bits) // b
+    lo = n = 0
+    while power:
+        lo += power // (2 * n + 1)
+        power = power * a2 // b2
+        n += 1
+    return lo, lo + 3 * n + 2
+
+
+def _ln_fixed(x: Fraction, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits * ln(x) <= hi for rational x >= 1, from
+    x = 2^k * m, m in [1, 2): ln x = 2k*atanh(1/3) + 2*atanh((m-1)/(m+1))."""
     if x < 1:
         raise DomainError("ln enclosure implemented for x >= 1 only")
-    k = 0
-    while x >= 2:
-        x /= 2
-        k += 1
-    lo2, hi2 = _atanh_interval(Fraction(1, 3), terms)  # atanh(1/3) = ln(2)/2
-    lom, him = _atanh_interval((x - 1) / (x + 1), terms)
-    return (
-        (2 * k * lo2 + 2 * lom) * _LN_BASE_ADJUST,
-        (2 * k * hi2 + 2 * him) * _LN_BASE_ADJUST,
-    )
+    num, den = x.numerator, x.denominator
+    k = num.bit_length() - den.bit_length()
+    if den << k > num:
+        k -= 1
+    lo2, hi2 = _atanh_fixed(1, 3, bits)
+    lom, him = _atanh_fixed(num - (den << k), num + (den << k), bits)
+    return 2 * (k * lo2 + lom), 2 * (k * hi2 + him)
 
 
-def _ipow(a: Interval, e: int) -> Interval:
-    return a[0] ** e, a[1] ** e
+def ln_interval(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Exact rational enclosure of ln(x) for rational x >= 1, over 2^bits."""
+    lo, hi = _ln_fixed(x, bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
-def _iscale(a: Interval, c) -> Interval:
-    c = Fraction(c)
-    return a[0] * c, a[1] * c
+def _term_ceilings(m: int, c: int, x: int, e: int, bits: int) -> list[int]:
+    """ceil(m*(c*ln x)^e) at both ends of the ln x enclosure over 2^bits, by
+    square-and-multiply with every product rounded down at the lower end
+    and up at the upper end."""
+    one = 1 << bits
+    ends = []
+    for ln_x, rnd in zip(_ln_fixed(x, bits), (0, one - 1)):
+        power = one
+        for bit in bin(e)[2:]:
+            power = (power * power + rnd) >> bits
+            if bit == "1":
+                power = (power * c * ln_x + rnd) >> bits
+        ends.append((m * power + one - 1) >> bits)
+    return ends
 
 
-def _imax(a: Interval, b: Interval) -> Interval:
-    return max(a[0], b[0]), max(a[1], b[1])
+def certified_ceiling(terms) -> int:
+    """ceil of the largest m*(c*ln x)^e over the (m, c, x, e) in `terms`,
+    with m, c, e positive integers and x >= 1 rational.
 
-
-def certified_ceiling(formula, max_terms: int = 3072) -> int:
-    """ceil of an interval-valued formula, refined until both ends agree.
-
-    `formula` maps a term count to an Interval.  If agreement is never
-    reached the upper ceiling is returned, which is still a correct upper
-    bound for the real value.
+    bits doubles from 64 until the ceilings at both ends agree.  Past
+    _MAX_BITS the upper ceiling is returned, which is still a correct upper
+    bound (for x = 1 the ends never agree).
     """
-    terms = 24
-    while terms <= max_terms:
-        lo, hi = formula(terms)
-        if math.ceil(lo) == math.ceil(hi):
-            return math.ceil(hi)
-        terms *= 2
-    return math.ceil(formula(max_terms)[1])
+    bits = 64
+    while True:
+        lo, hi = map(max, zip(*(_term_ceilings(*term, bits) for term in terms)))
+        if lo == hi or bits >= _MAX_BITS:
+            return hi
+        bits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +180,12 @@ def compute_bounds(ctx: BoundContext) -> BoundSet:
         r_bound = unit_equation_solution_bound(p, s)
         return BoundSet(ctx, eta, cycle, i_bound, r_bound, None)
 
-    def eta_formula(terms: int) -> Interval:
-        branch1 = _iscale(
-            _ipow(_iscale(ln_interval(Fraction(5 * s), terms), 12 * s), D),
-            2 ** (16 * s - 8) + 3,
-        )
-        branch2 = _ipow(
-            _iscale(ln_interval(Fraction(5 * s + 5), terms), 12 * (s + 2)), 4 * D
-        )
-        return _imax(branch1, branch2)
-
-    def cycle_formula(terms: int) -> Interval:
-        return _ipow(
-            _iscale(ln_interval(Fraction(5 * (s + 1)), terms), 12 * (s + 1)), 4 * D
-        )
-
-    def small_residue_formula(terms: int) -> Interval:
-        return _ipow(_iscale(ln_interval(Fraction(5 * s), terms), 12 * s), D)
-
-    eta = certified_ceiling(eta_formula)
-    cycle = certified_ceiling(cycle_formula)
-    i_bound = certified_ceiling(small_residue_formula) - 1
+    # each term (m, c, x, e) stands for m*(c*ln x)^e
+    eta = certified_ceiling(
+        ((2 ** (16 * s - 8) + 3, 12 * s, 5 * s, D), (1, 12 * (s + 2), 5 * s + 5, 4 * D))
+    )
+    cycle = certified_ceiling(((1, 12 * (s + 1), 5 * (s + 1), 4 * D),))
+    i_bound = certified_ceiling(((1, 12 * s, 5 * s, D),)) - 1
     return BoundSet(ctx, eta, cycle, i_bound, None, evertse_solution_bound(2 * s - 2))
 
 

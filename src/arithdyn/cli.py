@@ -484,8 +484,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("bounds", help="evaluate all bound formulas")
     sp.add_argument("--char", type=int, required=True)
-    sp.add_argument("--degree", type=int, required=True, help="extension degree D")
-    sp.add_argument("--s", type=int, required=True, help="|S|")
+    sp.add_argument("--degree", type=_positive_int, required=True, help="extension degree D")
+    sp.add_argument("--s", type=_positive_int, required=True, help="|S|")
     sp.add_argument("--map-degree", type=int, default=None)
     add_common(sp, with_budgets=False)
 

@@ -21,11 +21,25 @@ class TestLnInterval:
         "x", [Fraction(1), Fraction(2), Fraction(5), Fraction(10), Fraction(355, 113)]
     )
     def test_encloses_true_value(self, x):
-        lo, hi = ln_interval(x, 40)
+        lo, hi = ln_interval(x, 80)
         true = mp.log(mp.mpf(x.numerator) / x.denominator)
         assert mp.mpf(lo.numerator) / lo.denominator <= true
         assert mp.mpf(hi.numerator) / hi.denominator >= true
         assert hi - lo < Fraction(1, 10**20)
+
+    # reduced arguments at both ends of [1, 2), with and without many
+    # halvings, and the x = 5s + 5 of the largest admitted |S|
+    @pytest.mark.parametrize(
+        "x", [Fraction(2**40), Fraction(2**40 - 1), Fraction(1999, 1000), Fraction(4465)]
+    )
+    @pytest.mark.parametrize("bits", [64, 128, 1024])
+    def test_width_at_the_edges(self, x, bits):
+        lo, hi = ln_interval(x, bits)
+        with mp.workdps(bits // 3 + 30):
+            true = mp.log(mp.mpf(x.numerator) / x.denominator)
+            assert mp.mpf(lo.numerator) / lo.denominator <= true
+            assert mp.mpf(hi.numerator) / hi.denominator >= true
+        assert (hi - lo) * 2**bits <= 2 * (math.log2(x) + 1) * (bits + 8)
 
     def test_rejects_small_arguments(self):
         with pytest.raises(DomainError):
@@ -60,7 +74,7 @@ class TestPositiveCharacteristic:
                         ps ** (2 * D), p ** (4 * s - 2)
                     )
 
-    @pytest.mark.parametrize("p, D", [(2, 1), (3, 2), (101, 1), (2, 600)])
+    @pytest.mark.parametrize("p, D", [(2, 1), (3, 2), (101, 1), (2, 600), (0, 1)])
     def test_every_admitted_eta_prints(self, p, D):
         # the largest admitted |S| prints in at most 4,300 digits, and the
         # next one is refused; every printed bound is at most eta
@@ -77,7 +91,8 @@ class TestPositiveCharacteristic:
         if lo:
             bs = admitted(lo)
             assert len(str(bs.eta)) <= 4300
-            assert max(bs.cycle_bound, bs.i_bound, bs.r_bound) <= bs.eta
+            others = (bs.cycle_bound, bs.i_bound, bs.r_bound, bs.evertse_bound)
+            assert max(b for b in others if b is not None) <= bs.eta
         assert admitted(lo + 1) is None
 
     def test_cycle_bound_below_eta(self):
@@ -110,25 +125,40 @@ class TestCharacteristicZero:
         assert bs.evertse_bound == 256
         assert bs.r_bound is None
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    @pytest.mark.parametrize("D", [1, 2])
+    @pytest.mark.parametrize("s", range(1, 13))
+    @pytest.mark.parametrize("D", range(1, 7))
     def test_certified_ceilings_against_high_precision(self, s, D):
+        self.check_against_mpmath(D, s)
+
+    # long exponents: D = 100, eta's factor 2^(16s - 8) at |S| = 200, and
+    # the largest admitted extension degree
+    @pytest.mark.parametrize("D, s", [(100, 1), (1, 200), (560, 1)])
+    def test_certified_ceilings_at_large_exponents(self, D, s):
+        self.check_against_mpmath(D, s)
+
+    @staticmethod
+    def check_against_mpmath(D, s):
         bs = ad.compute_bounds(BoundContext(0, D, s))
-        eta_true = max(
-            (2 ** (16 * s - 8) + 3) * (12 * s * mp.log(5 * s)) ** D,
-            (12 * (s + 2) * mp.log(5 * s + 5)) ** (4 * D),
-        )
-        cycle_true = (12 * (s + 1) * mp.log(5 * (s + 1))) ** (4 * D)
-        i_true = (12 * s * mp.log(5 * s)) ** D
-        assert bs.eta >= eta_true and bs.eta == int(mp.ceil(eta_true))
-        assert bs.cycle_bound >= cycle_true
-        assert bs.cycle_bound == int(mp.ceil(cycle_true))
-        assert bs.i_bound == int(mp.ceil(i_true)) - 1
+        with mp.workdps(len(str(bs.eta)) + 30):
+            eta_true = max(
+                (2 ** (16 * s - 8) + 3) * (12 * s * mp.log(5 * s)) ** D,
+                (12 * (s + 2) * mp.log(5 * s + 5)) ** (4 * D),
+            )
+            cycle_true = (12 * (s + 1) * mp.log(5 * (s + 1))) ** (4 * D)
+            i_true = (12 * s * mp.log(5 * s)) ** D
+            assert bs.eta >= eta_true and bs.eta == int(mp.ceil(eta_true))
+            assert bs.cycle_bound >= cycle_true
+            assert bs.cycle_bound == int(mp.ceil(cycle_true))
+            assert bs.i_bound == int(mp.ceil(i_true)) - 1
 
     def test_certified_ceiling_refines(self):
         # a deliberately coarse formula still settles on the right ceiling
-        val = certified_ceiling(lambda terms: ln_interval(Fraction(3), terms))
-        assert val == 2  # ln 3 = 1.0986...
+        assert certified_ceiling(((1, 1, 3, 1),)) == 2  # ln 3 = 1.0986...
+
+    def test_value_just_above_an_integer(self):
+        # ln(1 + 2^-80)^2 is far below 2^-64: at 64 bits its square stays
+        # positive at the upper end only because products there round up
+        assert certified_ceiling(((1, 1, Fraction(2**80 + 1, 2**80), 2),)) == 1
 
 
 class TestMonotonicity:

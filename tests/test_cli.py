@@ -309,12 +309,16 @@ class TestExitCodes:
             ("sunit-solve", "--field", "Fp:2", "--a", "1", "--b", "1", "--S", "inf", "--cap", "-3"),
             ("orbit", "--field", "Q", "z^2-1", "--point", "0", "--height-cap", "-1"),
             ("graph", "--field", "Q", "z^2", "--place", "p:3", "--node-budget", "0"),
+            ("bounds", "--char", "0", "--degree", "0", "--s", "1"),
+            ("bounds", "--char", "2", "--degree", "-1", "--s", "1"),
+            ("bounds", "--char", "0", "--degree", "1", "--s", "0"),
         ],
         ids=[
             "characteristic", "place", "place-set", "poly-place", "empty-poly-place",
             "zero-max-steps", "negative-max-steps", "zero-max-steps-sweep",
             "zero-height", "negative-height", "zero-height-sweep", "zero-cap", "negative-cap",
             "negative-height-cap", "zero-node-budget",
+            "zero-degree", "negative-degree", "zero-s",
         ],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
@@ -383,8 +387,8 @@ class TestRobustness:
         assert "BudgetExceededError" in err
         assert seconds < 2
 
-    # eta would pass the 4,300 digits an int may print by default; over Q
-    # its certified ceiling would not even finish
+    # eta would pass the 4,300 digits an int may print by default; the
+    # refusal comes from a float estimate, before any big int is built
     @pytest.mark.parametrize("char, s", [("2", "5000"), ("0", "1000")], ids=["F2", "Q"])
     def test_unprintable_bounds_refused_at_once(self, char, s):
         code, out, err, seconds = run_subprocess(
@@ -392,6 +396,23 @@ class TestRobustness:
         )
         assert (code, out) == (2, "")
         assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    # D = 100 and the largest admitted contexts over Q answer, and one step
+    # past either edge is refused
+    @pytest.mark.parametrize(
+        "degree, s, want",
+        [("100", "1", 0), ("560", "1", 0), ("1", "892", 0), ("561", "1", 2), ("1", "893", 2)],
+    )
+    def test_char0_bounds_at_the_digit_limit(self, degree, s, want):
+        code, out, err, seconds = run_subprocess(
+            "bounds", "--char", "0", "--degree", degree, "--s", s, "--json"
+        )
+        assert code == want
+        if want == 0:
+            assert len(json.loads(out)["result"]["eta"]) <= 4300
+        else:
+            assert "BudgetExceededError" in err
         assert seconds < 2
 
     def test_sunit_torsion_counted_before_it_is_built(self):

@@ -268,6 +268,9 @@ def verify_report(report, phi: RationalMap, ctx: BoundContext, S: PlaceSet) -> l
         raise PreconditionError("S does not contain all bad-reduction places")
     if ctx.p != phi.field.char:
         raise PreconditionError("context characteristic differs from the base field")
+    if ctx.s != S.size:
+        # the bounds grow with s: a smaller s could report a false violation
+        raise PreconditionError("context s differs from |S|")
     bounds = compute_bounds(ctx)
     checks = [
         BoundCheck("orbit_size", report.total, bounds.eta, report.total <= bounds.eta),

@@ -30,7 +30,6 @@ from .fields import BaseField, Place
 from .projective import (
     INFINITE,
     ProjPoint,
-    ReducedPoint,
     infinity,
     reduce_point,
 )
@@ -182,13 +181,18 @@ class FunctionalGraph:
 
     def orbit_of(self, code: int) -> list[int]:
         """Node sequence from `code` until just before the first repeat."""
-        seen = set()
-        out = []
-        while code not in seen:
-            seen.add(code)
-            out.append(code)
-            code = self.successors[code]
-        return out
+        return _walk(self.successors.__getitem__, code)[0]
+
+
+def _walk(step, start) -> tuple[list, int]:
+    """start, step(start), ... up to the first repeat, and its first index."""
+    seen: dict = {}
+    out = []
+    while start not in seen:
+        seen[start] = len(out)
+        out.append(start)
+        start = step(start)
+    return out, seen[start]
 
 
 def functional_graph(psi: ReducedMap, node_budget: int = DEFAULT_NODE_BUDGET) -> FunctionalGraph:
@@ -238,25 +242,13 @@ class PeriodData:
     r: int | float
 
 
-def _reduced_cycle_from(psi: ReducedMap, start: ReducedPoint) -> list[ReducedPoint]:
-    """The cycle reached from `start` (follows the tail first if any)."""
-    seen: dict[ReducedPoint, int] = {}
-    pts = []
-    cur = start
-    while cur not in seen:
-        seen[cur] = len(pts)
-        pts.append(cur)
-        cur = psi.apply(cur)
-    return pts[seen[cur]:]
-
-
 def reduced_period_data(
     phi: RationalMap, point: ProjPoint, place: Place
 ) -> PeriodData:
     """(m, r) for the reduction of a point at a good place."""
     psi = reduce_map(phi, place)
-    start = reduce_point(point, place)
-    cycle = _reduced_cycle_from(psi, start)
+    pts, first = _walk(psi.apply, reduce_point(point, place))
+    cycle = pts[first:]  # after the tail, if any
     rf = psi.rfield
     num, den = cycle_multiplier(rf, psi.fco, psi.gco, [(q.x, q.y) for q in cycle])
     if not num:

@@ -43,8 +43,8 @@ KIND_ARCH = "arch"
 # integral rings
 #
 # Z and F_p[t] are both principal ideal domains, and everything that works
-# on integral values (canonical forms, contents, valuations, evaluation of
-# forms) goes through one of the two ring objects below.  They also own the
+# on integral values (canonical forms, contents, powers, valuations, form
+# values) goes through one of the two ring objects below.  They also own the
 # finite places: `factor` splits a value into prime elements under a budget,
 # `primes` yields the prime elements in scan order, `residue` gives the
 # residue-field code of a value modulo a prime element, and `units` lists
@@ -70,6 +70,7 @@ class IntegerRing:
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
+    pow = staticmethod(pow)
     scale = staticmethod(operator.mul)  # by an int, e.g. from unit_inverse
     gcd = staticmethod(math.gcd)
     exactdiv = staticmethod(operator.floordiv)
@@ -166,6 +167,9 @@ class PolynomialRing:
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return fppoly.pmul(self.p, a, b)
+
+    def pow(self, a: Coeffs, e: int) -> Coeffs:
+        return fppoly.power(self.mul, a, e, fppoly.ONE)
 
     def scale(self, a: Coeffs, u: int) -> Coeffs:
         """a times the integer u, e.g. the unit from unit_inverse."""
@@ -388,16 +392,14 @@ class GlobalFieldElement:
         return _quotient(self.field, r.mul(self.num, other.den), r.mul(self.den, other.num))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.field.one() / self**(-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        # powers of a coprime pair with a canonical denominator are again one
+        ring = self.field.ring
+        num, den = ring.pow(self.num, abs(e)), ring.pow(self.den, abs(e))
+        if e >= 0:
+            return GlobalFieldElement(self.field, num, den)
+        if not num:
+            raise ZeroDivisionError("division by zero element")
+        return GlobalFieldElement(self.field, *canon_pair(ring, den, num, ring.one))
 
     def __str__(self) -> str:
         to_str = self.field.ring.to_str
@@ -444,6 +446,18 @@ def iter_primes():
         if all(n % q for q in found if q * q <= n):
             found.append(n)
             yield n
+
+
+def integer_root(n: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= n, for n >= 0 and k >= 1, by Newton's
+    iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while r:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r
 
 
 # Miller-Rabin with these bases is exact below MR_EXACT_BOUND
@@ -719,13 +733,17 @@ def strip_places(
     """(rest, exponents), x = rest * prod pi^e over the finite places of S
     in order, by valuation and not by factoring; rest.num and rest.den are
     units exactly when v(x) = 0 at every finite place outside S."""
-    rest, exponents = x, []
+    # an exact quotient by a prime power keeps the pair canonical: no gcd
+    ring = x.field.ring
+    num, den, exponents = x.num, x.den, []
     for pl in S.finite_places():
         e = valuation(x, pl)
         exponents.append(e)
-        if e:
-            rest = rest / x.field.element(pl.payload) ** e
-    return rest, tuple(exponents)
+        if e > 0:
+            num = ring.exactdiv(num, ring.pow(pl.payload, e))
+        elif e < 0:
+            den = ring.exactdiv(den, ring.pow(pl.payload, -e))
+    return GlobalFieldElement(x.field, num, den), tuple(exponents)
 
 
 def is_s_integer(x: GlobalFieldElement, S: PlaceSet) -> bool:
@@ -739,11 +757,14 @@ def is_s_integer(x: GlobalFieldElement, S: PlaceSet) -> bool:
 
 
 def is_s_unit(x: GlobalFieldElement, S: PlaceSet) -> bool:
-    """v(x) == 0 at every place outside S (x and 1/x are S-integers);
-    undefined for zero."""
+    """v(x) == 0 at every place outside S; undefined for zero."""
     if x.is_zero:
         raise DomainError("zero is not an S-unit")
-    return is_s_integer(x, S) and is_s_integer(x.field.one() / x, S)
+    rest, _ = strip_places(x, S)
+    is_unit = x.field.ring.is_unit
+    return is_unit(rest.num) and is_unit(rest.den) and (
+        S.contains_infinite() or valuation(x, infinite_place(x.field)) == 0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -221,17 +221,25 @@ def pderiv(p: int, a: Coeffs) -> Coeffs:
     return ptrim([i * a[i] % p for i in range(1, len(a))])
 
 
-def ppow_mod(p: int, a: Coeffs, e: int, m: Coeffs) -> Coeffs:
-    """a^e modulo m by square-and-multiply."""
-    result = pmod(p, ONE, m)
-    base = pmod(p, a, m)
+def power(mul, a, e: int, one):
+    """a^e for e >= 0 by square-and-multiply on `mul`: popcount(e) products
+    and bit_length(e) - 1 squarings, so a size guard in `mul` never sees a
+    value larger than a^e."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
     while e:
         if e & 1:
-            result = pmod(p, pmul(p, result, base), m)
+            result = mul(result, a)
         e >>= 1
         if e:
-            base = pmod(p, pmul(p, base, base), m)
+            a = mul(a, a)
     return result
+
+
+def ppow_mod(p: int, a: Coeffs, e: int, m: Coeffs) -> Coeffs:
+    """a^e modulo m."""
+    return power(lambda x, y: pmod(p, pmul(p, x, y), m), pmod(p, a, m), e, pmod(p, ONE, m))
 
 
 def pcode(p: int, a: Coeffs) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MapParseError
 from .fields import BaseField, GlobalFieldElement
+from .fppoly import power
 from .projective import ProjPoint, from_affine, infinity, normalize
 from .ratmap import RationalMap, make_map
 
@@ -203,14 +204,7 @@ class _BivariateAlgebra:
         if len(a) == 1:
             ((i, j), c), = a.items()
             return {(i * e, j * e): c**e}
-        out = self.const(1)
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return out
+        return power(self.mul, a, e, self.const(1))
 
 
 class _RatFuncAlgebra:

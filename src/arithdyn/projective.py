@@ -95,8 +95,8 @@ def normalize(x_raw: GlobalFieldElement, y_raw: GlobalFieldElement) -> ProjPoint
 
 
 def from_affine(value: GlobalFieldElement) -> ProjPoint:
-    """The affine value a/b as the point [a : b]."""
-    return point_from_raw(value.field, value.num, value.den)
+    """The affine value a/b as the point [a : b], canonical as it stands."""
+    return ProjPoint(value.field, value.num, value.den)
 
 
 def infinity(field: BaseField) -> ProjPoint:
@@ -142,7 +142,7 @@ class ReducedPoint:
 
     def code(self) -> int:
         """Graph node index: the affine code, or q for infinity."""
-        return self.x if self.y == 1 else self.rfield.q
+        return self.x if self.y == 1 else self.rfield.node(self.x, self.y)
 
     @staticmethod
     def from_code(rfield: ResidueField, code: int) -> "ReducedPoint":
@@ -152,11 +152,7 @@ class ReducedPoint:
 
     @staticmethod
     def make(rfield: ResidueField, x: int, y: int) -> "ReducedPoint":
-        if x == 0 and y == 0:
-            raise DomainError("(0, 0) is not a point of P^1")
-        if y == 0:
-            return ReducedPoint(rfield, 1, 0)
-        return ReducedPoint(rfield, rfield.div(x, y), 1)
+        return ReducedPoint.from_code(rfield, rfield.node(x, y))
 
     def __str__(self) -> str:
         return f"[{self.rfield.element_str(self.x)} : {self.rfield.element_str(self.y)}]"

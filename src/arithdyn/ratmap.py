@@ -43,6 +43,7 @@ from .fields import (
     GlobalFieldElement,
     Place,
     infinite_place,
+    integer_root,
     valuation,
 )
 from .projective import ProjPoint, ReducedPoint, canon_pair
@@ -67,13 +68,6 @@ RESULTANT_BUDGET = 3 * 10**7
 # profile makes two, so an admitted profile takes about as long as an
 # admitted resultant.
 COFACTOR_COST = 12
-
-
-def _power(ring, a, e: int):
-    out = ring.one
-    for _ in range(e):
-        out = ring.mul(out, a)
-    return out
 
 
 def _strip(co: list) -> list:
@@ -129,8 +123,10 @@ def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple, cofactors: boo
         pad = [zero] * (d - 1)
         f = f + pad + [one] + pad + [zero]
         g = g + pad + [zero] + pad + [one]
+    # Every ring.pow exponent below is >= 0, as Z's builtin pow needs for an
+    # int: deg g <= deg f in the PRS, and f keeps degree >= 1.
     # Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g)
-    acc = _power(ring, f[0], d + 1 - len(g) + low)
+    acc = ring.pow(f[0], d + 1 - len(g) + low)
     lead = h = one
     while len(g) - low > 1:
         m, n = len(f) - 1, len(g) - 1
@@ -139,19 +135,19 @@ def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple, cofactors: boo
         r = _strip(_prem(ring, f, g))
         if len(r) <= low:
             return vanished
-        div = ring.mul(lead, _power(ring, h, m - n))
+        div = ring.mul(lead, ring.pow(h, m - n))
         f, g = g, [ring.exactdiv(c, div) for c in r]
         lead = f[0]
         if m > n:  # h = lead^(m-n) / h^(m-n-1)
-            h = ring.exactdiv(_power(ring, lead, m - n), _power(ring, h, m - n - 1))
+            h = ring.exactdiv(ring.pow(lead, m - n), ring.pow(h, m - n - 1))
     if sign < 0:
         acc = ring.neg(acc)
     m = len(f) - 1 - low
-    res = ring.mul(acc, ring.exactdiv(_power(ring, g[0], m), _power(ring, h, m - 1)))
+    res = ring.mul(acc, ring.exactdiv(ring.pow(g[0], m), ring.pow(h, m - 1)))
     if not cofactors:
         return res
     # res = acc * (g0 / h)^(m-1) * (s*f + t*g), an integral multiple
-    num, den = _power(ring, g[0], m - 1), _power(ring, h, m - 1)
+    num, den = ring.pow(g[0], m - 1), ring.pow(h, m - 1)
     a, b = (
         tuple(ring.mul(acc, ring.exactdiv(ring.mul(num, c), den)) for c in part[::-1])
         for part in (g[1 : d + 1], g[d + 1 :])
@@ -388,8 +384,6 @@ class ReducedMap:
         rf = self.rfield
         if point.rfield != rf:
             raise DomainError("point of a different residue field")
-        if point.y not in (0, 1):
-            point = ReducedPoint.make(rf, point.x, point.y)
         return ReducedPoint.from_code(rf, _successor_step(self)(point.code()))
 
 
@@ -416,21 +410,21 @@ def _successor_step(psi: ReducedMap):
 
         def step(x):
             if x == q:
-                return ReducedPoint.make(rf, fd, gd).code()
+                return rf.node(fd, gd)
             f, g = fd, gd
             for cf, cg in rest:
                 f = (f * x + cf) % p
                 g = (g * x + cg) % p
             if g:
                 return f * pow(g, -1, p) % p
-            return ReducedPoint.make(rf, f, g).code()
+            return rf.node(f, g)
 
     elif t is None:
 
         def step(x):
             if x == q:
-                return ReducedPoint.make(rf, fd, gd).code()
-            return ReducedPoint.make(rf, *_eval_pair(rf, fco, gco, x, 1)).code()
+                return rf.node(fd, gd)
+            return rf.node(*_eval_pair(rf, fco, gco, x, 1))
 
     else:
         exp, log, zech, n = t.exp, t.log, t.zech, t.n
@@ -439,7 +433,7 @@ def _successor_step(psi: ReducedMap):
 
         def step(x):
             if not x or x == q:
-                return ReducedPoint.make(rf, *ends[x]).code()
+                return rf.node(*ends[x])
             lx = log[x]
             f, g = lfd, lgd
             for cf, cg in lrest:
@@ -460,7 +454,7 @@ def _successor_step(psi: ReducedMap):
             if f >= 0 and g >= 0:
                 return exp[(f - g) % n]
             # only whether F and G vanish matters now
-            return ReducedPoint.make(rf, int(f >= 0), int(g >= 0)).code()
+            return rf.node(int(f >= 0), int(g >= 0))
 
     return step
 
@@ -600,18 +594,6 @@ class EscapeProfile:
     polynomial: EscapeProof | None
 
 
-def _least_root_above(c: int, e: int) -> int:
-    """The least integer r >= 1 with r^e > c >= 0: one more than the
-    integer e-th root of c, by Newton's iteration from above."""
-    r = 1 << -(-c.bit_length() // e)
-    while r:
-        s = ((e - 1) * r + c // r ** (e - 1)) // e
-        if s >= r:
-            break
-        r = s
-    return r + 1
-
-
 @lru_cache(maxsize=4096)
 def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     """The escape criterion of a map of degree d >= 2; None for degree 1
@@ -651,7 +633,7 @@ def escape_profile(phi: RationalMap) -> EscapeProfile | None:
             pass
         else:
             c = max(sum(map(abs, a + b)) for _, a, b in runs)
-            height = EscapeProof(CLAUSE_HEIGHT, _least_root_above(c, d - 1))
+            height = EscapeProof(CLAUSE_HEIGHT, integer_root(c, d - 1) + 1)
     else:
         c = (2 * d - 1) * max_coeff_degree(phi)
         height = EscapeProof(CLAUSE_HEIGHT, c // (d - 1) + 1)

@@ -21,7 +21,8 @@ from functools import lru_cache
 
 from . import fppoly
 from .errors import DomainError, UnsupportedPlaceError
-from .fields import KIND_INF, KIND_IRREDUCIBLE, KIND_PRIME, Place, factor_int
+from .fields import KIND_INF, KIND_IRREDUCIBLE, KIND_PRIME, Place
+from .fields import factor_int, integer_root, is_prime_int
 from .fppoly import Coeffs
 
 # Largest P^1(F_q) a functional graph walks by default; extension fields
@@ -129,15 +130,15 @@ class ResidueField:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return fppoly.power(self.mul, self.inv(a) if e < 0 else a, abs(e), 1)
+
+    def node(self, x: int, y: int) -> int:
+        """The node of [x : y] in P^1(F_q): the code of x/y, or q for [x : 0]."""
+        if y:
+            return self.div(x, y)
+        if x:
+            return self.q
+        raise DomainError("(0, 0) is not a point of P^1")
 
     def multiplicative_order(self, a: int) -> int:
         """Order of a nonzero element in the unit group of size q-1."""
@@ -267,17 +268,14 @@ def reduce_values(place: Place, values) -> tuple[int, ...]:
 
 
 def field_of_size(q: int) -> ResidueField:
-    """A deterministic F_q: smallest p with q = p^k, first irreducible modulus."""
-    p = 2
-    while q % p:
-        p += 1
-    k = 0
-    n = q
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{q} is not a prime power")
-        n //= p
-        k += 1
+    """A deterministic F_q: q = p^k with p prime, first irreducible modulus.
+    q is a prime power exactly when its exact k-th root of largest k is prime."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    k = next(k for k in range(q.bit_length(), 0, -1) if integer_root(q, k) ** k == q)
+    p = integer_root(q, k)
+    if not is_prime_int(p):
+        raise ValueError(f"{q} is not a prime power")
     if k == 1:
         return ResidueField(p)
     # about one monic in k is irreducible, so the scan stops early

@@ -70,24 +70,28 @@ def enumerate_s_units(S: PlaceSet, exponent_cap: int, size_budget: int = 2_000_0
     """All torsion * prod g_i^{e_i} with |e_i| <= cap, each exactly once.
 
     Deterministic order: torsion first, then exponent vectors
-    lexicographically from -cap to cap.  The size is checked before the
-    torsion is built, which over F_p(t) has p - 1 elements.
+    lexicographically from -cap to cap.  The size is checked before any
+    unit is built.  A unit is the canonical pair (u * prod pi^e over e > 0,
+    prod pi^-e over e < 0), so it takes no gcd.
     """
     if exponent_cap < 1:
         raise DomainError("exponent cap must be >= 1")
-    rank = len(_free_places(S))
-    total = len(S.field.ring.units) * (2 * exponent_cap + 1) ** rank
+    pis = [pl.payload for pl in _free_places(S)]
+    field, ring = S.field, S.field.ring
+    total = len(ring.units) * (2 * exponent_cap + 1) ** len(pis)
     if total > size_budget:
         raise BudgetExceededError(f"S-unit enumeration of size {total} over budget")
-    desc = s_unit_generators(S)
+    powers = [[ring.pow(pi, e) for e in range(exponent_cap + 1)] for pi in pis]
     exponent_range = range(-exponent_cap, exponent_cap + 1)
-    for u in desc.torsion:
-        for vec in itertools.product(exponent_range, repeat=desc.rank):
-            value = u
-            for g, e in zip(desc.free_generators, vec):
-                if e:
-                    value = value * g**e
-            yield value
+    for u in ring.units:
+        for vec in itertools.product(exponent_range, repeat=len(pis)):
+            num, den = ring.coerce(u), ring.one
+            for pw, e in zip(powers, vec):
+                if e > 0:
+                    num = ring.mul(num, pw[e])
+                elif e < 0:
+                    den = ring.mul(den, pw[-e])
+            yield GlobalFieldElement(field, num, den)
 
 
 def s_unit_exponents(

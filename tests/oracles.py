@@ -10,7 +10,9 @@ test, polynomial products by the plain double loop instead of
 `fppoly.pmul`, residue-field arithmetic on coefficient tuples instead of
 exp/log tables, primality by trial division instead of Miller-Rabin,
 cycle multipliers by the affine chain rule with chart swaps at infinity
-instead of the homogeneous Jacobian, and so on.
+instead of the homogeneous Jacobian, powers, S-strips and S-units by
+gcd-normalized field products and quotients instead of ring powers and
+exact division, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -21,6 +23,9 @@ from fractions import Fraction
 from itertools import product
 
 from arithdyn import fppoly
+from arithdyn.errors import BudgetExceededError, DomainError
+from arithdyn.fields import infinite_place, valuation
+from arithdyn.sunit import _free_places, s_unit_generators
 
 
 def frac_det(rows) -> Fraction:
@@ -435,3 +440,66 @@ def cycle_multiplier(field, fco: list, gco: list, cycle: list):
         if result == zero:
             return result
     return result
+
+
+# ---------------------------------------------------------------------------
+# powers, S-strips and S-units through field products and quotients (each
+# one normalized by a gcd), the package's code before ring powers replaced
+# it.  Kept verbatim, with `self` made an argument and every power and
+# S-integer test routed through the copies here.
+
+
+def reference_pow(self, e: int):
+    if e < 0:
+        return self.field.one() / reference_pow(self, -e)
+    result = self.field.one()
+    base = self
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+def reference_strip_places(x, S):
+    rest, exponents = x, []
+    for pl in S.finite_places():
+        e = valuation(x, pl)
+        exponents.append(e)
+        if e:
+            rest = rest / reference_pow(x.field.element(pl.payload), e)
+    return rest, tuple(exponents)
+
+
+def reference_is_s_integer(x, S) -> bool:
+    if x.is_zero:
+        return True
+    rest, _ = reference_strip_places(x, S)
+    return x.field.ring.is_unit(rest.den) and (
+        S.contains_infinite() or valuation(x, infinite_place(x.field)) >= 0
+    )
+
+
+def reference_is_s_unit(x, S) -> bool:
+    if x.is_zero:
+        raise DomainError("zero is not an S-unit")
+    return reference_is_s_integer(x, S) and reference_is_s_integer(x.field.one() / x, S)
+
+
+def reference_enumerate_s_units(S, exponent_cap: int, size_budget: int = 2_000_000):
+    if exponent_cap < 1:
+        raise DomainError("exponent cap must be >= 1")
+    rank = len(_free_places(S))
+    total = len(S.field.ring.units) * (2 * exponent_cap + 1) ** rank
+    if total > size_budget:
+        raise BudgetExceededError(f"S-unit enumeration of size {total} over budget")
+    desc = s_unit_generators(S)
+    exponent_range = range(-exponent_cap, exponent_cap + 1)
+    for u in desc.torsion:
+        for vec in product(exponent_range, repeat=desc.rank):
+            value = u
+            for g, e in zip(desc.free_generators, vec):
+                if e:
+                    value = value * reference_pow(g, e)
+            yield value

@@ -264,6 +264,16 @@ class TestVerifyReport:
         with pytest.raises(PreconditionError):
             ad.verify_report(rep, phi, BoundContext(0, 1, short.size), short)
 
+    def test_context_s_must_be_the_size_of_s(self):
+        # a smaller s gives bounds too small for this S, a larger one too loose
+        phi = ad.parse_map("z^2/2", ad.QQ)
+        rep = ad.orbit(phi, ad.from_affine(ad.QQ.zero()))
+        S = ad.parse_place_set(ad.QQ, "inf;p:2")
+        assert all(c.passed for c in ad.verify_report(rep, phi, BoundContext(0, 1, S.size), S))
+        for s in (S.size - 1, S.size + 1):
+            with pytest.raises(PreconditionError):
+                ad.verify_report(rep, phi, BoundContext(0, 1, s), S)
+
     def test_bad_infinite_place_must_be_in_s(self):
         F2T = ad.function_field(2)
         phi = ad.parse_map("z^2/t", F2T)  # Res = t^2: bad at t and at infinity

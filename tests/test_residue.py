@@ -113,6 +113,22 @@ class TestTables:
         assert time.perf_counter() - start < 1.0
         assert rf.q == 2**20 and fppoly.is_irreducible(2, rf.modulus)
 
+    @pytest.mark.parametrize(
+        "q, p, k", [(10**9 + 7, 10**9 + 7, 1), (2**61 - 1, 2**61 - 1, 1),
+                    (1000003**2, 1000003, 2), (3**20, 3, 20)]
+    )
+    def test_field_of_size_at_a_large_prime_power(self, q, p, k):
+        # p comes from an exact k-th root of q, not from a scan of the divisors
+        start = time.perf_counter()
+        rf = field_of_size(q)
+        assert time.perf_counter() - start < 0.5
+        assert (rf.p, rf.deg, rf.q) == (p, k, q)
+
+    @pytest.mark.parametrize("q", [6, 10**12, 2**10 * 3, 1, 0, -8])
+    def test_field_of_size_refuses_other_sizes(self, q):
+        with pytest.raises(ValueError):
+            field_of_size(q)
+
     def test_only_extension_fields_within_the_node_budget(self):
         assert ResidueField(101).tables() is None
         assert ResidueField(2, (1, 0, 0, 1) + (0,) * 13 + (1,)).tables() is None  # q = 2^17

@@ -3,7 +3,10 @@
 Preperiodicity detection is exact on success: the orbit is iterated with
 a hash map of visited canonical points, and the first revisit splits the
 trajectory into its tail and cycle with the minimal period for free
-(cycle points are distinct by construction).  Non-preperiodicity is only
+(cycle points are distinct by construction).  One kernel does this for
+`orbit` and for `preperiodic_search`, on raw coordinate pairs with the
+step of `apply_map` (`ratmap.map_pair`); only the points of a report and
+the starts it cannot decide become ProjPoints.  Non-preperiodicity is only
 semi-decided in general: hitting the step or height budget yields an
 ExceededBudget outcome that claims nothing and names the budget that ran
 out ("steps" or "height").  For every map of degree d >= 2 an exact escape
@@ -12,9 +15,9 @@ radius computed from the Sylvester cofactors the height grows strictly at
 every step, and for maps of the shape [F : u*Y^d] with unit u and unit
 leading coefficient a non-unit denominator or a numerator beyond an
 affine radius does too.  Such outcomes carry reason "escape",
-divergent=True and the clause that fired.  `orbit` tests the criterion
-at every step, and `preperiodic_search` tests it on each enumerated point
-before it starts an orbit.
+divergent=True and the clause that fired.  The kernel tests the
+criterion (`ratmap.escape_clause`) at every point of an orbit, the start
+included, so an enumerated point proved at once costs one test.
 
 The functional graph of a reduced map is the complete successor structure
 on the q + 1 points of P^1(F_q), decomposed into cycles and tails; it
@@ -30,7 +33,6 @@ from .fields import BaseField, Place
 from .projective import (
     INFINITE,
     ProjPoint,
-    infinity,
     reduce_point,
 )
 from .ratmap import (
@@ -39,10 +41,12 @@ from .ratmap import (
     ReducedMap,
     apply_map,
     cycle_multiplier,
+    escape_clause,
     escape_profile,
-    escapes,
     iterate_map,
+    map_pair,
     reduce_map,
+    resultant_raw,
 )
 from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
 
@@ -55,6 +59,12 @@ class Budget:
 
     max_steps: int = DEFAULT_MAX_STEPS
     height_cap: int | None = None
+
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise DomainError("max_steps must be >= 1")
+        if self.height_cap is not None and self.height_cap < 0:
+            raise DomainError("height_cap must be >= 0")
 
     def cap_for(self, field: BaseField) -> int:
         return field.ring.height_cap if self.height_cap is None else self.height_cap
@@ -108,39 +118,64 @@ class ExceededBudget:
         return self.reason == REASON_ESCAPE
 
 
+def _orbit_kernel(phi: RationalMap, budget: Budget):
+    """The orbit iteration of phi on canonical coordinate pairs.
+
+    The ring, the resultant, the escape profile, the height cap and the
+    step budget are bound once; the returned `run(x, y)` iterates
+    `map_pair` from the canonical pair (x, y) with a dict of the visited
+    pairs, and returns (None, pairs, k, None) when the next image revisits
+    pairs[k] (the tail is pairs[:k], the cycle pairs[k:]), or
+    (reason, steps, last_height, proof) with the fields of the
+    ExceededBudget it stands for.
+    """
+    field = phi.field
+    ring = field.ring
+    size = ring.size
+    fco, gco, res = phi.fco, phi.gco, resultant_raw(phi)
+    profile = escape_profile(phi)
+    cap, max_steps = budget.cap_for(field), budget.max_steps
+
+    def run(x, y):
+        seen = {}  # pair -> its index in the orbit
+        h = max(size(x), size(y))
+        while True:
+            proof = escape_clause(profile, ring, x, y, h)
+            if proof is not None:
+                return REASON_ESCAPE, len(seen), h, proof
+            seen[x, y] = len(seen)
+            x, y = map_pair(ring, fco, gco, res, x, y)
+            hit = seen.get((x, y))
+            if hit is not None:
+                return None, list(seen), hit, None
+            h = max(size(x), size(y))
+            if h > cap:
+                return REASON_HEIGHT, len(seen), h, None
+            if len(seen) >= max_steps:
+                return REASON_STEPS, len(seen), h, None
+
+    return run
+
+
+def _report(phi: RationalMap, start: ProjPoint, pairs: list, k: int) -> OrbitReport:
+    """The validated report of a revisit at pairs[k], pairs[0] being start."""
+    field = phi.field
+    pts = [start] + [ProjPoint(field, x, y) for x, y in pairs[1:]]
+    report = OrbitReport(start, tuple(pts[:k]), tuple(pts[k:]))
+    validate_orbit_report(phi, report)
+    return report
+
+
 def orbit(
     phi: RationalMap, start: ProjPoint, budget: Budget | None = None
 ) -> OrbitReport | ExceededBudget:
     """Iterate until a revisit, a divergence proof, or the budget."""
     if phi.field != start.field:
         raise DomainError("map and point over different base fields")
-    if budget is None:
-        budget = Budget()
-    cap = budget.cap_for(phi.field)
-    profile = escape_profile(phi)
-    pts: list[ProjPoint] = [start]
-    index: dict[ProjPoint, int] = {start: 0}
-    current = start
-    while True:
-        proof = escapes(profile, current)
-        if proof is not None:
-            return ExceededBudget(
-                start, len(pts) - 1, current.height(), REASON_ESCAPE, proof
-            )
-        nxt = apply_map(phi, current)
-        hit = index.get(nxt)
-        if hit is not None:
-            report = OrbitReport(start, tuple(pts[:hit]), tuple(pts[hit:]))
-            validate_orbit_report(phi, report)
-            return report
-        h = nxt.height()
-        if h > cap:
-            return ExceededBudget(start, len(pts), h, REASON_HEIGHT)
-        if len(pts) >= budget.max_steps:
-            return ExceededBudget(start, len(pts), h, REASON_STEPS)
-        index[nxt] = len(pts)
-        pts.append(nxt)
-        current = nxt
+    reason, a, b, proof = _orbit_kernel(phi, budget or Budget())(start.x, start.y)
+    if reason is None:
+        return _report(phi, start, a, b)
+    return ExceededBudget(start, a, b, reason, proof)
 
 
 def validate_orbit_report(phi: RationalMap, report: OrbitReport) -> None:
@@ -314,21 +349,28 @@ class SearchResult:
     divergent: int
 
 
-def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500_000):
-    """All points of P^1(K) of coordinate height <= height_bound: infinity,
-    then the coprime pairs [x : y] from `ring.upto`, which refuses a bound
-    whose pairs pass the budget; y is canonical (positive over Q, monic over
-    F_p(t)), so distinct pairs are distinct points."""
+def _enumerate_pairs(field: BaseField, height_bound: int, enum_budget: int = 500_000):
+    """The canonical coordinate pairs of all points of P^1(K) of coordinate
+    height <= height_bound: infinity, then the coprime pairs (x, y) from
+    `ring.upto`, which refuses a bound whose pairs pass the budget; y is
+    canonical (positive over Q, monic over F_p(t)), so distinct pairs are
+    distinct points."""
     if height_bound < 1:
         raise DomainError("height bound must be >= 1")
     ring = field.ring
     xs, ys = ring.upto(height_bound, enum_budget)
     gcd, one = ring.gcd, ring.one
-    yield infinity(field)
+    yield one, ring.zero
     for y in ys:
         for x in xs:
             if gcd(x, y) == one:
-                yield ProjPoint(field, x, y)
+                yield x, y
+
+
+def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500_000):
+    """The points of `_enumerate_pairs`."""
+    for x, y in _enumerate_pairs(field, height_bound, enum_budget):
+        yield ProjPoint(field, x, y)
 
 
 def preperiodic_search(
@@ -337,30 +379,29 @@ def preperiodic_search(
     budget: Budget | None = None,
     enum_budget: int = 500_000,
 ) -> SearchResult:
-    """Run `orbit` on every point up to the height bound.
+    """Run the orbit kernel on every point up to the height bound.
 
     Returns the preperiodic orbits, plus the budget-unresolved points as
     undecided; points with a divergence proof are counted but are neither
-    preperiodic nor undecided.  A point the escape criterion proves at
-    once is counted without an `orbit` call, which would stop at step 0.
+    preperiodic nor undecided.  Each point is iterated as in `orbit`, on
+    its coordinate pair; only reported orbits and undecided points become
+    ProjPoints.
     """
-    profile = escape_profile(phi)
+    field = phi.field
+    run = _orbit_kernel(phi, budget or Budget())
     reports = []
     undecided = []
     divergent = 0
     scanned = 0
-    for pt in enumerate_points(phi.field, height_bound, enum_budget):
+    for x, y in _enumerate_pairs(field, height_bound, enum_budget):
         scanned += 1
-        if escapes(profile, pt) is not None:
-            divergent += 1
-            continue
-        outcome = orbit(phi, pt, budget)
-        if isinstance(outcome, OrbitReport):
-            reports.append(outcome)
-        elif outcome.divergent:
+        reason, a, b, _ = run(x, y)
+        if reason is None:
+            reports.append(_report(phi, ProjPoint(field, x, y), a, b))
+        elif reason == REASON_ESCAPE:
             divergent += 1
         else:
-            undecided.append(pt)
+            undecided.append(ProjPoint(field, x, y))
     reports.sort(key=lambda r: r.start.sort_key())
     undecided.sort(key=ProjPoint.sort_key)
     return SearchResult(tuple(reports), tuple(undecided), scanned, divergent)

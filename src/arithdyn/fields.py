@@ -70,7 +70,6 @@ class IntegerRing:
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
-    pow = staticmethod(pow)
     scale = staticmethod(operator.mul)  # by an int, e.g. from unit_inverse
     gcd = staticmethod(math.gcd)
     exactdiv = staticmethod(operator.floordiv)
@@ -79,6 +78,13 @@ class IntegerRing:
     serialize = staticmethod(str)
     height_unit = 256
     height_cap = 10**40
+
+    @staticmethod
+    def pow(a: int, e: int) -> int:
+        """a^e for e >= 0; a negative e raises ValueError, as over F_p[t]."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        return a**e
 
     @staticmethod
     def upto(h: int, budget: int) -> tuple[range, range]:

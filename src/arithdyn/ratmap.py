@@ -123,8 +123,8 @@ def sylvester_resultant(field: BaseField, fco: tuple, gco: tuple, cofactors: boo
         pad = [zero] * (d - 1)
         f = f + pad + [one] + pad + [zero]
         g = g + pad + [zero] + pad + [one]
-    # Every ring.pow exponent below is >= 0, as Z's builtin pow needs for an
-    # int: deg g <= deg f in the PRS, and f keeps degree >= 1.
+    # Every ring.pow exponent below is >= 0, as ring.pow requires:
+    # deg g <= deg f in the PRS, and f keeps degree >= 1.
     # Res_{d,d}(F, G) = f_d^(d - deg g) * Res(f, g)
     acc = ring.pow(f[0], d + 1 - len(g) + low)
     lead = h = one
@@ -300,54 +300,60 @@ def has_good_reduction(phi: RationalMap, place: Place) -> bool:
 
 
 def _eval_pair(ring, fco: tuple, gco: tuple, x, y):
-    """F(x, y) and G(x, y) by homogeneous Horner over one table of y-powers.
+    """F(x, y) and G(x, y) by homogeneous Horner, both forms in one pass.
 
-    acc runs through c_d, c_d*x + c_(d-1)*y, ..., ending at
-    sum_i c_i x^i y^(d-i).
+    f runs through c_d, c_d*x + c_(d-1)*y, ..., ending at
+    sum_i c_i x^i y^(d-i); yk is y^(d-i) when c_i is added.
     """
     add, mul = ring.add, ring.mul
     d = len(fco) - 1
-    yp = [ring.one] * (d + 1)
-    for i in range(1, d + 1):
-        yp[i] = mul(yp[i - 1], y)
-    out = []
-    for co in (fco, gco):
-        acc = co[d]
-        for i in range(d - 1, -1, -1):
-            acc = mul(acc, x)
-            if co[i]:
-                acc = add(acc, mul(co[i], yp[d - i]))
-        out.append(acc)
-    return out
+    f, g, yk = fco[d], gco[d], ring.one
+    for i in range(d - 1, -1, -1):
+        yk = mul(yk, y)
+        f, g = mul(f, x), mul(g, x)
+        c = fco[i]
+        if c:
+            f = add(f, mul(c, yk))
+        c = gco[i]
+        if c:
+            g = add(g, mul(c, yk))
+    return f, g
 
 
-def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
-    """phi(P), renormalized to canonical coprime coordinates.
+def map_pair(ring, fco: tuple, gco: tuple, res, x, y):
+    """The image of the coprime pair (x, y) under (F, G) with Res(F, G) = res,
+    as the canonical coprime pair of `point_from_raw`.
 
     The common factor of F(x, y) and G(x, y) is taken against the
     resultant instead of by a Euclid run on the two values.  Sylvester
     elimination gives forms A, B, C, D in X, Y with
         A*F + B*G = Res(F, G) * Y^(2d-1),   C*F + D*G = Res(F, G) * X^(2d-1),
     so any common divisor g of F(x, y) and G(x, y) divides
-    Res * gcd(x^(2d-1), y^(2d-1)) = Res, because the coordinates of a
-    canonical point are coprime.  Hence gcd(F(x, y), G(x, y)) =
-    gcd(Res, F(x, y), G(x, y)) exactly, over Z as over F_p[t], and a unit
-    resultant leaves nothing to divide out.  Over F_p[t] every remainder
-    in that gcd has degree below deg Res <= 2*d*M.  Dividing by it and
-    scaling to the canonical unit gives the same point as `point_from_raw`.
+    Res * gcd(x^(2d-1), y^(2d-1)) = Res, because x and y are coprime.
+    Hence gcd(F(x, y), G(x, y)) = gcd(Res, F(x, y), G(x, y)) exactly, over
+    Z as over F_p[t], and a unit resultant leaves nothing to divide out.
+    Over F_p[t] every remainder in that gcd has degree below
+    deg Res <= 2*d*M.  This is the one step of `apply_map` and of the
+    orbit kernel of `dynamics`.
     """
-    field = phi.field
-    if field != point.field:
-        raise DomainError("map and point over different base fields")
-    ring = field.ring
-    fx, gx = _eval_pair(ring, phi.fco, phi.gco, point.x, point.y)
-    res = resultant_raw(phi)
+    fx, gx = _eval_pair(ring, fco, gco, x, y)
     g = ring.one
     if not ring.is_unit(res):
         g = ring.gcd(res, fx)
         if not ring.is_unit(g):
             g = ring.gcd(g, gx)
-    return ProjPoint(field, *canon_pair(ring, fx, gx, g))
+    return canon_pair(ring, fx, gx, g)
+
+
+def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
+    """phi(P), renormalized to canonical coprime coordinates (`map_pair`)."""
+    field = phi.field
+    if field != point.field:
+        raise DomainError("map and point over different base fields")
+    ring = field.ring
+    return ProjPoint(
+        field, *map_pair(ring, phi.fco, phi.gco, resultant_raw(phi), point.x, point.y)
+    )
 
 
 def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
@@ -644,18 +650,23 @@ def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     return EscapeProfile(c, height, polynomial)
 
 
-def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | None:
-    """The clause of `profile` that proves the orbit of `point` infinite,
-    or None when neither fires (always None for a None profile)."""
+def escape_clause(profile: EscapeProfile | None, ring, x, y, h: int) -> EscapeProof | None:
+    """The clause of `profile` that proves the orbit of the canonical pair
+    (x, y) of height h infinite, or None when neither fires (always None
+    for a None profile)."""
     if profile is None:
         return None
     height = profile.height
-    if height is not None and point.height() >= height.radius:
+    if height is not None and h >= height.radius:
         return height
     poly = profile.polynomial
-    if poly is None or point.is_infinity:
+    if poly is None or not y:
         return None
-    ring = point.field.ring
-    if not ring.is_unit(point.y) or ring.size(point.x) >= poly.radius:
+    if not ring.is_unit(y) or ring.size(x) >= poly.radius:
         return poly
     return None
+
+
+def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | None:
+    """`escape_clause` at a point."""
+    return escape_clause(profile, point.field.ring, point.x, point.y, point.height())

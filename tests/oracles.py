@@ -12,7 +12,9 @@ exp/log tables, primality by trial division instead of Miller-Rabin,
 cycle multipliers by the affine chain rule with chart swaps at infinity
 instead of the homogeneous Jacobian, powers, S-strips and S-units by
 gcd-normalized field products and quotients instead of ring powers and
-exact division, and so on.
+exact division, orbits by a loop over ProjPoints through the public
+`apply_map` and `escapes` instead of the coordinate-pair kernel, and so
+on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -23,8 +25,21 @@ from fractions import Fraction
 from itertools import product
 
 from arithdyn import fppoly
+from arithdyn.dynamics import (
+    REASON_ESCAPE,
+    REASON_HEIGHT,
+    REASON_STEPS,
+    Budget,
+    ExceededBudget,
+    OrbitReport,
+    SearchResult,
+    enumerate_points,
+    validate_orbit_report,
+)
 from arithdyn.errors import BudgetExceededError, DomainError
 from arithdyn.fields import infinite_place, valuation
+from arithdyn.projective import ProjPoint
+from arithdyn.ratmap import apply_map, escape_profile, escapes
 from arithdyn.sunit import _free_places, s_unit_generators
 
 
@@ -503,3 +518,59 @@ def reference_enumerate_s_units(S, exponent_cap: int, size_budget: int = 2_000_0
                 if e:
                     value = value * reference_pow(g, e)
             yield value
+
+
+def reference_orbit(phi, start, budget=None):
+    """`dynamics.orbit` iterated on ProjPoints: a visited dict of points,
+    the escape test and one `apply_map` per step."""
+    if phi.field != start.field:
+        raise DomainError("map and point over different base fields")
+    if budget is None:
+        budget = Budget()
+    cap = budget.cap_for(phi.field)
+    profile = escape_profile(phi)
+    pts = [start]
+    index = {start: 0}
+    current = start
+    while True:
+        proof = escapes(profile, current)
+        if proof is not None:
+            return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE, proof)
+        nxt = apply_map(phi, current)
+        hit = index.get(nxt)
+        if hit is not None:
+            report = OrbitReport(start, tuple(pts[:hit]), tuple(pts[hit:]))
+            validate_orbit_report(phi, report)
+            return report
+        h = nxt.height()
+        if h > cap:
+            return ExceededBudget(start, len(pts), h, REASON_HEIGHT)
+        if len(pts) >= budget.max_steps:
+            return ExceededBudget(start, len(pts), h, REASON_STEPS)
+        index[nxt] = len(pts)
+        pts.append(nxt)
+        current = nxt
+
+
+def reference_preperiodic_search(phi, height_bound, budget=None, enum_budget=500_000):
+    """`dynamics.preperiodic_search` by `reference_orbit` on every point."""
+    profile = escape_profile(phi)
+    reports = []
+    undecided = []
+    divergent = 0
+    scanned = 0
+    for pt in enumerate_points(phi.field, height_bound, enum_budget):
+        scanned += 1
+        if escapes(profile, pt) is not None:
+            divergent += 1
+            continue
+        outcome = reference_orbit(phi, pt, budget)
+        if isinstance(outcome, OrbitReport):
+            reports.append(outcome)
+        elif outcome.divergent:
+            divergent += 1
+        else:
+            undecided.append(pt)
+    reports.sort(key=lambda r: r.start.sort_key())
+    undecided.sort(key=ProjPoint.sort_key)
+    return SearchResult(tuple(reports), tuple(undecided), scanned, divergent)

@@ -340,17 +340,32 @@ class TestExitCodes:
         assert (result["reason"], result["steps"]) == ("steps", want)
 
 
-def run_subprocess(*argv, timeout=10):
+def run_subprocess(*argv, timeout=10, module="arithdyn.cli"):
     """The CLI in a fresh process: (exit code, stdout, stderr, seconds)."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "arithdyn.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+class TestPackageAsModule:
+    def test_python_m_arithdyn_runs_the_cli(self):
+        argv = ("orbit", "--field", "Q", "z^2-1", "--point", "1", "--json")
+        code, out, err, _ = run_subprocess(*argv, module="arithdyn")
+        assert (code, err) == (0, "")
+        assert (code, out) == run_subprocess(*argv)[:2]
+        assert json.loads(out)["result"]["cycle"] == ["[0 : 1]", "[-1 : 1]"]
+
+    def test_python_m_arithdyn_keeps_the_exit_codes(self):
+        assert run_subprocess("orbit", "--field", "Q", "z+1", "--point", "0",
+                              "--max-steps", "0", module="arithdyn")[0] == 1
+        assert run_subprocess("orbit", "--field", "Q", "z+1", "--point", "0",
+                              "--max-steps", "5", module="arithdyn")[0] == 2
 
 
 class TestRobustness:

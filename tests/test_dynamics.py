@@ -5,7 +5,7 @@ import pytest
 import arithdyn as ad
 from arithdyn import fppoly
 from arithdyn.dynamics import Budget
-from arithdyn.errors import BudgetExceededError, PreconditionError
+from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import good_test_places, interpolated_polynomial_map, random_map
@@ -53,6 +53,22 @@ class TestOrbit:
         assert isinstance(out, ad.ExceededBudget)
         assert not out.divergent
         assert (out.reason, out.last_height) == ("height", 11)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_steps": 0}, {"max_steps": -3}, {"height_cap": -1}],
+        ids=["zero-steps", "negative-steps", "negative-cap"],
+    )
+    def test_budget_refuses_what_the_cli_refuses(self, kwargs):
+        # max_steps=0 once ran one step and reported steps=1
+        with pytest.raises(DomainError):
+            Budget(**kwargs)
+
+    def test_smallest_budget(self):
+        phi = ad.parse_map("z^2+1", ad.QQ)
+        out = ad.orbit(phi, ad.from_affine(ad.QQ.zero()), Budget(max_steps=1, height_cap=0))
+        assert (out.reason, out.steps, out.last_height) == ("height", 1, 1)
+        out = ad.orbit(phi, ad.from_affine(ad.QQ.zero()), Budget(max_steps=1))
+        assert (out.reason, out.steps, out.last_height) == ("steps", 1, 1)
 
     def test_function_field_cycle(self):
         phi = ad.parse_map("z^2+1", F2T)

@@ -1,8 +1,8 @@
 """Ring powers, and the values built from them without a gcd.
 
 `fppoly.power` is the one square-and-multiply: F_p[t] raises to a power
-through it and Z through the builtin pow, and element powers, S-strips
-and S-unit enumeration are built from those ring powers.  Each is
+through it and Z through the power of ints, both refusing a negative
+exponent, and element powers, S-strips and S-unit enumeration are built from those ring powers.  Each is
 compared with the package's earlier route through gcd-normalized field
 products and quotients, kept in `oracles`.
 """
@@ -92,6 +92,15 @@ def test_negative_exponent_is_refused():
         fppoly.ppow_mod(2, (0, 1), -1, (1, 1, 1))
     with pytest.raises(ValueError):
         polynomial_ring(3).pow((1, 1), -2)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Z", "F2[t]", "F3[t]", "F5[t]"])
+@pytest.mark.parametrize("e", [-1, -2, -7])
+def test_ring_pow_refuses_a_negative_exponent(ring, e):
+    # Z once answered 2^-1 with the float 0.5
+    for a in (ring.one, ring.neg(ring.one), ring.add(ring.one, ring.one)):
+        with pytest.raises(ValueError):
+            ring.pow(a, e)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

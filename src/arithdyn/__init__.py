@@ -68,7 +68,6 @@ from .fields import (
     support,
     valuation,
 )
-from .fppoly import FpPoly
 from .parsing import parse_element, parse_map, parse_point
 from .projective import (
     INFINITE,

@@ -12,6 +12,7 @@ implementation bug, not a counterexample).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -87,6 +88,13 @@ def _nonnegative_int(token: str) -> int:
     n = int(token)
     if n < 0:
         raise argparse.ArgumentTypeError(f"{token!r} is a negative integer")
+    return n
+
+
+def _map_degree(token: str) -> int:
+    n = int(token)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"map degree {token!r} is below 2")
     return n
 
 
@@ -447,7 +455,9 @@ def _cmd_verify_corollary3(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="arithdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -486,7 +496,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--char", type=int, required=True)
     sp.add_argument("--degree", type=_positive_int, required=True, help="extension degree D")
     sp.add_argument("--s", type=_positive_int, required=True, help="|S|")
-    sp.add_argument("--map-degree", type=int, default=None)
+    sp.add_argument("--map-degree", type=_map_degree, default=None)
     add_common(sp, with_budgets=False)
 
     sp = sub.add_parser("sunit-solve", help="a*x + b*y = 1 in S-units, brute force")

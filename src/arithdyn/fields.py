@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     UnsupportedPlaceError,
 )
-from .fppoly import Coeffs, FpPoly
+from .fppoly import Coeffs
 
 # kinds of places; see Place
 KIND_PRIME = "prime"
@@ -234,8 +234,6 @@ class PolynomialRing:
             e += 1
 
     def coerce(self, v) -> Coeffs:
-        if isinstance(v, FpPoly):
-            return v.coeffs
         if isinstance(v, (tuple, list)):
             return fppoly.ptrim([c % self.p for c in v])
         if isinstance(v, int):
@@ -431,8 +429,8 @@ def _as_quotient(ring, v):
 
 
 def make_element(field: BaseField, num, den=1) -> GlobalFieldElement:
-    """Build a canonical element num/den from ints, Fractions, elements,
-    FpPoly or coefficient tuples."""
+    """Build a canonical element num/den from ints, Fractions, elements or
+    coefficient tuples."""
     ring = field.ring
     n, d = _as_quotient(ring, num)
     if den != 1:
@@ -602,7 +600,7 @@ def archimedean_place() -> Place:
 def irreducible_place(field: BaseField, poly) -> Place:
     if field.is_rationals:
         raise DomainError("irreducible places live over F_p(t)")
-    coeffs = poly.coeffs if isinstance(poly, FpPoly) else fppoly.ptrim(list(poly))
+    coeffs = field.ring.coerce(poly)
     if fppoly.plead(coeffs) != 1:
         raise DomainError("place polynomial must be monic")
     if not fppoly.is_irreducible(field.char, coeffs):
@@ -781,13 +779,11 @@ count_irreducibles = fppoly.count_irreducibles
 
 def enumerate_monic_irreducibles(
     field_or_p, max_degree: int, budget: int = 10**7
-) -> list[FpPoly]:
-    """Monic irreducibles of degree <= max_degree in (degree, code) order."""
+) -> list[Coeffs]:
+    """Monic irreducibles of degree <= max_degree in (degree, code) order,
+    as coefficient tuples."""
     p = field_or_p.char if isinstance(field_or_p, BaseField) else field_or_p
-    return [
-        FpPoly(p, cs)
-        for cs in fppoly.enumerate_monic_irreducibles(p, max_degree, budget)
-    ]
+    return fppoly.enumerate_monic_irreducibles(p, max_degree, budget)
 
 
 def iter_places_by_size(field: BaseField):

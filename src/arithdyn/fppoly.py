@@ -3,10 +3,8 @@
 Polynomials are represented as tuples of integer coefficients in
 {0, ..., p-1}, constant term first, with no trailing zeros; the empty
 tuple is the zero polynomial.  The low-level functions in this module
-(`padd`, `pmul`, `pdivmod`, ...) operate directly on such tuples and are
-used by the rest of the package wherever speed matters.  The `FpPoly`
-class is a thin immutable wrapper providing operators, hashing and
-printing for the public API.
+(`padd`, `pmul`, `pdivmod`, ...) operate directly on such tuples, the raw
+values of the ring F_p[t] everywhere in the package.
 
 `pmul` multiplies by Kronecker substitution once both operands have at
 least KRONECKER_CUTOFF coefficients: each coefficient tuple is packed into
@@ -41,7 +39,6 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, DomainError
@@ -449,87 +446,3 @@ def coeff_string(a: Coeffs) -> str:
 def parse_coeff_string(p: int, s: str) -> Coeffs:
     """Inverse of coeff_string; a malformed string raises ValueError."""
     return ptrim([int(part) % p for part in s.split(",")])
-
-
-@dataclass(frozen=True, slots=True)
-class FpPoly:
-    """Immutable polynomial over F_p.
-
-    Coefficients are stored constant-term first with no trailing zeros.
-    """
-
-    p: int
-    coeffs: Coeffs
-
-    @staticmethod
-    def make(p: int, coeffs) -> "FpPoly":
-        return FpPoly(p, ptrim([int(c) % p for c in coeffs]))
-
-    @staticmethod
-    def const(p: int, c: int) -> "FpPoly":
-        return FpPoly(p, pconst(p, c))
-
-    @staticmethod
-    def gen(p: int) -> "FpPoly":
-        """The generator t."""
-        return FpPoly(p, (0, 1))
-
-    @property
-    def degree(self) -> int:
-        return pdeg(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> int:
-        return plead(self.coeffs)
-
-    def monic(self) -> "FpPoly":
-        return FpPoly(self.p, pmonic(self.p, self.coeffs))
-
-    def _same_field(self, other: "FpPoly") -> None:
-        if self.p != other.p:
-            raise DomainError("polynomials over different prime fields")
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._same_field(other)
-        return FpPoly(self.p, padd(self.p, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        self._same_field(other)
-        return FpPoly(self.p, psub(self.p, self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, pneg(self.p, self.coeffs))
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._same_field(other)
-        return FpPoly(self.p, pmul(self.p, self.coeffs, other.coeffs))
-
-    def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        self._same_field(other)
-        q, r = pdivmod(self.p, self.coeffs, other.coeffs)
-        return FpPoly(self.p, q), FpPoly(self.p, r)
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "FpPoly") -> "FpPoly":
-        self._same_field(other)
-        return FpPoly(self.p, pgcd(self.p, self.coeffs, other.coeffs))
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, pderiv(self.p, self.coeffs))
-
-    def is_irreducible(self) -> bool:
-        return is_irreducible(self.p, self.coeffs)
-
-    def __str__(self) -> str:
-        return poly_str(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"FpPoly(p={self.p}, {poly_str(self.coeffs)})"

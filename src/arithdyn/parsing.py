@@ -3,15 +3,20 @@
 Maps come in two surface forms: an affine rational expression in z (over
 F_p(t) the symbol t denotes the coefficient-field generator), or an
 explicit homogeneous pair "[F(X,Y) : G(X,Y)]".  Parsing is a small
-recursive-descent evaluator over exact field arithmetic; the affine form
-is evaluated in K(z) as a numerator/denominator pair, the bracket form in
-K[X,Y] with a homogeneity check.  Powers are taken by square-and-multiply,
-and a product or power whose degree would pass MAX_DEGREE is refused
-before it is expanded.  Syntax errors carry the character position.
+recursive-descent evaluator with one value type for every form: a
+fraction num/den of polynomials in the variables whose coefficients are
+raw values of the integral ring Z or F_p[t], never elements of K, so no
+operation takes a gcd.  The affine form is the map [num : den]; the
+bracket form [F/a : G/b] must divide only by constants a and b and is
+the map [b*F : a*G]; make_map strips the content once.  Powers are taken
+by square-and-multiply, and a product or power whose degree would pass
+MAX_DEGREE is refused before it is expanded.  Syntax errors carry the
+character position.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -135,137 +140,131 @@ def _check_degree(d: int) -> None:
         )
 
 
-class _BivariateAlgebra:
-    """Values are dicts {(i, j): coeff} for X^i Y^j over K."""
+def _degree(a) -> int:
+    return max((i + j for i, j in a), default=0)
 
-    def __init__(self, field: BaseField):
+
+# the variables of each surface form, with the exponent key of each
+_FORM_SYMBOLS = {"X": (1, 0), "Y": (0, 1)}
+_AFFINE_SYMBOLS = {"z": (1, 0)}
+
+
+class _FractionAlgebra:
+    """Values are fractions (num, den) of dicts {(i, j): c} for c*X^i*Y^j
+    (c*z^i in the affine form), each c a nonzero value of the integral ring
+    (int or coefficient tuple) and den != {}.
+
+    `symbols` maps the allowed variables to their keys, and t is the ring
+    value (0, 1).  Nothing is reduced on the way: make_map strips the
+    content of the finished forms once.  With `forms` set (the bracket
+    form) a divisor must be constant, so den stays a constant.
+    """
+
+    def __init__(self, field: BaseField, symbols: dict, forms: bool = False):
         self.field = field
-        self.zero = field.zero()
+        self.ring = field.ring
+        self.symbols = symbols
+        self.forms = forms
+        self.one = {(0, 0): self.ring.one}
+
+    # polynomials: dicts {(i, j): c}
+
+    def _collect(self, terms):
+        """The dict of a sum of (key, c) terms, c != 0; zero sums drop out."""
+        out = {}
+        add = self.ring.add
+        for key, c in terms:
+            s = add(out[key], c) if key in out else c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return out
+
+    def _padd(self, a, b):
+        return self._collect(itertools.chain(a.items(), b.items()))
+
+    def _pmul(self, a, b):
+        _check_degree(_degree(a) + _degree(b))
+        mul = self.ring.mul
+        return self._collect(
+            ((i1 + i2, j1 + j2), mul(c1, c2))
+            for (i1, j1), c1 in a.items()
+            for (i2, j2), c2 in b.items()
+        )
+
+    def _ppow(self, a, e: int):
+        """a^e by square-and-multiply; a monomial c*X^i*Y^j in one step."""
+        _check_degree(_degree(a) * e)
+        if len(a) == 1:
+            ((i, j), c), = a.items()
+            return {(i * e, j * e): self.ring.pow(c, e)}
+        return power(self._pmul, a, e, self.one)
+
+    # fractions (num, den)
 
     def const(self, n: int):
-        e = self.field.element(n)
-        return {} if e.is_zero else {(0, 0): e}
+        c = self.ring.coerce(n)
+        return ({(0, 0): c} if c else {}), self.one
 
     def variable(self, name: str, pos: int):
-        if name == "X":
-            return {(1, 0): self.field.one()}
-        if name == "Y":
-            return {(0, 1): self.field.one()}
+        if name in self.symbols:
+            return {self.symbols[name]: self.ring.one}, self.one
         if name == "t":
             if self.field.is_rationals:
                 raise MapParseError("t is only defined over F_p(t)", pos)
-            return {(0, 0): self.field.gen()}
-        raise MapParseError(f"unknown symbol {name!r} (use X and Y)", pos)
-
-    def add(self, a, b):
-        out = dict(a)
-        for key, c in b.items():
-            s = out.get(key, self.zero) + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return {k: -c for k, c in a.items()}
-
-    @staticmethod
-    def degree(a) -> int:
-        return max((i + j for i, j in a), default=0)
-
-    def mul(self, a, b):
-        _check_degree(self.degree(a) + self.degree(b))
-        out = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, self.zero) + c1 * c2
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    def div(self, a, b):
-        if set(b) - {(0, 0)}:
-            raise MapParseError("can only divide forms by constants")
-        if not b:
-            raise MapParseError("division by zero")
-        c = b[(0, 0)]
-        return {k: v / c for k, v in a.items()}
-
-    def pow(self, a, e: int):
-        """a^e by square-and-multiply; a monomial c*X^i*Y^j in one step."""
-        _check_degree(self.degree(a) * e)
-        if len(a) == 1:
-            ((i, j), c), = a.items()
-            return {(i * e, j * e): c**e}
-        return power(self.mul, a, e, self.const(1))
-
-
-class _RatFuncAlgebra:
-    """Values are pairs (num, den) of polynomials in z over K, each a
-    _BivariateAlgebra dict {(i, 0): c} for c*z^i."""
-
-    def __init__(self, field: BaseField, allow_z: bool = True):
-        self.field = field
-        self.allow_z = allow_z
-        self.poly = _BivariateAlgebra(field)
-
-    def const(self, n: int):
-        return self.poly.const(n), self.poly.const(1)
-
-    def variable(self, name: str, pos: int):
-        if name == "z":
-            if not self.allow_z:
-                raise MapParseError("the variable z is not allowed here", pos)
-            return self.poly.variable("X", pos), self.poly.const(1)
-        if name == "t":
-            return self.poly.variable("t", pos), self.poly.const(1)
-        raise MapParseError(f"unknown symbol {name!r}", pos)
+            return {(0, 0): (0, 1)}, self.one
+        if name == "z" and not self.symbols:
+            raise MapParseError("the variable z is not allowed here", pos)
+        hint = " (use X and Y)" if self.forms else ""
+        raise MapParseError(f"unknown symbol {name!r}{hint}", pos)
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        mul = self.poly.mul
-        return self.poly.add(mul(n1, d2), mul(n2, d1)), mul(d1, d2)
+        if d1 == d2 == self.one:
+            return self._padd(n1, n2), self.one
+        mul = self._pmul
+        return self._padd(mul(n1, d2), mul(n2, d1)), mul(d1, d2)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
         n, d = a
-        return self.poly.neg(n), d
+        return {k: self.ring.neg(c) for k, c in n.items()}, d
 
     def mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        return self.poly.mul(n1, n2), self.poly.mul(d1, d2)
+        return self._pmul(n1, n2), self._pmul(d1, d2)
 
     def div(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if self.forms and set(n2) - {(0, 0)}:
+            raise MapParseError("can only divide forms by constants")
         if not n2:
             raise MapParseError("division by zero")
-        return self.poly.mul(n1, d2), self.poly.mul(d1, n2)
+        return self._pmul(n1, d2), self._pmul(d1, n2)
 
     def pow(self, a, e: int):
         n, d = a
-        return self.poly.pow(n, e), self.poly.pow(d, e)
+        return self._ppow(n, e), self._ppow(d, e)
 
 
-# ---------------------------------------------------------------------------
-# integral clearing
-
-
-def _clear_denominators(field: BaseField, coeffs: list[GlobalFieldElement]):
-    """Scale a list of K-elements by the lcm of their denominators."""
-    ring = field.ring
-    mult = ring.one
-    for c in coeffs:
-        mult = ring.mul(mult, ring.exactdiv(c.den, ring.gcd(mult, c.den)))
-    return [ring.mul(c.num, ring.exactdiv(mult, c.den)) for c in coeffs]
+def _parse_all(s: str, algebra: _FractionAlgebra, brackets: bool = False):
+    """The fraction of `s`, or the two fractions of '[F : G]'."""
+    parser = _Parser(_tokenize(s), algebra)
+    if brackets:
+        parser.expect_op("[")
+        f = parser.parse_expr()
+        parser.expect_op(":")
+        value = f, parser.parse_expr()
+        parser.expect_op("]")
+    else:
+        value = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise MapParseError("trailing input", tok.pos)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +273,9 @@ def _clear_denominators(field: BaseField, coeffs: list[GlobalFieldElement]):
 
 def parse_element(field: BaseField, s: str) -> GlobalFieldElement:
     """Parse a constant expression, e.g. '-3/4' or '(t^2+1)/t'."""
-    parser = _Parser(_tokenize(s), _RatFuncAlgebra(field, allow_z=False))
-    num, den = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise MapParseError("trailing input", tok.pos)
-    # without z every value is a constant {(0, 0): c} or zero {}
-    return num.get((0, 0), field.zero()) / den[(0, 0)]
+    num, den = _parse_all(s, _FractionAlgebra(field, {}))
+    # without variables every value is a constant {(0, 0): c} or zero {}
+    return field.element(num.get((0, 0), field.ring.zero), den[(0, 0)])
 
 
 def parse_point(field: BaseField, s: str) -> ProjPoint:
@@ -306,47 +301,32 @@ def parse_map(expr: str, field: BaseField) -> RationalMap:
     stripped = expr.strip()
     if stripped.startswith("["):
         return _parse_map_pair(field, stripped)
-    parser = _Parser(_tokenize(stripped), _RatFuncAlgebra(field))
-    num, den = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise MapParseError("trailing input", tok.pos)
-    if not den:
-        raise MapParseError("zero denominator")
+    num, den = _parse_all(stripped, _FractionAlgebra(field, _AFFINE_SYMBOLS))
     if not num:
         raise MapParseError("the zero map is not a self-map of P^1")
-    d = max(_BivariateAlgebra.degree(num), _BivariateAlgebra.degree(den))
+    d = max(_degree(num), _degree(den))
     if d < 1:
         raise MapParseError("constant expressions do not define a map")
-    zero = field.zero()
-    fk = [num.get((i, 0), zero) for i in range(d + 1)]
-    gk = [den.get((i, 0), zero) for i in range(d + 1)]
-    cleared = _clear_denominators(field, fk + gk)
-    return make_map(field, cleared[: d + 1], cleared[d + 1 :])
+    zero = field.ring.zero
+    fco = [num.get((i, 0), zero) for i in range(d + 1)]
+    gco = [den.get((i, 0), zero) for i in range(d + 1)]
+    return make_map(field, fco, gco)
 
 
 def _parse_map_pair(field: BaseField, s: str) -> RationalMap:
-    tokens = _tokenize(s)
-    algebra = _BivariateAlgebra(field)
-    parser = _Parser(tokens, algebra)
-    parser.expect_op("[")
-    f_poly = parser.parse_expr()
-    parser.expect_op(":")
-    g_poly = parser.parse_expr()
-    parser.expect_op("]")
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise MapParseError("trailing input", tok.pos)
-    if not f_poly or not g_poly:
+    """[F/a : G/b] is the map [b*F : a*G]; a and b are constants."""
+    algebra = _FractionAlgebra(field, _FORM_SYMBOLS, forms=True)
+    (f, a), (g, b) = _parse_all(s, algebra, brackets=True)
+    if not f or not g:
         raise MapParseError("both forms must be nonzero")
-    degrees = {i + j for poly in (f_poly, g_poly) for (i, j) in poly}
+    degrees = {i + j for form in (f, g) for (i, j) in form}
     if len(degrees) != 1:
         raise MapParseError("forms must be homogeneous of one common degree")
     d = degrees.pop()
     if d < 1:
         raise MapParseError("degree must be at least 1")
-    zero = field.zero()
-    fk = [f_poly.get((i, d - i), zero) for i in range(d + 1)]
-    gk = [g_poly.get((i, d - i), zero) for i in range(d + 1)]
-    cleared = _clear_denominators(field, fk + gk)
-    return make_map(field, cleared[: d + 1], cleared[d + 1 :])
+    ring = field.ring
+    a, b = a[(0, 0)], b[(0, 0)]
+    fco = [ring.mul(b, f.get((i, d - i), ring.zero)) for i in range(d + 1)]
+    gco = [ring.mul(a, g.get((i, d - i), ring.zero)) for i in range(d + 1)]
+    return make_map(field, fco, gco)

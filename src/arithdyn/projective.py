@@ -72,7 +72,7 @@ def point_from_raw(field: BaseField, x, y) -> ProjPoint:
     """Canonical point from raw integral coordinates.
 
     Coordinates are ints over Q; over F_p(t) ints, coefficient tuples or
-    lists, or FpPoly.
+    lists.
     """
     ring = field.ring
     x, y = ring.coerce(x), ring.coerce(y)

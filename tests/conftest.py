@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
 from arithdyn import ratmap, residue
-from arithdyn.parsing import _clear_denominators
+from oracles import clear_denominators
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -44,7 +44,7 @@ def interpolated_polynomial_map(field, pairs) -> ad.RationalMap:
         raise ValueError("interpolation degenerated to a constant")
     gk = [zero] * (d + 1)
     gk[0] = one
-    cleared = _clear_denominators(field, coeffs + gk)
+    cleared = clear_denominators(field, coeffs + gk)
     return ad.make_map(field, cleared[: d + 1], cleared[d + 1 :])
 
 

@@ -13,8 +13,9 @@ cycle multipliers by the affine chain rule with chart swaps at infinity
 instead of the homogeneous Jacobian, powers, S-strips and S-units by
 gcd-normalized field products and quotients instead of ring powers and
 exact division, orbits by a loop over ProjPoints through the public
-`apply_map` and `escapes` instead of the coordinate-pair kernel, and so
-on.
+`apply_map` and `escapes` instead of the coordinate-pair kernel, parsed
+maps and elements by arithmetic in K and an lcm of denominators instead
+of fractions over the integral ring, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -36,10 +37,12 @@ from arithdyn.dynamics import (
     enumerate_points,
     validate_orbit_report,
 )
-from arithdyn.errors import BudgetExceededError, DomainError
-from arithdyn.fields import infinite_place, valuation
+from arithdyn.errors import BudgetExceededError, DomainError, MapParseError
+from arithdyn.fields import BaseField, GlobalFieldElement, infinite_place, valuation
+from arithdyn.fppoly import power
+from arithdyn.parsing import _check_degree, _Parser, _tokenize
 from arithdyn.projective import ProjPoint
-from arithdyn.ratmap import apply_map, escape_profile, escapes
+from arithdyn.ratmap import RationalMap, apply_map, escape_profile, escapes, make_map
 from arithdyn.sunit import _free_places, s_unit_generators
 
 
@@ -574,3 +577,210 @@ def reference_preperiodic_search(phi, height_bound, budget=None, enum_budget=500
     reports.sort(key=lambda r: r.start.sort_key())
     undecided.sort(key=ProjPoint.sort_key)
     return SearchResult(tuple(reports), tuple(undecided), scanned, divergent)
+
+
+# ---------------------------------------------------------------------------
+# the parser before it evaluated on the integral ring: forms over K (one
+# gcd per coefficient operation), affine values as num/den pairs over K,
+# and denominators cleared by an lcm before make_map.  Kept verbatim from
+# the algebras on, with the entry points renamed; the tokenizer, the
+# recursive-descent `_Parser` and the degree check are the package's.
+
+
+class _BivariateAlgebra:
+    """Values are dicts {(i, j): coeff} for X^i Y^j over K."""
+
+    def __init__(self, field: BaseField):
+        self.field = field
+        self.zero = field.zero()
+
+    def const(self, n: int):
+        e = self.field.element(n)
+        return {} if e.is_zero else {(0, 0): e}
+
+    def variable(self, name: str, pos: int):
+        if name == "X":
+            return {(1, 0): self.field.one()}
+        if name == "Y":
+            return {(0, 1): self.field.one()}
+        if name == "t":
+            if self.field.is_rationals:
+                raise MapParseError("t is only defined over F_p(t)", pos)
+            return {(0, 0): self.field.gen()}
+        raise MapParseError(f"unknown symbol {name!r} (use X and Y)", pos)
+
+    def add(self, a, b):
+        out = dict(a)
+        for key, c in b.items():
+            s = out.get(key, self.zero) + c
+            if s.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return {k: -c for k, c in a.items()}
+
+    @staticmethod
+    def degree(a) -> int:
+        return max((i + j for i, j in a), default=0)
+
+    def mul(self, a, b):
+        _check_degree(self.degree(a) + self.degree(b))
+        out = {}
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                key = (i1 + i2, j1 + j2)
+                s = out.get(key, self.zero) + c1 * c2
+                if s.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return out
+
+    def div(self, a, b):
+        if set(b) - {(0, 0)}:
+            raise MapParseError("can only divide forms by constants")
+        if not b:
+            raise MapParseError("division by zero")
+        c = b[(0, 0)]
+        return {k: v / c for k, v in a.items()}
+
+    def pow(self, a, e: int):
+        """a^e by square-and-multiply; a monomial c*X^i*Y^j in one step."""
+        _check_degree(self.degree(a) * e)
+        if len(a) == 1:
+            ((i, j), c), = a.items()
+            return {(i * e, j * e): c**e}
+        return power(self.mul, a, e, self.const(1))
+
+
+class _RatFuncAlgebra:
+    """Values are pairs (num, den) of polynomials in z over K, each a
+    _BivariateAlgebra dict {(i, 0): c} for c*z^i."""
+
+    def __init__(self, field: BaseField, allow_z: bool = True):
+        self.field = field
+        self.allow_z = allow_z
+        self.poly = _BivariateAlgebra(field)
+
+    def const(self, n: int):
+        return self.poly.const(n), self.poly.const(1)
+
+    def variable(self, name: str, pos: int):
+        if name == "z":
+            if not self.allow_z:
+                raise MapParseError("the variable z is not allowed here", pos)
+            return self.poly.variable("X", pos), self.poly.const(1)
+        if name == "t":
+            return self.poly.variable("t", pos), self.poly.const(1)
+        raise MapParseError(f"unknown symbol {name!r}", pos)
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        mul = self.poly.mul
+        return self.poly.add(mul(n1, d2), mul(n2, d1)), mul(d1, d2)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        n, d = a
+        return self.poly.neg(n), d
+
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return self.poly.mul(n1, n2), self.poly.mul(d1, d2)
+
+    def div(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not n2:
+            raise MapParseError("division by zero")
+        return self.poly.mul(n1, d2), self.poly.mul(d1, n2)
+
+    def pow(self, a, e: int):
+        n, d = a
+        return self.poly.pow(n, e), self.poly.pow(d, e)
+
+
+# ---------------------------------------------------------------------------
+# integral clearing
+
+
+def clear_denominators(field: BaseField, coeffs: list[GlobalFieldElement]):
+    """Scale a list of K-elements by the lcm of their denominators."""
+    ring = field.ring
+    mult = ring.one
+    for c in coeffs:
+        mult = ring.mul(mult, ring.exactdiv(c.den, ring.gcd(mult, c.den)))
+    return [ring.mul(c.num, ring.exactdiv(mult, c.den)) for c in coeffs]
+
+
+# ---------------------------------------------------------------------------
+# public entry points
+
+
+def reference_parse_element(field: BaseField, s: str) -> GlobalFieldElement:
+    """Parse a constant expression, e.g. '-3/4' or '(t^2+1)/t'."""
+    parser = _Parser(_tokenize(s), _RatFuncAlgebra(field, allow_z=False))
+    num, den = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise MapParseError("trailing input", tok.pos)
+    # without z every value is a constant {(0, 0): c} or zero {}
+    return num.get((0, 0), field.zero()) / den[(0, 0)]
+
+
+def reference_parse_map(expr: str, field: BaseField) -> RationalMap:
+    """Parse an affine expression in z or a homogeneous pair in X, Y."""
+    stripped = expr.strip()
+    if stripped.startswith("["):
+        return _reference_parse_map_pair(field, stripped)
+    parser = _Parser(_tokenize(stripped), _RatFuncAlgebra(field))
+    num, den = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise MapParseError("trailing input", tok.pos)
+    if not den:
+        raise MapParseError("zero denominator")
+    if not num:
+        raise MapParseError("the zero map is not a self-map of P^1")
+    d = max(_BivariateAlgebra.degree(num), _BivariateAlgebra.degree(den))
+    if d < 1:
+        raise MapParseError("constant expressions do not define a map")
+    zero = field.zero()
+    fk = [num.get((i, 0), zero) for i in range(d + 1)]
+    gk = [den.get((i, 0), zero) for i in range(d + 1)]
+    cleared = clear_denominators(field, fk + gk)
+    return make_map(field, cleared[: d + 1], cleared[d + 1 :])
+
+
+def _reference_parse_map_pair(field: BaseField, s: str) -> RationalMap:
+    tokens = _tokenize(s)
+    algebra = _BivariateAlgebra(field)
+    parser = _Parser(tokens, algebra)
+    parser.expect_op("[")
+    f_poly = parser.parse_expr()
+    parser.expect_op(":")
+    g_poly = parser.parse_expr()
+    parser.expect_op("]")
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise MapParseError("trailing input", tok.pos)
+    if not f_poly or not g_poly:
+        raise MapParseError("both forms must be nonzero")
+    degrees = {i + j for poly in (f_poly, g_poly) for (i, j) in poly}
+    if len(degrees) != 1:
+        raise MapParseError("forms must be homogeneous of one common degree")
+    d = degrees.pop()
+    if d < 1:
+        raise MapParseError("degree must be at least 1")
+    zero = field.zero()
+    fk = [f_poly.get((i, d - i), zero) for i in range(d + 1)]
+    gk = [g_poly.get((i, d - i), zero) for i in range(d + 1)]
+    cleared = clear_denominators(field, fk + gk)
+    return make_map(field, cleared[: d + 1], cleared[d + 1 :])

@@ -438,7 +438,7 @@ def test_criterion_9_unit_equation_bounds():
                 [ad.infinite_place(field), ad.irreducible_place(field, pi)],
             )
             candidates = [
-                field.element(tuple(pi.coeffs)) + one,
+                field.element(pi) + one,
                 t * t + t + one,
                 field.element((1, 1)),
                 t * t + one,

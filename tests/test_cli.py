@@ -312,6 +312,9 @@ class TestExitCodes:
             ("bounds", "--char", "0", "--degree", "0", "--s", "1"),
             ("bounds", "--char", "2", "--degree", "-1", "--s", "1"),
             ("bounds", "--char", "0", "--degree", "1", "--s", "0"),
+            ("bounds", "--char", "0", "--degree", "1", "--s", "1", "--map-degree", "1"),
+            ("bounds", "--char", "0", "--degree", "1", "--s", "1", "--map-degree", "0"),
+            ("bounds", "--char", "3", "--degree", "1", "--s", "1", "--map-degree", "-3"),
         ],
         ids=[
             "characteristic", "place", "place-set", "poly-place", "empty-poly-place",
@@ -319,6 +322,7 @@ class TestExitCodes:
             "zero-height", "negative-height", "zero-height-sweep", "zero-cap", "negative-cap",
             "negative-height-cap", "zero-node-budget",
             "zero-degree", "negative-degree", "zero-s",
+            "linear-map-degree", "zero-map-degree", "negative-map-degree",
         ],
     )
     def test_malformed_number_is_a_usage_error(self, capsys, argv):

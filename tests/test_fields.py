@@ -232,6 +232,18 @@ class TestPlaceSets:
         with pytest.raises(DomainError):
             ad.parse_place(F2T, "pi:1,0,1")  # (t+1)^2 is not irreducible
 
+    def test_place_coefficients_are_reduced_mod_p(self):
+        # t - 1 and t + 2 are one place of F_3(t), and 4*t is the monic t
+        minus, plus = ad.irreducible_place(F3T, (-1, 1)), ad.irreducible_place(F3T, (2, 1))
+        assert minus == plus and hash(minus) == hash(plus)
+        assert minus.serialize() == "pi:2,1" and str(minus) == "(t+2)"
+        with pytest.raises(DomainError, match="duplicate"):
+            ad.place_set(F3T, [ad.infinite_place(F3T), minus, plus])
+        assert ad.irreducible_place(F3T, (0, 4)).serialize() == "pi:0,1"
+        assert ad.irreducible_place(F3T, [0, 4]) == ad.parse_place(F3T, "pi:0,4")
+        with pytest.raises(DomainError, match="monic"):
+            ad.irreducible_place(F3T, (0, 2))
+
 
 class TestSmallPrimeOutside:
     def test_worked_examples(self):

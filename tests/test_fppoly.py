@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from arithdyn import fppoly
 from arithdyn.errors import BudgetExceededError, DomainError
-from arithdyn.fppoly import FpPoly
 
 from oracles import brute_monic_irreducibles, schoolbook_pmul
 
@@ -67,6 +66,11 @@ class TestArithmetic:
         assert fppoly.pderiv(2, (0, 0, 1)) == ()
         assert fppoly.pderiv(3, (0, 0, 0, 1)) == ()
         assert fppoly.pderiv(5, (1, 2, 3)) == (2, 6 % 5)
+
+    def test_monic(self):
+        # 2t^2 + 1 over F_5, scaled by 2^-1 = 3; a gcd is monic
+        assert fppoly.pmonic(5, (1, 0, 2)) == (3, 0, 1)
+        assert fppoly.plead(fppoly.pgcd(5, (2, 0, 4), (0, 2, 0, 4))) == 1
 
 
 
@@ -191,19 +195,3 @@ class TestSerialization:
         for cs in [(), (1,), (1, 0, 2), (0, 1, 1)]:
             s = fppoly.coeff_string(cs)
             assert fppoly.parse_coeff_string(3, s) == cs
-
-
-class TestFpPolyClass:
-    def test_operators(self):
-        t = FpPoly.gen(3)
-        one = FpPoly.const(3, 1)
-        f = t * t + t + one
-        assert str(f) == "t^2+t+1"
-        assert (f % (t + one)).coeffs == (1,)  # f(-1) = 1 - 1 + 1 = 1
-        assert f.gcd(t).coeffs == (1,)
-
-    def test_monic_and_irreducible(self):
-        f = FpPoly.make(5, [1, 0, 2])
-        assert f.monic().leading() == 1
-        assert FpPoly.make(2, [1, 1, 1]).is_irreducible()
-        assert not FpPoly.make(2, [1, 0, 1]).is_irreducible()  # (t+1)^2

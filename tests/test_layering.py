@@ -3,8 +3,11 @@
 `ratmap`, `dynamics`, `projective`, `bounds`, `sunit` and `cli` reach F_p[t]
 only through the ring objects of `fields` (and the residue fields), so each
 algorithm is written once for Z and F_p[t].  Only the `Coeffs` type alias
-may be taken from `fppoly`.  The check reads the source with `ast`, so it
-needs nothing to run.
+may be taken from `fppoly`.  F_p[t] values are coefficient tuples: no module
+names a wrapper class `FpPoly`.  The parser computes on raw ring values: it
+builds no field constants (`zero()`, `one()`, `gen()`) and makes an element
+only once, in `parse_element`.  The checks read the source (with `ast`), so
+they need nothing to run.
 """
 
 import ast
@@ -69,3 +72,53 @@ def test_checker_sees_each_kind_of_use(source):
 
 def test_checker_allows_the_alias():
     assert fppoly_uses("from .fppoly import Coeffs\nx: Coeffs = ()\ny = fppoly.Coeffs") == []
+
+
+def test_no_module_names_a_polynomial_wrapper():
+    assert [path.name for path in SRC.glob("*.py") if "FpPoly" in path.read_text()] == []
+
+
+FIELD_CONSTANTS = {"zero", "one", "gen"}
+
+
+def field_value_calls(source: str) -> list[str]:
+    """Calls of .zero(), .one() and .gen(), and of .element() outside
+    parse_element, each as 'function: .name()'."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                attr = child.func.attr
+                if attr in FIELD_CONSTANTS or (attr == "element" and function != "parse_element"):
+                    out.append(f"{function}: .{attr}()")
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_parser_computes_on_ring_values():
+    assert field_value_calls((SRC / "parsing.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = field.zero()",
+        "def f(field):\n    return field.one()",
+        "class A:\n    def const(self):\n        return self.field.gen()",
+        "def parse_map(field, s):\n    return field.element(1)",
+        "def parse_element(field, s):\n    def g():\n        return field.element(1)\n    return g()",
+    ],
+)
+def test_field_value_checker_sees_each_call(source):
+    assert field_value_calls(source)
+
+
+def test_field_value_checker_allows_ring_values():
+    source = "def parse_element(field, s):\n    return field.element(field.ring.one, ring.zero)"
+    assert field_value_calls(source) == []

@@ -24,7 +24,6 @@ import pytest
 
 import arithdyn as ad
 from arithdyn import ratmap
-from arithdyn.parsing import _clear_denominators
 from arithdyn.projective import INFINITE, ReducedPoint
 
 import oracles
@@ -297,7 +296,7 @@ def map_with_cycle(field, pts, d, rng, step=1):
     fco, gco = [field.zero()] * (d + 1), [field.zero()] * (d + 1)
     for k, i in enumerate(idx):
         fco[i], gco[i] = sol[k], sol[len(idx) + k]
-    raw = _clear_denominators(field, fco + gco)
+    raw = oracles.clear_denominators(field, fco + gco)
     try:
         return ad.make_map(field, raw[: d + 1], raw[d + 1 :])
     except ad.DegenerateMapError:
@@ -330,7 +329,7 @@ def reduced_cycles(phi):
         irr = ad.enumerate_monic_irreducibles(field, 3)
         places = [ad.infinite_place(field)]
         for k in (1, 2, 3):
-            places += [ad.irreducible_place(field, f) for f in irr if f.degree == k][:2]
+            places += [ad.irreducible_place(field, f) for f in irr if len(f) - 1 == k][:2]
     for place in places:
         if not ad.has_good_reduction(phi, place):
             continue

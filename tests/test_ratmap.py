@@ -489,7 +489,7 @@ def _oracle_places(field):
     irr = ad.enumerate_monic_irreducibles(field, 3)
     places = [ad.infinite_place(field)]
     for k in (1, 2, 3):
-        places += [ad.irreducible_place(field, f) for f in irr if f.degree == k][:3]
+        places += [ad.irreducible_place(field, f) for f in irr if len(f) - 1 == k][:3]
     return places
 
 

@@ -184,7 +184,7 @@ class TestOrd:
     def test_polynomials(self, p):
         ring = polynomial_ring(p)
         rng = random.Random(137 + p)
-        irreducibles = [pi.coeffs for pi in ad.enumerate_monic_irreducibles(p, 2)]
+        irreducibles = ad.enumerate_monic_irreducibles(p, 2)
         for _ in range(200):
             pi = rng.choice(irreducibles)
             a = random_poly(rng, p) or (1,)

@@ -100,20 +100,17 @@ def certified_ceiling(terms) -> int:
 
 @dataclass(frozen=True, slots=True)
 class BoundContext:
-    """(characteristic, extension degree, |S|, optional map degree)."""
+    """(characteristic, extension degree, |S|)."""
 
     p: int
     D: int
     s: int
-    d: int | None = None
 
     def __post_init__(self):
         if self.p != 0 and not is_prime_int(self.p):
             raise DomainError("characteristic must be 0 or prime")
         if self.D < 1 or self.s < 1:
             raise DomainError("need D >= 1 and |S| >= 1")
-        if self.d is not None and self.d < 2:
-            raise DomainError("map degree parameter must be >= 2")
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
-from .ratmap import bad_places, reduce_map, resultant
+from .ratmap import bad_places, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
 
@@ -296,7 +296,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    ctx = BoundContext(args.char, args.degree, args.s, args.map_degree)
+    ctx = BoundContext(args.char, args.degree, args.s)
     bs = compute_bounds(ctx)
     result = {
         "eta": str(bs.eta),
@@ -399,10 +399,10 @@ def _cmd_verify_corollary3(args) -> int:
     max_orbit = (0, None, None)
     violations = []
     for expr, phi in maps:
-        if bad_places(phi):
+        # over Q with S = {inf}: good reduction everywhere is a unit resultant
+        if not field.ring.is_unit(resultant_raw(phi)):
             raise ArithDynError(
-                f"{expr} does not have good reduction everywhere "
-                f"(bad at {[str(p) for p in sorted(bad_places(phi), key=lambda q: q.sort_key())]})"
+                f"{expr} does not have good reduction everywhere (its resultant is not a unit)"
             )
         res = preperiodic_search(phi, args.height, budget)
         worst_n = max((r.n for r in res.preperiodic), default=0)

@@ -6,7 +6,8 @@ trajectory into its tail and cycle with the minimal period for free
 (cycle points are distinct by construction).  One kernel does this for
 `orbit` and for `preperiodic_search`, on raw coordinate pairs with the
 step of `apply_map` (`ratmap.map_pair`); only the points of a report and
-the starts it cannot decide become ProjPoints.  Non-preperiodicity is only
+the starts it cannot decide become ProjPoints; the checks of a given cycle
+walk the same pairs (`ratmap.walk_pairs`).  Non-preperiodicity is only
 semi-decided in general: hitting the step or height budget yields an
 ExceededBudget outcome that claims nothing and names the budget that ran
 out ("steps" or "height").  For every map of degree d >= 2 an exact escape
@@ -39,14 +40,14 @@ from .ratmap import (
     EscapeProof,
     RationalMap,
     ReducedMap,
-    apply_map,
+    _successor_step,
     cycle_multiplier,
     escape_clause,
     escape_profile,
-    iterate_map,
     map_pair,
     reduce_map,
     resultant_raw,
+    walk_pairs,
 )
 from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
 
@@ -179,19 +180,20 @@ def orbit(
 
 
 def validate_orbit_report(phi: RationalMap, report: OrbitReport) -> None:
-    """Independent consistency check of a report (successors, minimality)."""
-    chain = list(report.tail) + list(report.cycle)
-    for i in range(len(chain) - 1):
-        if apply_map(phi, chain[i]) != chain[i + 1]:
-            raise PreconditionError("orbit report: successor property violated")
-    if apply_map(phi, report.cycle[-1]) != report.cycle[0]:
-        raise PreconditionError("orbit report: cycle does not close")
-    if len(set(chain)) != len(chain):
+    """Independent check of a report: the walk from its start runs through
+    the tail and the cycle back to the first cycle point, stopping at the
+    first difference, and distinct chain points make the cycle minimal."""
+    chain = [(q.x, q.y) for q in report.tail + report.cycle]
+    chain.append(chain[report.m])
+    n = len(chain) - 1
+    if (report.start.x, report.start.y) != chain[0]:
+        raise PreconditionError("orbit report: start is not the first point")
+    for i, (pair, want) in enumerate(zip(walk_pairs(phi, report.start, n), chain)):
+        if pair != want:
+            what = "cycle does not close" if i == n else "successor property violated"
+            raise PreconditionError(f"orbit report: {what}")
+    if len(set(chain)) != n:
         raise PreconditionError("orbit report: repeated points")
-    n = report.n
-    for d in range(1, n):
-        if n % d == 0 and iterate_map(phi, report.cycle[0], d) == report.cycle[0]:
-            raise PreconditionError("orbit report: cycle length not minimal")
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +284,10 @@ def reduced_period_data(
 ) -> PeriodData:
     """(m, r) for the reduction of a point at a good place."""
     psi = reduce_map(phi, place)
-    pts, first = _walk(psi.apply, reduce_point(point, place))
-    cycle = pts[first:]  # after the tail, if any
+    codes, first = _walk(_successor_step(psi), reduce_point(point, place).code())
     rf = psi.rfield
-    num, den = cycle_multiplier(rf, psi.fco, psi.gco, [(q.x, q.y) for q in cycle])
+    cycle = [(c, 1) if c < rf.q else (1, 0) for c in codes[first:]]  # after the tail
+    num, den = cycle_multiplier(rf, psi.fco, psi.gco, cycle)
     if not num:
         return PeriodData(len(cycle), INFINITE)
     return PeriodData(len(cycle), rf.multiplicative_order(rf.div(num, den)))
@@ -308,16 +310,16 @@ def check_period_relation(
     """Verify n in {m, m*r, p^e*m*r} for the reduction at a good place.
 
     n must be the exact minimal period of the point; this is re-verified
-    by iteration, and n < 1 raises PreconditionError.  A "violation"
-    verdict would indicate an implementation bug, not a counterexample.
+    by one walk of n steps, and n < 1 raises PreconditionError.  A
+    "violation" verdict would indicate an implementation bug.
     """
     if n < 1:
         raise PreconditionError("period must be >= 1")
-    if iterate_map(phi, point, n) != point:
+    pairs = list(walk_pairs(phi, point, n))
+    if pairs.pop() != pairs[0]:
         raise PreconditionError("point is not n-periodic")
-    for d in range(1, n):
-        if n % d == 0 and iterate_map(phi, point, d) == point:
-            raise PreconditionError("n is not the minimal period")
+    if len(set(pairs)) != n:
+        raise PreconditionError("n is not the minimal period")
     data = reduced_period_data(phi, point, place)
     m, r = data.m, data.r
     if n == m:

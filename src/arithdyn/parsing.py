@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, MapParseError
 from .fields import BaseField, GlobalFieldElement
 from .fppoly import power
-from .projective import ProjPoint, from_affine, infinity, normalize
+from .projective import ProjPoint, infinity, point_from_raw
 from .ratmap import RationalMap, make_map
 
 # Largest degree of any value built while parsing, checked before a
@@ -279,21 +279,19 @@ def parse_element(field: BaseField, s: str) -> GlobalFieldElement:
 
 
 def parse_point(field: BaseField, s: str) -> ProjPoint:
-    """Parse '[a : b]' or an affine value; 'inf' is the point at infinity."""
-    stripped = s.strip()
-    if stripped in ("inf", "oo"):
+    """Parse '[a : b]' (the bracket grammar of the maps) or an affine value
+    a, the point [a : 1]; 'inf' is the point at infinity."""
+    if s.strip() in ("inf", "oo"):
         return infinity(field)
-    if stripped.startswith("["):
-        inner = stripped[1:-1] if stripped.endswith("]") else None
-        if inner is None:
-            raise MapParseError("unterminated '['", len(stripped) - 1)
-        parts = inner.split(":")
-        if len(parts) != 2:
-            raise MapParseError("a point needs exactly one ':'")
-        x = parse_element(field, parts[0])
-        y = parse_element(field, parts[1])
-        return normalize(x, y)
-    return from_affine(parse_element(field, stripped))
+    algebra = _FractionAlgebra(field, {})
+    if s.strip().startswith("["):
+        (a, c), (b, e) = _parse_all(s, algebra, brackets=True)
+    else:
+        (a, c), (b, e) = _parse_all(s, algebra), algebra.const(1)
+    # [a/c : b/e] = [a*e : b*c], every value a constant {(0, 0): v} or zero {}
+    ring = field.ring
+    a, b = a.get((0, 0), ring.zero), b.get((0, 0), ring.zero)
+    return point_from_raw(field, ring.mul(a, e[(0, 0)]), ring.mul(b, c[(0, 0)]))
 
 
 def parse_map(expr: str, field: BaseField) -> RationalMap:

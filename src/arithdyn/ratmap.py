@@ -171,9 +171,6 @@ class RationalMap:
     def degree(self) -> int:
         return len(self.fco) - 1
 
-    def apply(self, point: ProjPoint) -> ProjPoint:
-        return apply_map(self, point)
-
     def affine_str(self) -> str:
         num = _form_affine_str(self.field, self.fco)
         den = _form_affine_str(self.field, self.gco)
@@ -333,7 +330,7 @@ def map_pair(ring, fco: tuple, gco: tuple, res, x, y):
     Hence gcd(F(x, y), G(x, y)) = gcd(Res, F(x, y), G(x, y)) exactly, over
     Z as over F_p[t], and a unit resultant leaves nothing to divide out.
     Over F_p[t] every remainder in that gcd has degree below
-    deg Res <= 2*d*M.  This is the one step of `apply_map` and of the
+    deg Res <= 2*d*M.  This is the one step of `walk_pairs` and of the
     orbit kernel of `dynamics`.
     """
     fx, gx = _eval_pair(ring, fco, gco, x, y)
@@ -345,21 +342,30 @@ def map_pair(ring, fco: tuple, gco: tuple, res, x, y):
     return canon_pair(ring, fx, gx, g)
 
 
-def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
-    """phi(P), renormalized to canonical coprime coordinates (`map_pair`)."""
+def walk_pairs(phi: RationalMap, point: ProjPoint, n: int):
+    """The canonical pairs of P, phi(P), ..., phi^n(P), one at a time.  P has
+    exact period n when pairs[n] == pairs[0] and pairs[:n] are distinct."""
     field = phi.field
     if field != point.field:
         raise DomainError("map and point over different base fields")
-    ring = field.ring
-    return ProjPoint(
-        field, *map_pair(ring, phi.fco, phi.gco, resultant_raw(phi), point.x, point.y)
-    )
+    ring, fco, gco, res = field.ring, phi.fco, phi.gco, resultant_raw(phi)
+    x, y = point.x, point.y
+    yield x, y
+    for _ in range(n):
+        x, y = map_pair(ring, fco, gco, res, x, y)
+        yield x, y
 
 
 def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
-    for _ in range(n):
-        point = apply_map(phi, point)
-    return point
+    """phi^n(P), walked on raw pairs in constant memory."""
+    for x, y in walk_pairs(phi, point, n):
+        pass
+    return ProjPoint(phi.field, x, y)
+
+
+def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
+    """phi(P), renormalized to canonical coprime coordinates (`map_pair`)."""
+    return iterate_map(phi, point, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +532,10 @@ def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
     """
     if n < 1:
         raise PreconditionError("period must be >= 1")
-    cycle_pts = [point]
-    current = point
-    for _ in range(n):
-        current = apply_map(phi, current)
-        cycle_pts.append(current)
-    if cycle_pts[-1] != point:
+    cycle = list(walk_pairs(phi, point, n))
+    if cycle.pop() != cycle[0]:
         raise PreconditionError(f"{point} is not {n}-periodic under {phi}")
     field = phi.field
-    cycle = [(q.x, q.y) for q in cycle_pts[:-1]]
     value = field.element(*cycle_multiplier(field.ring, phi.fco, phi.gco, cycle))
     return MultiplierValue(value, n, point)
 

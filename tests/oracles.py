@@ -15,7 +15,9 @@ gcd-normalized field products and quotients instead of ring powers and
 exact division, orbits by a loop over ProjPoints through the public
 `apply_map` and `escapes` instead of the coordinate-pair kernel, parsed
 maps and elements by arithmetic in K and an lcm of denominators instead
-of fractions over the integral ring, and so on.
+of fractions over the integral ring, points by splitting the brackets at
+':' and normalizing two parsed elements instead of the bracket grammar of
+the maps, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -41,7 +43,7 @@ from arithdyn.errors import BudgetExceededError, DomainError, MapParseError
 from arithdyn.fields import BaseField, GlobalFieldElement, infinite_place, valuation
 from arithdyn.fppoly import power
 from arithdyn.parsing import _check_degree, _Parser, _tokenize
-from arithdyn.projective import ProjPoint
+from arithdyn.projective import ProjPoint, from_affine, infinity, normalize
 from arithdyn.ratmap import RationalMap, apply_map, escape_profile, escapes, make_map
 from arithdyn.sunit import _free_places, s_unit_generators
 
@@ -784,3 +786,21 @@ def _reference_parse_map_pair(field: BaseField, s: str) -> RationalMap:
     gk = [g_poly.get((i, d - i), zero) for i in range(d + 1)]
     cleared = clear_denominators(field, fk + gk)
     return make_map(field, cleared[: d + 1], cleared[d + 1 :])
+
+
+def reference_parse_point(field: BaseField, s: str) -> ProjPoint:
+    """Parse '[a : b]' or an affine value; 'inf' is the point at infinity."""
+    stripped = s.strip()
+    if stripped in ("inf", "oo"):
+        return infinity(field)
+    if stripped.startswith("["):
+        inner = stripped[1:-1] if stripped.endswith("]") else None
+        if inner is None:
+            raise MapParseError("unterminated '['", len(stripped) - 1)
+        parts = inner.split(":")
+        if len(parts) != 2:
+            raise MapParseError("a point needs exactly one ':'")
+        x = reference_parse_element(field, parts[0])
+        y = reference_parse_element(field, parts[1])
+        return normalize(x, y)
+    return from_affine(reference_parse_element(field, stripped))

@@ -268,6 +268,22 @@ class TestVerifyCorollary3:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("expr", ["z^2+1/1000000016000000063", "z^2/3"])
+    def test_bad_reduction_decided_without_factoring(self, capsys, tmp_path, expr):
+        # z^2 + 1/N has Res = N^4, N = 1000000016000000063, which trial
+        # division cannot factor: only whether Res is a unit is asked
+        path = tmp_path / "maps.txt"
+        path.write_text(expr + "\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "verify-corollary3", "--maps-file", str(path), "--height", "10"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "ArithDynError"
+        assert diagnostic["message"].startswith(f"{expr} does not have good reduction")
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

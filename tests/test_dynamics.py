@@ -101,6 +101,25 @@ class TestOrbit:
         with pytest.raises(PreconditionError):
             ad.validate_orbit_report(phi, fake)
 
+    # z^2 - 1: 1 -> 0 -> -1 -> 0, so [1 : 1] has tail (1,) and cycle (0, -1)
+    @pytest.mark.parametrize(
+        "start, tail, cycle, message",
+        [
+            ("1", ("1", "3"), ("0", "-1"), "successor property violated"),
+            ("1", ("1",), ("0",), "cycle does not close"),
+            ("0", (), ("0", "-1", "0", "-1"), "repeated points"),
+            ("5", ("1",), ("0", "-1"), "start is not the first point"),
+        ],
+    )
+    def test_validator_refusals(self, start, tail, cycle, message):
+        phi = ad.parse_map("z^2-1", ad.QQ)
+        pt = lambda s: ad.parse_point(ad.QQ, s)  # noqa: E731
+        good = ad.OrbitReport(pt("1"), (pt("1"),), (pt("0"), pt("-1")))
+        ad.validate_orbit_report(phi, good)
+        fake = ad.OrbitReport(pt(start), tuple(map(pt, tail)), tuple(map(pt, cycle)))
+        with pytest.raises(PreconditionError, match=message):
+            ad.validate_orbit_report(phi, fake)
+
 
 def shaped_maps(field, rng, count):
     """Maps [F : u*Y^d], d = 2, 3 over Q and d = 2 over F_p(t), with unit
@@ -334,6 +353,13 @@ class TestCheckMst:
         one = ad.from_affine(ad.QQ.one())
         with pytest.raises(PreconditionError):
             ad.check_period_relation(sq, one, 2, ad.prime_place(7))  # 2 is not minimal
+
+    def test_non_periodic_point_rejected(self):
+        # 0 -> -1 -> 0 -> -1: three steps do not return to 0
+        phi = ad.parse_map("z^2-1", ad.QQ)
+        zero = ad.from_affine(ad.QQ.zero())
+        with pytest.raises(PreconditionError, match="point is not n-periodic"):
+            ad.check_period_relation(phi, zero, 3, ad.prime_place(3))
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_nonpositive_period_rejected(self, n):

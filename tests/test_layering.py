@@ -6,8 +6,10 @@ algorithm is written once for Z and F_p[t].  Only the `Coeffs` type alias
 may be taken from `fppoly`.  F_p[t] values are coefficient tuples: no module
 names a wrapper class `FpPoly`.  The parser computes on raw ring values: it
 builds no field constants (`zero()`, `one()`, `gen()`) and makes an element
-only once, in `parse_element`.  The checks read the source (with `ast`), so
-they need nothing to run.
+only once, in `parse_element`.  Points stay raw pairs inside: `dynamics`
+checks cycles with the pair walk of `ratmap`, not with `apply_map` or
+`iterate_map`, and `parsing` builds a point once, without `normalize`.
+The checks read the source (with `ast`), so they need nothing to run.
 """
 
 import ast
@@ -122,3 +124,38 @@ def test_field_value_checker_sees_each_call(source):
 def test_field_value_checker_allows_ring_values():
     source = "def parse_element(field, s):\n    return field.element(field.ring.one, ring.zero)"
     assert field_value_calls(source) == []
+
+
+# module -> names it must not import, with one source that breaks the rule
+BANNED_IMPORTS = {
+    "dynamics": (
+        {"apply_map", "iterate_map"},
+        "from . import ratmap\nq = ratmap.iterate_map(phi, p, 2)",
+    ),
+    "parsing": ({"normalize"}, "from .projective import ProjPoint, normalize"),
+}
+
+
+def banned_uses(source: str, banned: set) -> list[str]:
+    """The names of `banned` that `source` imports (`from m import name`)
+    or reads off a module (`m.name`)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [a.name for a in node.names if a.name in banned]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in banned:
+                out.append(f"{node.value.id}.{node.attr}")
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(BANNED_IMPORTS))
+def test_module_imports_no_banned_name(module):
+    banned, _ = BANNED_IMPORTS[module]
+    assert banned_uses((SRC / f"{module}.py").read_text(), banned) == []
+
+
+@pytest.mark.parametrize("module", sorted(BANNED_IMPORTS))
+def test_banned_name_checker_sees_the_rule_broken(module):
+    banned, source = BANNED_IMPORTS[module]
+    assert banned_uses(source, banned)

@@ -6,6 +6,11 @@ make_map).  On random affine maps, bracket pairs and constants over Q,
 F_2(t) and F_3(t) (rational and t coefficients, 1/t, nested quotients and
 powers, and mutated, malformed strings) both parsers give the same map or
 element, or the same error: type, message and position.
+
+`oracles.reference_parse_point` splits a bracket point at ':' and
+normalizes two parsed elements; `parse_point` reads it with the bracket
+grammar of the maps.  Both give the same point, or an error of the same
+type; the positions differ by design (they index the whole input now).
 """
 
 import random
@@ -13,10 +18,10 @@ import random
 import pytest
 
 import arithdyn as ad
-from arithdyn.errors import ArithDynError
+from arithdyn.errors import ArithDynError, MapParseError
 from arithdyn.parsing import MAX_DEGREE
 
-from oracles import reference_parse_element, reference_parse_map
+from oracles import reference_parse_element, reference_parse_map, reference_parse_point
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -179,3 +184,51 @@ def test_degree_refusals_equal_the_reference():
             want = outcome(reference_parse_map, s, field)
             assert outcome(ad.parse_map, s, field) == want, (s, field)
     assert outcome(ad.parse_map, exprs[0], ad.QQ)[0] == "BudgetExceededError"
+
+
+def pad(rng) -> str:
+    return rng.choice(["", "", " ", "  ", "\t"])
+
+
+def point(rng, field):
+    """An affine constant, a bracket pair of constants, or infinity, with
+    random whitespace around the parts."""
+    r = rng.random()
+    if r < 0.05:
+        return pad(rng) + rng.choice(["inf", "oo"]) + pad(rng)
+    if r < 0.35:
+        return pad(rng) + constant(rng, field) + pad(rng)
+    x, y = constant(rng, field), constant(rng, field)
+    return f"{pad(rng)}[{pad(rng)}{x}{pad(rng)}:{pad(rng)}{y}{pad(rng)}]{pad(rng)}"
+
+
+def error_type(result):
+    return result[0] if isinstance(result, tuple) else result
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_points_equal_the_reference(field):
+    rng = random.Random(1800 + field.char)
+    results = []
+    for s in inputs(rng, point, field, 400):
+        got = outcome(ad.parse_point, field, s)
+        assert error_type(got) == error_type(outcome(reference_parse_point, field, s)), s
+        results.append(got)
+    kinds = tally(results)
+    assert kinds["value"] >= 250 and kinds["MapParseError"] >= 50, kinds
+
+
+@pytest.mark.parametrize(
+    "s, message, position",
+    [
+        ("[1 : 2x]", "expected ']'", 6),
+        ("[1:2x]", "expected ']'", 4),
+        ("[ : 1]", "expected a value", 2),
+        ("[1:2:3]", "expected ']'", 4),
+        ("  7x", "trailing input", 3),
+    ],
+)
+def test_point_errors_index_the_whole_input(s, message, position):
+    with pytest.raises(MapParseError, match=message) as info:
+        ad.parse_point(ad.QQ, s)
+    assert info.value.position == position

@@ -18,7 +18,11 @@ leading coefficient a non-unit denominator or a numerator beyond an
 affine radius does too.  Such outcomes carry reason "escape",
 divergent=True and the clause that fired.  The kernel tests the
 criterion (`ratmap.escape_clause`) at every point of an orbit, the start
-included, so an enumerated point proved at once costs one test.
+included.  `preperiodic_search` starts it only on the points that no
+clause dismisses at step 0: those below the height radius and, under the
+polynomial clause, the affine points with unit denominator below the
+affine radius; it counts the rest as divergent without listing them
+(`ring.count_points`), so its cost follows the radii, not the bound.
 
 The functional graph of a reduced map is the complete successor structure
 on the q + 1 points of P^1(F_q), decomposed into cycles and tails; it
@@ -37,6 +41,7 @@ from .projective import (
     reduce_point,
 )
 from .ratmap import (
+    EscapeProfile,
     EscapeProof,
     RationalMap,
     ReducedMap,
@@ -119,10 +124,11 @@ class ExceededBudget:
         return self.reason == REASON_ESCAPE
 
 
-def _orbit_kernel(phi: RationalMap, budget: Budget):
+def _orbit_kernel(phi: RationalMap, budget: Budget, profile: EscapeProfile | None):
     """The orbit iteration of phi on canonical coordinate pairs.
 
-    The ring, the resultant, the escape profile, the height cap and the
+    The ring, the resultant, phi's escape profile (`escape_profile(phi)`,
+    passed in so that a search reads it once), the height cap and the
     step budget are bound once; the returned `run(x, y)` iterates
     `map_pair` from the canonical pair (x, y) with a dict of the visited
     pairs, and returns (None, pairs, k, None) when the next image revisits
@@ -134,7 +140,6 @@ def _orbit_kernel(phi: RationalMap, budget: Budget):
     ring = field.ring
     size = ring.size
     fco, gco, res = phi.fco, phi.gco, resultant_raw(phi)
-    profile = escape_profile(phi)
     cap, max_steps = budget.cap_for(field), budget.max_steps
 
     def run(x, y):
@@ -173,7 +178,8 @@ def orbit(
     """Iterate until a revisit, a divergence proof, or the budget."""
     if phi.field != start.field:
         raise DomainError("map and point over different base fields")
-    reason, a, b, proof = _orbit_kernel(phi, budget or Budget())(start.x, start.y)
+    run = _orbit_kernel(phi, budget or Budget(), escape_profile(phi))
+    reason, a, b, proof = run(start.x, start.y)
     if reason is None:
         return _report(phi, start, a, b)
     return ExceededBudget(start, a, b, reason, proof)
@@ -351,16 +357,38 @@ class SearchResult:
     divergent: int
 
 
-def _enumerate_pairs(field: BaseField, height_bound: int, enum_budget: int = 500_000):
+def _enumerate_pairs(
+    field: BaseField,
+    height_bound: int,
+    enum_budget: int = 500_000,
+    profile: EscapeProfile | None = None,
+):
     """The canonical coordinate pairs of all points of P^1(K) of coordinate
     height <= height_bound: infinity, then the coprime pairs (x, y) from
     `ring.upto`, which refuses a bound whose pairs pass the budget; y is
     canonical (positive over Q, monic over F_p(t)), so distinct pairs are
-    distinct points."""
+    distinct points.
+
+    With an escape profile the pairs that it dismisses at step 0 are left
+    out: the bound drops below the height radius, and under the polynomial
+    clause only the pairs (x, 1) with size(x) below the affine radius stay.
+    Every pair left out fires `escape_clause` at once; pairs that are kept
+    may fire it too.  The refusal is decided at height_bound, before the
+    cut, so a bound refused without a profile is refused with one.
+    """
     if height_bound < 1:
         raise DomainError("height bound must be >= 1")
     ring = field.ring
     xs, ys = ring.upto(height_bound, enum_budget)
+    if profile is not None:
+        h = height_bound
+        if profile.height is not None:
+            h = min(h, profile.height.radius - 1)
+        if profile.polynomial is not None:
+            h = min(h, profile.polynomial.radius - 1)
+        xs, ys = ring.upto(h, enum_budget)
+        if profile.polynomial is not None:
+            ys = (ring.one,)
     gcd, one = ring.gcd, ring.one
     yield one, ring.zero
     for y in ys:
@@ -370,7 +398,8 @@ def _enumerate_pairs(field: BaseField, height_bound: int, enum_budget: int = 500
 
 
 def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500_000):
-    """The points of `_enumerate_pairs`."""
+    """Every point up to the height bound: `_enumerate_pairs` without a
+    profile."""
     for x, y in _enumerate_pairs(field, height_bound, enum_budget):
         yield ProjPoint(field, x, y)
 
@@ -381,22 +410,25 @@ def preperiodic_search(
     budget: Budget | None = None,
     enum_budget: int = 500_000,
 ) -> SearchResult:
-    """Run the orbit kernel on every point up to the height bound.
+    """Classify every point up to the height bound.
 
     Returns the preperiodic orbits, plus the budget-unresolved points as
     undecided; points with a divergence proof are counted but are neither
-    preperiodic nor undecided.  Each point is iterated as in `orbit`, on
-    its coordinate pair; only reported orbits and undecided points become
-    ProjPoints.
+    preperiodic nor undecided.  The orbit kernel runs, as in `orbit`, on
+    the pairs of `_enumerate_pairs` under phi's escape profile; every point
+    it leaves out is proved divergent at step 0, so it adds to `divergent`
+    through `scanned = ring.count_points(height_bound)` and is never built.
+    Only reported orbits and undecided points become ProjPoints.
     """
     field = phi.field
-    run = _orbit_kernel(phi, budget or Budget())
+    profile = escape_profile(phi)
+    run = _orbit_kernel(phi, budget or Budget(), profile)
     reports = []
     undecided = []
     divergent = 0
-    scanned = 0
-    for x, y in _enumerate_pairs(field, height_bound, enum_budget):
-        scanned += 1
+    started = 0
+    for x, y in _enumerate_pairs(field, height_bound, enum_budget, profile):
+        started += 1
         reason, a, b, _ = run(x, y)
         if reason is None:
             reports.append(_report(phi, ProjPoint(field, x, y), a, b))
@@ -404,6 +436,7 @@ def preperiodic_search(
             divergent += 1
         else:
             undecided.append(ProjPoint(field, x, y))
+    scanned = field.ring.count_points(height_bound)
     reports.sort(key=lambda r: r.start.sort_key())
     undecided.sort(key=ProjPoint.sort_key)
-    return SearchResult(tuple(reports), tuple(undecided), scanned, divergent)
+    return SearchResult(tuple(reports), tuple(undecided), scanned, divergent + scanned - started)

@@ -54,9 +54,10 @@ KIND_ARCH = "arch"
 # of resultant work (ratmap.RESULTANT_BUDGET).  `escape_radius` is the
 # affine radius of the polynomial clause of ratmap.escape_profile.  For
 # heights, `upto` lists the coordinates of the points of height <= h,
-# `pair_key` orders a point's coordinates and `height_cap` is the default
-# orbit cap.  They act on the raw values stored everywhere else, ints and
-# coefficient tuples, and call fppoly through the module at each call.
+# `count_points` counts those points without listing them, `pair_key`
+# orders a point's coordinates and `height_cap` is the default orbit cap.
+# They act on the raw values stored everywhere else, ints and coefficient
+# tuples, and call fppoly through the module at each call.
 
 
 class IntegerRing:
@@ -92,6 +93,24 @@ class IntegerRing:
         if (2 * h + 1) * h + 1 > budget:
             raise BudgetExceededError("point enumeration exceeds budget")
         return range(-h, h + 1), range(1, h + 1)
+
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def count_points(h: int) -> int:
+        """The number of points of P^1(Q) of height <= h, in O(h) steps:
+        infinity plus the coprime (x, y) with |x| <= h and 1 <= y <= h,
+        1 + sum over d <= h of mu(d) * (h//d) * (2*(h//d) + 1) by Moebius
+        inversion over the common divisor d of x and y."""
+        mu = [1] * (h + 1)
+        sieved = bytearray(h + 1)
+        for p in range(2, h + 1):
+            if not sieved[p]:  # p is prime
+                for k in range(p, h + 1, p):
+                    mu[k] = -mu[k]
+                    sieved[k] = 1
+                for k in range(p * p, h + 1, p * p):
+                    mu[k] = 0
+        return 1 + sum(mu[d] * (h // d) * (2 * (h // d) + 1) for d in range(1, h + 1))
 
     @staticmethod
     def pair_key(x: int, y: int) -> tuple[int, int]:
@@ -215,6 +234,14 @@ class PolynomialRing:
             raise BudgetExceededError("point enumeration exceeds budget")
         xs = [fppoly.pfromcode(p, c) for c in range(p ** (h + 1))]
         return xs, [y for k in range(h + 1) for y in xs[p**k : 2 * p**k]]
+
+    def count_points(self, h: int) -> int:
+        """The number of points of P^1(F_p(t)) of height <= h: infinity, the
+        p^(h+1) pairs (x, 1), and for each n = 1..h the (p-1)*p^(h+n) pairs
+        of a monic y of degree n and an x of degree <= h prime to it (x mod y
+        is prime to y for p^(2n) - p^(2n-1) pairs (x mod y, y), and each
+        residue has p^(h+1-n) lifts); the sum is 1 + p^(2h+1)."""
+        return 1 + self.p ** (2 * h + 1)
 
     def pair_key(self, x: Coeffs, y: Coeffs) -> tuple[int, int]:
         return fppoly.pcode(self.p, y), fppoly.pcode(self.p, x)

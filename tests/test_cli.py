@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -365,7 +366,7 @@ def run_subprocess(*argv, timeout=10, module="arithdyn.cli"):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", module, *argv],
-        env={"PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -496,7 +497,7 @@ class TestRobustness:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "arithdyn.cli", "analyze", "--field", "Q", "z^99999+1"],
-            env={"PYTHONPATH": str(SRC)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             timeout=10,

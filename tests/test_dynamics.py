@@ -369,6 +369,9 @@ class TestCheckMst:
             ad.check_period_relation(phi, zero, n, ad.prime_place(3))
 
 
+BRUTE_HEIGHTS = [(0, 29), (2, 5), (3, 3), (5, 2), (7, 2), (11, 2)]
+
+
 class TestPreperiodicSearch:
     def test_square_minus_one(self):
         res = ad.preperiodic_search(ad.parse_map("z^2-1", ad.QQ), 10)
@@ -392,13 +395,20 @@ class TestPreperiodicSearch:
         assert sum(1 for _ in ad.enumerate_points(ad.QQ, 2)) == 8
         assert sum(1 for _ in ad.enumerate_points(F2T, 1)) == 9
 
-    @pytest.mark.parametrize("p, max_height", [(0, 29), (2, 5), (3, 3), (5, 2), (7, 2), (11, 2)])
+    @pytest.mark.parametrize("p, max_height", BRUTE_HEIGHTS)
     def test_enumeration_matches_brute_force(self, p, max_height):
         field = ad.function_field(p) if p else ad.QQ
         for H in range(1, max_height + 1):
             points = [(pt.x, pt.y) for pt in ad.enumerate_points(field, H, enum_budget=10**7)]
             assert len(set(points)) == len(points)
             assert set(points) == brute_points(p, H)
+
+    @pytest.mark.parametrize("p, max_height", BRUTE_HEIGHTS)
+    def test_point_count_matches_brute_force(self, p, max_height):
+        # the search reports this count as `scanned` without listing the points
+        ring = (ad.function_field(p) if p else ad.QQ).ring
+        for H in range(1, max_height + 1):
+            assert ring.count_points(H) == len(brute_points(p, H))
 
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -13,6 +13,11 @@ independent oracles.
   criterion does.
 - `preperiodic_search`, which proves points before starting their orbits,
   returns what `orbit` called on every point gives.
+- Below the radii: the search, which starts the kernel only on the pairs
+  no clause dismisses at step 0 and counts the rest, equals
+  `oracles.reference_preperiodic_search` on maps whose radii lie below the
+  search height, starts at most the pairs below the radii, and refuses
+  the heights it refused before.
 """
 
 import random
@@ -21,12 +26,12 @@ import time
 import pytest
 
 import arithdyn as ad
-from arithdyn import fppoly
+from arithdyn import dynamics, fppoly
 from arithdyn.dynamics import Budget, SearchResult
 from arithdyn.errors import BudgetExceededError
-from arithdyn.ratmap import RationalMap, sylvester_resultant
+from arithdyn.ratmap import RationalMap, escape_profile, sylvester_resultant
 
-from oracles import _ring_ops, map_step
+from oracles import _ring_ops, map_step, reference_preperiodic_search
 
 FIELDS = [ad.QQ, ad.function_field(2), ad.function_field(3), ad.function_field(5)]
 
@@ -289,15 +294,20 @@ def test_old_proof_never_fires_first(field):
     assert compared >= 60
 
 
-@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
-def test_search_pretest_matches_orbit_on_every_point(field):
+def pretest_maps(field):
+    """Named maps of every kind of escape profile (none, height clause only,
+    both clauses) and four random maps of degree 2 or 3."""
     rng = random.Random(361 + field.char)
     exprs = (["z+1", "z^2-1", "z^2-3/4", "(z^2+1)/(2*z)", "z^3-z"] if field.is_rationals
              else ["t*z+1", "z^2", "1/z^2", "(t*z^2+1)/z", "z^2+t"])
-    maps = [ad.parse_map(e, field) for e in exprs] + random_maps(rng, field, 4, (2, 3))
+    return [ad.parse_map(e, field) for e in exprs] + random_maps(rng, field, 4, (2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_search_pretest_matches_orbit_on_every_point(field):
     height_bound = 5 if field.is_rationals else 1
     budget = Budget(max_steps=60)
-    for phi in maps:
+    for phi in pretest_maps(field):
         reports, undecided, divergent, scanned = [], [], 0, 0
         for pt in ad.enumerate_points(field, height_bound):
             scanned += 1
@@ -321,3 +331,87 @@ def test_fp2_search_leaves_at_most_one_point_undecided():
     res = ad.preperiodic_search(phi, 3)
     assert res.scanned == 129 and len(res.undecided) <= 1
     assert res.divergent + len(res.preperiodic) + len(res.undecided) == 129
+
+
+# The search starts the kernel only below the radii and counts the other
+# points; `oracles.reference_preperiodic_search` still tests every point.
+
+F2T, F3T = ad.function_field(2), ad.function_field(3)
+
+
+def below_the_radii_cases():
+    yield from ((f"z^2{c:+d}", ad.QQ, 60) for c in range(-50, 51))  # polynomial clause
+    yield "(z^2+5)/(z-7)", ad.QQ, 160  # height clause only
+    yield "(t*z^2+1)/z", F2T, 6
+    yield "z^2+t", F3T, 4
+    yield "(z^2+t)/(t*z+1)", F3T, 4
+
+
+def test_search_below_the_radii_matches_reference():
+    for expr, field, height_bound in below_the_radii_cases():
+        phi = ad.parse_map(expr, field)
+        profile = escape_profile(phi)
+        assert min(p.radius for p in (profile.height, profile.polynomial) if p) <= height_bound
+        assert ad.preperiodic_search(phi, height_bound) == reference_preperiodic_search(
+            phi, height_bound
+        ), expr
+
+
+@pytest.mark.parametrize("field, height_bound", [(ad.QQ, 120), (F2T, 6), (F3T, 3)], ids=str)
+def test_search_on_pretest_maps_matches_reference(field, height_bound):
+    # the maps without a profile (degree 1) have no radius to search below
+    budget = Budget(max_steps=60)
+    for phi in pretest_maps(field):
+        if escape_profile(phi) is not None:
+            assert ad.preperiodic_search(phi, height_bound, budget) == (
+                reference_preperiodic_search(phi, height_bound, budget)
+            ), phi
+
+
+@pytest.fixture
+def kernel_starts(monkeypatch):
+    """The pairs on which `preperiodic_search` starts the orbit kernel."""
+    starts = []
+    make_kernel = dynamics._orbit_kernel
+
+    def counting_kernel(*args):
+        run = make_kernel(*args)
+
+        def counted(x, y):
+            starts.append((x, y))
+            return run(x, y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_orbit_kernel", counting_kernel)
+    return starts
+
+
+class TestSearchStartsBelowTheRadii:
+    def test_polynomial_clause_keeps_unit_denominators(self, kernel_starts):
+        # infinity and the (x, 1) with |x|, or deg x, below the affine radius
+        phi = ad.parse_map("z^2-2", ad.QQ)
+        radius = escape_profile(phi).polynomial.radius
+        res = ad.preperiodic_search(phi, 100)
+        assert 0 < len(kernel_starts) <= 2 * (radius - 1) + 2
+        assert res.scanned == ad.QQ.ring.count_points(100) == 12_176 and len(res.preperiodic) == 6
+        kernel_starts.clear()
+        phi = ad.parse_map("z^2+t", F3T)
+        profile = escape_profile(phi)
+        assert profile.polynomial.radius == 2 < profile.height.radius
+        ad.preperiodic_search(phi, 4)
+        assert 0 < len(kernel_starts) <= 3**2 + 1
+
+    def test_height_clause_stops_the_enumeration(self, kernel_starts):
+        phi = ad.parse_map("(t*z^2+1)/z", F2T)
+        assert escape_profile(phi).height.radius == 4
+        res = ad.preperiodic_search(phi, 6)
+        assert 0 < len(kernel_starts) <= F2T.ring.count_points(3) == 129
+        assert res.scanned == F2T.ring.count_points(6) == 8193
+
+    def test_refused_height_stays_refused(self, kernel_starts):
+        # z^2 dismisses every point but 0, +-1 and infinity at step 0, yet
+        # (2*500 + 1)*500 + 1 points pass the default enumeration budget
+        with pytest.raises(BudgetExceededError):
+            ad.preperiodic_search(ad.parse_map("z^2", ad.QQ), 500)
+        assert kernel_starts == []

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -276,7 +277,7 @@ class TestSmallPrimeOutside:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={"PYTHONPATH": str(SRC)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             timeout=10,

@@ -11,9 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
-from .fields import KIND_ARCH, PlaceSet, infinite_place, is_prime_int, strip_places
+from .fields import (
+    KIND_ARCH,
+    MAX_BOUND_DIGITS,
+    PlaceSet,
+    infinite_place,
+    is_prime_int,
+    strip_places,
+)
 from .ratmap import RationalMap, has_good_reduction, resultant
 
 # precision cap of certified_ceiling: an admitted eta has at most
@@ -144,27 +152,37 @@ def evertse_solution_bound(rank: int) -> int:
     return 2 ** (8 * (rank + 1))
 
 
-# CPython's default limit on the digits of an int printed in decimal
-MAX_BOUND_DIGITS = 4300
+def _eta_terms(s: int, D: int) -> tuple:
+    """The (m, c, x, e) terms of eta in characteristic zero, each standing
+    for m*(c*ln x)^e."""
+    return ((2 ** (16 * s - 8) + 3, 12 * s, 5 * s, D), (1, 12 * (s + 2), 5 * s + 5, 4 * D))
 
 
 def _eta_digits(p: int, D: int, s: int) -> float:
-    """log10(eta) + 1, at least the digit count of eta; inf past a float."""
+    """log10(eta) + 1, at least the digit count of eta; inf past a float.
+
+    In characteristic zero it is read off the terms of `_eta_terms`; an
+    |S| above MAX_BOUND_DIGITS is refused before they are built, as eta
+    then exceeds 2^(16*|S| - 8).
+    """
     try:
         if p > 0:
             lps = math.log10(p * s)
             return 4 * D * lps + max(2 * D * lps, (4 * s - 2) * math.log10(p)) + 1
+        if s > MAX_BOUND_DIGITS:
+            return math.inf
         return 1 + max(
-            D * math.log10(12 * s * math.log(5 * s)) + (16 * s - 8) * math.log10(2),
-            4 * D * math.log10(12 * (s + 2) * math.log(5 * s + 5)),
+            math.log10(m) + e * math.log10(c * math.log(x)) for m, c, x, e in _eta_terms(s, D)
         )
     except OverflowError:
         return math.inf
 
 
+@lru_cache(maxsize=256)
 def compute_bounds(ctx: BoundContext) -> BoundSet:
     """Evaluate every bound formula applicable to the context, refusing one
-    whose eta, the largest value printed, would pass MAX_BOUND_DIGITS."""
+    whose eta, the largest value printed, would pass MAX_BOUND_DIGITS.
+    The result is kept per context."""
     p, D, s = ctx.p, ctx.D, ctx.s
     if _eta_digits(p, D, s) > MAX_BOUND_DIGITS:
         raise BudgetExceededError(f"eta would have more than {MAX_BOUND_DIGITS} digits")
@@ -177,10 +195,7 @@ def compute_bounds(ctx: BoundContext) -> BoundSet:
         r_bound = unit_equation_solution_bound(p, s)
         return BoundSet(ctx, eta, cycle, i_bound, r_bound, None)
 
-    # each term (m, c, x, e) stands for m*(c*ln x)^e
-    eta = certified_ceiling(
-        ((2 ** (16 * s - 8) + 3, 12 * s, 5 * s, D), (1, 12 * (s + 2), 5 * s + 5, 4 * D))
-    )
+    eta = certified_ceiling(_eta_terms(s, D))
     cycle = certified_ceiling(((1, 12 * (s + 1), 5 * (s + 1), 4 * D),))
     i_bound = certified_ceiling(((1, 12 * s, 5 * s, D),)) - 1
     return BoundSet(ctx, eta, cycle, i_bound, None, evertse_solution_bound(2 * s - 2))
@@ -202,38 +217,42 @@ def automorphism_cycle_bound(D: int) -> int:
     return 2 + 4 * D * D
 
 
-def preper_total_bound(B: int, C: int, d: int, digit_budget: int = 10**6) -> int:
+# Largest number of digits preper_total_bound computes.
+PREPER_DIGIT_BUDGET = 10**6
+
+
+def preper_total_bound(B: int, C: int, d: int) -> int:
     """d^B * (d^n + 1) with n = lcm(1..C).
 
     B bounds the orbit size, C the cycle length, d >= 2 is the map degree.
-    A digit budget guards against nonsensical inputs; arithmetic itself is
-    arbitrary precision.
+    PREPER_DIGIT_BUDGET guards against nonsensical inputs; arithmetic
+    itself is arbitrary precision.
     """
     if B < 1 or C < 1 or d < 2:
         raise DomainError("need B, C >= 1 and d >= 2")
     # lcm(1..C) >= 2^(C-1): refuse on that lower bound before computing the
     # lcm, which for a large cycle bound C does not even fit in memory.
     # Past the first test 2^(C-1) alone has more digits than the budget.
-    if C - 1 > digit_budget.bit_length() + 2 or _too_many_digits(
-        B + 2 ** (C - 1), d, digit_budget
-    ):
+    if C - 1 > PREPER_DIGIT_BUDGET.bit_length() + 2 or _too_many_digits(B + 2 ** (C - 1), d):
         raise BudgetExceededError(
-            f"result would have more than {digit_budget} digits "
+            f"result would have more than {PREPER_DIGIT_BUDGET} digits "
             f"(n = lcm(1..{C}) >= 2^{C - 1})"
         )
     n = math.lcm(*range(1, C + 1))
-    if _too_many_digits(B + n, d, digit_budget):
-        raise BudgetExceededError(f"result would have more than {digit_budget} digits")
+    if _too_many_digits(B + n, d):
+        raise BudgetExceededError(f"result would have more than {PREPER_DIGIT_BUDGET} digits")
     return d**B * (d**n + 1)
 
 
-def _too_many_digits(e: int, d: int, digit_budget: int) -> bool:
-    """Whether d^e has more than digit_budget digits, by e*log10(d) + 1.
+def _too_many_digits(e: int, d: int) -> bool:
+    """Whether d^e has more than PREPER_DIGIT_BUDGET digits, by
+    e*log10(d) + 1.
 
-    Exponents above 4*digit_budget are decided without a float conversion,
-    which would overflow: log10(d) > 0.3 puts them over the budget.
+    Exponents above 4*PREPER_DIGIT_BUDGET are decided without a float
+    conversion, which would overflow: log10(d) > 0.3 puts them over the
+    budget.
     """
-    return e > 4 * digit_budget or e * math.log10(d) + 1 > digit_budget
+    return e > 4 * PREPER_DIGIT_BUDGET or e * math.log10(d) + 1 > PREPER_DIGIT_BUDGET
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .fields import (
     QQ,
     BaseField,
     archimedean_place,
+    check_length,
     function_field,
     infinite_place,
     parse_place,
@@ -152,6 +153,7 @@ def _cmd_analyze(args) -> int:
     field = _parse_field(args.field)
     phi = parse_map(args.map, field)
     res = resultant(phi)
+    check_length(field.ring, field.ring.length(res.num))  # before it prints
     bad = sorted(bad_places(phi), key=lambda p: p.sort_key())
     # the smallest S making the orbit bounds applicable to this map
     default_S = place_set(

@@ -11,18 +11,13 @@ walk the same pairs (`ratmap.walk_pairs`).  Non-preperiodicity is only
 semi-decided in general: hitting the step or height budget yields an
 ExceededBudget outcome that claims nothing and names the budget that ran
 out ("steps" or "height").  For every map of degree d >= 2 an exact escape
-criterion (`ratmap.escape_profile`) proves divergence: beyond a height
-radius computed from the Sylvester cofactors the height grows strictly at
-every step, and for maps of the shape [F : u*Y^d] with unit u and unit
-leading coefficient a non-unit denominator or a numerator beyond an
-affine radius does too.  Such outcomes carry reason "escape",
-divergent=True and the clause that fired.  The kernel tests the
-criterion (`ratmap.escape_clause`) at every point of an orbit, the start
-included.  `preperiodic_search` starts it only on the points that no
-clause dismisses at step 0: those below the height radius and, under the
-polynomial clause, the affine points with unit denominator below the
-affine radius; it counts the rest as divergent without listing them
-(`ring.count_points`), so its cost follows the radii, not the bound.
+criterion (`ratmap.escape_profile`) proves divergence; such outcomes
+carry reason "escape", divergent=True and the clause that fired.  The
+kernel tests the criterion (`ratmap.escape_clause`) at every point of an
+orbit, the start included.  `preperiodic_search` starts it only on the
+pairs of the criterion's start box (`ratmap.start_box`), outside which a
+clause fires at step 0, and counts the rest as divergent without listing
+them (`ring.count_points`), so its cost follows the radii, not the bound.
 
 The functional graph of a reduced map is the complete successor structure
 on the q + 1 points of P^1(F_q), decomposed into cycles and tails; it
@@ -52,6 +47,7 @@ from .ratmap import (
     map_pair,
     reduce_map,
     resultant_raw,
+    start_box,
     walk_pairs,
 )
 from .residue import DEFAULT_NODE_BUDGET, ResidueField, residue_field
@@ -369,26 +365,14 @@ def _enumerate_pairs(
     canonical (positive over Q, monic over F_p(t)), so distinct pairs are
     distinct points.
 
-    With an escape profile the pairs that it dismisses at step 0 are left
-    out: the bound drops below the height radius, and under the polynomial
-    clause only the pairs (x, 1) with size(x) below the affine radius stay.
-    Every pair left out fires `escape_clause` at once; pairs that are kept
-    may fire it too.  The refusal is decided at height_bound, before the
-    cut, so a bound refused without a profile is refused with one.
+    With an escape profile only the pairs in `ratmap.start_box` are listed:
+    every pair left out fires `escape_clause` at once, and a bound refused
+    without a profile is refused with one.
     """
     if height_bound < 1:
         raise DomainError("height bound must be >= 1")
     ring = field.ring
-    xs, ys = ring.upto(height_bound, enum_budget)
-    if profile is not None:
-        h = height_bound
-        if profile.height is not None:
-            h = min(h, profile.height.radius - 1)
-        if profile.polynomial is not None:
-            h = min(h, profile.polynomial.radius - 1)
-        xs, ys = ring.upto(h, enum_budget)
-        if profile.polynomial is not None:
-            ys = (ring.one,)
+    xs, ys = start_box(profile, ring, height_bound, enum_budget)
     gcd, one = ring.gcd, ring.one
     yield one, ring.zero
     for y in ys:

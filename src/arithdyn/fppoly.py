@@ -306,7 +306,8 @@ def is_irreducible(p: int, a: Coeffs) -> bool:
     return True
 
 
-def _mobius(n: int) -> int:
+def mobius(n: int) -> int:
+    """The Moebius function mu(n) for n >= 1, by trial division."""
     result = 1
     d = 2
     while d * d <= n:
@@ -329,26 +330,28 @@ def count_irreducibles(p: int, n: int) -> int:
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _mobius(n // d) * p**d
+            total += mobius(n // d) * p**d
     assert total % n == 0
     return total // n
 
 
-def enumerate_monic_irreducibles(
-    p: int, max_degree: int, budget: int = 10**7
-) -> list[Coeffs]:
+# Largest p^max_degree that enumerate_monic_irreducibles accepts.
+IRREDUCIBLE_BUDGET = 10**7
+
+
+def enumerate_monic_irreducibles(p: int, max_degree: int) -> list[Coeffs]:
     """Monic irreducibles of degree <= max_degree in (degree, code) order.
 
     The code order compares coefficient tuples from the constant term up.
-    Raises BudgetExceededError when p**max_degree exceeds the budget.
+    Raises BudgetExceededError when p**max_degree exceeds IRREDUCIBLE_BUDGET.
     """
     _check_prime(p)
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
-    if p**max_degree > budget:
+    if p**max_degree > IRREDUCIBLE_BUDGET:
         raise BudgetExceededError(
             f"enumeration of degree-{max_degree} polynomials over F_{p} "
-            f"exceeds budget {budget}"
+            f"exceeds budget {IRREDUCIBLE_BUDGET}"
         )
     out: list[Coeffs] = []
     for n in range(1, max_degree + 1):
@@ -419,21 +422,31 @@ def factor_poly(p: int, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
     return factors
 
 
-def poly_str(a: Coeffs, var: str = "t") -> str:
-    """Human-readable form, highest power first, e.g. 't^3+2*t+1'."""
-    if not a:
-        return "0"
+def poly_str(a, var: str = "t", to_str=str) -> str:
+    """Human-readable form, highest power first, e.g. 't^3+2*t+1'.
+
+    The coefficients are printed by `to_str`, so the same routine prints
+    forms over Z ('-3*z^2+z-1') and over F_p[t] ('(t+1)*z^2+2'): a
+    coefficient that prints as neither +-1 nor an integer is bracketed.
+    """
     terms = []
     for i in range(len(a) - 1, -1, -1):
         c = a[i]
-        if c == 0:
+        if not c:
             continue
-        if i == 0:
-            terms.append(str(c))
-        else:
+        term = to_str(c)
+        if i:
             power = var if i == 1 else f"{var}^{i}"
-            terms.append(power if c == 1 else f"{c}*{power}")
-    return "+".join(terms)
+            if term == "1" or term == "-1":
+                term = term[:-1] + power
+            elif term.lstrip("-").isdigit():
+                term = f"{term}*{power}"
+            else:  # a polynomial in t
+                term = f"({term})*{power}"
+        if terms and term[0] != "-":
+            term = "+" + term
+        terms.append(term)
+    return "".join(terms) or "0"
 
 
 def coeff_string(a: Coeffs) -> str:

@@ -10,8 +10,12 @@ operation takes a gcd.  The affine form is the map [num : den]; the
 bracket form [F/a : G/b] must divide only by constants a and b and is
 the map [b*F : a*G]; make_map strips the content once.  Powers are taken
 by square-and-multiply, and a product or power whose degree would pass
-MAX_DEGREE is refused before it is expanded.  Syntax errors carry the
-character position.
+MAX_DEGREE is refused before it is expanded.  So is one whose coefficients
+would pass the ring's size rule (`fields.check_length`: bits over Z,
+t-degree over F_p[t]), estimated as size(a) + size(b) or e*size(a); a
+literal of more than MAX_BOUND_DIGITS digits is refused before it is read,
+and every parsed value is checked once more at the end, so all of them
+print.  Syntax errors carry the character position.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, MapParseError
-from .fields import BaseField, GlobalFieldElement
+from .fields import MAX_BOUND_DIGITS, BaseField, GlobalFieldElement, check_length
 from .fppoly import power
 from .projective import ProjPoint, infinity, point_from_raw
 from .ratmap import RationalMap, make_map
@@ -55,8 +59,13 @@ def _tokenize(s: str) -> list[_Token]:
                 break
             bad_at = len(s) - len(stripped)
             raise MapParseError(f"unexpected character {s[bad_at]!r}", bad_at)
-        if m.group("int"):
-            tokens.append(_Token("int", m.group("int"), m.start("int")))
+        digits = m.group("int")
+        if digits:
+            if len(digits) > MAX_BOUND_DIGITS:
+                raise BudgetExceededError(
+                    f"a literal of {len(digits)} digits passes the limit {MAX_BOUND_DIGITS}"
+                )
+            tokens.append(_Token("int", digits, m.start("int")))
         elif m.group("ident"):
             tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
         else:
@@ -144,6 +153,11 @@ def _degree(a) -> int:
     return max((i + j for i, j in a), default=0)
 
 
+def _longest(ring, a) -> int:
+    """The largest ring.length among the coefficients of a."""
+    return max(map(ring.length, a.values()), default=0)
+
+
 # the variables of each surface form, with the exponent key of each
 _FORM_SYMBOLS = {"X": (1, 0), "Y": (0, 1)}
 _AFFINE_SYMBOLS = {"z": (1, 0)}
@@ -186,6 +200,7 @@ class _FractionAlgebra:
 
     def _pmul(self, a, b):
         _check_degree(_degree(a) + _degree(b))
+        check_length(self.ring, _longest(self.ring, a) + _longest(self.ring, b))
         mul = self.ring.mul
         return self._collect(
             ((i1 + i2, j1 + j2), mul(c1, c2))
@@ -198,6 +213,7 @@ class _FractionAlgebra:
         _check_degree(_degree(a) * e)
         if len(a) == 1:
             ((i, j), c), = a.items()
+            check_length(self.ring, e * self.ring.length(c))
             return {(i * e, j * e): self.ring.pow(c, e)}
         return power(self._pmul, a, e, self.one)
 
@@ -251,7 +267,8 @@ class _FractionAlgebra:
 
 
 def _parse_all(s: str, algebra: _FractionAlgebra, brackets: bool = False):
-    """The fraction of `s`, or the two fractions of '[F : G]'."""
+    """The fraction of `s`, or the two fractions of '[F : G]', each of
+    whose coefficients passes `check_length`."""
     parser = _Parser(_tokenize(s), algebra)
     if brackets:
         parser.expect_op("[")
@@ -264,7 +281,16 @@ def _parse_all(s: str, algebra: _FractionAlgebra, brackets: bool = False):
     tok = parser.peek()
     if tok.kind != "end":
         raise MapParseError("trailing input", tok.pos)
+    ring = algebra.ring
+    for num, den in value if brackets else (value,):
+        check_length(ring, max(_longest(ring, num), _longest(ring, den)))
     return value
+
+
+def _product(ring, a, b):
+    """a*b, refused by its estimated length before it is built."""
+    check_length(ring, ring.length(a) + ring.length(b))
+    return ring.mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +317,7 @@ def parse_point(field: BaseField, s: str) -> ProjPoint:
     # [a/c : b/e] = [a*e : b*c], every value a constant {(0, 0): v} or zero {}
     ring = field.ring
     a, b = a.get((0, 0), ring.zero), b.get((0, 0), ring.zero)
-    return point_from_raw(field, ring.mul(a, e[(0, 0)]), ring.mul(b, c[(0, 0)]))
+    return point_from_raw(field, _product(ring, a, e[(0, 0)]), _product(ring, b, c[(0, 0)]))
 
 
 def parse_map(expr: str, field: BaseField) -> RationalMap:
@@ -325,6 +351,6 @@ def _parse_map_pair(field: BaseField, s: str) -> RationalMap:
         raise MapParseError("degree must be at least 1")
     ring = field.ring
     a, b = a[(0, 0)], b[(0, 0)]
-    fco = [ring.mul(b, f.get((i, d - i), ring.zero)) for i in range(d + 1)]
-    gco = [ring.mul(a, g.get((i, d - i), ring.zero)) for i in range(d + 1)]
+    fco = [_product(ring, b, f.get((i, d - i), ring.zero)) for i in range(d + 1)]
+    gco = [_product(ring, a, g.get((i, d - i), ring.zero)) for i in range(d + 1)]
     return make_map(field, fco, gco)

@@ -44,6 +44,7 @@ from .fields import (
     Place,
     infinite_place,
     integer_root,
+    poly_str,
     valuation,
 )
 from .projective import ProjPoint, ReducedPoint, canon_pair
@@ -172,8 +173,8 @@ class RationalMap:
         return len(self.fco) - 1
 
     def affine_str(self) -> str:
-        num = _form_affine_str(self.field, self.fco)
-        den = _form_affine_str(self.field, self.gco)
+        to_str = self.field.ring.to_str
+        num, den = (poly_str(co, "z", to_str) for co in (self.fco, self.gco))
         if den == "1":
             return num
         return f"({num})/({den})"
@@ -189,34 +190,6 @@ class RationalMap:
 
     def __str__(self) -> str:
         return self.affine_str()
-
-
-def _form_affine_str(field: BaseField, co: tuple, var: str = "z") -> str:
-    terms = []
-    for i in range(len(co) - 1, -1, -1):
-        c = co[i]
-        if not c:
-            continue
-        cs = field.ring.to_str(c)
-        if i == 0:
-            term = cs
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            if cs == "1":
-                term = power
-            elif cs == "-1":
-                term = f"-{power}"
-            elif cs.lstrip("-").isdigit():
-                term = f"{cs}*{power}"
-            else:  # a polynomial in t
-                term = f"({cs})*{power}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
 
 
 def make_map(field: BaseField, fco, gco) -> RationalMap:
@@ -671,3 +644,25 @@ def escape_clause(profile: EscapeProfile | None, ring, x, y, h: int) -> EscapePr
 def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | None:
     """`escape_clause` at a point."""
     return escape_clause(profile, point.field.ring, point.x, point.y, point.height())
+
+
+def start_box(profile: EscapeProfile | None, ring, height_bound: int, enum_budget: int):
+    """The coordinates (xs, ys), from `ring.upto`, whose coprime pairs and
+    infinity hold every canonical pair of height <= height_bound on which
+    `escape_clause` does not fire at step 0.
+
+    The bound drops below the height radius and below the affine radius,
+    and under the polynomial clause only y = 1 stays.  Every pair left out
+    fires at once; pairs that are kept may fire too.  The refusal of
+    `ring.upto` is decided at height_bound, before the cut, so a bound
+    refused without a profile is refused with one.
+    """
+    xs, ys = ring.upto(height_bound, enum_budget)
+    if profile is None:
+        return xs, ys
+    h = height_bound
+    for proof in (profile.height, profile.polynomial):
+        if proof is not None:
+            h = min(h, proof.radius - 1)
+    xs, ys = ring.upto(h, enum_budget)
+    return xs, (ring.one,) if profile.polynomial is not None else ys

@@ -66,7 +66,11 @@ def s_unit_generators(S: PlaceSet) -> SUnitGroupDesc:
     return SUnitGroupDesc(tuple(field.element(u) for u in field.ring.units), gens)
 
 
-def enumerate_s_units(S: PlaceSet, exponent_cap: int, size_budget: int = 2_000_000):
+# Largest number of S-units enumerate_s_units lists.
+S_UNIT_BUDGET = 2_000_000
+
+
+def enumerate_s_units(S: PlaceSet, exponent_cap: int):
     """All torsion * prod g_i^{e_i} with |e_i| <= cap, each exactly once.
 
     Deterministic order: torsion first, then exponent vectors
@@ -79,7 +83,7 @@ def enumerate_s_units(S: PlaceSet, exponent_cap: int, size_budget: int = 2_000_0
     pis = [pl.payload for pl in _free_places(S)]
     field, ring = S.field, S.field.ring
     total = len(ring.units) * (2 * exponent_cap + 1) ** len(pis)
-    if total > size_budget:
+    if total > S_UNIT_BUDGET:
         raise BudgetExceededError(f"S-unit enumeration of size {total} over budget")
     powers = [[ring.pow(pi, e) for e in range(exponent_cap + 1)] for pi in pis]
     exponent_range = range(-exponent_cap, exponent_cap + 1)
@@ -138,7 +142,7 @@ class UnitEquationInstance:
 
 
 def solve_unit_equation(
-    inst: UnitEquationInstance, size_budget: int = 2_000_000
+    inst: UnitEquationInstance,
 ) -> list[tuple[GlobalFieldElement, GlobalFieldElement]]:
     """All (x, y) inside the capped enumeration with a*x + b*y = 1.
 
@@ -147,7 +151,7 @@ def solve_unit_equation(
     """
     one = inst.S.field.one()
     out = []
-    for x in enumerate_s_units(inst.S, inst.exponent_cap, size_budget):
+    for x in enumerate_s_units(inst.S, inst.exponent_cap):
         y = (one - inst.a * x) / inst.b
         if y.is_zero:
             continue
@@ -176,10 +180,8 @@ class UnitEquationReport:
     within_bound: bool | None
 
 
-def unit_equation_report(
-    inst: UnitEquationInstance, size_budget: int = 2_000_000
-) -> UnitEquationReport:
-    solutions = tuple(solve_unit_equation(inst, size_budget))
+def unit_equation_report(inst: UnitEquationInstance) -> UnitEquationReport:
+    solutions = tuple(solve_unit_equation(inst))
     trivial = is_s_trivial(inst.a, inst.b, inst.S)
     if trivial:
         return UnitEquationReport(inst, solutions, True, None, None)

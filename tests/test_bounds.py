@@ -95,6 +95,11 @@ class TestPositiveCharacteristic:
             assert max(b for b in others if b is not None) <= bs.eta
         assert admitted(lo + 1) is None
 
+    def test_each_context_evaluated_once(self):
+        for p in (0, 3):
+            first = ad.compute_bounds(BoundContext(p, 2, 3))
+            assert ad.compute_bounds(BoundContext(p, 2, 3)) is first
+
     def test_cycle_bound_below_eta(self):
         for p in (2, 3, 5):
             for D in (1, 2, 3):
@@ -208,7 +213,7 @@ class TestAuxiliaryBounds:
 
     def test_preper_total_digit_budget(self):
         with pytest.raises(BudgetExceededError):
-            ad.preper_total_bound(10, 60, 2, digit_budget=1000)
+            ad.preper_total_bound(10, 60, 2)
         # refused from lcm(1..C) >= 2^(C-1), before the lcm is computed
         with pytest.raises(BudgetExceededError):
             ad.preper_total_bound(10, 10**9, 2)

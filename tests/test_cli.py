@@ -451,6 +451,38 @@ class TestRobustness:
             assert "BudgetExceededError" in err
         assert seconds < 2
 
+    # values past the printable size were a ValueError traceback with exit 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("orbit", "--field", "Q", "z^2", "--point", "2^15000", "--max-steps", "3"),
+            ("search", "--field", "Q", "z^2+2^15000", "--height", "1"),
+            ("sunit-solve", "--field", "Q", "--S", "inf;p:2", "--a", "2^15000", "--b", "1",
+             "--cap", "1"),
+            ("analyze", "--field", "Q", "z^2/3^5000"),  # Res = 3^10000
+            ("analyze", "--field", "Q", "z^2+3^100000000"),
+            ("analyze", "--field", "Fp:3", "z^2+t^100000000"),
+            ("orbit", "--field", "Q", "z^2", "--point", "1" * 4301),
+        ],
+        ids=["orbit", "search", "sunit-solve", "analyze-res", "Q-power", "t-power", "literal"],
+    )
+    def test_values_too_long_to_print_refused(self, argv):
+        code, out, err, seconds = run_subprocess(*argv)
+        assert (code, out) == (2, "")
+        assert "BudgetExceededError" in err
+        assert seconds < 1
+
+    def test_long_values_inside_the_limits_print(self):
+        code, out, _, _ = run_subprocess("orbit", "--field", "Fp:2", "z^2", "--point", "t^15000")
+        assert code == 0 and out.startswith("start: [t^15000 : 1]")
+        largest = 2**14284  # the largest admitted int, 4,300 digits
+        code, out, _, _ = run_subprocess(
+            "orbit", "--field", "Q", "z^2", "--point", "2^14284", "--max-steps", "1"
+        )
+        assert code == 0 and out.startswith(f"start: [{largest} : 1]")
+        code, out, err, _ = run_subprocess("analyze", "--field", "Q", "z^2/3^4506")
+        assert code == 0 and f"resultant: {3**9012}" in out  # 14,284 bits
+
     def test_sunit_torsion_counted_before_it_is_built(self):
         code, _, err, seconds = run_subprocess(
             "sunit-solve", "--field", "Fp:1000000000000000003",

@@ -13,6 +13,9 @@ independent oracles.
   criterion does.
 - `preperiodic_search`, which proves points before starting their orbits,
   returns what `orbit` called on every point gives.
+- The start box (`ratmap.start_box`): every canonical pair of height <= H
+  outside it fires `escape_clause` at step 0, on random maps with a
+  profile, the pairs listed by `oracles.brute_points`.
 - Below the radii: the search, which starts the kernel only on the pairs
   no clause dismisses at step 0 and counts the rest, equals
   `oracles.reference_preperiodic_search` on maps whose radii lie below the
@@ -29,9 +32,15 @@ import arithdyn as ad
 from arithdyn import dynamics, fppoly
 from arithdyn.dynamics import Budget, SearchResult
 from arithdyn.errors import BudgetExceededError
-from arithdyn.ratmap import RationalMap, escape_profile, sylvester_resultant
+from arithdyn.ratmap import (
+    RationalMap,
+    escape_clause,
+    escape_profile,
+    start_box,
+    sylvester_resultant,
+)
 
-from oracles import _ring_ops, map_step, reference_preperiodic_search
+from oracles import _ring_ops, brute_points, map_step, reference_preperiodic_search
 
 FIELDS = [ad.QQ, ad.function_field(2), ad.function_field(3), ad.function_field(5)]
 
@@ -366,6 +375,41 @@ def test_search_on_pretest_maps_matches_reference(field, height_bound):
             assert ad.preperiodic_search(phi, height_bound, budget) == (
                 reference_preperiodic_search(phi, height_bound, budget)
             ), phi
+
+
+def random_polynomial_maps(rng, field, count):
+    """[F : u*Y^d] with unit u and unit leading coefficient of F, the shape
+    under which the polynomial clause applies."""
+    maps = []
+    for _ in range(count):
+        d = rng.choice((2, 3))
+        if field.is_rationals:
+            fco = [rng.randint(-6, 6) for _ in range(d)] + [rng.choice((1, -1))]
+            u = rng.choice((1, -1))
+        else:
+            p = field.char
+            fco = [random_poly(rng, p, 2) for _ in range(d)] + [rng.randrange(1, p)]
+            u = rng.randrange(1, p)
+        maps.append(ad.make_map(field, fco, [u] + [0] * d))
+    return maps
+
+
+@pytest.mark.parametrize("field, height_bound", [(ad.QQ, 30), (F2T, 4), (F3T, 3)], ids=str)
+def test_pairs_outside_the_start_box_escape_at_once(field, height_bound):
+    rng = random.Random(371 + field.char)
+    ring = field.ring
+    pairs = brute_points(field.char, height_bound)
+    outside = 0
+    for phi in random_maps(rng, field, 12, (2, 3)) + random_polynomial_maps(rng, field, 12):
+        profile = escape_profile(phi)
+        if profile is None:
+            continue
+        xs, ys = start_box(profile, ring, height_bound, 500_000)
+        box = {(ring.one, ring.zero)} | {(x, y) for x in xs for y in ys}
+        for x, y in pairs - box:
+            assert escape_clause(profile, ring, x, y, height(field, x, y)) is not None, (phi, x, y)
+            outside += 1
+    assert outside >= 5000
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from arithdyn.errors import (
     DomainError,
     UnsupportedPlaceError,
 )
-from arithdyn.fields import MR_EXACT_BOUND, is_prime_int
+from arithdyn.fields import MR_EXACT_BOUND, is_prime_int, iter_primes
 from oracles import trial_division_is_prime
 
 F2T = ad.function_field(2)
@@ -122,6 +123,17 @@ class TestPrimality:
         for n in (2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59):
             assert is_prime_int(n)
         assert not is_prime_int((2**31 - 1) * (10**9 + 7))
+
+    def test_prime_scan_is_the_sieve(self):
+        # iter_primes filters the integers through is_prime_int
+        n = 1224
+        sieve = [True] * n
+        for k in range(2, n):
+            for m in range(2 * k, n, k):
+                sieve[m] = False
+        primes = [k for k in range(2, n) if sieve[k]]
+        assert len(primes) == 200
+        assert list(itertools.islice(iter_primes(), 200)) == primes
 
     def test_refuses_beyond_the_exact_range(self):
         with pytest.raises(BudgetExceededError):

@@ -169,7 +169,7 @@ class TestIrreducibles:
 
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceededError):
-            fppoly.enumerate_monic_irreducibles(5, 20, budget=10**6)
+            fppoly.enumerate_monic_irreducibles(5, 20)
 
     def test_count_rejects_bad_input(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,10 @@ builds no field constants (`zero()`, `one()`, `gen()`) and makes an element
 only once, in `parse_element`.  Points stay raw pairs inside: `dynamics`
 checks cycles with the pair walk of `ratmap`, not with `apply_map` or
 `iterate_map`, and `parsing` builds a point once, without `normalize`.
-The checks read the source (with `ast`), so they need nothing to run.
+The escape criterion is `ratmap`'s alone: `dynamics` reads no field of
+`EscapeProfile` or `EscapeProof`, so a change to a clause changes one
+module.  The checks read the source (with `ast`), so they need nothing to
+run.
 """
 
 import ast
@@ -159,3 +162,50 @@ def test_module_imports_no_banned_name(module):
 def test_banned_name_checker_sees_the_rule_broken(module):
     banned, source = BANNED_IMPORTS[module]
     assert banned_uses(source, banned)
+
+
+ESCAPE_CLASSES = ("EscapeProfile", "EscapeProof")
+
+
+def class_fields(source: str, names) -> set:
+    """The annotated fields of the classes `names` defined in `source`."""
+    return {
+        stmt.target.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name in names
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def field_reads(source: str, fields: set) -> list[str]:
+    """Every `obj.name` in `source` with name in `fields`."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+
+
+def escape_fields() -> set:
+    return class_fields((SRC / "ratmap.py").read_text(), ESCAPE_CLASSES)
+
+
+def test_escape_fields_are_found():
+    assert escape_fields() == {"constant", "height", "polynomial", "clause", "radius"}
+
+
+def test_dynamics_reads_no_escape_field():
+    assert field_reads((SRC / "dynamics.py").read_text(), escape_fields()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "h = min(h, profile.height.radius - 1)",
+        "def f(profile):\n    return profile.polynomial is not None",
+        "print(outcome.proof.clause)",
+    ],
+)
+def test_escape_field_checker_sees_each_read(source):
+    assert field_reads(source, escape_fields())

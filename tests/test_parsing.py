@@ -1,4 +1,5 @@
-"""Square-and-multiply powers in the parser, its degree limit and errors."""
+"""Square-and-multiply powers in the parser, its degree and size limits
+and errors."""
 
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 
 import arithdyn as ad
 from arithdyn.errors import ArithDynError, BudgetExceededError, MapParseError
+from arithdyn.fields import MAX_BOUND_DIGITS, MAX_T_DEGREE, Z
 from arithdyn.parsing import (
     _AFFINE_SYMBOLS,
     _FORM_SYMBOLS,
@@ -160,6 +162,50 @@ class TestDegreeLimit:
         phi = ad.parse_map(f"[{form()} : {form()}]", ad.QQ)
         assert phi.degree == d
         assert ad.resultant(phi) != ad.QQ.zero()
+
+
+class TestSizeLimit:
+    """Values are refused by the ring's size rule: bits over Z, t-degree
+    over F_p[t]; products and powers on an estimate, before they are built."""
+
+    def test_powers_refused_on_the_estimate(self):
+        # ceil(log2 2^e) = e, so 2^14284 is the largest admitted power of 2
+        largest = f"2^{Z.max_length}"
+        assert ad.parse_element(ad.QQ, largest) == ad.QQ.element(2**Z.max_length)
+        assert ad.parse_element(ad.QQ, f"1^{10**9}") == ad.QQ.one()
+        start = time.perf_counter()
+        for s in (largest + "*2", "3^100000000", "z^2 + 3^100000000", "(z+2^8000)*2^8000"):
+            with pytest.raises(BudgetExceededError):
+                ad.parse_element(ad.QQ, s) if "z" not in s else ad.parse_map(s, ad.QQ)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("z^2 + t^100000000", F3T)
+        assert time.perf_counter() - start < 0.5
+
+    def test_t_degree_limit(self):
+        t_max = ad.parse_element(F2T, f"t^{MAX_T_DEGREE}")
+        assert t_max.num == (0,) * MAX_T_DEGREE + (1,)
+        for s in (f"t^{MAX_T_DEGREE + 1}", f"t^{MAX_T_DEGREE}*t", f"(t^{MAX_T_DEGREE // 2 + 1})^2"):
+            with pytest.raises(BudgetExceededError):
+                ad.parse_element(F3T, s)
+
+    def test_long_literals_refused_before_reading(self):
+        with pytest.raises(BudgetExceededError):
+            ad.parse_element(ad.QQ, "1" * (MAX_BOUND_DIGITS + 1))
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("z^" + "1" * (MAX_BOUND_DIGITS + 1), ad.QQ)
+
+    def test_every_admitted_value_prints(self):
+        # the largest admitted int, 2^Z.max_length, has MAX_BOUND_DIGITS
+        # digits; sums and brackets past it are refused
+        largest = 2**Z.max_length
+        assert len(str(largest)) == MAX_BOUND_DIGITS
+        assert str(ad.parse_element(ad.QQ, str(largest))) == str(largest)
+        assert str(ad.parse_point(ad.QQ, f"[1 : {largest}]")) == f"[1 : {largest}]"
+        for s in (f"{largest} + 1", f"-{largest} - {largest}", "[2^8000 : 1/2^8000]"):
+            with pytest.raises(BudgetExceededError):
+                ad.parse_point(ad.QQ, s)
+        with pytest.raises(BudgetExceededError):
+            ad.parse_map("[X/2^8000 : Y*2^8000]", ad.QQ)
 
 
 # positions as reported before powers were computed by square-and-multiply

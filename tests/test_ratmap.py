@@ -53,6 +53,16 @@ class TestParse:
         phi = ad.parse_map("1/2*z^2 + 1/3", ad.QQ)
         assert phi.fco == (2, 0, 3) and phi.gco == (6, 0, 0)
 
+    def test_printed_maps_parse_back(self):
+        # one printer, fppoly.poly_str, prints the forms over both rings
+        assert str(ad.parse_map("z^3-2*z-1", ad.QQ)) == "z^3-2*z-1"
+        assert str(ad.parse_map("((t+1)*z^2+2*t)/(z-1)", F3T)) == "((t+1)*z^2+2*t)/(z+2)"
+        rng = random.Random(47)
+        for field in (ad.QQ, F2T, F3T, F5T):
+            for _ in range(60):
+                phi = random_map(field, rng)
+                assert ad.parse_map(str(phi), field) == phi, phi
+
 
 class TestResultant:
     def test_worked_examples_with_oracle(self):

@@ -79,7 +79,7 @@ class TestEnumeration:
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceededError):
-            list(ad.enumerate_s_units(q_set(2, 3, 5), 100, size_budget=1000))
+            list(ad.enumerate_s_units(q_set(2, 3, 5), 100))
 
 
 class TestSTrivial:

@@ -56,8 +56,9 @@ KIND_ARCH = "arch"
 # heights, `upto` lists the coordinates of the points of height <= h,
 # `count_points` counts those points without listing them, `pair_key`
 # orders a point's coordinates and `height_cap` is the default orbit cap.
-# `length` is the size rule on values, bits over Z and t-degree over
-# F_p[t], and `max_length` the longest value built from input or printed
+# `length` is the size rule on values, their digits in base 2 over Z (bits)
+# and in base t over F_p[t] (coefficients, the t-degree plus one), and
+# `max_length` the longest value built from input or printed
 # (`check_length`).  They act on the raw values stored everywhere else,
 # ints and coefficient tuples, and call fppoly's arithmetic through the
 # module at each call.
@@ -72,13 +73,12 @@ MAX_T_DEGREE = 20_000
 
 
 def check_length(ring, n: int) -> None:
-    """Refuse a value of length n (bits over Z, t-degree over F_p[t])
-    above ring.max_length; the parser calls it on an estimate of n before
-    it builds the value."""
+    """Refuse a value of length n (`ring.length`) above ring.max_length;
+    the parser calls it on a lower bound for n before it builds a value."""
     if n > ring.max_length:
         raise BudgetExceededError(
             f"a value of length {n} passes the limit {ring.max_length} "
-            "(bits over Q, t-degree over F_p(t))"
+            "(bits over Q, coefficients over F_p(t))"
         )
 
 
@@ -99,6 +99,7 @@ class IntegerRing:
     size = staticmethod(abs)
     to_str = staticmethod(str)
     serialize = staticmethod(str)
+    length = staticmethod(int.bit_length)
     # 2^max_length < 10^MAX_BOUND_DIGITS, so a value this long prints
     max_length = (10**MAX_BOUND_DIGITS).bit_length() - 1
     height_unit = 256
@@ -136,13 +137,6 @@ class IntegerRing:
     @staticmethod
     def is_unit(a: int) -> bool:
         return a == 1 or a == -1
-
-    @staticmethod
-    def length(a: int) -> int:
-        """The bits of |a| - 1, that is ceil(log2 |a|), and 0 for zero: like
-        the degree it is 0 on units, and a product or power is no longer
-        than the sum of the lengths of its factors."""
-        return (abs(a) - 1).bit_length() if a else 0
 
     @staticmethod
     def form_height(co) -> int:
@@ -199,7 +193,8 @@ class PolynomialRing:
     one = fppoly.ONE
     place_kind = KIND_IRREDUCIBLE
     to_str = staticmethod(poly_str)
-    max_length = MAX_T_DEGREE
+    length = staticmethod(len)
+    max_length = MAX_T_DEGREE + 1
     height_unit = 1
     height_cap = 200
 
@@ -235,8 +230,6 @@ class PolynomialRing:
     @staticmethod
     def size(a: Coeffs) -> int:
         return len(a) - 1
-
-    length = size
 
     @staticmethod
     def is_unit(a: Coeffs) -> bool:

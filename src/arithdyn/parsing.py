@@ -12,10 +12,13 @@ the map [b*F : a*G]; make_map strips the content once.  Powers are taken
 by square-and-multiply, and a product or power whose degree would pass
 MAX_DEGREE is refused before it is expanded.  So is one whose coefficients
 would pass the ring's size rule (`fields.check_length`: bits over Z,
-t-degree over F_p[t]), estimated as size(a) + size(b) or e*size(a); a
-literal of more than MAX_BOUND_DIGITS digits is refused before it is read,
-and every parsed value is checked once more at the end, so all of them
-print.  Syntax errors carry the character position.
+coefficients over F_p[t]) by the lower bounds len(a) + len(b) - 1 and
+e*(len(a) - 1) + 1 for a*b and a^e, exact over F_p[t], and a literal of
+more than MAX_BOUND_DIGITS digits before it is read.  A value admitted on
+these bounds is at most one bit per product, or a factor len(a)/(len(a) - 1)
+per power, past the limit, and every parsed value is checked once more at
+the end, so each of them prints.  Syntax errors carry the character
+position.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def _degree(a) -> int:
 
 
 def _longest(ring, a) -> int:
-    """The largest ring.length among the coefficients of a."""
+    """The largest ring.length among the coefficients of a (0 for none)."""
     return max(map(ring.length, a.values()), default=0)
 
 
@@ -200,7 +203,7 @@ class _FractionAlgebra:
 
     def _pmul(self, a, b):
         _check_degree(_degree(a) + _degree(b))
-        check_length(self.ring, _longest(self.ring, a) + _longest(self.ring, b))
+        check_length(self.ring, _longest(self.ring, a) + _longest(self.ring, b) - 1)
         mul = self.ring.mul
         return self._collect(
             ((i1 + i2, j1 + j2), mul(c1, c2))
@@ -213,7 +216,7 @@ class _FractionAlgebra:
         _check_degree(_degree(a) * e)
         if len(a) == 1:
             ((i, j), c), = a.items()
-            check_length(self.ring, e * self.ring.length(c))
+            check_length(self.ring, e * (self.ring.length(c) - 1) + 1)
             return {(i * e, j * e): self.ring.pow(c, e)}
         return power(self._pmul, a, e, self.one)
 
@@ -251,7 +254,8 @@ class _FractionAlgebra:
 
     def mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        return self._pmul(n1, n2), self._pmul(d1, d2)
+        # most factors have the denominator one; skip its product and check
+        return self._pmul(n1, n2), (d1 if d2 == self.one else self._pmul(d1, d2))
 
     def div(self, a, b):
         (n1, d1), (n2, d2) = a, b
@@ -288,8 +292,8 @@ def _parse_all(s: str, algebra: _FractionAlgebra, brackets: bool = False):
 
 
 def _product(ring, a, b):
-    """a*b, refused by its estimated length before it is built."""
-    check_length(ring, ring.length(a) + ring.length(b))
+    """a*b, refused on a lower bound for its length before it is built."""
+    check_length(ring, ring.length(a) + ring.length(b) - 1)
     return ring.mul(a, b)
 
 

@@ -475,9 +475,9 @@ class TestRobustness:
     def test_long_values_inside_the_limits_print(self):
         code, out, _, _ = run_subprocess("orbit", "--field", "Fp:2", "z^2", "--point", "t^15000")
         assert code == 0 and out.startswith("start: [t^15000 : 1]")
-        largest = 2**14284  # the largest admitted int, 4,300 digits
+        largest = 2**14284 - 1  # the largest admitted int, 4,300 digits
         code, out, _, _ = run_subprocess(
-            "orbit", "--field", "Q", "z^2", "--point", "2^14284", "--max-steps", "1"
+            "orbit", "--field", "Q", "z^2", "--point", str(largest), "--max-steps", "1"
         )
         assert code == 0 and out.startswith(f"start: [{largest} : 1]")
         code, out, err, _ = run_subprocess("analyze", "--field", "Q", "z^2/3^4506")

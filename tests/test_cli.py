@@ -425,7 +425,11 @@ class TestRobustness:
 
     # eta would pass the 4,300 digits an int may print by default; the
     # refusal comes from a float estimate, before any big int is built
-    @pytest.mark.parametrize("char, s", [("2", "5000"), ("0", "1000")], ids=["F2", "Q"])
+    @pytest.mark.parametrize(
+        "char, s",
+        [("2", "5000"), ("0", "1000"), ("0", "1000000000000")],
+        ids=["F2", "Q", "Q-huge-s"],
+    )
     def test_unprintable_bounds_refused_at_once(self, char, s):
         code, out, err, seconds = run_subprocess(
             "bounds", "--char", char, "--degree", "1", "--s", s, "--json"

@@ -180,6 +180,11 @@ class TestSizeLimit:
                 ad.parse_element(ad.QQ, s) if "z" not in s else ad.parse_map(s, ad.QQ)
         with pytest.raises(BudgetExceededError):
             ad.parse_map("z^2 + t^100000000", F3T)
+        # a product chain is refused at its first product past the limit
+        with pytest.raises(BudgetExceededError):
+            ad.parse_element(ad.QQ, "*".join([largest] * 200))
+        with pytest.raises(BudgetExceededError):
+            ad.parse_element(F3T, "*".join([f"t^{MAX_T_DEGREE}"] * 20))
         assert time.perf_counter() - start < 0.5
 
     def test_t_degree_limit(self):
@@ -205,6 +210,9 @@ class TestSizeLimit:
         for s in (f"{largest} + 1", f"-{largest} - {largest}", "[2^8000 : 1/2^8000]"):
             with pytest.raises(BudgetExceededError):
                 ad.parse_point(ad.QQ, s)
+        # eight times the largest value would print 4,301 digits
+        with pytest.raises(BudgetExceededError):
+            ad.parse_element(ad.QQ, " + ".join([str(largest)] * 8))
         with pytest.raises(BudgetExceededError):
             ad.parse_map("[X/2^8000 : Y*2^8000]", ad.QQ)
 

@@ -158,24 +158,31 @@ def _eta_terms(s: int, D: int) -> tuple:
     return ((2 ** (16 * s - 8) + 3, 12 * s, 5 * s, D), (1, 12 * (s + 2), 5 * s + 5, 4 * D))
 
 
-def _eta_digits(p: int, D: int, s: int) -> float:
-    """log10(eta) + 1, at least the digit count of eta; inf past a float.
+def _eta_powers(p: int, s: int, D: int) -> tuple:
+    """eta = (p*s)^(4D) * max((p*s)^(2D), p^(4s - 2)) in characteristic p,
+    as ((p*s, 4D), the (base, exponent) pairs of the max)."""
+    return (p * s, 4 * D), ((p * s, 2 * D), (p, 4 * s - 2))
 
-    In characteristic zero it is read off the terms of `_eta_terms`; an
-    |S| above MAX_BOUND_DIGITS is refused before they are built, as eta
-    then exceeds 2^(16*|S| - 8).
-    """
+
+def _digits(*powers) -> float:
+    """1 + log10 of the product of the b^e over the (b, e) in `powers`, at
+    least the digit count of that product; inf past a float."""
     try:
-        if p > 0:
-            lps = math.log10(p * s)
-            return 4 * D * lps + max(2 * D * lps, (4 * s - 2) * math.log10(p)) + 1
-        if s > MAX_BOUND_DIGITS:
-            return math.inf
-        return 1 + max(
-            math.log10(m) + e * math.log10(c * math.log(x)) for m, c, x, e in _eta_terms(s, D)
-        )
+        return 1 + sum(e * math.log10(b) for b, e in powers)
     except OverflowError:
         return math.inf
+
+
+def _eta_digits(p: int, D: int, s: int) -> float:
+    """At least the digit count of eta, read off `_eta_powers` or, in
+    characteristic zero, `_eta_terms`; an |S| above MAX_BOUND_DIGITS is
+    refused before they are built, as eta then exceeds 2^(16*|S| - 8)."""
+    if p > 0:
+        first, others = _eta_powers(p, s, D)
+        return max(_digits(first, pair) for pair in others)
+    if s > MAX_BOUND_DIGITS:
+        return math.inf
+    return max(_digits((m, 1), (c * math.log(x), e)) for m, c, x, e in _eta_terms(s, D))
 
 
 @lru_cache(maxsize=256)
@@ -187,10 +194,10 @@ def compute_bounds(ctx: BoundContext) -> BoundSet:
     if _eta_digits(p, D, s) > MAX_BOUND_DIGITS:
         raise BudgetExceededError(f"eta would have more than {MAX_BOUND_DIGITS} digits")
     if p > 0:
-        ps = p * s
-        big = max(ps ** (2 * D), p ** (4 * s - 2))
-        eta = ps ** (4 * D) * big
-        cycle = (ps ** (4 * D) - 1) * big
+        (ps, k), others = _eta_powers(p, s, D)
+        big = max(b**e for b, e in others)
+        eta = ps**k * big
+        cycle = eta - big
         i_bound = ps ** (2 * D) - 1
         r_bound = unit_equation_solution_bound(p, s)
         return BoundSet(ctx, eta, cycle, i_bound, r_bound, None)
@@ -217,42 +224,26 @@ def automorphism_cycle_bound(D: int) -> int:
     return 2 + 4 * D * D
 
 
-# Largest number of digits preper_total_bound computes.
-PREPER_DIGIT_BUDGET = 10**6
-
-
 def preper_total_bound(B: int, C: int, d: int) -> int:
     """d^B * (d^n + 1) with n = lcm(1..C).
 
     B bounds the orbit size, C the cycle length, d >= 2 is the map degree.
-    PREPER_DIGIT_BUDGET guards against nonsensical inputs; arithmetic
-    itself is arbitrary precision.
+    A result that would pass MAX_BOUND_DIGITS, and so could not be
+    printed, is refused before it is computed.
     """
     if B < 1 or C < 1 or d < 2:
         raise DomainError("need B, C >= 1 and d >= 2")
-    # lcm(1..C) >= 2^(C-1): refuse on that lower bound before computing the
-    # lcm, which for a large cycle bound C does not even fit in memory.
-    # Past the first test 2^(C-1) alone has more digits than the budget.
-    if C - 1 > PREPER_DIGIT_BUDGET.bit_length() + 2 or _too_many_digits(B + 2 ** (C - 1), d):
+    # lcm(1..C) >= 2^(C-1), and d^(2^(C-1)) has more digits than the limit
+    # once C - 1 passes its bit length plus 2: a larger C, whose lcm might
+    # not even fit in memory, is refused before the lcm is computed.
+    if C - 1 > MAX_BOUND_DIGITS.bit_length() + 2:
         raise BudgetExceededError(
-            f"result would have more than {PREPER_DIGIT_BUDGET} digits "
-            f"(n = lcm(1..{C}) >= 2^{C - 1})"
+            f"d^lcm(1..{C}) has more than {MAX_BOUND_DIGITS} digits, as lcm(1..{C}) >= 2^{C - 1}"
         )
     n = math.lcm(*range(1, C + 1))
-    if _too_many_digits(B + n, d):
-        raise BudgetExceededError(f"result would have more than {PREPER_DIGIT_BUDGET} digits")
+    if _digits((d, B + n + 1)) > MAX_BOUND_DIGITS:  # the result is below d^(B + n + 1)
+        raise BudgetExceededError(f"result would have more than {MAX_BOUND_DIGITS} digits")
     return d**B * (d**n + 1)
-
-
-def _too_many_digits(e: int, d: int) -> bool:
-    """Whether d^e has more than PREPER_DIGIT_BUDGET digits, by
-    e*log10(d) + 1.
-
-    Exponents above 4*PREPER_DIGIT_BUDGET are decided without a float
-    conversion, which would overflow: log10(d) > 0.3 puts them over the
-    budget.
-    """
-    return e > 4 * PREPER_DIGIT_BUDGET or e * math.log10(d) + 1 > PREPER_DIGIT_BUDGET
 
 
 # ---------------------------------------------------------------------------

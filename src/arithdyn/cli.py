@@ -29,6 +29,7 @@ from .dynamics import (
 from .errors import ArithDynError, BudgetExceededError, MapParseError
 from .fields import (
     QQ,
+    Z,
     BaseField,
     archimedean_place,
     check_length,
@@ -114,6 +115,8 @@ def _orbit_json(outcome) -> dict:
             "undecided": False,
             "divergent": False,
         }
+    # a height past a user cap may be too long to print; it is an int
+    check_length(Z, outcome.last_height.bit_length())
     out = {
         "start": _point_json(outcome.start),
         "tail": [],

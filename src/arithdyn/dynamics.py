@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
-from .fields import BaseField, Place
+from .fields import Z, BaseField, Place
 from .projective import (
     INFINITE,
     ProjPoint,
@@ -330,13 +330,8 @@ def check_period_relation(
         if n == m * r:
             return PeriodRelationVerdict("ii", None, m, r, n)
         if n % (m * r) == 0:
-            quotient = n // (m * r)
-            p_char = residue_field(place).p
-            e = 0
-            while quotient % p_char == 0:
-                quotient //= p_char
-                e += 1
-            if quotient == 1 and e >= 1:
+            e, rest = Z.split(n // (m * r), residue_field(place).p)
+            if rest == 1 and e >= 1:
                 return PeriodRelationVerdict("iii", e, m, r, n)
     return PeriodRelationVerdict("violation", None, m, r, n)
 

@@ -46,6 +46,8 @@ KIND_ARCH = "arch"
 # on integral values (canonical forms, contents, powers, valuations, form
 # values) goes through one of the two ring objects below.  They also own the
 # finite places: `factor` splits a value into prime elements under a budget,
+# `split` divides the exact power of one prime element out of a value
+# (`fppoly.split`, O(log e) divisions; `ord` is its exponent),
 # `primes` yields the prime elements in scan order, `residue` gives the
 # residue-field code of a value modulo a prime element, and `units` lists
 # the unit group (as ints, constants of the ring).  `form_height` bounds
@@ -155,13 +157,14 @@ class IntegerRing:
         return -1 if a < 0 else 1
 
     @staticmethod
+    def split(a: int, pi: int) -> tuple[int, int]:
+        """(e, a/pi^e) with pi^e the exact power of the prime pi dividing a != 0."""
+        return fppoly.split(divmod, operator.mul, a, pi)
+
+    @staticmethod
     def ord(a: int, pi: int) -> int:
         """Exact power of the prime pi dividing a != 0."""
-        e = 0
-        while a % pi == 0:
-            a //= pi
-            e += 1
-        return e
+        return IntegerRing.split(a, pi)[0]
 
     @staticmethod
     def coerce(v) -> int:
@@ -271,15 +274,13 @@ class PolynomialRing:
         """The unit u making u*a monic: the inverse of the leading coefficient."""
         return pow(a[-1], -1, self.p)
 
+    def split(self, a: Coeffs, pi: Coeffs) -> tuple[int, Coeffs]:
+        """(e, a/pi^e) with pi^e the exact power of the irreducible pi dividing a != 0."""
+        return fppoly.split(lambda b, c: fppoly.pdivmod(self.p, b, c), self.mul, a, pi)
+
     def ord(self, a: Coeffs, pi: Coeffs) -> int:
         """Exact power of the irreducible pi dividing a != 0."""
-        e = 0
-        while True:
-            q, r = fppoly.pdivmod(self.p, a, pi)
-            if r:
-                return e
-            a = q
-            e += 1
+        return self.split(a, pi)[0]
 
     def coerce(self, v) -> Coeffs:
         if isinstance(v, (tuple, list)):
@@ -523,10 +524,7 @@ def is_prime_int(n: int) -> bool:
             return n == b
     if n >= MR_EXACT_BOUND:
         raise BudgetExceededError(f"primality of {n} is beyond the exact Miller-Rabin range")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = Z.split(n - 1, 2)
     for b in MR_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
@@ -553,9 +551,8 @@ def factor_int(n: int, budget: int = 10**6) -> dict[int, int]:
     for d in itertools.chain((2,), itertools.count(3, 2)):
         if d > budget or d * d > n:
             break
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            factors[d], n = Z.split(n, d)
     if n > 1:
         if math.isqrt(n) > budget:
             raise BudgetExceededError(
@@ -777,16 +774,18 @@ def strip_places(
     """(rest, exponents), x = rest * prod pi^e over the finite places of S
     in order, by valuation and not by factoring; rest.num and rest.den are
     units exactly when v(x) = 0 at every finite place outside S."""
-    # an exact quotient by a prime power keeps the pair canonical: no gcd
+    # an exact quotient by a prime power keeps the pair canonical: no gcd;
+    # num and den are coprime, so pi divides den only if it misses num
+    if S.field != x.field:
+        raise DomainError("place of a different base field")
     ring = x.field.ring
     num, den, exponents = x.num, x.den, []
     for pl in S.finite_places():
-        e = valuation(x, pl)
+        e, num = ring.split(num, pl.payload)
+        if not e:
+            e, den = ring.split(den, pl.payload)
+            e = -e
         exponents.append(e)
-        if e > 0:
-            num = ring.exactdiv(num, ring.pow(pl.payload, e))
-        elif e < 0:
-            den = ring.exactdiv(den, ring.pow(pl.payload, -e))
     return GlobalFieldElement(x.field, num, den), tuple(exponents)
 
 

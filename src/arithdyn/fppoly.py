@@ -234,6 +234,21 @@ def power(mul, a, e: int, one):
     return result
 
 
+def split(divmod, mul, a, pi) -> tuple[int, object]:
+    """(e, a/pi^e) with pi^e the exact power of the prime pi dividing a != 0,
+    on the ring's `divmod` and `mul`.  pi^2 is split off a/pi recursively,
+    then pi at most once, so it takes O(log e) divisions, and one when pi
+    does not divide a."""
+    if not a:
+        raise DomainError("the valuation of zero is infinite")
+    q, r = divmod(a, pi)
+    if r:
+        return 0, a
+    e, a = split(divmod, mul, q, mul(pi, pi))
+    q, r = divmod(a, pi)
+    return (2 * e + 1, a) if r else (2 * e + 2, q)
+
+
 def ppow_mod(p: int, a: Coeffs, e: int, m: Coeffs) -> Coeffs:
     """a^e modulo m."""
     return power(lambda x, y: pmod(p, pmul(p, x, y), m), pmod(p, a, m), e, pmod(p, ONE, m))

@@ -28,6 +28,7 @@ from .fields import (
     GlobalFieldElement,
     Place,
     PlaceSet,
+    check_length,
     is_s_unit,
     strip_places,
 )
@@ -74,9 +75,10 @@ def enumerate_s_units(S: PlaceSet, exponent_cap: int):
     """All torsion * prod g_i^{e_i} with |e_i| <= cap, each exactly once.
 
     Deterministic order: torsion first, then exponent vectors
-    lexicographically from -cap to cap.  The size is checked before any
-    unit is built.  A unit is the canonical pair (u * prod pi^e over e > 0,
-    prod pi^-e over e < 0), so it takes no gcd.
+    lexicographically from -cap to cap.  The count and the length of the
+    longest unit are checked before any unit is built.  A unit is the
+    canonical pair (u * prod pi^e over e > 0, prod pi^-e over e < 0), so it
+    takes no gcd.
     """
     if exponent_cap < 1:
         raise DomainError("exponent cap must be >= 1")
@@ -85,6 +87,8 @@ def enumerate_s_units(S: PlaceSet, exponent_cap: int):
     total = len(ring.units) * (2 * exponent_cap + 1) ** len(pis)
     if total > S_UNIT_BUDGET:
         raise BudgetExceededError(f"S-unit enumeration of size {total} over budget")
+    # a lower bound for the length of prod pi^cap, the longest unit
+    check_length(ring, exponent_cap * sum(ring.length(pi) - 1 for pi in pis) + 1)
     powers = [[ring.pow(pi, e) for e in range(exponent_cap + 1)] for pi in pis]
     exponent_range = range(-exponent_cap, exponent_cap + 1)
     for u in ring.units:

@@ -10,9 +10,10 @@ test, polynomial products by the plain double loop instead of
 `fppoly.pmul`, residue-field arithmetic on coefficient tuples instead of
 exp/log tables, primality by trial division instead of Miller-Rabin,
 cycle multipliers by the affine chain rule with chart swaps at infinity
-instead of the homogeneous Jacobian, powers, S-strips and S-units by
-gcd-normalized field products and quotients instead of ring powers and
-exact division, orbits by a loop over ProjPoints through the public
+instead of the homogeneous Jacobian, valuations by dividing out one prime
+at a time instead of splitting off its square, powers, S-strips and
+S-units by gcd-normalized field products and quotients instead of ring
+powers and exact division, orbits by a loop over ProjPoints through the public
 `apply_map` and `escapes` instead of the coordinate-pair kernel, parsed
 maps and elements by arithmetic in K and an lcm of denominators instead
 of fractions over the integral ring, points by splitting the brackets at
@@ -463,6 +464,40 @@ def cycle_multiplier(field, fco: list, gco: list, cycle: list):
 
 
 # ---------------------------------------------------------------------------
+# valuations by dividing out one prime at a time, the package's two `ord`
+# loops before `ring.split` replaced them.  Kept verbatim, with the ring's
+# `self.p` made an argument.
+
+
+def reference_ord_int(a: int, pi: int) -> int:
+    """Exact power of the prime pi dividing a != 0."""
+    e = 0
+    while a % pi == 0:
+        a //= pi
+        e += 1
+    return e
+
+
+def reference_ord_poly(p: int, a, pi) -> int:
+    """Exact power of the irreducible pi dividing a != 0."""
+    e = 0
+    while True:
+        q, r = fppoly.pdivmod(p, a, pi)
+        if r:
+            return e
+        a = q
+        e += 1
+
+
+def reference_valuation(x, place) -> int:
+    """The valuation of x != 0 at a finite place, by the loops above."""
+    p, pi = x.field.char, place.payload
+    if p:
+        return reference_ord_poly(p, x.num, pi) - reference_ord_poly(p, x.den, pi)
+    return reference_ord_int(x.num, pi) - reference_ord_int(x.den, pi)
+
+
+# ---------------------------------------------------------------------------
 # powers, S-strips and S-units through field products and quotients (each
 # one normalized by a gcd), the package's code before ring powers replaced
 # it.  Kept verbatim, with `self` made an argument and every power and
@@ -485,7 +520,7 @@ def reference_pow(self, e: int):
 def reference_strip_places(x, S):
     rest, exponents = x, []
     for pl in S.finite_places():
-        e = valuation(x, pl)
+        e = reference_valuation(x, pl)
         exponents.append(e)
         if e:
             rest = rest / reference_pow(x.field.element(pl.payload), e)

@@ -7,6 +7,7 @@ import pytest
 import arithdyn as ad
 from arithdyn.bounds import (
     BoundContext,
+    _digits,
     certified_ceiling,
     ln_interval,
     unit_equation_solution_bound,
@@ -94,6 +95,14 @@ class TestPositiveCharacteristic:
             others = (bs.cycle_bound, bs.i_bound, bs.r_bound, bs.evertse_bound)
             assert max(b for b in others if b is not None) <= bs.eta
         assert admitted(lo + 1) is None
+
+    def test_digit_estimate_bounds_the_digit_count(self):
+        # the one estimator behind both refusals is at least the digit
+        # count, tight at the powers of 10
+        for b, e in [(10, 1), (10, 4296), (2, 14270), (3, 9000), (99, 7), (7, 1)]:
+            assert _digits((b, e)) >= len(str(b**e))
+            assert _digits((b, e), (10, 3)) >= len(str(b**e * 1000))
+        assert _digits((2, 10**400)) == math.inf
 
     def test_each_context_evaluated_once(self):
         for p in (0, 3):
@@ -217,6 +226,23 @@ class TestAuxiliaryBounds:
         # refused from lcm(1..C) >= 2^(C-1), before the lcm is computed
         with pytest.raises(BudgetExceededError):
             ad.preper_total_bound(10, 10**9, 2)
+
+    def test_preper_total_prints_or_is_refused(self):
+        # d^B * (d^n + 1) at the largest n = lcm(1..C) below the limit, and
+        # past it; lcm(1..14) = 360360 made a 108,482-digit result
+        with pytest.raises(BudgetExceededError):
+            ad.preper_total_bound(1, 14, 2)
+        for d in (2, 3, 10, 99):
+            for C in range(1, 17):
+                for B in (1, 100, 4000):
+                    try:
+                        total = ad.preper_total_bound(B, C, d)
+                    except BudgetExceededError:
+                        # refused: at least 4,300 digits, counted exactly near the limit
+                        n = math.lcm(*range(1, C + 1))
+                        assert (B + n) * math.log10(d) > 5000 or d**B * (d**n + 1) >= 10**4299
+                    else:
+                        assert len(str(total)) <= 4300
 
     def test_context_validation(self):
         with pytest.raises(DomainError):

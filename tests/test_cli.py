@@ -467,8 +467,15 @@ class TestRobustness:
             ("analyze", "--field", "Q", "z^2+3^100000000"),
             ("analyze", "--field", "Fp:3", "z^2+t^100000000"),
             ("orbit", "--field", "Q", "z^2", "--point", "1" * 4301),
+            # 2^14300, one of the units, passes the limit: refused before the enumeration
+            ("sunit-solve", "--field", "Q", "--a", "1/2^7150", "--b", "2^7150-1",
+             "--S", "inf;p:2", "--cap", "14300"),
+            # the cap prints, the height 10^4300 that passes it does not
+            ("orbit", "--field", "Q", "10*z", "--point", "1", "--max-steps", "5000",
+             "--height-cap", str(10**4299)),
         ],
-        ids=["orbit", "search", "sunit-solve", "analyze-res", "Q-power", "t-power", "literal"],
+        ids=["orbit", "search", "sunit-solve", "analyze-res", "Q-power", "t-power", "literal",
+             "sunit-cap", "height-cap"],
     )
     def test_values_too_long_to_print_refused(self, argv):
         code, out, err, seconds = run_subprocess(*argv)
@@ -486,6 +493,26 @@ class TestRobustness:
         assert code == 0 and out.startswith(f"start: [{largest} : 1]")
         code, out, err, _ = run_subprocess("analyze", "--field", "Q", "z^2/3^4506")
         assert code == 0 and f"resultant: {3**9012}" in out  # 14,284 bits
+
+    # the solutions x = 2^2000 and x = t^300 have valuations 2000 and 300 at
+    # the place of S; `ring.split` finds them in O(log v) divisions
+    @pytest.mark.parametrize(
+        "field, a, b, S, cap, want",
+        [
+            ("Q", "1/2^1000", "2^1000-1", "inf;p:2", "2000",
+             [["1", f"1/{2**1000}"], [str(2**2000), "-1"]]),
+            ("Fp:2", "1/t^150", "t^150+1", "inf;pi:0,1", "300",
+             [["1", "(1)/(t^150)"], ["t^300", "1"]]),
+        ],
+        ids=["Q", "F2"],
+    )
+    def test_sunit_solutions_of_high_valuation(self, field, a, b, S, cap, want):
+        code, out, _, seconds = run_subprocess(
+            "sunit-solve", "--field", field, "--a", a, "--b", b, "--S", S, "--cap", cap, "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["solutions"] == want
+        assert seconds < 3
 
     def test_sunit_torsion_counted_before_it_is_built(self):
         code, _, err, seconds = run_subprocess(

@@ -348,6 +348,14 @@ class TestCheckMst:
         verdict = ad.check_period_relation(flip, one, 2, ad.prime_place(2))
         assert verdict.case in ("ii", "iii")
 
+    def test_case_iii_fires(self):
+        # z -> -z swaps 1 and -1; mod 2 they are one fixed point with
+        # multiplier -1 = 1, so m = r = 1 and n = 2 = 2^1 * m * r
+        flip = ad.parse_map("-z", ad.QQ)
+        one = ad.from_affine(ad.QQ.one())
+        verdict = ad.check_period_relation(flip, one, 2, ad.prime_place(2))
+        assert (verdict.case, verdict.e, verdict.m, verdict.r) == ("iii", 1, 1, 1)
+
     def test_minimality_enforced(self):
         sq = ad.parse_map("z^2", ad.QQ)
         one = ad.from_affine(ad.QQ.one())

@@ -11,8 +11,9 @@ checks cycles with the pair walk of `ratmap`, not with `apply_map` or
 `iterate_map`, and `parsing` builds a point once, without `normalize`.
 The escape criterion is `ratmap`'s alone: `dynamics` reads no field of
 `EscapeProfile` or `EscapeProof`, so a change to a clause changes one
-module.  The checks read the source (with `ast`), so they need nothing to
-run.
+module.  The valuation v_pi(a) is `fppoly.split`'s alone: no module
+divides out a prime in a `while a % b == 0` loop.  The checks read the
+source (with `ast`), so they need nothing to run.
 """
 
 import ast
@@ -209,3 +210,48 @@ def test_dynamics_reads_no_escape_field():
 )
 def test_escape_field_checker_sees_each_read(source):
     assert field_reads(source, escape_fields())
+
+
+def _is_divisibility_test(test) -> bool:
+    """Whether `test` reads `a % b == 0`, `0 == a % b` or `not a % b`."""
+    def is_mod(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and node.value == 0
+
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return is_mod(test.operand)
+    if isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], ast.Eq):
+        left, right = test.left, test.comparators[0]
+        return (is_mod(left) and is_zero(right)) or (is_zero(left) and is_mod(right))
+    return False
+
+
+def division_loops(source: str) -> list[str]:
+    """The `while a % b == 0` loops of `source` outside a function named
+    `split`, each as 'function: test'."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.While) and function != "split":
+                if _is_divisibility_test(child.test):
+                    out.append(f"{function}: {ast.unparse(child.test)}")
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_divides_out_a_prime_by_hand(module):
+    assert division_loops((SRC / f"{module}.py").read_text()) == []
+
+
+def test_division_loop_checker_sees_the_rule_broken():
+    source = "def ord(a, pi):\n    e = 0\n    while a % pi == 0:\n        a //= pi\n        e += 1\n"
+    assert division_loops(source) == ["ord: a % pi == 0"]

@@ -4,7 +4,8 @@ Element arithmetic over Q is checked against `fractions.Fraction`, which
 the element code does not use; over F_p(t) against cross-multiplication
 with the schoolbook product.  `canon_pair` is checked against
 `point_from_raw`, and `ord` against the divisibility rule it encodes,
-with divisibility decided by schoolbook long division.
+with divisibility decided by schoolbook long division; `split` and `ord`
+against the loops that divide out one prime at a time.
 
 The place API of the rings (`factor`, `primes`, `residue`) is checked
 through its callers: `support` must rebuild the element from the places
@@ -22,11 +23,17 @@ from fractions import Fraction
 import pytest
 
 import arithdyn as ad
-from arithdyn.errors import BudgetExceededError, DegenerateMapError
+from arithdyn.errors import BudgetExceededError, DegenerateMapError, DomainError
 from arithdyn.fields import Z, canon_pair, iter_places_by_size, polynomial_ring
 from arithdyn.projective import reduce_coordinates
 from arithdyn.residue import reduce_values
-from oracles import brute_monic_irreducibles, schoolbook_pmul, trial_division_is_prime
+from oracles import (
+    brute_monic_irreducibles,
+    reference_ord_int,
+    reference_ord_poly,
+    schoolbook_pmul,
+    trial_division_is_prime,
+)
 
 FUNCTION_FIELDS = [ad.function_field(p) for p in (2, 3, 5)]
 
@@ -192,6 +199,43 @@ class TestOrd:
             e = ring.ord(a, pi)
             assert oracle_divides(p, oracle_pow(p, pi, e), a)
             assert not oracle_divides(p, oracle_pow(p, pi, e + 1), a)
+
+
+class TestSplit:
+    """`ring.split` and `ring.ord` against the loops that divide out one
+    prime at a time, on u * pi^e * b with b random."""
+
+    EXPONENTS = (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 255, 1023, 1024, 1999, 2000)
+
+    @pytest.mark.parametrize("pi", [2, 3, 101, 2**61 - 1], ids=["2", "3", "101", "61-bit"])
+    def test_integers(self, pi):
+        rng = random.Random(pi % 1000)
+        for e in self.EXPONENTS + tuple(rng.randint(0, 2000) for _ in range(10)):
+            a = rng.choice([-1, 1]) * pi**e * rng.randint(1, 10**30)
+            want = reference_ord_int(a, pi)
+            assert Z.split(a, pi) == (want, a // pi**want)
+            assert Z.ord(a, pi) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_polynomials(self, p):
+        ring = polynomial_ring(p)
+        rng = random.Random(139 + p)
+        for pi in [g for g in ad.enumerate_monic_irreducibles(p, 3) if len(g) > 1]:
+            for e in (0, 1, 2, 3, 7, 8, 9, rng.randint(10, 40)):
+                a = schoolbook_pmul(p, oracle_pow(p, pi, e), random_poly(rng, p, 6) or (1,))
+                a = ring.scale(a, rng.randrange(1, p))
+                want = reference_ord_poly(p, a, pi)
+                e_got, rest = ring.split(a, pi)
+                assert (e_got, ring.ord(a, pi)) == (want, want)
+                assert schoolbook_pmul(p, oracle_pow(p, pi, want), rest) == a
+                assert not oracle_divides(p, pi, rest)
+
+    @pytest.mark.parametrize("ring, pi", [(Z, 2), (polynomial_ring(3), (1, 1))], ids=["Z", "F3[t]"])
+    def test_zero_refused(self, ring, pi):
+        with pytest.raises(DomainError):
+            ring.split(ring.zero, pi)
+        with pytest.raises(DomainError):
+            ring.ord(ring.zero, pi)
 
 
 def sieve_primes(n):

@@ -4,7 +4,10 @@
 printed it before the Q and F_p(t) arithmetic shared one ring core.  The
 "cli" entries cover all seven subcommands over Q, F_2(t) and F_3(t),
 including bad places at infinity, points at infinity, undecided and
-divergent orbits and two error exits.  The CLI prints no multipliers, so
+divergent orbits and two error exits.  The "cli_text" entries run the same
+argv without --json, plus error argv for each diagnostic kind (usage,
+DomainError, PreconditionError, io and the other refusals), and freeze
+stdout, stderr and the exit code of each.  The CLI prints no multipliers, so
 the "multipliers" entries freeze `multiplier`, `classify_periodic_point`
 and `check_period_relation` on every cycle a small search finds.
 """
@@ -29,6 +32,15 @@ def test_cli_output_is_frozen(capsys, entry):
     code = run(list(entry["argv"]))
     assert capsys.readouterr().out == entry["stdout"]
     assert code == entry["code"]
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["cli_text"], ids=lambda e: " ".join(e["argv"][:4])
+)
+def test_cli_text_is_frozen(capsys, entry):
+    code = run(list(entry["argv"]))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == (entry["stdout"], entry["stderr"], entry["code"])
 
 
 def _first_good_places(phi, count=2):

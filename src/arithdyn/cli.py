@@ -7,6 +7,9 @@ strings.  Exit codes: 0 success, 1 usage error, 2 computation error
 (budget exhausted, unsupported configuration, undecidable orbit), 3 a
 verification subcommand found a bound violation (which would indicate an
 implementation bug, not a counterexample).
+
+Each subcommand is declared once, in `_build_parser`: its flags and its
+handler `_cmd_*`, which `run` calls.  This paragraph is left out of --help.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import BoundContext, compute_bounds, preper_total_bound, verify_report
+from .bounds import BoundContext, compute_bounds, verify_report
 from .dynamics import (
     DEFAULT_MAX_STEPS,
     Budget,
@@ -26,7 +29,7 @@ from .dynamics import (
     orbit,
     preperiodic_search,
 )
-from .errors import ArithDynError, BudgetExceededError, MapParseError
+from .errors import ArithDynError, MapParseError
 from .fields import (
     QQ,
     Z,
@@ -40,6 +43,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
+from .projective import ReducedPoint
 from .ratmap import bad_places, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
@@ -75,41 +79,60 @@ def _parse_places(parse, field: BaseField, token: str):
         raise UsageError(f"bad place {token!r} (use p:<prime>, pi:<c0,c1,...> or inf)") from None
 
 
-def _budget(args) -> Budget:
-    return Budget(max_steps=args.max_steps, height_cap=args.height_cap)
+def _map_input(args):
+    """The field and the map of a subcommand declared with `map_input`."""
+    field = _parse_field(args.field)
+    return field, parse_map(args.map, field)
 
 
-def _positive_int(token: str) -> int:
-    n = int(token)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
-    return n
+def _budget(args) -> tuple[Budget, dict]:
+    """The budget of the flags, and its echo in the JSON report."""
+    echo = {"max_steps": args.max_steps, "height_cap": args.height_cap}
+    return Budget(**echo), echo
 
 
-def _nonnegative_int(token: str) -> int:
-    n = int(token)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{token!r} is a negative integer")
-    return n
+def _int_at_least(low: int, complaint: str, name: str):
+    """An argparse type: an int >= low, else `complaint` with the token.
+    argparse names the type in its "invalid ... value" message, so each
+    keeps the name it is bound to."""
+
+    def check(token: str) -> int:
+        n = int(token)
+        if n < low:
+            raise argparse.ArgumentTypeError(complaint.format(repr(token)))
+        return n
+
+    check.__name__ = name
+    return check
 
 
-def _map_degree(token: str) -> int:
-    n = int(token)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"map degree {token!r} is below 2")
-    return n
+_positive_int = _int_at_least(1, "{} is not a positive integer", "_positive_int")
+_nonnegative_int = _int_at_least(0, "{} is a negative integer", "_nonnegative_int")
+_map_degree = _int_at_least(2, "map degree {} is below 2", "_map_degree")
+
+# (JSON key, text label) of each bound of a BoundSet, in print order; a
+# bound that does not apply (None) is left out
+_BOUNDS = (
+    ("eta", "orbit-size bound eta"),
+    ("cycle_bound", "cycle-length bound"),
+    ("i_bound", "small-residue-field bound"),
+    ("r_bound", "unit-equation solution bound"),
+    ("evertse_bound", "two-unit solution bound (rank 2(|S|-1))"),
+)
 
 
-def _point_json(pt) -> str:
-    return str(pt)
+def _bound_items(bs, table=_BOUNDS) -> list[tuple[str, str, int]]:
+    """(key, label, value) of each bound of `table` that applies to `bs`."""
+    items = [(key, label, getattr(bs, key)) for key, label in table]
+    return [item for item in items if item[2] is not None]
 
 
 def _orbit_json(outcome) -> dict:
     if isinstance(outcome, OrbitReport):
         return {
-            "start": _point_json(outcome.start),
-            "tail": [_point_json(q) for q in outcome.tail],
-            "cycle": [_point_json(q) for q in outcome.cycle],
+            "start": str(outcome.start),
+            "tail": [str(q) for q in outcome.tail],
+            "cycle": [str(q) for q in outcome.cycle],
             "m": outcome.m,
             "n": outcome.n,
             "undecided": False,
@@ -118,7 +141,7 @@ def _orbit_json(outcome) -> dict:
     # a height past a user cap may be too long to print; it is an int
     check_length(Z, outcome.last_height.bit_length())
     out = {
-        "start": _point_json(outcome.start),
+        "start": str(outcome.start),
         "tail": [],
         "cycle": [],
         "m": 0,
@@ -153,8 +176,7 @@ def _emit(args, result: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    field = _parse_field(args.field)
-    phi = parse_map(args.map, field)
+    field, phi = _map_input(args)
     res = resultant(phi)
     check_length(field.ring, field.ring.length(res.num))  # before it prints
     bad = sorted(bad_places(phi), key=lambda p: p.sort_key())
@@ -163,7 +185,7 @@ def _cmd_analyze(args) -> int:
         field, set(bad) | {infinite_place(field)}
     )
     ctx = BoundContext(field.char, 1, default_S.size)
-    bs = compute_bounds(ctx)
+    bounds = _bound_items(compute_bounds(ctx), _BOUNDS[:2])  # eta and the cycle bound
     result = {
         "map": phi.coefficient_arrays() | {"affine": phi.affine_str()},
         "field": str(field),
@@ -172,84 +194,64 @@ def _cmd_analyze(args) -> int:
         "bad_places": [p.serialize() for p in bad],
         "good_reduction_everywhere": not bad,
         "default_S": default_S.serialize(),
-        "bounds": {
-            "eta": str(bs.eta),
-            "cycle_bound": str(bs.cycle_bound),
-        },
+        "bounds": {key: str(value) for key, _, value in bounds},
     }
-    _emit(
-        args,
-        result,
-        [
-            f"map: {phi.affine_str()} over {field}",
-            f"degree: {phi.degree}",
-            f"resultant: {res}",
-            "bad places: " + (", ".join(str(p) for p in bad) if bad else "none"),
-            f"default S: {default_S}",
-            f"orbit-size bound eta: {bs.eta}; cycle-length bound: {bs.cycle_bound}",
-        ],
-    )
+    lines = [
+        f"map: {phi.affine_str()} over {field}",
+        f"degree: {phi.degree}",
+        f"resultant: {res}",
+        "bad places: " + (", ".join(str(p) for p in bad) if bad else "none"),
+        f"default S: {default_S}",
+        "; ".join(f"{label}: {value}" for _, label, value in bounds),
+    ]
+    _emit(args, result, lines)
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    field = _parse_field(args.field)
-    phi = parse_map(args.map, field)
+    field, phi = _map_input(args)
     start = parse_point(field, args.point)
-    budget = _budget(args)
+    budget, echo = _budget(args)
     outcome = orbit(phi, start, budget)
     result = _orbit_json(outcome) | {
         "map": phi.affine_str(),
         "field": str(field),
-        "budget": {"max_steps": budget.max_steps, "height_cap": budget.height_cap},
+        "budget": echo,
     }
+    lines = [f"start: {outcome.start}"]
     if isinstance(outcome, OrbitReport):
-        lines = [
-            f"start: {outcome.start}",
+        lines += [
             "tail: " + (", ".join(str(q) for q in outcome.tail) or "(empty)"),
             "cycle: " + ", ".join(str(q) for q in outcome.cycle),
             f"tail length m = {outcome.m}, cycle length n = {outcome.n}, "
             f"orbit size = {outcome.total}",
         ]
-        _emit(args, result, lines)
-        return 0
-    if outcome.divergent:
-        proof = outcome.proof
-        _emit(
-            args,
-            result,
-            [
-                f"start: {outcome.start}",
-                f"orbit diverges (escape criterion, {proof.clause} clause, "
-                f"radius {proof.radius}, step {outcome.steps}): not preperiodic",
-            ],
+    elif outcome.divergent:
+        lines.append(
+            f"orbit diverges (escape criterion, {outcome.proof.clause} clause, "
+            f"radius {outcome.proof.radius}, step {outcome.steps}): not preperiodic"
         )
-        return 0
-    _emit(
-        args,
-        result,
-        [
-            f"start: {outcome.start}",
+    else:
+        lines.append(
             f"undecided: budget exhausted after {outcome.steps} steps "
-            f"(height {outcome.last_height})",
-        ],
-    )
-    return 2
+            f"(height {outcome.last_height})"
+        )
+    _emit(args, result, lines)
+    return 2 if result["undecided"] else 0
 
 
 def _cmd_search(args) -> int:
-    field = _parse_field(args.field)
-    phi = parse_map(args.map, field)
-    budget = _budget(args)
+    field, phi = _map_input(args)
+    budget, echo = _budget(args)
     res = preperiodic_search(phi, args.height, budget)
     result = {
         "map": phi.affine_str(),
         "field": str(field),
         "height": args.height,
-        "budget": {"max_steps": budget.max_steps, "height_cap": budget.height_cap},
+        "budget": echo,
         "preperiodic": [_orbit_json(r) for r in res.preperiodic],
         "preperiodic_count": len(res.preperiodic),
-        "undecided": [_point_json(p) for p in res.undecided],
+        "undecided": [str(p) for p in res.undecided],
         "scanned": res.scanned,
         "divergent": res.divergent,
     }
@@ -270,13 +272,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    field = _parse_field(args.field)
-    phi = parse_map(args.map, field)
+    field, phi = _map_input(args)
     place = _parse_places(parse_place, field, args.place)
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
-    from .projective import ReducedPoint
-
     labels = [str(ReducedPoint.from_code(g.rfield, c)) for c in range(g.node_count)]
     result = {
         "map": phi.affine_str(),
@@ -303,40 +302,22 @@ def _cmd_graph(args) -> int:
 def _cmd_bounds(args) -> int:
     ctx = BoundContext(args.char, args.degree, args.s)
     bs = compute_bounds(ctx)
-    result = {
-        "eta": str(bs.eta),
-        "cycle_bound": str(bs.cycle_bound),
-        "i_bound": str(bs.i_bound),
-    }
-    if bs.r_bound is not None:
-        result["r_bound"] = str(bs.r_bound)
-    if bs.evertse_bound is not None:
-        result["evertse_bound"] = str(bs.evertse_bound)
-    lines = [
-        f"context: characteristic {ctx.p}, D = {ctx.D}, |S| = {ctx.s}",
-        f"orbit-size bound eta: {bs.eta}",
-        f"cycle-length bound: {bs.cycle_bound}",
-        f"small-residue-field bound: {bs.i_bound}",
-    ]
-    if bs.r_bound is not None:
-        lines.append(f"unit-equation solution bound: {bs.r_bound}")
-    if bs.evertse_bound is not None:
-        lines.append(f"two-unit solution bound (rank 2(|S|-1)): {bs.evertse_bound}")
+    bounds = _bound_items(bs)
+    result = {key: str(value) for key, _, value in bounds}
+    lines = [f"context: characteristic {ctx.p}, D = {ctx.D}, |S| = {ctx.s}"]
+    lines += [f"{label}: {value}" for _, label, value in bounds]
     if args.map_degree:
-        try:
-            total = preper_total_bound(bs.eta, bs.cycle_bound, args.map_degree)
-            result["preper_total_bound"] = str(total)
-            lines.append(f"preperiodic-set bound for degree {args.map_degree}: {total}")
-        except BudgetExceededError:
-            result["preper_total_bound"] = None
-            result["preper_total_note"] = (
-                f"d^B(d^n+1) with B={bs.eta}, n=lcm(1..{bs.cycle_bound}) "
-                "exceeds the digit budget"
-            )
-            lines.append(
-                f"preperiodic-set bound: too large to print "
-                f"(B={bs.eta}, n=lcm(1..{bs.cycle_bound}))"
-            )
+        # every context has a cycle bound C >= 60, and preper_total_bound
+        # refuses d^B(d^n+1) with n = lcm(1..C) for every such C and d
+        result["preper_total_bound"] = None
+        result["preper_total_note"] = (
+            f"d^B(d^n+1) with B={bs.eta}, n=lcm(1..{bs.cycle_bound}) "
+            "exceeds the digit budget"
+        )
+        lines.append(
+            f"preperiodic-set bound: too large to print "
+            f"(B={bs.eta}, n=lcm(1..{bs.cycle_bound}))"
+        )
     _emit(args, result, lines)
     return 0
 
@@ -377,14 +358,12 @@ def _cmd_sunit_solve(args) -> int:
             f"({'OK' if report.within_bound else 'VIOLATED'})"
         )
     _emit(args, result, lines)
-    if report.within_bound is False:
-        return 3
-    return 0
+    return 3 if report.within_bound is False else 0
 
 
 def _cmd_verify_corollary3(args) -> int:
     field = QQ
-    budget = _budget(args)
+    budget, _ = _budget(args)
     maps = []
     if args.maps_file:
         with open(args.maps_file, encoding="utf-8") as fh:
@@ -463,48 +442,52 @@ def _cmd_verify_corollary3(args) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process."""
-    parser = _Parser(prog="arithdyn", description=__doc__)
+    parser = _Parser(prog="arithdyn", description=(__doc__ or "").rpartition("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def subcommand(name, handler, summary, map_input=False):
+        """The subparser `name` run by `handler`; `map_input` declares
+        --field and the map, which `_map_input` reads."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        if map_input:
+            sp.add_argument("--field", required=True)
+            sp.add_argument("map")
+        return sp
+
     def add_common(sp, with_budgets=True):
+        """--json, and the budget flags that `_budget` reads, after the
+        subcommand's own flags."""
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if with_budgets:
             sp.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
             sp.add_argument("--height-cap", type=_nonnegative_int, default=None)
 
-    sp = sub.add_parser("analyze", help="degree, resultant, bad places")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("map")
+    sp = subcommand("analyze", _cmd_analyze, "degree, resultant, bad places", map_input=True)
     add_common(sp, with_budgets=False)
 
-    sp = sub.add_parser("orbit", help="tail/cycle decomposition of one point")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("map")
+    sp = subcommand("orbit", _cmd_orbit, "tail/cycle decomposition of one point", map_input=True)
     sp.add_argument("--point", required=True)
     add_common(sp)
 
-    sp = sub.add_parser("search", help="preperiodic points up to a height")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("map")
+    sp = subcommand("search", _cmd_search, "preperiodic points up to a height", map_input=True)
     sp.add_argument("--height", type=_positive_int, required=True)
     add_common(sp)
 
-    sp = sub.add_parser("graph", help="functional graph of the reduced map")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("map")
+    sp = subcommand("graph", _cmd_graph, "functional graph of the reduced map", map_input=True)
     sp.add_argument("--place", required=True)
     sp.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     add_common(sp, with_budgets=False)
 
-    sp = sub.add_parser("bounds", help="evaluate all bound formulas")
+    sp = subcommand("bounds", _cmd_bounds, "evaluate all bound formulas")
     sp.add_argument("--char", type=int, required=True)
     sp.add_argument("--degree", type=_positive_int, required=True, help="extension degree D")
     sp.add_argument("--s", type=_positive_int, required=True, help="|S|")
     sp.add_argument("--map-degree", type=_map_degree, default=None)
     add_common(sp, with_budgets=False)
 
-    sp = sub.add_parser("sunit-solve", help="a*x + b*y = 1 in S-units, brute force")
+    sp = subcommand("sunit-solve", _cmd_sunit_solve, "a*x + b*y = 1 in S-units, brute force")
     sp.add_argument("--field", required=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
@@ -512,9 +495,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cap", type=_positive_int, required=True)
     add_common(sp, with_budgets=False)
 
-    sp = sub.add_parser(
+    sp = subcommand(
         "verify-corollary3",
-        help="sweep everywhere-good maps; cycles <= 3 and orbits <= 12 over Q",
+        _cmd_verify_corollary3,
+        "sweep everywhere-good maps; cycles <= 3 and orbits <= 12 over Q",
     )
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--c-range", type=_parse_range, default=None)
@@ -536,17 +520,6 @@ def _parse_range(token: str) -> tuple[int, int]:
     return lo, hi
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "orbit": _cmd_orbit,
-    "search": _cmd_search,
-    "graph": _cmd_graph,
-    "bounds": _cmd_bounds,
-    "sunit-solve": _cmd_sunit_solve,
-    "verify-corollary3": _cmd_verify_corollary3,
-}
-
-
 def _diagnostic(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
@@ -560,7 +533,7 @@ def run(argv: list[str]) -> int:
         _diagnostic("usage", str(exc))
         return 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (UsageError, MapParseError) as exc:
         _diagnostic("usage", str(exc))
         return 1

@@ -373,6 +373,8 @@ QQ = BaseField(0)
 
 @lru_cache(maxsize=None)
 def function_field(p: int) -> BaseField:
+    """F_p(t); DomainError unless p is a prime (0 included, which is Q's)."""
+    fppoly._check_prime(p)
     return BaseField(p)
 
 

@@ -244,6 +244,17 @@ class TestAuxiliaryBounds:
                     else:
                         assert len(str(total)) <= 4300
 
+    @pytest.mark.parametrize("context", [(2, 1, 1), (0, 1, 1), (3, 2, 2)])
+    @pytest.mark.parametrize("d", [2, 3, 10**6])
+    def test_preper_total_refused_at_the_smallest_contexts(self, context, d):
+        # the cycle bound is at least 60 in every context (its minimum is at
+        # p = 2, D = 1, |S| = 1, and it grows with p, D and |S|), so
+        # `bounds --map-degree` can only print the refusal note
+        bs = ad.compute_bounds(BoundContext(*context))
+        assert bs.cycle_bound >= 60
+        with pytest.raises(BudgetExceededError):
+            ad.preper_total_bound(bs.eta, bs.cycle_bound, d)
+
     def test_context_validation(self):
         with pytest.raises(DomainError):
             BoundContext(4, 1, 1)

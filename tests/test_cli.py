@@ -606,3 +606,10 @@ class TestRobustness:
             code, _, err = run_cli(capsys, "analyze", "--field", f"Fp:{p}", "z^2")
             assert code == 2
             assert "DomainError" in err and "not a prime" in err
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_characteristic_below_two_rejected(self, capsys, p):
+        # Fp:0 used to run over Q
+        code, out, err = run_cli(capsys, "analyze", "--field", f"Fp:{p}", "z^2+1/2")
+        assert (code, out) == (2, "")
+        assert err == f'{{"error": "DomainError", "message": "{p} is not a prime"}}\n'

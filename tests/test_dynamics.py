@@ -339,14 +339,12 @@ class TestCheckMst:
         assert ad.check_period_relation(sq, one, 1, ad.prime_place(7)).case == "i"
 
     def test_case_ii_exists(self):
-        # z^2 at 1 has n = 1? need n > m cases: use the 2-cycle of z^2-1
-        # reduced at 7: 0 -> -1 -> 0 stays a 2-cycle, so case i again.
-        # A genuine (ii): cycle of length 2 whose reduction is fixed:
-        # z -> -z swaps 1 and -1, and mod 2 they collapse to the fixed 1.
-        flip = ad.parse_map("-z", ad.QQ)
-        one = ad.from_affine(ad.QQ.one())
-        verdict = ad.check_period_relation(flip, one, 2, ad.prime_place(2))
-        assert verdict.case in ("ii", "iii")
+        # 1/z swaps 2 and 1/2; mod 3 they collapse to the fixed point -1,
+        # whose multiplier -1 has order r = 2, so n = 2 = m * r with m = 1
+        inv = ad.parse_map("1/z", ad.QQ)
+        two = ad.from_affine(ad.QQ.element(2))
+        verdict = ad.check_period_relation(inv, two, 2, ad.prime_place(3))
+        assert (verdict.case, verdict.m, verdict.r) == ("ii", 1, 2)
 
     def test_case_iii_fires(self):
         # z -> -z swaps 1 and -1; mod 2 they are one fixed point with

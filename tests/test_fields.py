@@ -144,6 +144,12 @@ class TestPrimality:
         # a multiple of a base is decided at any size
         assert not is_prime_int(3 * 2**89)
 
+    @pytest.mark.parametrize("p", [0, 1, 4, -3])
+    def test_function_field_refuses_a_non_prime(self, p):
+        # 0 would otherwise give BaseField(0), which is Q
+        with pytest.raises(DomainError, match="not a prime"):
+            ad.function_field(p)
+
 
 class TestResidueSizes:
     def test_examples(self):

@@ -12,8 +12,10 @@ checks cycles with the pair walk of `ratmap`, not with `apply_map` or
 The escape criterion is `ratmap`'s alone: `dynamics` reads no field of
 `EscapeProfile` or `EscapeProof`, so a change to a clause changes one
 module.  The valuation v_pi(a) is `fppoly.split`'s alone: no module
-divides out a prime in a `while a % b == 0` loop.  The checks read the
-source (with `ast`), so they need nothing to run.
+divides out a prime in a `while a % b == 0` loop.  The CLI prints only
+through `_emit` (reports) and `_diagnostic` (errors), and each subcommand
+handler `_cmd_*` is named once, where `_build_parser` declares it.  The
+checks read the source (with `ast`), so they need nothing to run.
 """
 
 import ast
@@ -24,6 +26,20 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithdyn"
 ABOVE_THE_RINGS = ["ratmap", "dynamics", "projective", "bounds", "sunit", "cli"]
 ALLOWED = {"Coeffs"}
+
+
+def walk_with_function(tree):
+    """Each node below `tree` with the name of its innermost enclosing
+    function (None at module level); a def node itself is not yielded."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield child, function
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
 
 
 def fppoly_uses(source: str) -> list[str]:
@@ -91,19 +107,11 @@ def field_value_calls(source: str) -> list[str]:
     """Calls of .zero(), .one() and .gen(), and of .element() outside
     parse_element, each as 'function: .name()'."""
     out = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                attr = child.func.attr
-                if attr in FIELD_CONSTANTS or (attr == "element" and function != "parse_element"):
-                    out.append(f"{function}: .{attr}()")
-            visit(child, function)
-
-    visit(ast.parse(source), None)
+    for node, function in walk_with_function(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr in FIELD_CONSTANTS or (attr == "element" and function != "parse_element"):
+                out.append(f"{function}: .{attr}()")
     return out
 
 
@@ -231,20 +239,11 @@ def _is_divisibility_test(test) -> bool:
 def division_loops(source: str) -> list[str]:
     """The `while a % b == 0` loops of `source` outside a function named
     `split`, each as 'function: test'."""
-    out = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.While) and function != "split":
-                if _is_divisibility_test(child.test):
-                    out.append(f"{function}: {ast.unparse(child.test)}")
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return out
+    return [
+        f"{function}: {ast.unparse(node.test)}"
+        for node, function in walk_with_function(ast.parse(source))
+        if isinstance(node, ast.While) and function != "split" and _is_divisibility_test(node.test)
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
@@ -255,3 +254,59 @@ def test_no_module_divides_out_a_prime_by_hand(module):
 def test_division_loop_checker_sees_the_rule_broken():
     source = "def ord(a, pi):\n    e = 0\n    while a % pi == 0:\n        a //= pi\n        e += 1\n"
     assert division_loops(source) == ["ord: a % pi == 0"]
+
+
+CLI_PRINTERS = {"_emit", "_diagnostic"}
+
+
+def print_callers(source: str) -> list:
+    """The function around each `print(...)` of `source` outside CLI_PRINTERS."""
+    return [
+        function
+        for node, function in walk_with_function(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and function not in CLI_PRINTERS
+    ]
+
+
+def test_cli_prints_only_through_emit_and_diagnostic():
+    assert print_callers((SRC / "cli.py").read_text()) == []
+
+
+def test_print_checker_sees_the_rule_broken():
+    source = "def _cmd_x(args):\n    print('x')\n    return 0\nprint('y')\n"
+    assert print_callers(source) == ["_cmd_x", None]
+
+
+def handler_references(source: str) -> dict:
+    """Each module-level function `_cmd_*` of `source`, with the function
+    around each reference to it (None at module level)."""
+    tree = ast.parse(source)
+    refs = {
+        node.name: []
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    }
+    for node, function in walk_with_function(tree):
+        if isinstance(node, ast.Name) and node.id in refs:
+            refs[node.id].append(function)
+    return refs
+
+
+def test_each_cli_handler_is_named_once_in_the_parser():
+    refs = handler_references((SRC / "cli.py").read_text())
+    assert len(refs) == 7  # one per subcommand
+    assert {name: where for name, where in refs.items() if where != ["_build_parser"]} == {}
+
+
+def test_handler_checker_sees_the_rule_broken():
+    # a second table of handlers, and a handler the parser never names
+    source = (
+        "def _cmd_a(args):\n    return 0\n"
+        "def _cmd_b(args):\n    return 0\n"
+        "def _build_parser():\n    sp.set_defaults(handler=_cmd_a)\n"
+        "_HANDLERS = {'a': _cmd_a}\n"
+    )
+    assert handler_references(source) == {"_cmd_a": ["_build_parser", None], "_cmd_b": []}

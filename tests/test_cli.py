@@ -296,6 +296,17 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
 
+    def test_help_describes_the_command_not_the_code(self, capsys):
+        # --help shows the module docstring but its last paragraph, which
+        # says where the code declares the subcommands
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert "Exit codes: 0 success, 1 usage error" in out
+        assert "implementation bug, not a counterexample)." in out
+        assert "_build_parser" not in out
+
     def test_map_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--field", "Q", "z^^2")
         assert code == 1

@@ -53,11 +53,10 @@ KIND_ARCH = "arch"
 # the unit group (as ints, constants of the ring).  `form_height` bounds
 # the coefficient size of a form (bits of its 2-norm over Z, largest
 # t-degree over F_p[t]), and `height_unit` is the size that costs one unit
-# of resultant work (ratmap.RESULTANT_BUDGET).  `escape_radius` is the
-# affine radius of the polynomial clause of ratmap.escape_profile.  For
-# heights, `upto` lists the coordinates of the points of height <= h,
-# `count_points` counts those points without listing them, `pair_key`
-# orders a point's coordinates and `height_cap` is the default orbit cap.
+# of resultant work (ratmap.RESULTANT_BUDGET).  For heights, `upto`
+# lists the coordinates of the points of height <= h, `count_points`
+# counts those points without listing them, `pair_key` orders a point's
+# coordinates and `height_cap` is the default orbit cap.
 # `length` is the size rule on values, their digits in base 2 over Z (bits)
 # and in base t over F_p[t] (coefficients, the t-degree plus one), and
 # `max_length` the longest value built from input or printed
@@ -144,12 +143,6 @@ class IntegerRing:
     def form_height(co) -> int:
         """Bits of the 2-norm of a coefficient tuple, rounded up."""
         return (sum(c * c for c in co).bit_length() + 1) // 2
-
-    @staticmethod
-    def escape_radius(co) -> int:
-        """The |z| from which z -> F(z)/u doubles |z|, where F is monic up to
-        sign with lower coefficients co and u is a unit."""
-        return sum(map(abs, co)) + 2
 
     @staticmethod
     def unit_inverse(a: int) -> int:
@@ -242,12 +235,6 @@ class PolynomialRing:
     def form_height(co) -> int:
         """Largest t-degree in a coefficient tuple."""
         return max(map(len, co)) - 1
-
-    @staticmethod
-    def escape_radius(co) -> int:
-        """The deg z from which z -> F(z)/u raises deg z, where F has a
-        constant leading coefficient and lower coefficients co, u a unit."""
-        return max(1, *map(len, co))
 
     def upto(self, h: int, budget: int) -> tuple[list[Coeffs], list[Coeffs]]:
         """(the codes below p^(h + 1), the monic codes [p^k, 2*p^k) for k <= h)

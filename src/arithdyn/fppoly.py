@@ -153,22 +153,29 @@ def pscale(p: int, a: Coeffs, c: int) -> Coeffs:
 
 
 def pdivmod(p: int, a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Quotient and remainder; b must be nonzero."""
+    """Quotient and remainder; b must be nonzero.
+
+    Each step cancels the top coefficient of the remainder and touches
+    only the nonzero lower coefficients of b, listed once, so a sparse
+    divisor such as t^k + 1 costs one update a step, not k + 1.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
+    n = len(b) - 1
+    if len(a) <= n:
         return ZERO, a
     inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
+    lower = [(i, bi) for i, bi in enumerate(b[:n]) if bi]
     rem = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        top = rem[shift + len(b) - 1]
+    q = [0] * (len(a) - n)
+    for shift in range(len(a) - n - 1, -1, -1):
+        top = rem[shift + n]
         if top:
             f = top * inv_lead % p
             q[shift] = f
-            for i, bi in enumerate(b):
+            for i, bi in lower:
                 rem[shift + i] = (rem[shift + i] - f * bi) % p
-    return ptrim(q), ptrim(rem)
+    return ptrim(q), ptrim(rem[:n])
 
 
 def pmod(p: int, a: Coeffs, b: Coeffs) -> Coeffs:

@@ -549,10 +549,16 @@ CLAUSE_POLYNOMIAL = "polynomial"
 
 @dataclass(frozen=True, slots=True)
 class EscapeProof:
-    """One clause of the escape criterion and the radius at which it fires."""
+    """One clause of the escape criterion and the radius at which it fires.
+
+    The polynomial clause also carries its denominator bound N and its
+    radius r as a ring element: r over Z, t^r over F_p[t] (`scale`).
+    """
 
     clause: str  # CLAUSE_HEIGHT or CLAUSE_POLYNOMIAL
     radius: int
+    denominator: object = None
+    scale: object = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -563,15 +569,72 @@ class EscapeProfile:
     h(P) >= radius over F_p(t); `constant` is the c of
     H(phi(P)) >= H(P)^d / c over Q, or the a of h(phi(P)) >= d*h(P) - a
     over F_p(t).  Both are None when the cofactors are over budget.
-    `polynomial` is None unless the map is [F : u*Y^d] with unit u and
-    unit leading coefficient of F; it fires at an affine point with a
-    non-unit denominator or with |z| (deg z) >= radius.  Neither clause
+    `polynomial` is None unless the map is [F : g_0*Y^d]; it fires at an
+    affine pair (x, y) with y not dividing its denominator bound N, or with
+    |x| >= r*|y| over Q (deg x >= r + deg y over F_p(t)).  Neither clause
     contains the other.
     """
 
     constant: int | None
     height: EscapeProof | None
     polynomial: EscapeProof | None
+
+
+# The trial-division budget of `ring.factor` on the leading coefficient f_d
+# of a polynomial map: divisors up to it over Z, irreducibles of degree k
+# with p^k up to it over F_p[t].  Past it N is f_d, which is sound.  An
+# f_d with no small factor then costs the profile at most 0.03 s (degree
+# 40 over F_2, 14,000 bits over Q; CPython 3.11, x86-64), where the default
+# budget of 10^6 took 0.6 s at 4,000 bits and 1.5 s at degree 30 over F_2,
+# its irreducible sieve growing as 2^k.
+DENOMINATOR_FACTOR_BUDGET = 10**3
+
+
+def _polynomial_proof(phi: RationalMap) -> EscapeProof | None:
+    """The polynomial clause of [F : g_0*Y^d], d >= 2; None for other maps.
+
+    The affine map is f(z) = sum a_i z^i with a_i = f_i/g_0 (Benedetto,
+    J. reine angew. Math. 608, 2007).  At a finite place v, once
+    v(z) < m_v = min(min_i (v(a_i) - v(a_d))/(d - i), -v(a_d)/(d - 1)),
+    the leading term rules and v(f(z)) = v(a_d) + d*v(z) < v(z), so v falls
+    for ever; a preperiodic z has v(z) >= ceil(m_v), and its denominator y
+    divides N = prod pi^max(0, -ceil(m_v)).  With v(a_i) - v(a_d) =
+    v(f_i) - v(f_d), -v(a_d) = v(g_0) - v(f_d) and a coefficient of the
+    primitive pair that is a unit at v, -m_v <= v(f_d): only the primes
+    of f_d count, and N divides f_d.  Where `ring.factor` refuses f_d
+    within DENOMINATOR_FACTOR_BUDGET, N is f_d.  Over Q,
+    |z| >= r = floor((|g_0| + sum_(i<d) |f_i|)/|f_d|) + 1 gives
+    |f(z)| >= |z|^(d-1) * (|a_d|*|z| - sum_(i<d) |a_i|) > |z| >= 1, so |z|
+    rises for ever.  Over F_p(t) the infinite place is one more
+    place: with D = max(deg g_0, deg f_i) - deg f_d, every z with
+    deg z >= r = max(1, D + 1) has deg f(z) = deg a_d + d*deg z > deg z.
+    For unit f_d and g_0, N = 1 and r is Sum |f_i| + 2 over Q and
+    max(1, max_i deg f_i + 1) over F_p(t).
+    """
+    fco, gco, d = phi.fco, phi.gco, phi.degree
+    if any(gco[1:]):
+        return None
+    field, ring = phi.field, phi.field.ring
+    fd, g0 = fco[d], gco[0]
+    # (coefficient, d - i): the lower f_i and g_0, whose weight is d - 1
+    terms = [(c, d - i) for i, c in enumerate(fco[:d]) if c] + [(g0, d - 1)]
+    try:
+        primes = ring.factor(fd, DENOMINATOR_FACTOR_BUDGET)
+    except BudgetExceededError:
+        denominator = fd
+    else:
+        denominator = ring.one
+        for pi, e in primes.items():
+            k = max(0, max((e - ring.ord(c, pi)) // w for c, w in terms))
+            denominator = ring.mul(denominator, ring.pow(pi, k))
+    size = ring.size
+    if field.is_rationals:
+        r = (abs(g0) + sum(map(abs, fco[:d]))) // abs(fd) + 1
+        scale = r
+    else:
+        r = max(1, max(size(c) for c, _ in terms) - size(fd) + 1)
+        scale = (0,) * r + (1,)  # t^r
+    return EscapeProof(CLAUSE_POLYNOMIAL, r, denominator, scale)
 
 
 @lru_cache(maxsize=4096)
@@ -596,13 +659,14 @@ def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     is left out, and the orbit runs as it would without it.  Over F_p[t]
     every coefficient of A..D is a (2d-1)-minor of the Sylvester matrix,
     so a = (2d-1)*M with M the largest t-degree among the coefficients of
-    phi, and no elimination runs.
+    phi, and no elimination runs.  Polynomial maps also get the clause of
+    `_polynomial_proof`.
     """
     fco, gco, d = phi.fco, phi.gco, phi.degree
     if d < 2:
         return None
-    field, ring = phi.field, phi.field.ring
-    c = height = polynomial = None
+    field = phi.field
+    c = height = None
     if field.is_rationals:
         try:
             runs = (
@@ -617,8 +681,7 @@ def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     else:
         c = (2 * d - 1) * max_coeff_degree(phi)
         height = EscapeProof(CLAUSE_HEIGHT, c // (d - 1) + 1)
-    if not any(gco[1:]) and ring.is_unit(gco[0]) and ring.is_unit(fco[d]):
-        polynomial = EscapeProof(CLAUSE_POLYNOMIAL, ring.escape_radius(fco[:d]))
+    polynomial = _polynomial_proof(phi)
     if height is None and polynomial is None:
         return None
     return EscapeProfile(c, height, polynomial)
@@ -636,7 +699,9 @@ def escape_clause(profile: EscapeProfile | None, ring, x, y, h: int) -> EscapePr
     poly = profile.polynomial
     if poly is None or not y:
         return None
-    if not ring.is_unit(y) or ring.size(x) >= poly.radius:
+    if y == ring.one:  # the test below with y = 1, cheaper on integral orbits
+        return poly if ring.size(x) >= poly.radius else None
+    if ring.gcd(poly.denominator, y) != y or ring.size(x) >= ring.size(ring.mul(poly.scale, y)):
         return poly
     return None
 
@@ -651,18 +716,21 @@ def start_box(profile: EscapeProfile | None, ring, height_bound: int, enum_budge
     infinity hold every canonical pair of height <= height_bound on which
     `escape_clause` does not fire at step 0.
 
-    The bound drops below the height radius and below the affine radius,
-    and under the polynomial clause only y = 1 stays.  Every pair left out
-    fires at once; pairs that are kept may fire too.  The refusal of
-    `ring.upto` is decided at height_bound, before the cut, so a bound
-    refused without a profile is refused with one.
+    The bound drops below the height radius.  Under the polynomial clause
+    only the y dividing N stay, and the x below r times the largest of
+    them.  Every pair left out fires at once; pairs that are kept may fire
+    too.  The refusal of `ring.upto` is decided at height_bound, before
+    the cut, so a bound refused without a profile is refused with one.
     """
     xs, ys = ring.upto(height_bound, enum_budget)
     if profile is None:
         return xs, ys
-    h = height_bound
-    for proof in (profile.height, profile.polynomial):
-        if proof is not None:
-            h = min(h, proof.radius - 1)
-    xs, ys = ring.upto(h, enum_budget)
-    return xs, (ring.one,) if profile.polynomial is not None else ys
+    height, poly = profile.height, profile.polynomial
+    h = height_bound if height is None else min(height_bound, height.radius - 1)
+    if poly is None:
+        return ring.upto(h, enum_budget)
+    # a divisor of N is no larger than N
+    n, size = poly.denominator, ring.size
+    ys = [y for y in ring.upto(min(h, size(n)), enum_budget)[1] if ring.gcd(n, y) == y]
+    width = max((size(ring.mul(poly.scale, y)) for y in ys), default=1)
+    return ring.upto(min(h, width - 1), enum_budget)[0], ys

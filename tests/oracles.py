@@ -7,10 +7,11 @@ resultants from the values of a form at the roots of a split one, powers
 by repeated multiplication instead of square-and-multiply, irreducibility
 by all-pairs product enumeration instead of the product sieve or Ben-Or's
 test, polynomial products by the plain double loop instead of
-`fppoly.pmul`, residue-field arithmetic on coefficient tuples instead of
-exp/log tables, primality by trial division instead of Miller-Rabin,
-cycle multipliers by the affine chain rule with chart swaps at infinity
-instead of the homogeneous Jacobian, valuations by dividing out one prime
+`fppoly.pmul`, quotients by dense long division instead of the sparse
+loop of `fppoly.pdivmod`, residue-field arithmetic on coefficient tuples
+instead of exp/log tables, primality by trial division instead of
+Miller-Rabin, cycle multipliers by the affine chain rule with chart swaps
+at infinity instead of the homogeneous Jacobian, valuations by dividing out one prime
 at a time instead of splitting off its square, powers, S-strips and
 S-units by gcd-normalized field products and quotients instead of ring
 powers and exact division, orbits by a loop over ProjPoints through the public
@@ -85,6 +86,25 @@ def schoolbook_pmul(p: int, a, b) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def schoolbook_pdivmod(p: int, a, b) -> tuple[tuple, tuple]:
+    """Quotient and remainder over F_p by dense long division: every step
+    subtracts the whole shifted divisor, zero coefficients included, and
+    the leading coefficient is inverted by search."""
+    inv = next(c for c in range(1, p) if c * b[-1] % p == 1)
+    rem, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        q[shift] = c
+        rem = [(r - c * (b[i - shift] if 0 <= i - shift < len(b) else 0)) % p
+               for i, r in enumerate(rem)]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return tuple(q), tuple(rem)
 
 
 def eval_form_ff(p: int, co, x, y) -> tuple:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from arithdyn import sunit
 from arithdyn.cli import run
 from arithdyn.dynamics import DEFAULT_MAX_STEPS
 
@@ -227,6 +229,23 @@ class TestSunitSolveCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["bound"] == "16" and result["within_bound"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_violated_bound_exits_three(self, capsys, monkeypatch, json_flag):
+        # no input exceeds the true bound, so the bound is set below the
+        # two solutions the instance has
+        monkeypatch.setattr(sunit, "unit_equation_solution_bound", lambda p, s: 1)
+        code, out, _ = run_cli(
+            capsys, "sunit-solve", "--field", "Fp:2", "--a", "t+1", "--b", "1",
+            "--S", "inf;pi:0,1", "--cap", "6", *json_flag,
+        )
+        assert code == 3
+        if json_flag:
+            result = json.loads(out)["result"]
+            assert (result["count"], result["bound"], result["within_bound"]) == (2, "1", False)
+        else:
+            assert "solutions found within cap: 2" in out
+            assert "solution-count bound: 1 (VIOLATED)" in out
 
 
 class TestVerifyCorollary3:
@@ -579,6 +598,25 @@ class TestRobustness:
         assert proc.returncode == 2
         assert "BudgetExceededError" in proc.stderr
         assert time.perf_counter() - start < 5
+
+    def test_poonen_map_searched_on_its_candidates(self, capsys):
+        # z^2 - 29/16 has denominator bound 4 and radius 3, so the search
+        # starts only pairs with y | 4 and |x| < 12 and counts the other
+        # 194,712 - 48 points; the bytes are those of the search that
+        # started every point below the height radius 11,521
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "search", "--field", "Q", "z^2-29/16", "--height", "400", "--json"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["preperiodic_count"], result["scanned"], result["undecided"]) == (
+            9, 194_712, []
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1a41171b4ab04f5da400c9ef4b16e3988234eedda8e70c46de097b3dc9330ec5"
+        )
 
     def test_function_field_resultant_refused_by_budget(self, capsys):
         start = time.perf_counter()

@@ -123,8 +123,8 @@ class TestOrbit:
 
 def shaped_maps(field, rng, count):
     """Maps [F : u*Y^d], d = 2, 3 over Q and d = 2 over F_p(t), with unit
-    u and unit leading coefficient of F: the shape of the polynomial clause
-    of escape_profile."""
+    u and unit leading coefficient of F: the unit shape, where the
+    polynomial clause of escape_profile has N = 1."""
     maps = []
     while len(maps) < count:
         if field.is_rationals:
@@ -166,14 +166,22 @@ class TestEscapeProfile:
         ],
     )
     def test_other_shapes_have_no_profile(self, field, expr):
-        # degree 1 has no profile; at degree >= 2 only the height clause
+        # degree 1 has no profile; a map of degree >= 2 has the height
+        # clause, and the polynomial clause only when it is [F : g_0*Y^d]:
+        # outside the unit shape its denominator bound N may exceed 1
         phi = ad.parse_map(expr, field)
         profile = ad.escape_profile(phi)
+        polynomial = {"2*z^2+1": (2, 2), "z^2/3": (1, 4), "t*z^2+1": ((0, 1), 1), "z^2/t": ((1,), 2)}
         if phi.degree == 1:
             assert profile is None
+            return
+        assert profile.height.clause == "height" and profile.height.radius >= 1
+        if expr in polynomial:
+            proof = profile.polynomial
+            assert proof.clause == "polynomial"
+            assert (proof.denominator, proof.radius) == polynomial[expr]
         else:
             assert profile.polynomial is None
-            assert profile.height.clause == "height" and profile.height.radius >= 1
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_escaped_orbits_grow(self, field):

@@ -21,10 +21,18 @@ independent oracles.
   `oracles.reference_preperiodic_search` on maps whose radii lie below the
   search height, starts at most the pairs below the radii, and refuses
   the heights it refused before.
+- The polynomial clause on [F : g_0*Y^d] outside the unit shape, with no
+  escape profile in the oracle: its N and r from exact local bounds, the
+  search against plain iteration of every point, the escape inequalities
+  at the places of N and at the archimedean or infinite place on random
+  steps, and Poonen's classification of the z^2 + c with c = a/b,
+  |a|, b <= 30.
 """
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -40,7 +48,18 @@ from arithdyn.ratmap import (
     sylvester_resultant,
 )
 
-from oracles import _ring_ops, brute_points, map_step, reference_preperiodic_search
+from oracles import (
+    _ring_ops,
+    brute_monic_irreducibles,
+    brute_points,
+    map_step,
+    reference_ord_int,
+    reference_ord_poly,
+    reference_preperiodic_search,
+    schoolbook_pdivmod,
+    schoolbook_pmul,
+    trial_division_is_prime,
+)
 
 FIELDS = [ad.QQ, ad.function_field(2), ad.function_field(3), ad.function_field(5)]
 
@@ -262,11 +281,20 @@ def test_never_fires_on_preperiodic_points(field):
     assert found >= 30
 
 
+def old_radius(field, lower):
+    """The affine radius of the shape-only proof for [F : u*Y^d], F monic
+    up to a unit with lower coefficients `lower`: Sum |f_i| + 2 over Q,
+    max(1, max_i deg f_i + 1) over F_p(t)."""
+    if field.is_rationals:
+        return sum(map(abs, lower)) + 2
+    return max(1, *map(len, lower))
+
+
 def old_proof_step(phi, pt, steps=12):
     """The step at which the shape-only proof for [F : u*Y^d] fires: a
-    non-unit denominator, or a numerator of size >= ring.escape_radius."""
+    non-unit denominator, or a numerator of size >= `old_radius`."""
     field, ring, d = phi.field, phi.field.ring, phi.degree
-    radius = ring.escape_radius(phi.fco[:d])
+    radius = old_radius(field, phi.fco[:d])
     x, y = pt.x, pt.y
     for k in range(steps):
         if y and (not ring.is_unit(y) or ring.size(x) >= radius):
@@ -378,8 +406,8 @@ def test_search_on_pretest_maps_matches_reference(field, height_bound):
 
 
 def random_polynomial_maps(rng, field, count):
-    """[F : u*Y^d] with unit u and unit leading coefficient of F, the shape
-    under which the polynomial clause applies."""
+    """[F : u*Y^d] with unit u and unit leading coefficient of F, the unit
+    shape, where the polynomial clause has N = 1."""
     maps = []
     for _ in range(count):
         d = rng.choice((2, 3))
@@ -400,7 +428,8 @@ def test_pairs_outside_the_start_box_escape_at_once(field, height_bound):
     ring = field.ring
     pairs = brute_points(field.char, height_bound)
     outside = 0
-    for phi in random_maps(rng, field, 12, (2, 3)) + random_polynomial_maps(rng, field, 12):
+    maps = random_maps(rng, field, 12, (2, 3)) + random_polynomial_maps(rng, field, 12)
+    for phi in maps + general_polynomial_maps(rng, field, 12):
         profile = escape_profile(phi)
         if profile is None:
             continue
@@ -459,3 +488,208 @@ class TestSearchStartsBelowTheRadii:
         with pytest.raises(BudgetExceededError):
             ad.preperiodic_search(ad.parse_map("z^2", ad.QQ), 500)
         assert kernel_starts == []
+
+
+# The polynomial clause on every [F : g_0*Y^d], checked without the
+# escape profile: the search against plain iteration of every point, and
+# the local escape inequalities on random steps at the places of the
+# denominator bound N and at the archimedean or infinite place.
+
+
+def general_polynomial_maps(rng, field, count):
+    """[F : g_0*Y^d], d = 2..4, outside the unit shape: over Q rational
+    coefficients and a leading one other than +-1, over F_p(t) a
+    non-constant f_d or g_0."""
+    maps = []
+    while len(maps) < count:
+        d = rng.randint(2, 4)
+        if field.is_rationals:
+            lower = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 8, 9))) for _ in range(d)]
+            lead = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 2, 3, 4, 9)))
+            if abs(lead) == 1:
+                continue
+            den = math.lcm(*(c.denominator for c in lower + [lead]))
+            fco = [int(c * den) for c in lower + [lead]]
+            gco = [den] + [0] * d
+        else:
+            p = field.char
+            fco = [random_poly(rng, p, 2) for _ in range(d)] + [random_poly(rng, p, 3) or (1,)]
+            g0 = random_poly(rng, p, 3) or (1,)
+            if len(fco[d]) < 2 and len(g0) < 2:
+                continue
+            gco = [g0] + [()] * d
+        maps.append(ad.make_map(field, fco, gco))
+    return maps
+
+
+def reference_primes(field, a):
+    """The primes of a != 0 by trial division (over Q) or by the
+    brute-force monic irreducibles (over F_p[t])."""
+    if field.is_rationals:
+        return [q for q in range(2, abs(a) + 1) if a % q == 0 and trial_division_is_prime(q)]
+    p = field.char
+    return [pi for n in range(1, len(a)) for pi in sorted(brute_monic_irreducibles(p, n))
+            if not schoolbook_pdivmod(p, a, pi)[1]]
+
+
+def reference_ord(field, a, pi):
+    if field.is_rationals:
+        return reference_ord_int(a, pi)
+    return reference_ord_poly(field.char, a, pi)
+
+
+def reference_clause(phi):
+    """(primes of f_d, N, r) of the polynomial clause from the local bound
+    m_v = min(min_i (v(a_i) - v(a_d))/(d - i), -v(a_d)/(d - 1)) in exact
+    fractions, N = prod pi^max(0, -ceil(m_v)), and r the least integer
+    above (|g_0| + sum |f_i|)/|f_d| (over F_p(t): one more than the
+    largest deg g_0 - deg f_d, deg f_i - deg f_d, and at least 1)."""
+    field, d = phi.field, phi.degree
+    fd, g0 = phi.fco[d], phi.gco[0]
+    primes = reference_primes(field, fd)
+    n = field.ring.one
+    for pi in primes:
+        v = lambda c: reference_ord(field, c, pi)  # noqa: E731
+        m = min([Fraction(v(c) - v(fd), d - i) for i, c in enumerate(phi.fco[:d]) if c]
+                + [Fraction(v(g0) - v(fd), d - 1)])
+        for _ in range(max(0, -math.ceil(m))):
+            n = n * pi if field.is_rationals else schoolbook_pmul(field.char, n, pi)
+    if field.is_rationals:
+        r = math.floor(Fraction(abs(g0) + sum(map(abs, phi.fco[:d])), fd)) + 1
+    else:
+        r = max(1, max(len(c) for c in phi.fco[:d] + (g0,)) - len(fd) + 1)
+    return primes, n, r
+
+
+POLY_FIELDS = [ad.QQ, F2T, F3T]
+
+
+def plain_preperiodic(phi, height_bound):
+    """{start: (tail, cycle)} of every point of height <= height_bound that
+    plain iteration, with no escape test, finds preperiodic."""
+    field = phi.field
+    cap = 10**40 if field.is_rationals else 40
+    want = {}
+    for x, y in brute_points(field.char, height_bound):
+        truth = brute_force_orbit(phi, ad.ProjPoint(field, x, y), steps=80, cap=cap)
+        if truth is not None:
+            want[x, y] = truth
+    return want
+
+
+def reported(res):
+    """The preperiodic orbits of a SearchResult as plain_preperiodic lists them."""
+    return {
+        (r.start.x, r.start.y): ([(q.x, q.y) for q in r.tail], [(q.x, q.y) for q in r.cycle])
+        for r in res.preperiodic
+    }
+
+
+# polynomial maps outside the unit shape with many preperiodic points
+RICH_POLYNOMIALS = {
+    ad.QQ: ["z^2-29/16", "z^2-3/4", "2*z^2-1", "4*z^3-3*z", "3*z^2/2-1/2"],
+    F2T: ["t*z^2", "(t+1)*z^2", "(z^2+z)/t"],
+    F3T: ["t*z^2", "t*z^2-z", "(z^2-1)/t"],
+}
+
+
+@pytest.mark.parametrize("field, height_bound", [(ad.QQ, 12), (F2T, 3), (F3T, 2)], ids=str)
+def test_polynomial_search_matches_plain_iteration(field, height_bound):
+    rng = random.Random(381 + field.char)
+    maps = [ad.parse_map(e, field) for e in RICH_POLYNOMIALS[field]]
+    maps += general_polynomial_maps(rng, field, 8)
+    found = beyond_infinity = above_one = 0
+    for phi in maps:
+        proof = escape_profile(phi).polynomial
+        above_one += proof.denominator != field.ring.one
+        res = ad.preperiodic_search(phi, height_bound)
+        want = plain_preperiodic(phi, height_bound)
+        assert reported(res) == want and res.undecided == (), phi
+        found += len(want)
+        beyond_infinity += len(want) > 1
+    assert above_one >= 3 and beyond_infinity >= 6 and found >= 30
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=str)
+def test_polynomial_escape_inequalities(field):
+    rng = random.Random(391 + field.char)
+    ring, p = field.ring, field.char
+    extra = [2, 3, 5, 7] if field.is_rationals else sorted(brute_monic_irreducibles(p, 1))
+    steps = finite = infinite = above_one = 0
+    for phi in general_polynomial_maps(rng, field, 40):
+        d, proof = phi.degree, escape_profile(phi).polynomial
+        fd, g0 = phi.fco[d], phi.gco[0]
+        primes, n, r = reference_clause(phi)
+        assert (proof.denominator, proof.radius) == (n, r), phi
+        above_one += n != ring.one
+        for _ in range(120):
+            y = ring.one
+            for pi in primes + [rng.choice(extra)]:
+                for _ in range(rng.randint(0, reference_ord(field, n, pi) + 2) if pi in primes
+                               else rng.randint(0, 1)):
+                    y = ring.mul(y, pi)
+            if field.is_rationals:
+                x = rng.randint(-3 * r * y, 3 * r * y)
+            else:
+                x = random_poly(rng, p, len(y) + r + 1)
+            if not x or ring.gcd(x, y) != ring.one:
+                continue
+            x1, y1 = map_step(phi, x, y)
+            steps += 1
+            for pi in set(primes) | set(extra):
+                ey = reference_ord(field, y, pi)
+                if ey > reference_ord(field, n, pi):  # y does not divide N at pi
+                    v, v1 = -ey, reference_ord(field, x1, pi) - reference_ord(field, y1, pi)
+                    lead = reference_ord(field, fd, pi) - reference_ord(field, g0, pi)
+                    assert v1 == lead + d * v < v, (phi, x, y, pi)
+                    finite += 1
+            if field.is_rationals and abs(x) >= r * y:
+                assert abs(Fraction(x1, y1)) > abs(Fraction(x, y)), (phi, x, y)
+                infinite += 1
+            elif not field.is_rationals and len(x) - len(y) >= r:  # deg z >= r
+                lead = len(fd) - len(g0)
+                assert len(x1) - len(y1) == lead + d * (len(x) - len(y)) > len(x) - len(y)
+                infinite += 1
+    assert steps >= 2000 and finite >= 500 and infinite >= 500 and above_one >= 10
+
+
+def test_poonen_classification():
+    # every z^2 + a/b, |a| <= 30, 1 <= b <= 30, searched at the height
+    # r*N that holds its candidates (|x| < r*y, y | N): the complete
+    # preperiodic set, whose size with infinity is one Poonen allows
+    # (Poonen, Math. Z. 228, 1998)
+    sizes = set()
+    maps = {Fraction(a, b) for a in range(-30, 31) for b in range(1, 31)}
+    assert len(maps) == 1111
+    for c in sorted(maps):
+        phi = ad.make_map(ad.QQ, [c.numerator, 0, c.denominator], [c.denominator, 0, 0])
+        proof = escape_profile(phi).polynomial
+        res = ad.preperiodic_search(phi, proof.radius * proof.denominator)
+        assert res.undecided == (), c
+        sizes.add(len(res.preperiodic))
+        if c == Fraction(-29, 16):
+            assert {(r.start.x, r.start.y) for r in res.preperiodic} == {
+                (1, 0), *((s * x, 4) for s in (1, -1) for x in (1, 3, 5, 7))
+            }
+    assert sizes == {1, 3, 4, 5, 6, 7, 9}
+
+
+def test_leading_coefficient_past_the_factoring_budget():
+    # 1009 is a prime above DENOMINATOR_FACTOR_BUDGET, so `ring.factor`
+    # refuses f_d = 1009^2 and N is f_d, a multiple of the exact bound 1009
+    phi = ad.make_map(ad.QQ, [1, 0, 1009**2], [1009**2, 0, 0])
+    assert escape_profile(phi).polynomial.denominator == 1009**2
+    res = ad.preperiodic_search(phi, 20)
+    assert reported(res) == plain_preperiodic(phi, 20) and res.undecided == ()
+    # a leading coefficient that trial division cannot split is refused
+    # at once: 2^14000 + 1, and an irreducible of degree 40 over F_2
+    rng = random.Random(401)
+    fd2 = ()
+    while not fppoly.is_irreducible(2, fd2):
+        fd2 = tuple(rng.randrange(2) for _ in range(40)) + (1,)
+    start = time.perf_counter()
+    for field, fd in ((ad.QQ, 2**14000 + 1), (F2T, fd2)):
+        one, zero = field.ring.one, field.ring.zero
+        phi = ad.make_map(field, [one, zero, fd], [one, zero, zero])
+        assert escape_profile(phi).polynomial.denominator == fd
+    assert time.perf_counter() - start < 0.5

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from arithdyn import fppoly
 from arithdyn.errors import BudgetExceededError, DomainError
 
-from oracles import brute_monic_irreducibles, schoolbook_pmul
+from oracles import brute_monic_irreducibles, schoolbook_pdivmod, schoolbook_pmul
 
 
 def poly(p, *coeffs):
@@ -40,6 +40,29 @@ class TestArithmetic:
         assert fppoly.padd(p, fppoly.pmul(p, q, b), r) == a
         assert fppoly.pdeg(r) < fppoly.pdeg(b)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_divmod_by_sparse_divisors(self, p):
+        # t^k, c*t^k + 1 and t^k + c*t^j: the loop touches only the
+        # nonzero lower coefficients of the divisor
+        rng = random.Random(61 + p)
+        for k in range(1, 40):
+            j = rng.randrange(1, k) if k > 1 else 0
+            c = rng.randrange(1, p)
+            for b in ((0,) * k + (1,), (1,) + (0,) * (k - 1) + (c,), _binomial(j, c, k)):
+                for n in (0, k, k + 1, 3 * k + 5):
+                    a = fppoly.ptrim([rng.randrange(p) for _ in range(n)])
+                    q, r = fppoly.pdivmod(p, a, b)
+                    assert (q, r) == schoolbook_pdivmod(p, a, b)
+                    assert fppoly.padd(p, schoolbook_pmul(p, q, b), r) == a
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_divmod_by_dense_divisors(self, p):
+        rng = random.Random(67 + p)
+        for _ in range(200):
+            b = _random_poly(rng, p, rng.randint(1, 30))
+            a = fppoly.ptrim([rng.randrange(p) for _ in range(rng.randint(0, 80))])
+            assert fppoly.pdivmod(p, a, b) == schoolbook_pdivmod(p, a, b)
+
     @given(st.data())
     def test_gcd_divides_both(self, data):
         p = data.draw(st.sampled_from([2, 3]))
@@ -72,6 +95,11 @@ class TestArithmetic:
         assert fppoly.pmonic(5, (1, 0, 2)) == (3, 0, 1)
         assert fppoly.plead(fppoly.pgcd(5, (2, 0, 4), (0, 2, 0, 4))) == 1
 
+
+
+def _binomial(j, c, k):
+    """t^k + c*t^j for j < k."""
+    return (0,) * j + (c,) + (0,) * (k - j - 1) + (1,)
 
 
 def _random_poly(rng, p, n):

@@ -201,7 +201,9 @@ def escape_fields() -> set:
 
 
 def test_escape_fields_are_found():
-    assert escape_fields() == {"constant", "height", "polynomial", "clause", "radius"}
+    assert escape_fields() == {
+        "constant", "height", "polynomial", "clause", "radius", "denominator", "scale"
+    }
 
 
 def test_dynamics_reads_no_escape_field():

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, DomainError, PreconditionError
 from .fields import (
-    KIND_ARCH,
     MAX_BOUND_DIGITS,
     PlaceSet,
     infinite_place,
@@ -285,7 +284,7 @@ def verify_report(report, phi: RationalMap, ctx: BoundContext, S: PlaceSet) -> l
             "cycle_length", report.n, bounds.cycle_bound, report.n <= bounds.cycle_bound
         ),
     ]
-    if phi.field.is_rationals and all(pl.kind == KIND_ARCH for pl in S):
+    if all(pl.is_archimedean for pl in S):
         checks.append(BoundCheck("everywhere_good_cycle", report.n, 3, report.n <= 3))
         checks.append(
             BoundCheck("everywhere_good_orbit", report.total, 12, report.total <= 12)

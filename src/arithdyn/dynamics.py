@@ -348,17 +348,12 @@ class SearchResult:
     divergent: int
 
 
-def _enumerate_pairs(
-    field: BaseField,
-    height_bound: int,
-    enum_budget: int = 500_000,
-    profile: EscapeProfile | None = None,
-):
+def _enumerate_pairs(field: BaseField, height_bound: int, profile: EscapeProfile | None = None):
     """The canonical coordinate pairs of all points of P^1(K) of coordinate
     height <= height_bound: infinity, then the coprime pairs (x, y) from
-    `ring.upto`, which refuses a bound whose pairs pass the budget; y is
-    canonical (positive over Q, monic over F_p(t)), so distinct pairs are
-    distinct points.
+    `ring.upto`, which refuses a bound whose pairs pass
+    `ratmap.ENUMERATION_BUDGET`; y is canonical (positive over Q, monic
+    over F_p(t)), so distinct pairs are distinct points.
 
     With an escape profile only the pairs in `ratmap.start_box` are listed:
     every pair left out fires `escape_clause` at once, and a bound refused
@@ -367,7 +362,7 @@ def _enumerate_pairs(
     if height_bound < 1:
         raise DomainError("height bound must be >= 1")
     ring = field.ring
-    xs, ys = start_box(profile, ring, height_bound, enum_budget)
+    xs, ys = start_box(profile, ring, height_bound)
     gcd, one = ring.gcd, ring.one
     yield one, ring.zero
     for y in ys:
@@ -376,18 +371,15 @@ def _enumerate_pairs(
                 yield x, y
 
 
-def enumerate_points(field: BaseField, height_bound: int, enum_budget: int = 500_000):
+def enumerate_points(field: BaseField, height_bound: int):
     """Every point up to the height bound: `_enumerate_pairs` without a
     profile."""
-    for x, y in _enumerate_pairs(field, height_bound, enum_budget):
+    for x, y in _enumerate_pairs(field, height_bound):
         yield ProjPoint(field, x, y)
 
 
 def preperiodic_search(
-    phi: RationalMap,
-    height_bound: int,
-    budget: Budget | None = None,
-    enum_budget: int = 500_000,
+    phi: RationalMap, height_bound: int, budget: Budget | None = None
 ) -> SearchResult:
     """Classify every point up to the height bound.
 
@@ -406,7 +398,7 @@ def preperiodic_search(
     undecided = []
     divergent = 0
     started = 0
-    for x, y in _enumerate_pairs(field, height_bound, enum_budget, profile):
+    for x, y in _enumerate_pairs(field, height_bound, profile):
         started += 1
         reason, a, b, _ = run(x, y)
         if reason is None:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fppoly import Coeffs, poly_str
 
-# kinds of places; see Place
+# kinds of places, derived by Place.kind
 KIND_PRIME = "prime"
 KIND_IRREDUCIBLE = "irreducible"
 KIND_INF = "inf"
@@ -48,12 +48,16 @@ KIND_ARCH = "arch"
 # finite places: `factor` splits a value into prime elements under a budget,
 # `split` divides the exact power of one prime element out of a value
 # (`fppoly.split`, O(log e) divisions; `ord` is its exponent),
-# `primes` yields the prime elements in scan order, `residue` gives the
-# residue-field code of a value modulo a prime element, and `units` lists
-# the unit group (as ints, constants of the ring).  `form_height` bounds
-# the coefficient size of a form (bits of its 2-norm over Z, largest
-# t-degree over F_p[t]), and `height_unit` is the size that costs one unit
-# of resultant work (ratmap.RESULTANT_BUDGET).  For heights, `upto`
+# `primes` yields the prime elements in scan order and `key` sorts them in
+# it, `check_prime` refuses a value that is not a canonical prime element,
+# `residue` gives the residue-field code of a value modulo a prime element,
+# `place_prefix` is the token prefix of a finite place ('p:7',
+# 'pi:1,1,1') and `parse` reads the value after it (the inverse of
+# `serialize`), and `units` lists the unit group (as ints, constants of
+# the ring).  `form_height` bounds the
+# coefficient size of a form (bits of its 2-norm over Z, largest t-degree
+# over F_p[t]), and `height_unit` is the size that costs one unit of
+# resultant work (ratmap.RESULTANT_BUDGET).  For heights, `upto`
 # lists the coordinates of the points of height <= h, `count_points`
 # counts those points without listing them, `pair_key` orders a point's
 # coordinates and `height_cap` is the default orbit cap.
@@ -89,7 +93,7 @@ class IntegerRing:
     zero = 0
     one = 1
     units = (1, -1)
-    place_kind = KIND_PRIME
+    place_prefix = "p"
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
@@ -100,6 +104,8 @@ class IntegerRing:
     size = staticmethod(abs)
     to_str = staticmethod(str)
     serialize = staticmethod(str)
+    parse = staticmethod(int)
+    key = staticmethod(operator.index)
     length = staticmethod(int.bit_length)
     # 2^max_length < 10^MAX_BOUND_DIGITS, so a value this long prints
     max_length = (10**MAX_BOUND_DIGITS).bit_length() - 1
@@ -174,6 +180,11 @@ class IntegerRing:
         return iter_primes()
 
     @staticmethod
+    def check_prime(q: int) -> None:
+        if not is_prime_int(q):
+            raise DomainError(f"{q} is not prime")
+
+    @staticmethod
     def residue(a: int, pi: int) -> int:
         return a % pi
 
@@ -187,7 +198,7 @@ class PolynomialRing:
 
     zero = fppoly.ZERO
     one = fppoly.ONE
-    place_kind = KIND_IRREDUCIBLE
+    place_prefix = "pi"
     to_str = staticmethod(poly_str)
     length = staticmethod(len)
     max_length = MAX_T_DEGREE + 1
@@ -255,7 +266,11 @@ class PolynomialRing:
         return 1 + self.p ** (2 * h + 1)
 
     def pair_key(self, x: Coeffs, y: Coeffs) -> tuple[int, int]:
-        return fppoly.pcode(self.p, y), fppoly.pcode(self.p, x)
+        return self.key(y), self.key(x)
+
+    def key(self, a: Coeffs) -> int:
+        """The code of a; monic irreducibles by (degree, code) are in code order."""
+        return fppoly.pcode(self.p, a)
 
     def unit_inverse(self, a: Coeffs) -> int:
         """The unit u making u*a monic: the inverse of the leading coefficient."""
@@ -280,11 +295,21 @@ class PolynomialRing:
     def serialize(a: Coeffs) -> str:
         return fppoly.coeff_string(a)
 
+    def parse(self, s: str) -> Coeffs:
+        """Inverse of serialize; a malformed string raises ValueError."""
+        return fppoly.parse_coeff_string(self.p, s)
+
     def factor(self, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
         return fppoly.factor_poly(self.p, a, budget)
 
     def primes(self):
         return fppoly.iter_monic_irreducibles(self.p)
+
+    def check_prime(self, pi: Coeffs) -> None:
+        if fppoly.plead(pi) != 1:
+            raise DomainError("place polynomial must be monic")
+        if not fppoly.is_irreducible(self.p, pi):
+            raise DomainError(f"{poly_str(pi)} is not irreducible over F_{self.p}")
 
     def residue(self, a: Coeffs, pi: Coeffs) -> int:
         return fppoly.pcode(self.p, fppoly.pmod(self.p, a, pi))
@@ -554,24 +579,23 @@ def factor_int(n: int, budget: int = 10**6) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # places
 
-# token prefix of a finite place, as in 'p:7' and 'pi:1,1,1'
-PLACE_PREFIX = {KIND_PRIME: "p", KIND_IRREDUCIBLE: "pi"}
-
-
 @dataclass(frozen=True, slots=True)
 class Place:
-    """A place of the base field.
-
-    kind/payload combinations:
-      prime        rational prime q >= 2          (field Q)
-      arch         None                           (field Q)
-      irreducible  monic irreducible coefficients (field F_p(t))
-      inf          None                           (field F_p(t))
-    """
+    """A place of the base field: `payload` is a prime element of the ring
+    (a rational prime q >= 2 over Q, a monic irreducible over F_p(t)), or
+    None for the infinite place, which is archimedean over Q and the
+    degree valuation over F_p(t).  `kind` names the four cases."""
 
     field: BaseField
-    kind: str
     payload: int | Coeffs | None = None
+
+    @property
+    def kind(self) -> str:
+        if self.field.is_rationals:
+            finite, infinite = KIND_PRIME, KIND_ARCH
+        else:
+            finite, infinite = KIND_IRREDUCIBLE, KIND_INF
+        return infinite if self.payload is None else finite
 
     @property
     def is_archimedean(self) -> bool:
@@ -580,32 +604,25 @@ class Place:
     @property
     def degree(self) -> int:
         """Residue degree over the prime subfield (infinity counts as 1)."""
-        if self.kind == KIND_IRREDUCIBLE:
-            return fppoly.pdeg(self.payload)
-        return 1
+        return fppoly.pdeg(self.payload) if self.kind == KIND_IRREDUCIBLE else 1
 
     def residue_size(self) -> int:
-        if self.kind == KIND_PRIME:
-            return self.payload
-        if self.kind == KIND_IRREDUCIBLE:
-            return self.field.char ** fppoly.pdeg(self.payload)
-        if self.kind == KIND_INF:
-            return self.field.char
-        raise UnsupportedPlaceError("the archimedean place has no residue field")
+        """p^degree, with p the residue characteristic: q at a prime q of Q."""
+        if self.is_archimedean:
+            raise UnsupportedPlaceError("the archimedean place has no residue field")
+        return (self.field.char or self.payload) ** self.degree
 
     def sort_key(self):
-        if self.kind == KIND_ARCH:
-            return (0, 0, 0)
-        if self.kind == KIND_PRIME:
-            return (1, self.payload, 0)
-        if self.kind == KIND_INF:
-            return (0, 0, 0)
-        return (1, fppoly.pdeg(self.payload), fppoly.pcode(self.field.char, self.payload))
+        """The infinite place first, then the scan order of `ring.primes`."""
+        if self.payload is None:
+            return (0, 0)
+        return (1, self.field.ring.key(self.payload))
 
     def serialize(self) -> str:
         if self.payload is None:
             return "inf"
-        return f"{PLACE_PREFIX[self.kind]}:{self.field.ring.serialize(self.payload)}"
+        ring = self.field.ring
+        return f"{ring.place_prefix}:{ring.serialize(self.payload)}"
 
     def __str__(self) -> str:
         if self.payload is None:
@@ -613,47 +630,44 @@ class Place:
         return f"({self.field.ring.to_str(self.payload)})"
 
 
-def prime_place(q: int) -> Place:
-    if not is_prime_int(q):
-        raise DomainError(f"{q} is not prime")
-    return Place(QQ, KIND_PRIME, q)
+def infinite_place(field: BaseField) -> Place:
+    return Place(field, None)
 
 
 def archimedean_place() -> Place:
-    return Place(QQ, KIND_ARCH, None)
+    return infinite_place(QQ)
+
+
+def finite_place(field: BaseField, pi) -> Place:
+    """The place of a prime element of field.ring; DomainError otherwise."""
+    field.ring.check_prime(pi)
+    return Place(field, pi)
+
+
+def prime_place(q: int) -> Place:
+    return finite_place(QQ, q)
 
 
 def irreducible_place(field: BaseField, poly) -> Place:
     if field.is_rationals:
         raise DomainError("irreducible places live over F_p(t)")
-    coeffs = field.ring.coerce(poly)
-    if fppoly.plead(coeffs) != 1:
-        raise DomainError("place polynomial must be monic")
-    if not fppoly.is_irreducible(field.char, coeffs):
-        raise DomainError(f"{poly_str(coeffs)} is not irreducible over F_{field.char}")
-    return Place(field, KIND_IRREDUCIBLE, coeffs)
-
-
-def infinite_place(field: BaseField) -> Place:
-    if field.is_rationals:
-        return archimedean_place()
-    return Place(field, KIND_INF, None)
+    return finite_place(field, field.ring.coerce(poly))
 
 
 def parse_place(field: BaseField, token: str) -> Place:
-    """Parse 'p:7', 'pi:1,1,1' or 'inf'."""
+    """Parse 'inf', or the ring's prefix and a prime element: 'p:7' over Q,
+    'pi:1,1,1' over F_p(t).  A malformed value raises ValueError."""
     token = token.strip()
     if token == "inf":
         return infinite_place(field)
-    if token.startswith("p:"):
-        if not field.is_rationals:
-            raise DomainError("'p:' places live over Q")
-        return prime_place(int(token[2:]))
-    if token.startswith("pi:"):
-        return irreducible_place(
-            field, fppoly.parse_coeff_string(field.char, token[3:])
-        )
-    raise DomainError(f"cannot parse place token {token!r}")
+    prefix, colon, body = token.partition(":")
+    if not colon or prefix not in ("p", "pi"):
+        raise DomainError(f"cannot parse place token {token!r}")
+    ring = field.ring
+    pi = ring.parse(body)
+    if prefix != ring.place_prefix:
+        raise DomainError(f"'{prefix}:' places live over {'Q' if prefix == 'p' else 'F_p(t)'}")
+    return finite_place(field, pi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -699,7 +713,8 @@ def place_set(field: BaseField, places) -> PlaceSet:
         raise DomainError("duplicate places")
     if not places:
         raise DomainError("a place set must be non-empty")
-    if field.is_rationals and not any(pl.kind == KIND_ARCH for pl in places):
+    inf = infinite_place(field)
+    if inf.is_archimedean and inf not in places:
         raise DomainError("over Q the set must contain the archimedean place")
     return PlaceSet(field, tuple(sorted(places, key=Place.sort_key)))
 
@@ -715,7 +730,7 @@ def parse_place_set(field: BaseField, s: str) -> PlaceSet:
 
 def ord_at(ring, a, place: Place) -> int:
     """Valuation of a nonzero integral value at a non-archimedean place."""
-    if place.kind == KIND_INF:
+    if place.payload is None:
         return -ring.size(a)
     return ring.ord(a, place.payload)
 
@@ -724,7 +739,7 @@ def valuation(x: GlobalFieldElement, place: Place) -> int:
     """Normalized valuation of a nonzero element at a non-archimedean place."""
     if x.is_zero:
         raise DomainError("valuation of zero undefined; callers test for zero first")
-    if place.kind == KIND_ARCH:
+    if place.is_archimedean:
         raise UnsupportedPlaceError("no normalized valuation at the archimedean place")
     if place.field != x.field:
         raise DomainError("place of a different base field")
@@ -749,7 +764,7 @@ def support(x: GlobalFieldElement) -> dict[Place, int]:
     for value, sign in ((x.num, 1), (x.den, -1)):
         # ring.factor only emits prime elements, so skip re-validation
         for pi, e in ring.factor(value).items():
-            pl = Place(x.field, ring.place_kind, pi)
+            pl = Place(x.field, pi)
             out[pl] = out.get(pl, 0) + sign * e
     inf = infinite_place(x.field)
     if not inf.is_archimedean:
@@ -823,7 +838,7 @@ def iter_places_by_size(field: BaseField):
         yield inf
     ring = field.ring
     for pi in ring.primes():
-        yield Place(field, ring.place_kind, pi)
+        yield Place(field, pi)
 
 
 def find_small_prime_outside(S: PlaceSet) -> Place:

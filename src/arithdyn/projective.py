@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedPlaceError
 from .fields import (
-    KIND_ARCH,
     BaseField,
     GlobalFieldElement,
     Place,
@@ -113,7 +112,7 @@ def log_distance(p1: ProjPoint, p2: ProjPoint, place: Place):
 
     Nonnegative integer; INFINITE when the points are equal.
     """
-    if place.kind == KIND_ARCH:
+    if place.is_archimedean:
         raise UnsupportedPlaceError("logarithmic distance needs a non-archimedean place")
     if p1.field != p2.field or p1.field != place.field:
         raise DomainError("mixed base fields")
@@ -166,7 +165,7 @@ def reduce_coordinates(point: ProjPoint, place: Place) -> tuple[ResidueField, in
 
 def reduce_point(point: ProjPoint, place: Place) -> ReducedPoint:
     """The canonical reduction of a point modulo a non-archimedean place."""
-    if place.kind == KIND_ARCH:
+    if place.is_archimedean:
         raise UnsupportedPlaceError("cannot reduce at the archimedean place")
     rf, x, y = reduce_coordinates(point, place)
     return ReducedPoint.make(rf, x, y)

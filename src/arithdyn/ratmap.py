@@ -37,8 +37,6 @@ from .errors import (
     PreconditionError,
 )
 from .fields import (
-    KIND_ARCH,
-    KIND_INF,
     BaseField,
     GlobalFieldElement,
     Place,
@@ -243,7 +241,7 @@ def bad_places(phi: RationalMap) -> frozenset[Place]:
     """Non-archimedean places where no model keeps a unit resultant."""
     field = phi.field
     ring = field.ring
-    out = {Place(field, ring.place_kind, pi) for pi in ring.factor(resultant_raw(phi))}
+    out = {Place(field, pi) for pi in ring.factor(resultant_raw(phi))}
     inf = infinite_place(field)
     if not inf.is_archimedean and not has_good_reduction(phi, inf):
         out.add(inf)
@@ -255,12 +253,12 @@ def has_good_reduction(phi: RationalMap, place: Place) -> bool:
     Res(F, G) there without factoring: Res mod pi != 0 at a finite place,
     where the primitive model is integral, and deg Res = 2*d*M at the
     infinite place of F_p(t) (see the module docstring)."""
-    if place.kind == KIND_ARCH:
+    if place.is_archimedean:
         raise DomainError("good reduction is defined at non-archimedean places")
     if place.field != phi.field:
         raise DomainError("map and place over different base fields")
     res, ring = resultant_raw(phi), phi.field.ring
-    if place.kind == KIND_INF:
+    if place.payload is None:
         return ring.size(res) == 2 * phi.degree * max_coeff_degree(phi)
     return ring.residue(res, place.payload) != 0
 
@@ -711,7 +709,12 @@ def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | No
     return escape_clause(profile, point.field.ring, point.x, point.y, point.height())
 
 
-def start_box(profile: EscapeProfile | None, ring, height_bound: int, enum_budget: int):
+# The most coordinate pairs a search lists: `ring.upto` refuses a height
+# bound whose pairs pass it.
+ENUMERATION_BUDGET = 500_000
+
+
+def start_box(profile: EscapeProfile | None, ring, height_bound: int):
     """The coordinates (xs, ys), from `ring.upto`, whose coprime pairs and
     infinity hold every canonical pair of height <= height_bound on which
     `escape_clause` does not fire at step 0.
@@ -722,15 +725,15 @@ def start_box(profile: EscapeProfile | None, ring, height_bound: int, enum_budge
     too.  The refusal of `ring.upto` is decided at height_bound, before
     the cut, so a bound refused without a profile is refused with one.
     """
-    xs, ys = ring.upto(height_bound, enum_budget)
+    xs, ys = ring.upto(height_bound, ENUMERATION_BUDGET)
     if profile is None:
         return xs, ys
     height, poly = profile.height, profile.polynomial
     h = height_bound if height is None else min(height_bound, height.radius - 1)
     if poly is None:
-        return ring.upto(h, enum_budget)
+        return ring.upto(h, ENUMERATION_BUDGET)
     # a divisor of N is no larger than N
     n, size = poly.denominator, ring.size
-    ys = [y for y in ring.upto(min(h, size(n)), enum_budget)[1] if ring.gcd(n, y) == y]
+    ys = [y for y in ring.upto(min(h, size(n)), ENUMERATION_BUDGET)[1] if ring.gcd(n, y) == y]
     width = max((size(ring.mul(poly.scale, y)) for y in ys), default=1)
-    return ring.upto(min(h, width - 1), enum_budget)[0], ys
+    return ring.upto(min(h, width - 1), ENUMERATION_BUDGET)[0], ys

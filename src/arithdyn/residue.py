@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import fppoly
 from .errors import DomainError, UnsupportedPlaceError
-from .fields import KIND_INF, KIND_IRREDUCIBLE, KIND_PRIME, Place
+from .fields import Place
 from .fields import factor_int, integer_root, is_prime_int
 from .fppoly import Coeffs
 
@@ -242,14 +242,13 @@ def _primitive_code(p: int, modulus: Coeffs, n: int) -> int:
 
 
 def residue_field(place: Place) -> ResidueField:
-    """The residue field at a non-archimedean place."""
-    if place.kind == KIND_PRIME:
-        return ResidueField(place.payload)
-    if place.kind == KIND_INF:
-        return ResidueField(place.field.char)
-    if place.kind == KIND_IRREDUCIBLE:
+    """The residue field at a non-archimedean place: F_p[u]/(pi) over
+    F_p(t), where pi None, the infinite place, gives F_p; Z/q over Q."""
+    if place.is_archimedean:
+        raise UnsupportedPlaceError("the archimedean place has no residue field")
+    if place.field.char:
         return ResidueField(place.field.char, place.payload)
-    raise UnsupportedPlaceError("the archimedean place has no residue field")
+    return ResidueField(place.payload)
 
 
 def reduce_values(place: Place, values) -> tuple[int, ...]:
@@ -260,7 +259,7 @@ def reduce_values(place: Place, values) -> tuple[int, ...]:
     t^-m, m their largest degree, so the code of a value is its t^m
     coefficient.
     """
-    if place.kind == KIND_INF:
+    if place.payload is None:
         m = max(fppoly.pdeg(v) for v in values)
         return tuple(v[m] if fppoly.pdeg(v) == m else 0 for v in values)
     residue = place.field.ring.residue

@@ -612,14 +612,14 @@ def reference_orbit(phi, start, budget=None):
         current = nxt
 
 
-def reference_preperiodic_search(phi, height_bound, budget=None, enum_budget=500_000):
+def reference_preperiodic_search(phi, height_bound, budget=None):
     """`dynamics.preperiodic_search` by `reference_orbit` on every point."""
     profile = escape_profile(phi)
     reports = []
     undecided = []
     divergent = 0
     scanned = 0
-    for pt in enumerate_points(phi.field, height_bound, enum_budget):
+    for pt in enumerate_points(phi.field, height_bound):
         scanned += 1
         if escapes(profile, pt) is not None:
             divergent += 1

@@ -7,7 +7,13 @@ including bad places at infinity, points at infinity, undecided and
 divergent orbits and two error exits.  The "cli_text" entries run the same
 argv without --json, plus error argv for each diagnostic kind (usage,
 DomainError, PreconditionError, io and the other refusals), and freeze
-stdout, stderr and the exit code of each.  The CLI prints no multipliers, so
+stdout, stderr and the exit code of each.  The last of them are place
+tokens for `graph --place` and `sunit-solve --S` (wrong field, not monic,
+reducible, malformed, duplicated, no archimedean place), recorded before
+places lost their stored kind; the final three of those argv (`pi:1,1`
+and `pi:5` over Q, `p:abc` over F_2(t)) were recorded after it: before,
+the first two crashed with a ZeroDivisionError and the last was a
+DomainError with exit code 2, where a malformed number is a usage error.  The CLI prints no multipliers, so
 the "multipliers" entries freeze `multiplier`, `classify_periodic_point`
 and `check_period_relation` on every cycle a small search finds.
 """

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import arithdyn as ad
-from arithdyn import fppoly
+from arithdyn import fppoly, ratmap
 from arithdyn.dynamics import Budget
 from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
@@ -410,10 +410,11 @@ class TestPreperiodicSearch:
         assert sum(1 for _ in ad.enumerate_points(F2T, 1)) == 9
 
     @pytest.mark.parametrize("p, max_height", BRUTE_HEIGHTS)
-    def test_enumeration_matches_brute_force(self, p, max_height):
+    def test_enumeration_matches_brute_force(self, monkeypatch, p, max_height):
+        monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 10**7)
         field = ad.function_field(p) if p else ad.QQ
         for H in range(1, max_height + 1):
-            points = [(pt.x, pt.y) for pt in ad.enumerate_points(field, H, enum_budget=10**7)]
+            points = [(pt.x, pt.y) for pt in ad.enumerate_points(field, H)]
             assert len(set(points)) == len(points)
             assert set(points) == brute_points(p, H)
 
@@ -424,9 +425,10 @@ class TestPreperiodicSearch:
         for H in range(1, max_height + 1):
             assert ring.count_points(H) == len(brute_points(p, H))
 
-    def test_enumeration_budget(self):
+    def test_enumeration_budget(self, monkeypatch):
+        monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            list(ad.enumerate_points(ad.QQ, 100, enum_budget=100))
+            list(ad.enumerate_points(ad.QQ, 100))
 
     def test_results_are_sorted_and_validated(self):
         res = ad.preperiodic_search(ad.parse_map("z^2-1", ad.QQ), 10)

@@ -433,7 +433,7 @@ def test_pairs_outside_the_start_box_escape_at_once(field, height_bound):
         profile = escape_profile(phi)
         if profile is None:
             continue
-        xs, ys = start_box(profile, ring, height_bound, 500_000)
+        xs, ys = start_box(profile, ring, height_bound)
         box = {(ring.one, ring.zero)} | {(x, y) for x in xs for y in ys}
         for x, y in pairs - box:
             assert escape_clause(profile, ring, x, y, height(field, x, y)) is not None, (phi, x, y)

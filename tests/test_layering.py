@@ -11,7 +11,10 @@ checks cycles with the pair walk of `ratmap`, not with `apply_map` or
 `iterate_map`, and `parsing` builds a point once, without `normalize`.
 The escape criterion is `ratmap`'s alone: `dynamics` reads no field of
 `EscapeProfile` or `EscapeProof`, so a change to a clause changes one
-module.  The valuation v_pi(a) is `fppoly.split`'s alone: no module
+module.  The kind of a place is `fields`' alone: no other module imports
+a `KIND_*` name or reads `.kind` (the parser's tokens have a kind of their
+own), and no `Place(...)` takes a kind, only a field and a prime element
+or None.  The valuation v_pi(a) is `fppoly.split`'s alone: no module
 divides out a prime in a `while a % b == 0` loop.  The CLI prints only
 through `_emit` (reports) and `_diagnostic` (errors), and each subcommand
 handler `_cmd_*` is named once, where `_build_parser` declares it.  The
@@ -220,6 +223,63 @@ def test_dynamics_reads_no_escape_field():
 )
 def test_escape_field_checker_sees_each_read(source):
     assert field_reads(source, escape_fields())
+
+
+def kind_uses(source: str) -> list[str]:
+    """Each import or read of a `KIND_*` name and each read of `.kind` in
+    `source`, as source text."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [f"import {a.name}" for a in node.names if a.name.startswith("KIND_")]
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "kind" or node.attr.startswith("KIND_")
+        ):
+            out.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id.startswith("KIND_"):
+            out.append(node.id)
+    return out
+
+
+def three_argument_places(source: str) -> list[str]:
+    """Each call `Place(...)` or `m.Place(...)` in `source` with three arguments."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Place" or getattr(node.func, "attr", None) == "Place")
+        and len(node.args) + len(node.keywords) == 3
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in SRC.glob("*.py") if path.stem not in ("fields", "parsing"))
+)
+def test_only_fields_knows_the_place_kind(module):
+    assert kind_uses((SRC / f"{module}.py").read_text()) == []
+
+
+def test_parser_reads_only_token_kinds():
+    assert set(kind_uses((SRC / "parsing.py").read_text())) == {"tok.kind", "self.peek().kind"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_place_is_built_with_a_kind(module):
+    assert three_argument_places((SRC / f"{module}.py").read_text()) == []
+
+
+def test_place_kind_checkers_see_the_rule_broken():
+    assert kind_uses("from .fields import KIND_INF, Place\nx = KIND_INF") == [
+        "import KIND_INF", "KIND_INF"
+    ]
+    assert kind_uses("def f(place):\n    return place.kind == fields.KIND_ARCH") == [
+        "place.kind", "fields.KIND_ARCH"
+    ]
+    source = "a = Place(field, ring.place_kind, pi)\nb = fields.Place(QQ, kind='prime', payload=2)"
+    assert three_argument_places(source) == [
+        "Place(field, ring.place_kind, pi)", "fields.Place(QQ, kind='prime', payload=2)"
+    ]
+    assert three_argument_places("c = Place(field, pi)\nd = Place(field)") == []
 
 
 def _is_divisibility_test(test) -> bool:

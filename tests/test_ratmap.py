@@ -477,7 +477,7 @@ def factor_based_bad_places(phi):
     when the uniformizer s divides its resultant.
     """
     field, ring = phi.field, phi.field.ring
-    bad = {Place(field, ring.place_kind, pi) for pi in ring.factor(resultant_raw(phi))}
+    bad = {Place(field, pi) for pi in ring.factor(resultant_raw(phi))}
     if field.char:
         res_inf = sylvester_resultant(field, *_integral_model_at_infinity(phi))
         if (0, 1) in ring.factor(res_inf):

@@ -417,15 +417,20 @@ def factor_poly(p: int, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
 
     Returns {irreducible: multiplicity}; the unit (leading coefficient) is
     discarded.  Each squarefree part is split by trial division in
-    enumeration order.  As `fields.factor_int` stops at divisors above
-    its budget, candidates of degree k with p^k > budget are never tried:
-    a cofactor of degree below 2k is then irreducible, one of degree 2k or
-    more raises BudgetExceededError.
+    enumeration order, and the division stops once the part left passes
+    `is_irreducible`, which tests the part before the first division and
+    again after each divisor is removed.  As `fields.factor_int` stops at
+    divisors above its budget, candidates of degree k with p^k > budget
+    are never tried: a cofactor of degree below 2k is then irreducible,
+    and a reducible one of degree 2k or more raises BudgetExceededError.
+    The budget is checked before the irreducibility test, so a part of
+    degree >= 2 is refused, irreducible or not, when even p > budget.
     """
     if not a:
         raise DomainError("cannot factor the zero polynomial")
     factors: dict[Coeffs, int] = {}
     for part, e in _squarefree_parts(p, pmonic(p, a)):
+        fresh = True  # part has not been tested since it last changed
         for g in iter_monic_irreducibles(p):
             k = pdeg(g)
             if 2 * k > pdeg(part):
@@ -435,7 +440,10 @@ def factor_poly(p: int, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
                     f"factorization cofactor of degree {pdeg(part)} over F_{p} "
                     f"needs trial divisors of degree {k}, over budget {budget}"
                 )
+            if fresh and is_irreducible(p, part):
+                break
             q, r = pdivmod(p, part, g)
+            fresh = not r
             if not r:
                 factors[g] = e
                 part = q

@@ -430,6 +430,19 @@ class TestRobustness:
         assert "bad places: inf, (t+1)" in out
         assert seconds < 2
 
+    def test_large_irreducible_resultant_factor_answered(self):
+        # Res is the square of an irreducible of degree 30 over F_2, which
+        # Ben-Or's test settles; trial division would need the irreducibles
+        # of degree up to 15 first
+        code, out, _, seconds = run_subprocess(
+            "analyze", "--field", "Fp:2",
+            "z^2/(t^30+t^27+t^25+t^24+t^20+t^19+t^17+t^16+t^15+t^13+t^6+t^2+1)", "--json",
+        )
+        assert code == 0
+        bad = json.loads(out)["result"]["bad_places"]
+        assert bad == ["inf", "pi:1,0,1,0,0,0,1,0,0,0,0,0,0,1,0,1,1,1,0,1,1,0,0,0,1,1,0,1,0,0,1"]
+        assert seconds < 1
+
     def test_factoring_past_the_budget_refused(self):
         # Res = (t^2+1)^2 with t^2+1 irreducible over F_1000003: its linear
         # trial divisors alone would pass the budget of 10^6

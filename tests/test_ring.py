@@ -323,6 +323,31 @@ class TestFactor:
                 want[g] = want.get(g, 0) + e
             assert polynomial_ring(p).factor(a) == want
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("p, degrees", [(2, (20, 33, 45)), (3, (20, 27, 40))])
+    def test_large_irreducible_factor_agrees_with_sympy(self, p, degrees):
+        # trial division alone would need divisors of degree up to half the
+        # large factor, past the budget from degree 20 on over F_2 and F_3;
+        # Ben-Or's test settles the cofactor once the small factors are out
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(331 + p)
+        for degree in degrees:
+            while True:
+                big = (*(rng.randrange(p) for _ in range(degree)), 1)
+                if sympy.Poly(big[::-1], t, modulus=p).is_irreducible:
+                    break
+            for _ in range(3):
+                small = oracle_pow(p, random_poly(rng, p, 4) or (1,), rng.randint(1, 2))
+                a = schoolbook_pmul(p, schoolbook_pmul(p, big, small), random_poly(rng, p, 5) or (1,))
+                _, pairs = sympy.factor_list(sympy.Poly(a[::-1], t, modulus=p))
+                want = {}
+                for f, e in pairs:
+                    g = oracle_monic(p, trim(int(c) % p for c in f.all_coeffs()[::-1]))
+                    want[g] = want.get(g, 0) + e
+                assert want[big] >= 1
+                assert polynomial_ring(p).factor(a) == want
+
     def test_budget_rule_matches_the_integers(self):
         # Z tries divisors up to the budget; a cofactor that might still
         # split into larger primes is refused

@@ -64,7 +64,6 @@ from .fields import (
     parse_place_set,
     place_set,
     prime_place,
-    residue_field_size,
     support,
     valuation,
 )

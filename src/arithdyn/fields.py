@@ -9,8 +9,10 @@ valuation at infinity of F_p(t).  Every non-archimedean place carries the
 normalized valuation with value group Z; the infinite place of F_p(t) is
 an ordinary non-archimedean place with uniformizer 1/t.
 
-Factorization in both integral rings is trial division with an explicit
-budget, and primality is deterministic Miller-Rabin below an explicit
+Factorization over Z is trial division with an explicit budget; over
+F_p[t] each squarefree part is split by degree (`fppoly.factor_poly`), and
+only a product of irreducibles of one degree is trial-divided under the
+same budget.  Primality is deterministic Miller-Rabin below an explicit
 bound: a budget overflow raises BudgetExceededError, it never produces a
 wrong answer.
 """
@@ -745,11 +747,6 @@ def valuation(x: GlobalFieldElement, place: Place) -> int:
         raise DomainError("place of a different base field")
     ring = x.field.ring
     return ord_at(ring, x.num, place) - ord_at(ring, x.den, place)
-
-
-def residue_field_size(place: Place) -> int:
-    """|k(p)| at a non-archimedean place."""
-    return place.residue_size()
 
 
 def support(x: GlobalFieldElement) -> dict[Place, int]:

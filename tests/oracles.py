@@ -6,7 +6,9 @@ field, or by cofactor expansion, instead of the subresultant PRS,
 resultants from the values of a form at the roots of a split one, powers
 by repeated multiplication instead of square-and-multiply, irreducibility
 by all-pairs product enumeration instead of the product sieve or Ben-Or's
-test, polynomial products by the plain double loop instead of
+test, F_p[t] factorizations by trial division in enumeration order (the
+routine that distinct-degree factorization replaced) instead of splitting
+by degree, polynomial products by the plain double loop instead of
 `fppoly.pmul`, quotients by dense long division instead of the sparse
 loop of `fppoly.pdivmod`, residue-field arithmetic on coefficient tuples
 instead of exp/log tables, primality by trial division instead of
@@ -244,6 +246,64 @@ def brute_monic_irreducibles(p: int, n: int) -> set:
             for h in monics(b):
                 composites.add(schoolbook_pmul(p, g, h))
     return {f for f in monics(n) if f not in composites}
+
+
+# The two F_p[t] routines that distinct-degree factorization replaced, kept
+# as written: Ben-Or's loop on its own, and trial division in enumeration
+# order that stops once the part left passes that loop.
+def reference_is_irreducible(p: int, a) -> bool:
+    """Irreducibility of a nonconstant polynomial by Ben-Or's test.
+
+    a of degree n is reducible iff it has a factor of some degree
+    k <= n/2, that is iff gcd(t^(p^k) - t, a) != 1 for some k <= n/2; a
+    reducible a exits at the degree of its smallest factor.
+    """
+    n = fppoly.pdeg(a)
+    if n < 2:
+        return n == 1
+    t = frob = (0, 1)  # frob = t^(p^k) mod a
+    for _ in range(n // 2):
+        frob = fppoly.ppow_mod(p, frob, p, a)
+        if fppoly.pgcd(p, fppoly.psub(p, frob, t), a) != fppoly.ONE:
+            return False
+    return True
+
+
+def reference_factor_poly(p: int, a, budget: int = 10**6) -> dict:
+    """Factor a nonzero polynomial into monic irreducibles.
+
+    Each squarefree part is split by trial division in enumeration order,
+    and the division stops once the part left passes
+    `reference_is_irreducible`.  Candidates of degree k with p^k > budget
+    are never tried: a cofactor of degree below 2k is then irreducible,
+    and a reducible one of degree 2k or more raises BudgetExceededError.
+    The budget is checked before the irreducibility test, so a part of
+    degree >= 2 is refused, irreducible or not, when even p > budget.
+    """
+    if not a:
+        raise DomainError("cannot factor the zero polynomial")
+    factors = {}
+    for part, e in fppoly._squarefree_parts(p, fppoly.pmonic(p, a)):
+        fresh = True  # part has not been tested since it last changed
+        for g in fppoly.iter_monic_irreducibles(p):
+            k = fppoly.pdeg(g)
+            if 2 * k > fppoly.pdeg(part):
+                break
+            if p**k > budget:
+                raise BudgetExceededError(
+                    f"factorization cofactor of degree {fppoly.pdeg(part)} over F_{p} "
+                    f"needs trial divisors of degree {k}, over budget {budget}"
+                )
+            if fresh and reference_is_irreducible(p, part):
+                break
+            q, r = fppoly.pdivmod(p, part, g)
+            fresh = not r
+            if not r:
+                factors[g] = e
+                part = q
+        if fppoly.pdeg(part) >= 1:
+            factors[part] = e
+    return factors
 
 
 def brute_points(p: int, H: int) -> set:

@@ -122,7 +122,7 @@ def test_criterion_3_small_prime_constructive():
                     if s - r > outside:
                         continue
                     answer = next(pl for pl in scan if pl not in T_set)
-                    assert ad.residue_field_size(answer) <= (p * s) ** 2 - 1
+                    assert answer.residue_size() <= (p * s) ** 2 - 1
                     total_classes += 1
         # literal brute force for the two small pools validates the quotient
         if p in (2, 3):
@@ -130,7 +130,7 @@ def test_criterion_3_small_prime_constructive():
                 for combo in itertools.combinations(pool, s):
                     S = ad.place_set(field, combo)
                     got = ad.find_small_prime_outside(S)
-                    assert ad.residue_field_size(got) <= (p * s) ** 2 - 1
+                    assert got.residue_size() <= (p * s) ** 2 - 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10
     _announce(

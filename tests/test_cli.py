@@ -11,6 +11,8 @@ import pytest
 from arithdyn import sunit
 from arithdyn.cli import run
 from arithdyn.dynamics import DEFAULT_MAX_STEPS
+from arithdyn.fields import function_field, polynomial_ring
+from arithdyn.parsing import parse_element
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -444,12 +446,63 @@ class TestRobustness:
         assert seconds < 1
 
     def test_factoring_past_the_budget_refused(self):
-        # Res = (t^2+1)^2 with t^2+1 irreducible over F_1000003: its linear
-        # trial divisors alone would pass the budget of 10^6
+        # Res = (t^2+t)^2: t(t+1) is a product of two linear factors, and
+        # splitting it needs linear trial divisors, past the budget of 10^6
+        # over F_1000003
         code, _, err, seconds = run_subprocess(
-            "analyze", "--field", "Fp:1000003", "z^2/(t^2+1)"
+            "analyze", "--field", "Fp:1000003", "z^2/(t^2+t)"
         )
         assert code == 2
+        assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    def test_irreducible_factor_past_the_budget_answered(self):
+        # Res = (t^2+1)^2 with t^2+1 irreducible over F_1000003: splitting by
+        # degree needs no trial divisor
+        code, out, _, seconds = run_subprocess(
+            "analyze", "--field", "Fp:1000003", "z^2/(t^2+1)", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["bad_places"] == ["inf", "pi:1,0,1"]
+        assert seconds < 2
+
+    # two fuzz maps whose resultants (degree 74 over F_3, 68 over F_7) have
+    # factors of degree 25 and 39: trial division built the product sieve
+    # for minutes, then refused
+    @pytest.mark.parametrize(
+        "p, expr",
+        [
+            (3, "((t^10+2*t^8+2*t+1)*z^4+(t^8+t^4+t^2+1)*z^3+(t^7+2*t^6+t^5+2*t^4+t^2+t+1)*z^2"
+                "+(t^3+2)*z+t^7+2*t^6+t^5+2*t^3)/((t^10+2*t^8+2*t+1)*z^2+(t^2+2)*z+2)"),
+            (7, "((t)*z^4+(t^7+5*t^6+4*t^5+6*t^4+2*t^3+3*t^2+t)*z^3+(t^5+t^4+4*t)*z^2"
+                "+(t^7+t^6+3*t)*z+t^9+4*t)/((t^10+3*t)*z^3+(t^5+t^4+t^2+3)*z^2+(t^8)*z+2*t^2)"),
+        ],
+        ids=["F3", "F7"],
+    )
+    def test_large_distinct_degree_factors_answered(self, p, expr):
+        code, out, _, seconds = run_subprocess("analyze", "--field", f"Fp:{p}", expr, "--json")
+        assert code == 0
+        assert seconds < 2
+        result = json.loads(out)["result"]
+        # the bad places multiply back into the resultant: each divides it,
+        # and what is left once their powers are divided out is a constant
+        ring = polynomial_ring(p)
+        res = parse_element(function_field(p), result["resultant"]).num
+        assert result["bad_places"][0] == "inf"
+        for token in result["bad_places"][1:]:
+            e, res = ring.split(res, ring.parse(token.removeprefix("pi:")))
+            assert e >= 1
+        assert len(res) == 1
+
+    def test_place_of_large_degree_refused_at_once(self):
+        # t^1279+t^216+1 is irreducible over F_2, so Ben-Or's test would make
+        # all 639 Frobenius steps, over a minute; the work estimate refuses
+        # them before the first one
+        token = "pi:" + ",".join("1" if i in (0, 216, 1279) else "0" for i in range(1280))
+        code, out, err, seconds = run_subprocess(
+            "graph", "--field", "Fp:2", "z^2", "--place", token
+        )
+        assert (code, out) == (2, "")
         assert "BudgetExceededError" in err
         assert seconds < 2
 

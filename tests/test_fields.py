@@ -153,11 +153,11 @@ class TestPrimality:
 
 class TestResidueSizes:
     def test_examples(self):
-        assert ad.residue_field_size(ad.prime_place(7)) == 7
-        assert ad.residue_field_size(ad.parse_place(F2T, "pi:1,1,1")) == 4
-        assert ad.residue_field_size(ad.infinite_place(F3T)) == 3
+        assert ad.prime_place(7).residue_size() == 7
+        assert ad.parse_place(F2T, "pi:1,1,1").residue_size() == 4
+        assert ad.infinite_place(F3T).residue_size() == 3
         with pytest.raises(UnsupportedPlaceError):
-            ad.residue_field_size(ad.archimedean_place())
+            ad.archimedean_place().residue_size()
 
 
 def _random_s_value(field, rng, places):
@@ -281,7 +281,7 @@ class TestSmallPrimeOutside:
         )
         got = ad.find_small_prime_outside(S2)
         assert got == ad.parse_place(F2T, "pi:1,1,1")
-        assert ad.residue_field_size(got) == 4 <= (2 * 3) ** 2 - 1
+        assert got.residue_size() == 4 <= (2 * 3) ** 2 - 1
 
         S3 = ad.place_set(F3T, [ad.infinite_place(F3T)])
         assert ad.find_small_prime_outside(S3) == ad.parse_place(F3T, "pi:0,1")
@@ -313,4 +313,4 @@ class TestSmallPrimeOutside:
             for s in range(1, 9):
                 S = ad.place_set(field, pool[:s])
                 got = ad.find_small_prime_outside(S)
-                assert ad.residue_field_size(got) < (p * s) ** 2
+                assert got.residue_size() < (p * s) ** 2

@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 from arithdyn import fppoly
 from arithdyn.errors import BudgetExceededError, DomainError
 
-from oracles import brute_monic_irreducibles, schoolbook_pdivmod, schoolbook_pmul
+from oracles import (
+    brute_monic_irreducibles,
+    reference_factor_poly,
+    reference_is_irreducible,
+    schoolbook_pdivmod,
+    schoolbook_pmul,
+)
 
 
 def poly(p, *coeffs):
@@ -210,6 +216,74 @@ class TestIrreducibles:
         assert fppoly.factor_poly(2, (0, 1, 0, 1)) == {(0, 1): 1, (1, 1): 2}
         # constants have empty factorization
         assert fppoly.factor_poly(3, (2,)) == {}
+
+
+def _random_input(rng, p):
+    """A random polynomial of degree <= 40; one in three is a product of
+    random factors, some of them repeated or of equal degree."""
+    if rng.random() < 2 / 3:
+        return (*(rng.randrange(p) for _ in range(rng.randint(1, 40))), rng.randrange(1, p))
+    out = (rng.randrange(1, p),)
+    while fppoly.pdeg(out) < 20:
+        factor = (*(rng.randrange(p) for _ in range(rng.randint(1, 8))), 1)
+        for _ in range(rng.choice((1, 1, 2))):
+            out = schoolbook_pmul(p, out, factor)
+    return out
+
+
+class TestDegreeParts:
+    # the Ben-Or loop and the trial division that the one Frobenius loop
+    # replaced stay in the oracles as references
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_monic_matches_trial_division(self, p, n):
+        for f in fppoly.monic_of_degree(p, n):
+            assert fppoly.is_irreducible(p, f) == reference_is_irreducible(p, f)
+            assert fppoly.factor_poly(p, f) == reference_factor_poly(p, f)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_random_inputs_match_trial_division(self, p):
+        # where trial division answers, the factorization is the same, and
+        # nothing it answers is refused; past its budget, the factors
+        # multiply back and each is irreducible
+        rng = random.Random(2800 + p)
+        for _ in range(60):
+            a = _random_input(rng, p)
+            try:
+                want = reference_factor_poly(p, a, budget=10**3)
+            except BudgetExceededError:
+                want = None
+            try:
+                got = fppoly.factor_poly(p, a, budget=10**3)
+            except BudgetExceededError:
+                assert want is None
+                continue
+            if want is not None:
+                assert got == want
+                continue
+            back = (1,)
+            for g, e in got.items():
+                assert reference_is_irreducible(p, g)
+                for _ in range(e):
+                    back = schoolbook_pmul(p, back, g)
+            assert back == fppoly.pmonic(p, a)
+
+    def test_parts_by_degree(self):
+        # t(t+1)(t^2+t+1)(t^3+t+1)(t^3+t^2+1) over F_2: the two cubics are
+        # one part of degree 6; a cubic alone is what is left once 2k > 3
+        linear = schoolbook_pmul(2, (0, 1), (1, 1))
+        cubics = schoolbook_pmul(2, (1, 1, 0, 1), (1, 0, 1, 1))
+        f = schoolbook_pmul(2, schoolbook_pmul(2, linear, (1, 1, 1)), cubics)
+        assert list(fppoly._degree_parts(2, f)) == [(1, linear), (2, (1, 1, 1)), (3, cubics)]
+        assert list(fppoly._degree_parts(2, (1, 1, 0, 1))) == [(3, (1, 1, 0, 1))]
+
+    def test_frobenius_work_refused_before_it_starts(self):
+        # t^1279+t^216+1 is irreducible over F_2: all 639 Frobenius steps
+        # would take over a minute
+        f = tuple(1 if i in (0, 216, 1279) else 0 for i in range(1280))
+        for call in (fppoly.is_irreducible, fppoly.factor_poly):
+            with pytest.raises(BudgetExceededError):
+                call(2, f)
 
 
 class TestSerialization:

@@ -17,8 +17,12 @@ own), and no `Place(...)` takes a kind, only a field and a prime element
 or None.  The valuation v_pi(a) is `fppoly.split`'s alone: no module
 divides out a prime in a `while a % b == 0` loop.  The CLI prints only
 through `_emit` (reports) and `_diagnostic` (errors), and each subcommand
-handler `_cmd_*` is named once, where `_build_parser` declares it.  The
-checks read the source (with `ast`), so they need nothing to run.
+handler `_cmd_*` is named once, where `_build_parser` declares it.  One
+loop of Frobenius powers serves irreducibility and factorization over
+F_p[t]: the step `ppow_mod(p, frob, p, f)` is taken only in
+`fppoly._degree_parts`, and `factor_poly` neither scans the irreducibles
+nor calls `is_irreducible`.  The checks read the source (with `ast`), so
+they need nothing to run.
 """
 
 import ast
@@ -372,3 +376,50 @@ def test_handler_checker_sees_the_rule_broken():
         "_HANDLERS = {'a': _cmd_a}\n"
     )
     assert handler_references(source) == {"_cmd_a": ["_build_parser", None], "_cmd_b": []}
+
+
+FACTOR_POLY_BANNED = {"iter_monic_irreducibles", "is_irreducible"}
+
+
+def second_frobenius_loops(source: str) -> list[str]:
+    """Each Frobenius step `ppow_mod(p, a, p, m)` of `source` outside
+    `_degree_parts`, and each name of FACTOR_POLY_BANNED that a function
+    `factor_poly` reads, as 'function: text'."""
+    out = []
+    for node, function in walk_with_function(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and "ppow_mod" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and len(node.args) > 2
+            and ast.unparse(node.args[2]) == "p"
+            and function != "_degree_parts"
+        ):
+            out.append(f"{function}: {ast.unparse(node)}")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if function == "factor_poly" and name in FACTOR_POLY_BANNED:
+            out.append(f"{function}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_one_frobenius_loop(module):
+    assert second_frobenius_loops((SRC / f"{module}.py").read_text()) == []
+
+
+def test_frobenius_loop_is_found():
+    source = (SRC / "fppoly.py").read_text()
+    assert second_frobenius_loops(source.replace("def _degree_parts", "def _parts")) == [
+        "_parts: ppow_mod(p, frob, p, f)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def is_irreducible(p, a):\n    frob = ppow_mod(p, frob, p, a)",
+        "def factor_poly(p, a):\n    for g in fppoly.iter_monic_irreducibles(p):\n        pass",
+        "def factor_poly(p, a):\n    return {} if is_irreducible(p, a) else None",
+    ],
+)
+def test_frobenius_checker_sees_each_second_loop(source):
+    assert second_frobenius_loops(source)

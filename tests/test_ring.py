@@ -348,25 +348,50 @@ class TestFactor:
                 assert want[big] >= 1
                 assert polynomial_ring(p).factor(a) == want
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("p, degrees", [(3, (14, 25)), (7, (17, 39))])
+    def test_large_factors_of_distinct_degrees_agree_with_sympy(self, p, degrees):
+        # trial division refused these: the smaller factor alone needs
+        # divisors of its degree, past the budget of 10^6; splitting by
+        # degree finds each factor with no trial divisor
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(2800 + p)
+        a = (1,)
+        for degree in degrees:
+            while True:
+                big = (*(rng.randrange(p) for _ in range(degree)), 1)
+                if sympy.Poly(big[::-1], t, modulus=p).is_irreducible:
+                    break
+            a = schoolbook_pmul(p, a, big)
+        a = schoolbook_pmul(p, a, oracle_pow(p, random_poly(rng, p, 3) or (1,), 2))
+        _, pairs = sympy.factor_list(sympy.Poly(a[::-1], t, modulus=p))
+        want = {}
+        for f, e in pairs:
+            g = oracle_monic(p, trim(int(c) % p for c in f.all_coeffs()[::-1]))
+            want[g] = want.get(g, 0) + e
+        assert sorted(len(g) - 1 for g in want)[-2:] == list(degrees)
+        assert polynomial_ring(p).factor(a) == want
+
     def test_budget_rule_matches_the_integers(self):
         # Z tries divisors up to the budget; a cofactor that might still
         # split into larger primes is refused
         assert Z.factor(-1009, budget=40) == {1009: 1}
         with pytest.raises(BudgetExceededError):
             Z.factor(1009 * 1013, budget=40)
-        # F_2[t] tries divisors of degree k while 2^k <= budget; a cofactor
-        # of degree >= 2k might still split and is refused
+        # F_2[t] splits a squarefree part by degree without trial divisors;
+        # only a product of irreducibles of one degree k is trial-divided,
+        # by the irreducibles of degree k, and refused when 2^k > budget
         ring = polynomial_ring(2)
         cubic, other_cubic = (1, 1, 0, 1), (1, 0, 1, 1)
         assert ring.factor(cubic, budget=2) == {cubic: 1}
-        with pytest.raises(BudgetExceededError):
-            ring.factor(cubic, budget=1)
+        assert ring.factor(cubic, budget=1) == {cubic: 1}
         sextic = schoolbook_pmul(2, cubic, other_cubic)
         with pytest.raises(BudgetExceededError):
             ring.factor(sextic, budget=7)
         assert ring.factor(sextic, budget=8) == {cubic: 1, other_cubic: 1}
         # factors of different multiplicities are split apart before any
-        # trial division, so each cubic is a cofactor of degree below 2*2
+        # trial division, so each cubic is a part of its own
         mixed = schoolbook_pmul(2, oracle_pow(2, cubic, 3), other_cubic)
         assert ring.factor(mixed, budget=2) == {cubic: 3, other_cubic: 1}
 

@@ -14,7 +14,6 @@ from .bounds import (
     compute_bounds,
     evertse_solution_bound,
     equal_distance_family_bound,
-    preper_total_bound,
     unit_equation_solution_bound,
     verify_report,
 )
@@ -27,7 +26,6 @@ from .dynamics import (
     PeriodData,
     SearchResult,
     check_period_relation,
-    enumerate_points,
     functional_graph,
     orbit,
     preperiodic_search,
@@ -51,8 +49,6 @@ from .fields import (
     Place,
     PlaceSet,
     archimedean_place,
-    count_irreducibles,
-    enumerate_monic_irreducibles,
     find_small_prime_outside,
     function_field,
     infinite_place,
@@ -67,6 +63,7 @@ from .fields import (
     support,
     valuation,
 )
+from .fppoly import count_irreducibles, enumerate_monic_irreducibles
 from .parsing import parse_element, parse_map, parse_point
 from .projective import (
     INFINITE,
@@ -81,15 +78,12 @@ from .projective import (
     reduce_point,
 )
 from .ratmap import (
-    Classification,
     MultiplierValue,
     RationalMap,
     ReducedMap,
     apply_map,
     bad_places,
-    classify_periodic_point,
     escape_profile,
-    escapes,
     has_good_reduction,
     iterate_map,
     make_map,

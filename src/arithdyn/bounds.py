@@ -63,12 +63,6 @@ def _ln_fixed(x: Fraction, bits: int) -> tuple[int, int]:
     return 2 * (k * lo2 + lom), 2 * (k * hi2 + him)
 
 
-def ln_interval(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of ln(x) for rational x >= 1, over 2^bits."""
-    lo, hi = _ln_fixed(x, bits)
-    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
-
-
 def _term_ceilings(m: int, c: int, x: int, e: int, bits: int) -> list[int]:
     """ceil(m*(c*ln x)^e) at both ends of the ln x enclosure over 2^bits, by
     square-and-multiply with every product rounded down at the lower end
@@ -221,28 +215,6 @@ def automorphism_cycle_bound(D: int) -> int:
     if D < 1:
         raise DomainError("D must be >= 1")
     return 2 + 4 * D * D
-
-
-def preper_total_bound(B: int, C: int, d: int) -> int:
-    """d^B * (d^n + 1) with n = lcm(1..C).
-
-    B bounds the orbit size, C the cycle length, d >= 2 is the map degree.
-    A result that would pass MAX_BOUND_DIGITS, and so could not be
-    printed, is refused before it is computed.
-    """
-    if B < 1 or C < 1 or d < 2:
-        raise DomainError("need B, C >= 1 and d >= 2")
-    # lcm(1..C) >= 2^(C-1), and d^(2^(C-1)) has more digits than the limit
-    # once C - 1 passes its bit length plus 2: a larger C, whose lcm might
-    # not even fit in memory, is refused before the lcm is computed.
-    if C - 1 > MAX_BOUND_DIGITS.bit_length() + 2:
-        raise BudgetExceededError(
-            f"d^lcm(1..{C}) has more than {MAX_BOUND_DIGITS} digits, as lcm(1..{C}) >= 2^{C - 1}"
-        )
-    n = math.lcm(*range(1, C + 1))
-    if _digits((d, B + n + 1)) > MAX_BOUND_DIGITS:  # the result is below d^(B + n + 1)
-        raise BudgetExceededError(f"result would have more than {MAX_BOUND_DIGITS} digits")
-    return d**B * (d**n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
-from .projective import ReducedPoint
+from .projective import enumerate_p1
 from .ratmap import bad_places, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
@@ -108,7 +108,6 @@ def _int_at_least(low: int, complaint: str, name: str):
 
 _positive_int = _int_at_least(1, "{} is not a positive integer", "_positive_int")
 _nonnegative_int = _int_at_least(0, "{} is a negative integer", "_nonnegative_int")
-_map_degree = _int_at_least(2, "map degree {} is below 2", "_map_degree")
 
 # (JSON key, text label) of each bound of a BoundSet, in print order; a
 # bound that does not apply (None) is left out
@@ -276,7 +275,7 @@ def _cmd_graph(args) -> int:
     place = _parse_places(parse_place, field, args.place)
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
-    labels = [str(ReducedPoint.from_code(g.rfield, c)) for c in range(g.node_count)]
+    labels = [str(pt) for pt in enumerate_p1(g.rfield)]
     result = {
         "map": phi.affine_str(),
         "place": place.serialize(),
@@ -301,23 +300,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_bounds(args) -> int:
     ctx = BoundContext(args.char, args.degree, args.s)
-    bs = compute_bounds(ctx)
-    bounds = _bound_items(bs)
+    bounds = _bound_items(compute_bounds(ctx))
     result = {key: str(value) for key, _, value in bounds}
     lines = [f"context: characteristic {ctx.p}, D = {ctx.D}, |S| = {ctx.s}"]
     lines += [f"{label}: {value}" for _, label, value in bounds]
-    if args.map_degree:
-        # every context has a cycle bound C >= 60, and preper_total_bound
-        # refuses d^B(d^n+1) with n = lcm(1..C) for every such C and d
-        result["preper_total_bound"] = None
-        result["preper_total_note"] = (
-            f"d^B(d^n+1) with B={bs.eta}, n=lcm(1..{bs.cycle_bound}) "
-            "exceeds the digit budget"
-        )
-        lines.append(
-            f"preperiodic-set bound: too large to print "
-            f"(B={bs.eta}, n=lcm(1..{bs.cycle_bound}))"
-        )
     _emit(args, result, lines)
     return 0
 
@@ -484,7 +470,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--char", type=int, required=True)
     sp.add_argument("--degree", type=_positive_int, required=True, help="extension degree D")
     sp.add_argument("--s", type=_positive_int, required=True, help="|S|")
-    sp.add_argument("--map-degree", type=_map_degree, default=None)
     add_common(sp, with_budgets=False)
 
     sp = subcommand("sunit-solve", _cmd_sunit_solve, "a*x + b*y = 1 in S-units, brute force")

@@ -218,10 +218,6 @@ class FunctionalGraph:
     def node_count(self) -> int:
         return len(self.successors)
 
-    def orbit_of(self, code: int) -> list[int]:
-        """Node sequence from `code` until just before the first repeat."""
-        return _walk(self.successors.__getitem__, code)[0]
-
 
 def _walk(step, start) -> tuple[list, int]:
     """start, step(start), ... up to the first repeat, and its first index."""
@@ -348,7 +344,7 @@ class SearchResult:
     divergent: int
 
 
-def _enumerate_pairs(field: BaseField, height_bound: int, profile: EscapeProfile | None = None):
+def _enumerate_pairs(field: BaseField, height_bound: int, profile: EscapeProfile | None):
     """The canonical coordinate pairs of all points of P^1(K) of coordinate
     height <= height_bound: infinity, then the coprime pairs (x, y) from
     `ring.upto`, which refuses a bound whose pairs pass
@@ -369,13 +365,6 @@ def _enumerate_pairs(field: BaseField, height_bound: int, profile: EscapeProfile
         for x in xs:
             if gcd(x, y) == one:
                 yield x, y
-
-
-def enumerate_points(field: BaseField, height_bound: int):
-    """Every point up to the height bound: `_enumerate_pairs` without a
-    profile."""
-    for x, y in _enumerate_pairs(field, height_bound):
-        yield ProjPoint(field, x, y)
 
 
 def preperiodic_search(

@@ -658,7 +658,9 @@ def irreducible_place(field: BaseField, poly) -> Place:
 
 def parse_place(field: BaseField, token: str) -> Place:
     """Parse 'inf', or the ring's prefix and a prime element: 'p:7' over Q,
-    'pi:1,1,1' over F_p(t).  A malformed value raises ValueError."""
+    'pi:1,1,1' over F_p(t).  The prefix is checked first: the other
+    field's prefix is a DomainError whatever follows it, and a malformed
+    value after the ring's own prefix raises ValueError."""
     token = token.strip()
     if token == "inf":
         return infinite_place(field)
@@ -666,10 +668,9 @@ def parse_place(field: BaseField, token: str) -> Place:
     if not colon or prefix not in ("p", "pi"):
         raise DomainError(f"cannot parse place token {token!r}")
     ring = field.ring
-    pi = ring.parse(body)
     if prefix != ring.place_prefix:
         raise DomainError(f"'{prefix}:' places live over {'Q' if prefix == 'p' else 'F_p(t)'}")
-    return finite_place(field, pi)
+    return finite_place(field, ring.parse(body))
 
 
 @dataclass(frozen=True, slots=True)
@@ -812,16 +813,7 @@ def is_s_unit(x: GlobalFieldElement, S: PlaceSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# irreducible enumeration and the small-prime search
-
-count_irreducibles = fppoly.count_irreducibles
-
-
-def enumerate_monic_irreducibles(field_or_p, max_degree: int) -> list[Coeffs]:
-    """Monic irreducibles of degree <= max_degree in (degree, code) order,
-    as coefficient tuples."""
-    p = field_or_p.char if isinstance(field_or_p, BaseField) else field_or_p
-    return fppoly.enumerate_monic_irreducibles(p, max_degree)
+# the place scan and the small-prime search
 
 
 def iter_places_by_size(field: BaseField):

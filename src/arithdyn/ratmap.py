@@ -43,7 +43,6 @@ from .fields import (
     infinite_place,
     integer_root,
     poly_str,
-    valuation,
 )
 from .projective import ProjPoint, ReducedPoint, canon_pair
 from .residue import ResidueField, reduce_values, residue_field
@@ -511,33 +510,6 @@ def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
     return MultiplierValue(value, n, point)
 
 
-class Classification:
-    ATTRACTING = "attracting"
-    INDIFFERENT = "indifferent"
-    REPELLING = "repelling"
-
-
-def classify_periodic_point(
-    phi: RationalMap, point: ProjPoint, n: int, place: Place
-) -> str:
-    """Attracting / indifferent / repelling from the multiplier valuation.
-
-    A vanishing multiplier counts as attracting (valuation +infinity).
-    The place must be one of good reduction for phi.
-    """
-    if not has_good_reduction(phi, place):
-        raise PreconditionError(f"bad reduction at {place}")
-    lam = multiplier(phi, point, n).value
-    if lam.is_zero:
-        return Classification.ATTRACTING
-    v = valuation(lam, place)
-    if v > 0:
-        return Classification.ATTRACTING
-    if v == 0:
-        return Classification.INDIFFERENT
-    return Classification.REPELLING
-
-
 # ---------------------------------------------------------------------------
 # the escape criterion used by orbit iteration
 
@@ -704,11 +676,6 @@ def escape_clause(profile: EscapeProfile | None, ring, x, y, h: int) -> EscapePr
     if ring.gcd(poly.denominator, y) != y or ring.size(x) >= ring.size(ring.mul(poly.scale, y)):
         return poly
     return None
-
-
-def escapes(profile: EscapeProfile | None, point: ProjPoint) -> EscapeProof | None:
-    """`escape_clause` at a point."""
-    return escape_clause(profile, point.field.ring, point.x, point.y, point.height())
 
 
 # The most coordinate pairs a search lists: `ring.upto` refuses a height

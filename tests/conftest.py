@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
-from arithdyn import ratmap, residue
+from arithdyn import dynamics, ratmap, residue
 from oracles import clear_denominators
 
 settings.register_profile(
@@ -86,6 +86,24 @@ def random_point(field, rng: random.Random, height: int = 6) -> ad.ProjPoint:
             return ad.point_from_raw(field, x, y)
 
 
+def enumerated_points(field, height_bound: int):
+    """Every point of height <= height_bound, in the search's order: the
+    pairs of `dynamics._enumerate_pairs` without an escape profile."""
+    for x, y in dynamics._enumerate_pairs(field, height_bound, None):
+        yield ad.ProjPoint(field, x, y)
+
+
+def multiplier_sign(phi, point, n: int, place) -> int:
+    """The sign of v(multiplier) of an n-periodic point at a place: 1
+    attracting (a zero multiplier has valuation +infinity), 0 indifferent,
+    -1 repelling."""
+    lam = ad.multiplier(phi, point, n).value
+    if lam.is_zero:
+        return 1
+    v = ad.valuation(lam, place)
+    return (v > 0) - (v < 0)
+
+
 def good_test_places(phi: ad.RationalMap, extra_support=()):
     """A deterministic batch of good-reduction places for a map.
 
@@ -101,7 +119,7 @@ def good_test_places(phi: ad.RationalMap, extra_support=()):
         places.append(ad.infinite_place(field))
         places.extend(
             ad.irreducible_place(field, f)
-            for f in ad.enumerate_monic_irreducibles(field, 2)
+            for f in ad.enumerate_monic_irreducibles(field.char, 2)
         )
     for value in extra_support:
         if value.is_zero:

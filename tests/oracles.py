@@ -17,7 +17,9 @@ at infinity instead of the homogeneous Jacobian, valuations by dividing out one 
 at a time instead of splitting off its square, powers, S-strips and
 S-units by gcd-normalized field products and quotients instead of ring
 powers and exact division, orbits by a loop over ProjPoints through the public
-`apply_map` and `escapes` instead of the coordinate-pair kernel, parsed
+`apply_map` and `escape_clause` instead of the coordinate-pair kernel,
+searches over the points of `brute_points` instead of the search's own
+enumeration, parsed
 maps and elements by arithmetic in K and an lcm of denominators instead
 of fractions over the integral ring, points by splitting the brackets at
 ':' and normalizing two parsed elements instead of the bracket grammar of
@@ -40,7 +42,6 @@ from arithdyn.dynamics import (
     ExceededBudget,
     OrbitReport,
     SearchResult,
-    enumerate_points,
     validate_orbit_report,
 )
 from arithdyn.errors import BudgetExceededError, DomainError, MapParseError
@@ -48,7 +49,7 @@ from arithdyn.fields import BaseField, GlobalFieldElement, infinite_place, valua
 from arithdyn.fppoly import power
 from arithdyn.parsing import _check_degree, _Parser, _tokenize
 from arithdyn.projective import ProjPoint, from_affine, infinity, normalize
-from arithdyn.ratmap import RationalMap, apply_map, escape_profile, escapes, make_map
+from arithdyn.ratmap import RationalMap, apply_map, escape_clause, escape_profile, make_map
 from arithdyn.sunit import _free_places, s_unit_generators
 
 
@@ -649,11 +650,12 @@ def reference_orbit(phi, start, budget=None):
         budget = Budget()
     cap = budget.cap_for(phi.field)
     profile = escape_profile(phi)
+    ring = phi.field.ring
     pts = [start]
     index = {start: 0}
     current = start
     while True:
-        proof = escapes(profile, current)
+        proof = escape_clause(profile, ring, current.x, current.y, current.height())
         if proof is not None:
             return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE, proof)
         nxt = apply_map(phi, current)
@@ -673,15 +675,17 @@ def reference_orbit(phi, start, budget=None):
 
 
 def reference_preperiodic_search(phi, height_bound, budget=None):
-    """`dynamics.preperiodic_search` by `reference_orbit` on every point."""
+    """`dynamics.preperiodic_search` by `reference_orbit` on every point of
+    `brute_points`."""
     profile = escape_profile(phi)
     reports = []
     undecided = []
     divergent = 0
     scanned = 0
-    for pt in enumerate_points(phi.field, height_bound):
+    for x, y in brute_points(phi.field.char, height_bound):
+        pt = ProjPoint(phi.field, x, y)
         scanned += 1
-        if escapes(profile, pt) is not None:
+        if escape_clause(profile, phi.field.ring, x, y, pt.height()) is not None:
             divergent += 1
             continue
         outcome = reference_orbit(phi, pt, budget)

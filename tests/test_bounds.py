@@ -8,8 +8,8 @@ import arithdyn as ad
 from arithdyn.bounds import (
     BoundContext,
     _digits,
+    _ln_fixed,
     certified_ceiling,
-    ln_interval,
     unit_equation_solution_bound,
 )
 from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
@@ -17,12 +17,18 @@ from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 mp.mp.dps = 60
 
 
+def ln_enclosure(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """The integers lo <= 2^bits * ln(x) <= hi of `_ln_fixed`, over 2^bits."""
+    lo, hi = _ln_fixed(x, bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
 class TestLnInterval:
     @pytest.mark.parametrize(
         "x", [Fraction(1), Fraction(2), Fraction(5), Fraction(10), Fraction(355, 113)]
     )
     def test_encloses_true_value(self, x):
-        lo, hi = ln_interval(x, 80)
+        lo, hi = ln_enclosure(x, 80)
         true = mp.log(mp.mpf(x.numerator) / x.denominator)
         assert mp.mpf(lo.numerator) / lo.denominator <= true
         assert mp.mpf(hi.numerator) / hi.denominator >= true
@@ -35,7 +41,7 @@ class TestLnInterval:
     )
     @pytest.mark.parametrize("bits", [64, 128, 1024])
     def test_width_at_the_edges(self, x, bits):
-        lo, hi = ln_interval(x, bits)
+        lo, hi = ln_enclosure(x, bits)
         with mp.workdps(bits // 3 + 30):
             true = mp.log(mp.mpf(x.numerator) / x.denominator)
             assert mp.mpf(lo.numerator) / lo.denominator <= true
@@ -44,7 +50,7 @@ class TestLnInterval:
 
     def test_rejects_small_arguments(self):
         with pytest.raises(DomainError):
-            ln_interval(Fraction(1, 2))
+            _ln_fixed(Fraction(1, 2), 64)
 
 
 class TestPositiveCharacteristic:
@@ -209,51 +215,6 @@ class TestAuxiliaryBounds:
         assert ad.automorphism_cycle_bound(1) == 6
         assert ad.automorphism_cycle_bound(2) == 18
         assert ad.automorphism_cycle_bound(3) == 38
-
-    def test_preper_total_bound(self):
-        assert ad.preper_total_bound(12, 3, 2) == 2**12 * (2**6 + 1) == 266240
-        assert ad.preper_total_bound(1, 1, 2) == 6
-        assert ad.preper_total_bound(2, 2, 3) == 90
-
-    def test_preper_total_exponent_is_lcm(self):
-        # m_p(C) = floor(log_p C) repackaged: n = lcm(1..C)
-        assert ad.preper_total_bound(1, 6, 2) == 2 * (2**60 + 1)
-        assert math.lcm(*range(1, 7)) == 60
-
-    def test_preper_total_digit_budget(self):
-        with pytest.raises(BudgetExceededError):
-            ad.preper_total_bound(10, 60, 2)
-        # refused from lcm(1..C) >= 2^(C-1), before the lcm is computed
-        with pytest.raises(BudgetExceededError):
-            ad.preper_total_bound(10, 10**9, 2)
-
-    def test_preper_total_prints_or_is_refused(self):
-        # d^B * (d^n + 1) at the largest n = lcm(1..C) below the limit, and
-        # past it; lcm(1..14) = 360360 made a 108,482-digit result
-        with pytest.raises(BudgetExceededError):
-            ad.preper_total_bound(1, 14, 2)
-        for d in (2, 3, 10, 99):
-            for C in range(1, 17):
-                for B in (1, 100, 4000):
-                    try:
-                        total = ad.preper_total_bound(B, C, d)
-                    except BudgetExceededError:
-                        # refused: at least 4,300 digits, counted exactly near the limit
-                        n = math.lcm(*range(1, C + 1))
-                        assert (B + n) * math.log10(d) > 5000 or d**B * (d**n + 1) >= 10**4299
-                    else:
-                        assert len(str(total)) <= 4300
-
-    @pytest.mark.parametrize("context", [(2, 1, 1), (0, 1, 1), (3, 2, 2)])
-    @pytest.mark.parametrize("d", [2, 3, 10**6])
-    def test_preper_total_refused_at_the_smallest_contexts(self, context, d):
-        # the cycle bound is at least 60 in every context (its minimum is at
-        # p = 2, D = 1, |S| = 1, and it grows with p, D and |S|), so
-        # `bounds --map-degree` can only print the refusal note
-        bs = ad.compute_bounds(BoundContext(*context))
-        assert bs.cycle_bound >= 60
-        with pytest.raises(BudgetExceededError):
-            ad.preper_total_bound(bs.eta, bs.cycle_bound, d)
 
     def test_context_validation(self):
         with pytest.raises(DomainError):

@@ -46,31 +46,6 @@ class TestBoundsCommand:
         assert result["evertse_bound"] == "256"
         assert "r_bound" not in result
 
-    def test_preper_bound_with_map_degree(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "--char", "2", "--degree", "1", "--s", "1",
-            "--map-degree", "2", "--json",
-        )
-        assert code == 0
-        result = json.loads(out)["result"]
-        # B = 64, C = 60: d^(lcm(1..60)) is astronomically large, so the
-        # CLI reports the exact construction data instead of the number
-        assert result["preper_total_bound"] is None
-        assert "lcm(1..60)" in result["preper_total_note"]
-
-    def test_huge_cycle_bound_refused_before_lcm(self, capsys):
-        # C = 90331006 here: lcm(1..C) itself would exhaust memory
-        start = time.perf_counter()
-        code, out, _ = run_cli(
-            capsys, "bounds", "--char", "0", "--degree", "1", "--s", "2",
-            "--map-degree", "2", "--json",
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == 0
-        result = json.loads(out)["result"]
-        assert result["preper_total_bound"] is None
-        assert "lcm(1..90331006)" in result["preper_total_note"]
-
 
 class TestAnalyzeCommand:
     def test_text(self, capsys):
@@ -361,6 +336,7 @@ class TestExitCodes:
             ("bounds", "--char", "0", "--degree", "0", "--s", "1"),
             ("bounds", "--char", "2", "--degree", "-1", "--s", "1"),
             ("bounds", "--char", "0", "--degree", "1", "--s", "0"),
+            # --map-degree is gone: with any value it is an unknown argument
             ("bounds", "--char", "0", "--degree", "1", "--s", "1", "--map-degree", "1"),
             ("bounds", "--char", "0", "--degree", "1", "--s", "1", "--map-degree", "0"),
             ("bounds", "--char", "3", "--degree", "1", "--s", "1", "--map-degree", "-3"),

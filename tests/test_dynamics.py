@@ -3,12 +3,12 @@ import random
 import pytest
 
 import arithdyn as ad
-from arithdyn import fppoly, ratmap
+from arithdyn import dynamics, fppoly, ratmap
 from arithdyn.dynamics import Budget
 from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
 
-from conftest import good_test_places, interpolated_polynomial_map, random_map
+from conftest import enumerated_points, good_test_places, interpolated_polynomial_map, random_map
 from oracles import brute_points, map_step
 
 F2T = ad.function_field(2)
@@ -79,7 +79,7 @@ class TestOrbit:
         # brute-force iteration without any escape logic, as the oracle
         for c in (-2, -1, 0, 1, 2):
             phi = ad.parse_map(f"z^2{c:+d}" if c else "z^2", ad.QQ)
-            for pt in ad.enumerate_points(ad.QQ, 10):
+            for pt in enumerated_points(ad.QQ, 10):
                 seen = set()
                 cur = pt
                 preperiodic = False
@@ -197,7 +197,7 @@ class TestEscapeProfile:
         for phi in shaped_maps(field, rng, 12):
             d, profile = phi.degree, ad.escape_profile(phi)
             c = profile.constant
-            points = ad.enumerate_points(field, 4 if field.is_rationals else 1)
+            points = enumerated_points(field, 4 if field.is_rationals else 1)
             outs = [ad.orbit(phi, pt) for pt in points]
             escaped = [o for o in outs if isinstance(o, ad.ExceededBudget) and o.divergent]
             # the oracle steps are slow on long polynomials: six per map
@@ -278,9 +278,9 @@ class TestFunctionalGraph:
             cycle_nodes = sum(len(c) for c in g.cycles)
             tail_nodes = sum(1 for d in g.tail_depth if d > 0)
             assert cycle_nodes + tail_nodes == q + 1
-            # every node has out-degree one and orbit_of follows the successor table
+            # every node has out-degree one and the walk follows the successor table
             for code in range(q + 1):
-                walk = g.orbit_of(code)
+                walk = dynamics._walk(g.successors.__getitem__, code)[0]
                 for a, b in zip(walk, walk[1:]):
                     assert g.successors[a] == b
 
@@ -406,15 +406,15 @@ class TestPreperiodicSearch:
         assert len(res.undecided) == 0
 
     def test_enumeration_counts(self):
-        assert sum(1 for _ in ad.enumerate_points(ad.QQ, 2)) == 8
-        assert sum(1 for _ in ad.enumerate_points(F2T, 1)) == 9
+        assert sum(1 for _ in enumerated_points(ad.QQ, 2)) == 8
+        assert sum(1 for _ in enumerated_points(F2T, 1)) == 9
 
     @pytest.mark.parametrize("p, max_height", BRUTE_HEIGHTS)
     def test_enumeration_matches_brute_force(self, monkeypatch, p, max_height):
         monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 10**7)
         field = ad.function_field(p) if p else ad.QQ
         for H in range(1, max_height + 1):
-            points = [(pt.x, pt.y) for pt in ad.enumerate_points(field, H)]
+            points = list(dynamics._enumerate_pairs(field, H, None))
             assert len(set(points)) == len(points)
             assert set(points) == brute_points(p, H)
 
@@ -428,7 +428,7 @@ class TestPreperiodicSearch:
     def test_enumeration_budget(self, monkeypatch):
         monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            list(ad.enumerate_points(ad.QQ, 100))
+            list(dynamics._enumerate_pairs(ad.QQ, 100, None))
 
     def test_results_are_sorted_and_validated(self):
         res = ad.preperiodic_search(ad.parse_map("z^2-1", ad.QQ), 10)

@@ -1,4 +1,4 @@
-"""The escape criterion (`ratmap.escape_profile`, `ratmap.escapes`) against
+"""The escape criterion (`ratmap.escape_profile`, `ratmap.escape_clause`) against
 independent oracles.
 
 - The cofactors: a*F + b*G = Res * Y^(2d-1) checked by schoolbook form
@@ -48,6 +48,7 @@ from arithdyn.ratmap import (
     sylvester_resultant,
 )
 
+from conftest import enumerated_points
 from oracles import (
     _ring_ops,
     brute_monic_irreducibles,
@@ -267,13 +268,13 @@ def test_never_fires_on_preperiodic_points(field):
     found = 0
     for phi in preperiodic_rich_maps(field, rng):
         profile = ad.escape_profile(phi)
-        for pt in ad.enumerate_points(field, 4 if field.is_rationals else 1):
+        for pt in enumerated_points(field, 4 if field.is_rationals else 1):
             truth = brute_force_orbit(phi, pt)
             if truth is None:
                 continue
             found += 1
             for x, y in truth[0] + truth[1]:
-                assert ad.escapes(profile, ad.ProjPoint(field, x, y)) is None
+                assert escape_clause(profile, field.ring, x, y, height(field, x, y)) is None
             out = ad.orbit(phi, pt)
             assert isinstance(out, ad.OrbitReport)
             assert [(q.x, q.y) for q in out.tail] == truth[0]
@@ -318,7 +319,7 @@ def test_old_proof_never_fires_first(field):
             u = rng.randrange(1, p)
         phi = ad.make_map(field, fco, [u] + [0] * d)
         assert ad.escape_profile(phi).polynomial is not None
-        for pt in ad.enumerate_points(field, 3 if field.is_rationals else 1):
+        for pt in enumerated_points(field, 3 if field.is_rationals else 1):
             if rng.random() < 0.5:
                 continue
             k = old_proof_step(phi, pt)
@@ -346,7 +347,7 @@ def test_search_pretest_matches_orbit_on_every_point(field):
     budget = Budget(max_steps=60)
     for phi in pretest_maps(field):
         reports, undecided, divergent, scanned = [], [], 0, 0
-        for pt in ad.enumerate_points(field, height_bound):
+        for pt in enumerated_points(field, height_bound):
             scanned += 1
             out = ad.orbit(phi, pt, budget)
             if isinstance(out, ad.OrbitReport):

@@ -198,7 +198,7 @@ class TestSUnits:
         if field.is_rationals:
             finite = [ad.prime_place(q) for q in (2, 3, 5, 7)]
         else:
-            finite = [ad.irreducible_place(field, f) for f in ad.enumerate_monic_irreducibles(field, 2)]
+            finite = [ad.irreducible_place(field, f) for f in ad.enumerate_monic_irreducibles(field.char, 2)]
         inf = ad.infinite_place(field)
         outcomes = set()
         for _ in range(400):

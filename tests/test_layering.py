@@ -21,14 +21,19 @@ handler `_cmd_*` is named once, where `_build_parser` declares it.  One
 loop of Frobenius powers serves irreducibility and factorization over
 F_p[t]: the step `ppow_mod(p, frob, p, f)` is taken only in
 `fppoly._degree_parts`, and `factor_poly` neither scans the irreducibles
-nor calls `is_irreducible`.  The checks read the source (with `ast`), so
-they need nothing to run.
+nor calls `is_irreducible`.  Every public function and class of the
+library is reached from another definition, is traced by perfbench, or
+is listed as library API with its reason, so a wrapper that only a test
+or a second name reaches cannot come back unnoticed.  The checks read the
+source (with `ast`), so they need nothing to run.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from test_traced_names import TRACED
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithdyn"
 ABOVE_THE_RINGS = ["ratmap", "dynamics", "projective", "bounds", "sunit", "cli"]
@@ -423,3 +428,92 @@ def test_frobenius_loop_is_found():
 )
 def test_frobenius_checker_sees_each_second_loop(source):
     assert second_frobenius_loops(source)
+
+
+# Public names that no src definition reaches and perfbench does not trace,
+# each with the reason it stays.
+LIBRARY_API = {
+    "bounds.automorphism_cycle_bound": "ROADMAP item 13 (degree-1 maps) wires it",
+    "bounds.equal_distance_family_bound": "ROADMAP item 12 (cycle lemmas) wires it",
+    "fields.find_small_prime_outside": "ROADMAP items 14 and 18 pick good places with it",
+    "fields.irreducible_place": "library API: the place of a monic irreducible",
+    "fields.prime_place": "library API: the place of a prime",
+    "fields.is_s_integer": "library API",
+    "fields.support": "library API: the places and valuations of an element",
+    "fppoly.count_irreducibles": "library API: Gauss's count of monic irreducibles",
+    "projective.from_affine": "library API: the point [x : 1]",
+    "projective.log_distance": "library API: the logarithmic distance at a place",
+    "projective.normalize": "library API",
+    "sunit.s_unit_generators": "library API: the generators of the S-unit group",
+}
+
+
+def unreached_public_names(sources: dict) -> list[str]:
+    """The module-level public functions and classes ('module.name') of
+    `sources` (module name -> source) that no other definition reaches: a
+    reference counts from any module but `__init__`, by a name bound there
+    (defined or imported with `from .module import name`) or by
+    `module.name` after `from . import module`, and not from the body of
+    the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    public = {
+        (module, node.name)
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    reached = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        bound = {name: (owner, name) for owner, name in public if owner == module}
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    else:
+                        bound[alias.asname or alias.name] = (node.module, alias.name)
+        for stmt in tree.body:
+            own = (module, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    target = bound.get(node.id)
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                    target = (node.value.id, node.attr)
+                else:
+                    continue
+                if target in public and target != own:
+                    reached.add(target)
+    return sorted(f"{module}.{name}" for module, name in public - reached)
+
+
+def test_every_public_name_is_reached_traced_or_library_api():
+    traced = {f"{module}.{attr.split('.')[0]}" for module, attr, _ in TRACED}
+    unreached = unreached_public_names({path.stem: path.read_text() for path in SRC.glob("*.py")})
+    assert [name for name in unreached if name not in traced | set(LIBRARY_API)] == []
+    # an entry for a name that is reached, or gone, would hide nothing
+    assert sorted(set(LIBRARY_API) - set(unreached)) == []
+
+
+def test_public_name_checker():
+    # a wrapper that only `__init__` exports, and a class and a function
+    # that only name themselves
+    assert unreached_public_names({
+        "__init__": "from .m import escapes",
+        "m": "def clause(x):\n    return x\ndef escapes(x):\n    return clause(x)\n",
+    }) == ["m.escapes"]
+    assert unreached_public_names({
+        "m": "class A:\n    def twin(self):\n        return A()\n"
+             "def f(n):\n    return f(n - 1) if n else 0\n",
+    }) == ["m.A", "m.f"]
+    # reached from another module by name and through the module, from the
+    # same module, and from a module-level statement; private names are free
+    assert unreached_public_names({
+        "m": "def f():\n    return 1\ndef g():\n    return 2\ndef h():\n    return f()\n"
+             "def _p():\n    return 0\n",
+        "n": "from .m import h\nfrom . import m\ndef k():\n    return h() + m.g()\n",
+        "o": "from .n import k\nX = k()\n",
+    }) == []

@@ -326,7 +326,7 @@ def reduced_cycles(phi):
     if field.is_rationals:
         places = [ad.prime_place(q) for q in (2, 3, 5, 7)]
     else:
-        irr = ad.enumerate_monic_irreducibles(field, 3)
+        irr = ad.enumerate_monic_irreducibles(field.char, 3)
         places = [ad.infinite_place(field)]
         for k in (1, 2, 3):
             places += [ad.irreducible_place(field, f) for f in irr if len(f) - 1 == k][:2]

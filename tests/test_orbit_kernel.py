@@ -2,9 +2,10 @@
 
 `oracles.reference_orbit` and `oracles.reference_preperiodic_search` keep
 the earlier bodies of `orbit` and `preperiodic_search`: a visited dict of
-ProjPoints, `escapes` and one `apply_map` per step.  On random maps over Q
-(z^2 + c and the three general families of the benchmark's sweep, several
-with a non-unit resultant) and over F_2(t) and F_3(t), with step budgets of
+ProjPoints, `escape_clause` and one `apply_map` per step, on every point
+of `oracles.brute_points`.  On random maps over Q (z^2 + c and the three
+general families of the benchmark's sweep, several with a non-unit
+resultant) and over F_2(t) and F_3(t), with step budgets of
 1 to 3 and small height caps, both must give equal SearchResults and equal
 outcomes of `orbit`, ExceededBudget fields included; every kind of outcome
 must occur: a report, an escape by each clause, a height stop and a step
@@ -22,6 +23,7 @@ from arithdyn import fppoly
 from arithdyn.dynamics import Budget
 from arithdyn.errors import DegenerateMapError
 
+from conftest import enumerated_points
 from oracles import reference_orbit, reference_preperiodic_search
 
 KINDS = {"report", "escape:height", "escape:polynomial", "height", "steps"}
@@ -82,7 +84,7 @@ def random_poly(rng, p, max_len):
 def starts(rng, phi, height_bound, extra):
     """The enumerated points plus a few random ones of larger height."""
     field = phi.field
-    pts = list(ad.enumerate_points(field, height_bound))
+    pts = list(enumerated_points(field, height_bound))
     for _ in range(extra):
         if field.is_rationals:
             x, y = rng.randint(-10**4, 10**4), rng.randint(0, 10**3)

@@ -5,13 +5,18 @@ it: `serialize`, `str`, `kind`, `degree`, `residue_size`, and the size q
 and degree of `residue_field(place)` (the archimedean place has no residue
 field).  The order of a place set and the round trip through `parse_place`
 are pinned too, so a change to how places are stored cannot move any of it.
+So is the answer to a token of the wrong field, on the library and on the
+command line.
 """
 
+import json
 import random
+import re
 
 import pytest
 
 import arithdyn as ad
+from arithdyn.cli import run
 from arithdyn.errors import UnsupportedPlaceError
 from arithdyn.fields import parse_place
 from arithdyn.residue import residue_field
@@ -93,3 +98,48 @@ def test_constructors_agree_with_the_parser():
     assert ad.archimedean_place().is_archimedean
     assert not ad.infinite_place(F2).is_archimedean
     assert ad.archimedean_place() != ad.infinite_place(F2)
+
+
+# A token with the other field's prefix is a DomainError (exit 2) whatever
+# its body holds; a malformed body under the field's own prefix is a usage
+# error (exit 1).  Both hold for `graph --place` and `sunit-solve --S`.
+WRONG_FIELD = [
+    ("Q", "pi:5", "'pi:' places live over F_p(t)"),
+    ("Q", "pi:1,1", "'pi:' places live over F_p(t)"),
+    ("Q", "pi:a,b", "'pi:' places live over F_p(t)"),
+    ("Fp:2", "p:7", "'p:' places live over Q"),
+    ("Fp:2", "p:abc", "'p:' places live over Q"),
+    ("Fp:3", "p:-1", "'p:' places live over Q"),
+]
+MALFORMED = [("Q", "p:x"), ("Q", "p:abc"), ("Fp:2", "pi:a,b"), ("Fp:3", "pi:1,x")]
+
+
+def place_argv(command, name, token):
+    if command == "graph":
+        return ["graph", "--field", name, "z^2+1", "--place", token]
+    return ["sunit-solve", "--field", name, "--a", "1", "--b", "1", "--S", f"inf;{token}",
+            "--cap", "1"]
+
+
+@pytest.mark.parametrize("command", ["graph", "sunit-solve"])
+@pytest.mark.parametrize(
+    "name, token, message", WRONG_FIELD, ids=[f"{n} {t}" for n, t, _ in WRONG_FIELD]
+)
+def test_wrong_field_prefix_is_a_domain_error(capsys, command, name, token, message):
+    with pytest.raises(ad.DomainError, match=re.escape(message)):
+        parse_place(FIELDS[name], token)
+    assert run(place_argv(command, name, token)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["graph", "sunit-solve"])
+@pytest.mark.parametrize("name, token", MALFORMED, ids=[f"{n} {t}" for n, t in MALFORMED])
+def test_malformed_body_in_the_right_field_is_a_usage_error(capsys, command, name, token):
+    with pytest.raises(ValueError):
+        parse_place(FIELDS[name], token)
+    assert run(place_argv(command, name, token)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"

@@ -148,7 +148,7 @@ def _random_s(rng, field, with_infinity=True, size=None):
         k = rng.randint(0, 4) if size is None else size
         places = [ad.archimedean_place()] + rng.sample(pool, k)
     else:
-        irr = ad.enumerate_monic_irreducibles(field, 3)
+        irr = ad.enumerate_monic_irreducibles(field.char, 3)
         k = rng.randint(0, 3) if size is None else size
         places = [ad.irreducible_place(field, f) for f in rng.sample(irr, k)]
         if with_infinity or not places:

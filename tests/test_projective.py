@@ -117,7 +117,7 @@ class TestLogDistance:
             return [ad.prime_place(q) for q in (2, 3, 5, 7)]
         return [ad.infinite_place(field)] + [
             ad.irreducible_place(field, f)
-            for f in ad.enumerate_monic_irreducibles(field, 2)
+            for f in ad.enumerate_monic_irreducibles(field.char, 2)
         ]
 
     @pytest.mark.parametrize("field", [ad.QQ, F2T, F3T])

@@ -27,6 +27,7 @@ from arithdyn.errors import BudgetExceededError, DegenerateMapError, DomainError
 from arithdyn.fields import Z, canon_pair, iter_places_by_size, polynomial_ring
 from arithdyn.projective import reduce_coordinates
 from arithdyn.residue import reduce_values
+from conftest import enumerated_points
 from oracles import (
     brute_monic_irreducibles,
     reference_ord_int,
@@ -449,7 +450,7 @@ class TestHeights:
         ],
     )
     def test_refusal_boundary_at_the_default_budget(self, p, h, admitted):
-        points = ad.enumerate_points(ad.function_field(p) if p else ad.QQ, h)
+        points = enumerated_points(ad.function_field(p) if p else ad.QQ, h)
         if admitted:
             assert next(points).is_infinity
         else:

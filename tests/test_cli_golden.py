@@ -15,7 +15,8 @@ a DomainError (exit 2) whatever follows the prefix, as `pi:5` over Q
 already was; `pi:a,b` and `pi:1,1` over Q and `p:abc` over F_2(t) were
 usage errors until `parse_place` checked the prefix first.  A malformed
 body after the field's own prefix is a usage error.  `bounds` has no
-`--map-degree` option: one entry freezes it as an unknown argument.  The
+`--map-degree` option: one entry freezes it as an unknown argument, and
+one a zero `--s`.  The
 CLI prints no multipliers, so the "multipliers" entries freeze
 `multiplier`, the classification at the first two good places (the sign
 of the multiplier's valuation: attracting, indifferent or repelling) and

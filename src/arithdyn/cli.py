@@ -43,7 +43,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
-from .projective import enumerate_p1
+from .projective import ReducedPoint, enumerate_p1
 from .ratmap import bad_places, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
@@ -275,23 +275,24 @@ def _cmd_graph(args) -> int:
     place = _parse_places(parse_place, field, args.place)
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
-    labels = [str(pt) for pt in enumerate_p1(g.rfield)]
+    rf = g.rfield
     result = {
         "map": phi.affine_str(),
         "place": place.serialize(),
-        "q": g.rfield.q,
+        "q": rf.q,
         "nodes": g.node_count,
-        "labels": labels,
+        # every node is labelled in JSON; the text report labels cycle nodes only
+        "labels": [str(pt) for pt in enumerate_p1(rf)] if args.json else None,
         "successors": list(g.successors),
         "cycles": [list(c) for c in g.cycles],
         "tail_depth": list(g.tail_depth),
     }
     lines = [
-        f"map: {phi.affine_str()} reduced at {place} (q = {g.rfield.q})",
+        f"map: {phi.affine_str()} reduced at {place} (q = {rf.q})",
         f"{g.node_count} nodes, {len(g.cycles)} cycles",
     ]
     for cyc in g.cycles:
-        lines.append("  cycle: " + " -> ".join(labels[c] for c in cyc))
+        lines.append("  cycle: " + " -> ".join(str(ReducedPoint.from_code(rf, c)) for c in cyc))
     tails = sum(1 for d in g.tail_depth if d)
     lines.append(f"  tail nodes: {tails}, max depth {max(g.tail_depth)}")
     _emit(args, result, lines)

@@ -455,9 +455,8 @@ def factor_poly(p: int, a: Coeffs, budget: int = 10**6) -> dict[Coeffs, int]:
     discarded.  Each squarefree part is split by `_degree_parts`.  A
     degree-k part of degree k is one irreducible; a larger one, a product
     of degree-k irreducibles, is split by the monic irreducibles of degree
-    k that divide it.  As `fields.factor_int` tries no divisor above its
-    budget, such a part is refused with BudgetExceededError when
-    p^k > budget.
+    k that divide it.  There are about p^k/k of them, so such a part is
+    refused with BudgetExceededError when p^k > budget.
     """
     if not a:
         raise DomainError("cannot factor the zero polynomial")

@@ -550,15 +550,15 @@ class EscapeProfile:
     polynomial: EscapeProof | None
 
 
-# The trial-division budget of `ring.factor` on the leading coefficient f_d
-# of a polynomial map: divisors up to it over Z; over F_p[t], irreducibles
-# of degree k with p^k up to it, tried only on a product of irreducibles of
-# one degree k.  Past it N is f_d, which is sound.  Over Q an f_d with no
-# small factor then costs the profile at most 0.03 s at 14,000 bits
-# (CPython 3.11, x86-64), where the default budget of 10^6 took 0.6 s at
-# 4,000 bits.  Over F_p[t] splitting by degree takes 4 ms at degree 40 over
-# F_2, and the sieve of the degree-k irreducibles, growing as p^k, is built
-# only for an equal-degree product.
+# The budget of `ring.factor` on the leading coefficient f_d of a
+# polynomial map: over Z, units of work (`fields.factor_int`: trial
+# divisors, then rho steps); over F_p[t], irreducibles of degree k with p^k
+# up to it, tried only on a product of irreducibles of one degree k.  Past
+# it N is f_d, which is sound.  Over Q an f_d with no small factor then
+# costs the profile at most 0.02 s at 14,000 bits (CPython 3.11, x86-64),
+# where the default budget takes 0.9 s.  Over F_p[t] splitting by degree
+# takes 4 ms at degree 40 over F_2, and the sieve of the degree-k
+# irreducibles, growing as p^k, is built only for an equal-degree product.
 DENOMINATOR_FACTOR_BUDGET = 10**3
 
 

@@ -253,17 +253,18 @@ class TestVerifyReport:
         assert {c.name for c in checks} == {"orbit_size", "cycle_length"}
 
     def test_given_s_needs_no_factoring(self):
-        # Res = N^2 with N = 1000000007 * 1000000009 is beyond the trial
-        # division budget, yet S is checked by stripping its places from Res
-        phi = ad.parse_map("z^2/1000000016000000063", ad.QQ)
+        # Res = N^2 with N the product of two primes near 2^45 is beyond the
+        # factoring budget (rho needs over 10^7 steps to split N), yet S is
+        # checked by stripping its places from Res
+        phi = ad.parse_map("z^2/1276625665520642735302779833", ad.QQ)
         with pytest.raises(BudgetExceededError):
             ad.bad_places(phi)
         rep = ad.orbit(phi, ad.from_affine(ad.QQ.zero()))
-        S = ad.parse_place_set(ad.QQ, "inf;p:1000000007;p:1000000009")
+        S = ad.parse_place_set(ad.QQ, "inf;p:35184372088891;p:36283883716763")
         checks = ad.verify_report(rep, phi, BoundContext(0, 1, S.size), S)
         assert {c.name for c in checks} == {"orbit_size", "cycle_length"}
         assert all(c.passed for c in checks)
-        short = ad.parse_place_set(ad.QQ, "inf;p:1000000007")
+        short = ad.parse_place_set(ad.QQ, "inf;p:35184372088891")
         with pytest.raises(PreconditionError):
             ad.verify_report(rep, phi, BoundContext(0, 1, short.size), short)
 

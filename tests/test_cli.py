@@ -267,8 +267,8 @@ class TestVerifyCorollary3:
 
     @pytest.mark.parametrize("expr", ["z^2+1/1000000016000000063", "z^2/3"])
     def test_bad_reduction_decided_without_factoring(self, capsys, tmp_path, expr):
-        # z^2 + 1/N has Res = N^4, N = 1000000016000000063, which trial
-        # division cannot factor: only whether Res is a unit is asked
+        # z^2 + 1/N has Res = N^4, N = 1000000016000000063, which is never
+        # factored: only whether Res is a unit is asked
         path = tmp_path / "maps.txt"
         path.write_text(expr + "\n")
         start = time.perf_counter()
@@ -430,6 +430,16 @@ class TestRobustness:
         )
         assert code == 2
         assert "BudgetExceededError" in err
+        assert seconds < 2
+
+    def test_semiprime_resultant_answered(self):
+        # Res = N^4 with N = (10^9 + 7) * (10^9 + 9): trial division to 10^6
+        # refused it, and Brent's rho splits N in about 5*10^4 steps
+        code, out, _, seconds = run_subprocess(
+            "analyze", "--field", "Q", "z^2+1/1000000016000000063", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["bad_places"] == ["p:1000000007", "p:1000000009"]
         assert seconds < 2
 
     def test_irreducible_factor_past_the_budget_answered(self):
@@ -611,9 +621,8 @@ class TestRobustness:
         assert ("3 nodes, 3 cycles" in out) if want == 0 else ("PreconditionError" in err)
         assert seconds < 2
 
-    # a = (10^9 + 7) * (10^9 + 9), and a degree-61 polynomial over F_2 whose
-    # cofactor trial division cannot split: S-membership strips the places
-    # of S instead of factoring a
+    # a = (10^9 + 7) * (10^9 + 9), and a degree-61 polynomial over F_2:
+    # S-membership strips the places of S instead of factoring a
     @pytest.mark.parametrize(
         "field, a, S",
         [("Q", "1000000016000000063", "inf;p:2"), ("Fp:2", "t^61+t^5+t^3+t+1", "inf;pi:0,1")],

@@ -676,14 +676,19 @@ def test_poonen_classification():
 
 
 def test_leading_coefficient_past_the_factoring_budget():
-    # 1009 is a prime above DENOMINATOR_FACTOR_BUDGET, so `ring.factor`
-    # refuses f_d = 1009^2 and N is f_d, a multiple of the exact bound 1009
-    phi = ad.make_map(ad.QQ, [1, 0, 1009**2], [1009**2, 0, 0])
-    assert escape_profile(phi).polynomial.denominator == 1009**2
+    # f_d = (10^9 + 7) * (10^9 + 9): rho needs about 5*10^4 steps to split
+    # it, past DENOMINATOR_FACTOR_BUDGET, so `ring.factor` refuses f_d and N
+    # is f_d, a multiple of the exact bound 10^9 + 7
+    fd = (10**9 + 7) * (10**9 + 9)
+    phi = ad.make_map(ad.QQ, [1, 0, fd], [fd, 0, 0])
+    assert escape_profile(phi).polynomial.denominator == fd
     res = ad.preperiodic_search(phi, 20)
     assert reported(res) == plain_preperiodic(phi, 20) and res.undecided == ()
-    # a leading coefficient that trial division cannot split is refused
-    # at once: 2^14000 + 1, and an irreducible of degree 40 over F_2
+    # 1009^2 is split by trial division within the budget: N is exact
+    phi = ad.make_map(ad.QQ, [1, 0, 1009**2], [1009**2, 0, 0])
+    assert escape_profile(phi).polynomial.denominator == 1009
+    # a leading coefficient that the budget cannot split is refused at
+    # once: 2^14000 + 1, and an irreducible of degree 40 over F_2
     rng = random.Random(401)
     fd2 = ()
     while not fppoly.is_irreducible(2, fd2):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,14 @@ from arithdyn.errors import (
     DomainError,
     UnsupportedPlaceError,
 )
-from arithdyn.fields import MR_EXACT_BOUND, is_prime_int, iter_primes
+from arithdyn.fields import (
+    FACTOR_BUDGET,
+    MR_EXACT_BOUND,
+    factor_int,
+    integer_root,
+    is_prime_int,
+    iter_primes,
+)
 from oracles import trial_division_is_prime
 
 F2T = ad.function_field(2)
@@ -149,6 +157,113 @@ class TestPrimality:
         # 0 would otherwise give BaseField(0), which is Q
         with pytest.raises(DomainError, match="not a prime"):
             ad.function_field(p)
+
+
+# the least prime above MR_EXACT_BOUND (checked against sympy below)
+PRIME_ABOVE_MR_BOUND = MR_EXACT_BOUND + 142
+
+
+def _random_prime(rng, bits):
+    while True:
+        q = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime_int(q):
+            return q
+
+
+def _drawn_factorizations(seed, count):
+    """(n, {prime: multiplicity}) built from known primes: products of
+    prime powers of 2-26 bits with at most one prime of up to 40 bits,
+    perfect powers, squares of semiprimes, and products on both sides of
+    MR_EXACT_BOUND.  Every one splits well within FACTOR_BUDGET."""
+    rng = random.Random(seed)
+    for i in range(count):
+        shape = i % 4
+        if shape == 0:
+            primes = [_random_prime(rng, rng.randint(2, 26)) for _ in range(rng.randint(1, 5))]
+            primes.append(_random_prime(rng, rng.randint(2, 40)))
+            want = {}
+            for q in primes:
+                want[q] = want.get(q, 0) + rng.randint(1, 3)
+        elif shape == 1:
+            want = {_random_prime(rng, rng.randint(2, 40)): rng.randint(2, 7)}
+        elif shape == 2:
+            p, q = _random_prime(rng, rng.randint(11, 20)), _random_prime(rng, rng.randint(21, 40))
+            want = {p: 2, q: 2}
+        else:
+            # a cofactor of 74-81 bits is certified by Miller-Rabin; times a
+            # prime of 8-20 bits the value passes MR_EXACT_BOUND
+            big = _random_prime(rng, rng.randint(74, 81))
+            assert big < MR_EXACT_BOUND
+            want = {big: 1, _random_prime(rng, rng.randint(8, 20)): 1}
+        n = 1
+        for q, e in want.items():
+            n *= q**e
+        yield n * rng.choice((1, -1)), want
+
+
+class TestFactorInt:
+    def test_known_factorizations(self):
+        # independent of any oracle: the primes are drawn first, and the
+        # answer multiplies back to n with certified primes
+        for n, want in _drawn_factorizations(3203, 120):
+            got = factor_int(n)
+            assert got == want
+            assert all(is_prime_int(q) for q in got)
+            assert math.prod(q**e for q, e in got.items()) == abs(n)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(PRIME_ABOVE_MR_BOUND)
+        assert sympy.prevprime(PRIME_ABOVE_MR_BOUND) < MR_EXACT_BOUND
+        for n, _ in _drawn_factorizations(3204, 120):
+            assert factor_int(n) == sympy.factorint(abs(n))
+        rng = random.Random(3205)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(1, 60)) + 1
+            assert factor_int(n) == sympy.factorint(n)
+
+    def test_small_and_unit_values(self):
+        assert factor_int(1) == factor_int(-1) == {}
+        assert factor_int(2**20 * 3**5) == {2: 20, 3: 5}
+        assert factor_int(1021**2) == {1021: 2}  # below TRIAL_BOUND
+        assert factor_int(1031**2) == {1031: 2}  # a root just past it
+        # a budget of 3 tries 2, 3 and 5 only: 49 is not certified by the
+        # divisors tried, but its square root is taken; 77 is refused
+        assert factor_int(49, budget=3) == {7: 2}
+        with pytest.raises(BudgetExceededError):
+            factor_int(77, budget=3)
+        with pytest.raises(DomainError):
+            factor_int(0)
+
+    def test_refusals(self):
+        # a semiprime of two primes near 2^45, past the budget's rho steps;
+        # the least prime above MR_EXACT_BOUND, which nothing certifies; the
+        # strong pseudoprime to the bases up to 37 (two primes near 2^39)
+        for n in (35184372088891 * 36283883716763, PRIME_ABOVE_MR_BOUND, 318665857834031151167461):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError):
+                factor_int(n)
+            assert time.perf_counter() - start < 1.0
+        # (10^9 + 7) * (10^9 + 9) takes about 5*10^4 rho steps: it splits
+        # within the default budget, and not within a tenth of it
+        assert factor_int(1000000016000000063) == {1000000007: 1, 1000000009: 1}
+        with pytest.raises(BudgetExceededError):
+            factor_int(1000000016000000063, budget=FACTOR_BUDGET // 10)
+
+    def test_integer_root(self):
+        rng = random.Random(3206)
+        for _ in range(2000):
+            k = rng.randint(1, 70)
+            n = rng.getrandbits(rng.randint(0, 600))
+            if rng.random() < 0.4:
+                n = max(0, rng.getrandbits(rng.randint(1, 40)) ** k + rng.choice((-1, 0, 1)))
+            r = integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k
+        # a root of a 13,700-bit value at a large exponent is found at once
+        n = 13122**1000
+        start = time.perf_counter()
+        assert integer_root(n, 1000) == 13122 and integer_root(n - 1, 1000) == 13121
+        assert time.perf_counter() - start < 0.5
 
 
 class TestResidueSizes:

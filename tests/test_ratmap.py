@@ -546,7 +546,7 @@ class TestGivenPlacesNeverFactor:
             monkeypatch.setattr(ring_class, "factor", refuse)
         monkeypatch.setattr(fppoly, "factor_poly", refuse)
 
-    # trial division to the default budget cannot split either resultant:
+    # neither resultant is factored (the fixture refuses any factoring):
     # D^2 with D = t^36 + ... a product of two degree-18 irreducibles, and
     # N^2 with N = (10^9 + 7) * (10^9 + 9)
     def test_reduction_and_period_relation(self):

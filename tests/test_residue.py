@@ -168,12 +168,18 @@ class TestArithmetic:
 
     def test_order_refused_when_q_minus_1_resists_factoring(self):
         # x^61 + x^5 + x^2 + x + 1 is irreducible (Rabin: 61 is prime) and
-        # 2^61 - 1 is prime, too large to certify by trial division
+        # 2^61 - 1 is prime, certified by Miller-Rabin: every unit other
+        # than 1 has order 2^61 - 1
         p, pi = 2, (1, 1, 1, 0, 0, 1) + (0,) * 55 + (1,)
         x = (0, 1)
         assert fppoly.ppow_mod(p, x, 2**61, pi) == x
         assert fppoly.pgcd(p, fppoly.psub(p, fppoly.ppow_mod(p, x, 2, pi), x), pi) == fppoly.ONE
         start = time.perf_counter()
+        assert ResidueField(p, pi).multiplicative_order(2) == 2**61 - 1
+        # x^89 + x^38 + 1 is irreducible, and 2^89 - 1 is a prime at or
+        # above MR_EXACT_BOUND, which factor_int cannot certify
+        pi = (1,) + (0,) * 37 + (1,) + (0,) * 50 + (1,)
+        assert fppoly.is_irreducible(p, pi)
         with pytest.raises(BudgetExceededError):
             ResidueField(p, pi).multiplicative_order(2)
         assert time.perf_counter() - start < 5.0

@@ -375,8 +375,9 @@ class TestFactor:
         assert polynomial_ring(p).factor(a) == want
 
     def test_budget_rule_matches_the_integers(self):
-        # Z tries divisors up to the budget; a cofactor that might still
-        # split into larger primes is refused
+        # Z spends the budget on trial divisors first, then on rho steps:
+        # 40 units try the divisors up to 77, Miller-Rabin certifies 1009,
+        # and 1009 * 1013 is refused with no units left for rho
         assert Z.factor(-1009, budget=40) == {1009: 1}
         with pytest.raises(BudgetExceededError):
             Z.factor(1009 * 1013, budget=40)

@@ -27,6 +27,7 @@ Z and of one t-degree over F_p[t].
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -359,8 +360,35 @@ class ReducedMap:
         return len(self.fco) - 1
 
     def successors(self) -> list[int]:
-        """The image node of every node 0..q."""
-        return list(map(_successor_step(self), range(self.rfield.q + 1)))
+        """The image node of every node 0..q.
+
+        Over a prime field the table is built at once: F(x, 1) and G(x, 1)
+        for every x by Horner on whole lists (`_horner_table`), then one
+        product per node, by the one inverse of a nonzero constant G(x, 1)
+        (none when it is 1) or else by `_inverse_table`.  A node where
+        G(x, 1) vanishes goes through `rf.node(f, 0)`, which raises
+        DomainError when F vanishes there too.  Extension fields step node
+        by node (`_successor_step`).
+        """
+        rf = self.rfield
+        if rf.modulus is not None:
+            return list(map(_successor_step(self), range(rf.q + 1)))
+        p, fco, gco = rf.p, self.fco, self.gco
+        fv = _horner_table(fco, p)
+        g0 = gco[0] % p
+        if g0 and not any(c % p for c in gco[1:]):
+            u = pow(g0, -1, p)
+            succ = fv if u == 1 else [f * u % p for f in fv]
+        else:
+            gv = _horner_table(gco, p)
+            inv = _inverse_table(p)
+            succ = [f * inv[g] % p for f, g in zip(fv, gv)]
+            if 0 in gv:
+                for x, g in enumerate(gv):
+                    if not g:
+                        succ[x] = rf.node(fv[x], 0)
+        succ.append(rf.node(fco[-1], gco[-1]))
+        return succ
 
     def apply(self, point: ReducedPoint) -> ReducedPoint:
         rf = self.rfield
@@ -369,14 +397,38 @@ class ReducedMap:
         return ReducedPoint.from_code(rf, _successor_step(self)(point.code()))
 
 
+def _horner_table(co: tuple, p: int) -> list[int]:
+    """[C(x, 1) mod p for x in F_p] by Horner on whole lists, from c_d down."""
+    xs = range(p)
+    vals = [co[-1] % p] * p
+    for c in co[-2::-1]:
+        vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+    return vals
+
+
+def _inverse_table(p: int) -> array:
+    """inv[i] = 1/i in F_p for 0 < i < p, and inv[0] = 0.
+
+    p = (p div i)*i + (p mod i) gives 1/i = -(p div i) * inv[p mod i], and
+    p mod i < i, so one pass from 2 up fills the table.
+    """
+    inv = array("l", [0]) * p
+    inv[1] = 1
+    for i in range(2, p):
+        inv[i] = (p - p // i) * inv[p % i] % p
+    return inv
+
+
 @lru_cache(maxsize=64)
 def _successor_step(psi: ReducedMap):
     """node -> image node, by Horner on F(x, 1) and G(x, 1) from c_d down.
 
-    Node q (infinity) maps to [c_d : g_d].  Prime fields run on ints mod p
-    with one modular inverse.  Extension fields with tables skip node 0
-    (it has no log) and run on logs (-1 for zero), a product being a sum
-    of logs and a sum g^a + g^c being g^(a + zech[c - a]).  Other
+    The one-node step of `ReducedMap.apply` and of `dynamics._walk`, at any
+    q, and the table builder of `ReducedMap.successors` over extension
+    fields.  Node q (infinity) maps to [c_d : g_d].  Prime fields run on
+    ints mod p with one modular inverse.  Extension fields with tables skip
+    node 0 (it has no log) and run on logs (-1 for zero), a product being a
+    sum of logs and a sum g^a + g^c being g^(a + zech[c - a]).  Other
     extensions evaluate both forms by `_eval_pair` on the field's
     polynomial arithmetic.
     """

@@ -419,15 +419,16 @@ class PolyResidueField:
             e += 1
         return e
 
-    def successors(self, fco, gco) -> list:
-        """The image node of every node of P^1: [i : 1] is node i, [1 : 0] node q.
+    def successors(self, fco, gco, nodes=None) -> list:
+        """The image node of every node of P^1, or of each of `nodes`: [i : 1]
+        is node i, [1 : 0] node q.
 
         [F(x, y) : G(x, y)] is summed from explicit monomials c_i x^i y^(d-i)
         and divided by G^(q-2); None marks a node where F and G both vanish.
         """
         p, q, d = self.p, self.q, len(fco) - 1
         out = []
-        for node in range(q + 1):
+        for node in range(q + 1) if nodes is None else nodes:
             x, y = ((1,), ()) if node == q else (fppoly.pfromcode(p, node), (1,))
             f, g = (
                 self._form([fppoly.pfromcode(p, c) for c in co], d, x, y)

@@ -480,6 +480,18 @@ class TestRobustness:
             assert e >= 1
         assert len(res) == 1
 
+    # the whole successor table at the largest prime within the node budget,
+    # for a polynomial map and for a map with a pole
+    @pytest.mark.parametrize("expr", ["z^2+1", "(z^2+1)/(z-3)"], ids=["polynomial", "pole"])
+    def test_graph_at_the_largest_prime_in_budget(self, expr):
+        code, out, _, seconds = run_subprocess(
+            "graph", "--field", "Q", expr, "--place", "p:99991", "--json"
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["nodes"] == len(result["successors"]) == 99992
+        assert seconds < 2
+
     def test_place_of_large_degree_refused_at_once(self):
         # t^1279+t^216+1 is irreducible over F_2, so Ben-Or's test would make
         # all 639 Frobenius steps, over a minute; the work estimate refuses

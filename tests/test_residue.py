@@ -9,7 +9,7 @@ from arithdyn import fppoly, residue
 from arithdyn.dynamics import functional_graph
 from arithdyn.errors import BudgetExceededError, DomainError
 from arithdyn.projective import ReducedPoint
-from arithdyn.ratmap import ReducedMap
+from arithdyn.ratmap import ReducedMap, _successor_step
 from arithdyn.residue import ResidueField, field_of_size
 from oracles import PolyResidueField
 
@@ -185,8 +185,8 @@ class TestArithmetic:
         assert time.perf_counter() - start < 5.0
 
 
-def kernel_maps(rf, rng):
-    """Maps of degree 1-5 of four shapes, as (fco, gco) over rf's codes."""
+def kernel_maps(rf, rng, degrees=range(1, 6)):
+    """Maps of the given degrees of four shapes, as (fco, gco) over rf's codes."""
     q = rf.q
 
     def rand(d, lead_nonzero=False):
@@ -195,7 +195,7 @@ def kernel_maps(rf, rng):
             co[d] = rng.randrange(1, q)
         return tuple(co)
 
-    for d in range(1, 6):
+    for d in degrees:
         # infinity goes to a finite point
         yield rand(d), rand(d, lead_nonzero=True)
         # a polynomial map: G = Y^d
@@ -235,6 +235,49 @@ class TestSuccessorKernel:
                 image = psi.apply(ReducedPoint.from_code(rf, code))
                 assert image == ReducedPoint.from_code(rf, want[code])
         assert valid >= 10
+
+    # A prime field builds its table for all nodes at once.  The one-node
+    # step that `ReducedMap.apply` takes is its reference on every node; the
+    # oracle, about 0.2 ms a node at p = 10007, checks a sample that holds
+    # the nodes where F and G both vanish, some poles of G, and infinity.
+    # The largest prime here is the largest within DEFAULT_NODE_BUDGET.
+    @pytest.mark.parametrize(
+        "p, degrees", [(2, range(1, 6)), (3, range(1, 6)), (10007, (2, 5)), (99991, (1,))]
+    )
+    def test_prime_table_against_step_and_oracle(self, p, degrees):
+        rf = ResidueField(p)
+        orc = oracle_for(rf)
+        rng = random.Random(p)
+        maps = list(kernel_maps(rf, rng, degrees))
+        for d in degrees:
+            f = tuple(rng.randrange(p) for _ in range(d))
+            # G = c*Y^d with a constant c != 1, and G = 0 while F(0, 1) = 0
+            maps.append((f + (1,), (rng.randrange(2, p) if p > 2 else 1,) + (0,) * d))
+            maps.append(((0,) + f, (0,) * (d + 1)))
+        # a directly built map may hold coefficients not reduced mod p
+        maps.append(tuple(tuple(c + p * rng.randrange(1, 4) for c in co) for co in maps[0]))
+        for fco, gco in maps:
+            psi = ReducedMap(rf, fco, gco)
+            step = _successor_step(psi)
+            want = []
+            for x in range(p + 1):
+                try:
+                    want.append(step(x))
+                except DomainError:
+                    want.append(None)
+            poles = [x for x, y in enumerate(want[:p]) if y is None or y == p]
+            nodes = sorted({*rng.sample(range(p), min(p, 64)), *poles[:8], p})
+            nodes += [x for x in poles[8:] if want[x] is None]
+            reduced = [tuple(c % p for c in co) for co in (fco, gco)]
+            assert orc.successors(*reduced, nodes) == [want[x] for x in nodes]
+            if None in want:
+                with pytest.raises(DomainError):
+                    psi.successors()
+                continue
+            assert psi.successors() == want
+            for x in nodes:
+                image = psi.apply(ReducedPoint.from_code(rf, x))
+                assert image == ReducedPoint.from_code(rf, want[x])
 
     def test_apply_checks_the_field(self):
         psi = ReducedMap(ResidueField(5), (1, 0, 1), (1, 0, 0))

@@ -69,7 +69,6 @@ from .projective import (
     INFINITE,
     ProjPoint,
     ReducedPoint,
-    enumerate_p1,
     from_affine,
     infinity,
     log_distance,

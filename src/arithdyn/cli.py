@@ -43,7 +43,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
-from .projective import ReducedPoint, enumerate_p1
+from .projective import ReducedPoint
 from .ratmap import bad_places, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
@@ -156,6 +156,37 @@ def _orbit_json(outcome) -> dict:
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The bytes of json.dumps(value, indent=2) for a value nested at
+    `indent`, whose dict keys are strs.  json runs its pure-Python encoder
+    whenever `indent` is set, so a list of ints only or of strs only is
+    joined here in one call; every other scalar goes through json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = (f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        kinds = set(map(type, value))  # bools are not `int` here
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_encode_str, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _emit(args, result: dict, text_lines: list[str]) -> None:
     if args.json:
         report = {
@@ -164,7 +195,7 @@ def _emit(args, result: dict, text_lines: list[str]) -> None:
             "command": args.command,
             "result": result,
         }
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         for line in text_lines:
             print(line)
@@ -276,13 +307,18 @@ def _cmd_graph(args) -> int:
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
     rf = g.rfield
+    # every node is labelled in JSON, [a : 1] for each a and then [1 : 0];
+    # the text report labels cycle nodes only
+    labels = None
+    if args.json:
+        labels = [f"[{s} : 1]" for s in map(rf.element_str, rf.elements())]
+        labels.append("[1 : 0]")
     result = {
         "map": phi.affine_str(),
         "place": place.serialize(),
         "q": rf.q,
         "nodes": g.node_count,
-        # every node is labelled in JSON; the text report labels cycle nodes only
-        "labels": [str(pt) for pt in enumerate_p1(rf)] if args.json else None,
+        "labels": labels,
         "successors": list(g.successors),
         "cycles": [list(c) for c in g.cycles],
         "tail_depth": list(g.tail_depth),

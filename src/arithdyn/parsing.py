@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, MapParseError
 from .fields import MAX_BOUND_DIGITS, BaseField, GlobalFieldElement, check_length
@@ -44,37 +44,33 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     pos: int
 
 
 def _tokenize(s: str) -> list[_Token]:
+    """The tokens of `s` from one scan; a match that does not start where
+    the last one ended stops it, and what is left is an error unless it is
+    blank."""
     tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m or m.end() == pos:
-            stripped = s[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(s) - len(stripped)
-            raise MapParseError(f"unexpected character {s[bad_at]!r}", bad_at)
-        digits = m.group("int")
-        if digits:
-            if len(digits) > MAX_BOUND_DIGITS:
-                raise BudgetExceededError(
-                    f"a literal of {len(digits)} digits passes the limit {MAX_BOUND_DIGITS}"
-                )
-            tokens.append(_Token("int", digits, m.start("int")))
-        elif m.group("ident"):
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            op = m.group("op")
-            tokens.append(_Token("op", "^" if op == "**" else op, m.start("op")))
-        pos = m.end()
+    end = 0
+    for m in _TOKEN_RE.finditer(s):
+        if m.start() != end:
+            break
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "int" and len(text) > MAX_BOUND_DIGITS:
+            raise BudgetExceededError(
+                f"a literal of {len(text)} digits passes the limit {MAX_BOUND_DIGITS}"
+            )
+        tokens.append(_Token(kind, "^" if text == "**" else text, m.start(kind)))
+        end = m.end()
+    rest = s[end:].lstrip()
+    if rest:
+        bad_at = len(s) - len(rest)
+        raise MapParseError(f"unexpected character {s[bad_at]!r}", bad_at)
     tokens.append(_Token("end", "", len(s)))
     return tokens
 

@@ -170,9 +170,3 @@ def reduce_point(point: ProjPoint, place: Place) -> ReducedPoint:
     rf, x, y = reduce_coordinates(point, place)
     return ReducedPoint.make(rf, x, y)
 
-
-def enumerate_p1(rfield: ResidueField) -> list[ReducedPoint]:
-    """All q + 1 points of P^1(F_q): [a : 1] for each a, then [1 : 0]."""
-    points = [ReducedPoint(rfield, a, 1) for a in rfield.elements()]
-    points.append(ReducedPoint(rfield, 1, 0))
-    return points

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
 from arithdyn import dynamics, ratmap, residue
-from oracles import clear_denominators
+from reference import clear_denominators
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]

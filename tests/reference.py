@@ -23,13 +23,16 @@ enumeration, parsed
 maps and elements by arithmetic in K and an lcm of denominators instead
 of fractions over the integral ring, points by splitting the brackets at
 ':' and normalizing two parsed elements instead of the bracket grammar of
-the maps, and so on.
+the maps, tokens by one regex match per token instead of one `finditer`
+scan, and so on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
 
 import math
 import operator
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -45,9 +48,15 @@ from arithdyn.dynamics import (
     validate_orbit_report,
 )
 from arithdyn.errors import BudgetExceededError, DomainError, MapParseError
-from arithdyn.fields import BaseField, GlobalFieldElement, infinite_place, valuation
+from arithdyn.fields import (
+    MAX_BOUND_DIGITS,
+    BaseField,
+    GlobalFieldElement,
+    infinite_place,
+    valuation,
+)
 from arithdyn.fppoly import power
-from arithdyn.parsing import _check_degree, _Parser, _tokenize
+from arithdyn.parsing import _check_degree, _Parser
 from arithdyn.projective import ProjPoint, from_affine, infinity, normalize
 from arithdyn.ratmap import RationalMap, apply_map, escape_clause, escape_profile, make_map
 from arithdyn.sunit import _free_places, s_unit_generators
@@ -705,8 +714,49 @@ def reference_preperiodic_search(phi, height_bound, budget=None):
 # the parser before it evaluated on the integral ring: forms over K (one
 # gcd per coefficient operation), affine values as num/den pairs over K,
 # and denominators cleared by an lcm before make_map.  Kept verbatim from
-# the algebras on, with the entry points renamed; the tokenizer, the
-# recursive-descent `_Parser` and the degree check are the package's.
+# the algebras on, with the entry points renamed; the recursive-descent
+# `_Parser` and the degree check are the package's.  The tokenizer is the
+# package's former one: one `match` call and one dataclass token per token.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
+)
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str  # "int" | "ident" | "op" | "end"
+    text: str
+    pos: int
+
+
+def reference_tokenize(s: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(s):
+        m = _TOKEN_RE.match(s, pos)
+        if not m or m.end() == pos:
+            stripped = s[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(s) - len(stripped)
+            raise MapParseError(f"unexpected character {s[bad_at]!r}", bad_at)
+        digits = m.group("int")
+        if digits:
+            if len(digits) > MAX_BOUND_DIGITS:
+                raise BudgetExceededError(
+                    f"a literal of {len(digits)} digits passes the limit {MAX_BOUND_DIGITS}"
+                )
+            tokens.append(_Token("int", digits, m.start("int")))
+        elif m.group("ident"):
+            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
+        else:
+            op = m.group("op")
+            tokens.append(_Token("op", "^" if op == "**" else op, m.start("op")))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(s)))
+    return tokens
+
 
 
 class _BivariateAlgebra:
@@ -848,7 +898,7 @@ def clear_denominators(field: BaseField, coeffs: list[GlobalFieldElement]):
 
 def reference_parse_element(field: BaseField, s: str) -> GlobalFieldElement:
     """Parse a constant expression, e.g. '-3/4' or '(t^2+1)/t'."""
-    parser = _Parser(_tokenize(s), _RatFuncAlgebra(field, allow_z=False))
+    parser = _Parser(reference_tokenize(s), _RatFuncAlgebra(field, allow_z=False))
     num, den = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
@@ -862,7 +912,7 @@ def reference_parse_map(expr: str, field: BaseField) -> RationalMap:
     stripped = expr.strip()
     if stripped.startswith("["):
         return _reference_parse_map_pair(field, stripped)
-    parser = _Parser(_tokenize(stripped), _RatFuncAlgebra(field))
+    parser = _Parser(reference_tokenize(stripped), _RatFuncAlgebra(field))
     num, den = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
@@ -882,7 +932,7 @@ def reference_parse_map(expr: str, field: BaseField) -> RationalMap:
 
 
 def _reference_parse_map_pair(field: BaseField, s: str) -> RationalMap:
-    tokens = _tokenize(s)
+    tokens = reference_tokenize(s)
     algebra = _BivariateAlgebra(field)
     parser = _Parser(tokens, algebra)
     parser.expect_op("[")

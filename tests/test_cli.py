@@ -7,9 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import arithdyn as ad
 from arithdyn import sunit
-from arithdyn.cli import run
+from arithdyn.cli import _json_text, run
 from arithdyn.dynamics import DEFAULT_MAX_STEPS
 from arithdyn.fields import function_field, polynomial_ring
 from arithdyn.parsing import parse_element
@@ -185,6 +187,56 @@ class TestGraphCommand:
         )
         assert code == 2
         assert "PreconditionError" in err
+
+    # q = 2, 101 and 99991 over Q; 4 and 9 are extension fields of F_2(t)
+    # and F_3(t); at 99991 a sample of nodes and both ends
+    @pytest.mark.parametrize(
+        "field, expr, token, sample",
+        [
+            ("Q", "z^2+1", "p:2", None),
+            ("Fp:2", "z^2+t", "pi:1,1,1", None),
+            ("Fp:3", "(z^2+t)/(z+1)", "pi:1,0,1", None),
+            ("Q", "(z^2+1)/(z-3)", "p:101", None),
+            ("Q", "z^2+1", "p:99991", [0, 1, 2, 3, 4567, 50000, 99989, 99990, 99991]),
+        ],
+        ids=["q2", "q4", "q9", "q101", "q99991"],
+    )
+    def test_graph_labels_are_the_reduced_points(self, capsys, field, expr, token, sample):
+        code, out, _ = run_cli(capsys, "graph", "--field", field, expr, "--place", token, "--json")
+        assert code == 0
+        labels = json.loads(out)["result"]["labels"]
+        base = ad.QQ if field == "Q" else function_field(int(field[3:]))
+        rf = ad.residue_field(ad.parse_place(base, token))
+        assert len(labels) == rf.q + 1
+        for code in range(rf.q + 1) if sample is None else sample:
+            assert labels[code] == str(ad.ReducedPoint.from_code(rf, code)), code
+
+
+# JSON values as the json module reads them: ints past 2^64, bools, None,
+# floats, strings with quotes, escapes and non-ASCII, lists of ints only,
+# of strs only and of ints mixed with bools, and empty containers
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**300).map(lambda n: n * (-1) ** (n % 2))
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t", "é", "z²", "\u2028", "\U0001f600", ""])
+)
+_JSON = st.recursive(
+    _SCALARS
+    | st.lists(st.integers())
+    | st.lists(st.text())
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(_JSON)
+def test_json_text_is_json_dumps_with_indent(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestSunitSolveCommand:

@@ -9,7 +9,7 @@ from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import enumerated_points, good_test_places, interpolated_polynomial_map, random_map
-from oracles import brute_points, map_step
+from reference import brute_points, map_step
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)

@@ -15,10 +15,10 @@ independent oracles.
   returns what `orbit` called on every point gives.
 - The start box (`ratmap.start_box`): every canonical pair of height <= H
   outside it fires `escape_clause` at step 0, on random maps with a
-  profile, the pairs listed by `oracles.brute_points`.
+  profile, the pairs listed by `reference.brute_points`.
 - Below the radii: the search, which starts the kernel only on the pairs
   no clause dismisses at step 0 and counts the rest, equals
-  `oracles.reference_preperiodic_search` on maps whose radii lie below the
+  `reference.reference_preperiodic_search` on maps whose radii lie below the
   search height, starts at most the pairs below the radii, and refuses
   the heights it refused before.
 - The polynomial clause on [F : g_0*Y^d] outside the unit shape, with no
@@ -49,7 +49,7 @@ from arithdyn.ratmap import (
 )
 
 from conftest import enumerated_points
-from oracles import (
+from reference import (
     _ring_ops,
     brute_monic_irreducibles,
     brute_points,
@@ -372,7 +372,7 @@ def test_fp2_search_leaves_at_most_one_point_undecided():
 
 
 # The search starts the kernel only below the radii and counts the other
-# points; `oracles.reference_preperiodic_search` still tests every point.
+# points; `reference.reference_preperiodic_search` still tests every point.
 
 F2T, F3T = ad.function_field(2), ad.function_field(3)
 

@@ -24,7 +24,7 @@ from arithdyn.fields import (
     is_prime_int,
     iter_primes,
 )
-from oracles import trial_division_is_prime
+from reference import trial_division_is_prime
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from arithdyn import fppoly
 from arithdyn.errors import BudgetExceededError, DomainError
 
-from oracles import (
+from reference import (
     brute_monic_irreducibles,
     reference_factor_poly,
     reference_is_irreducible,

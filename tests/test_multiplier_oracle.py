@@ -7,7 +7,7 @@ structurally different routes:
 - explicit symbolic composition of the iterate as one big rational
   function over Fraction coefficients, gcd-reduced, then differentiated at
   a finite cycle point;
-- the affine chain rule with chart swaps at infinity (`oracles.
+- the affine chain rule with chart swaps at infinity (`reference.
   cycle_multiplier`, the package's former kernel), on random cycles over
   Q, F_2(t), F_3(t) and F_5(t) and on every cycle of their reductions at
   prime places, the infinite place and extension places, the last both
@@ -26,7 +26,7 @@ import arithdyn as ad
 from arithdyn import ratmap
 from arithdyn.projective import INFINITE, ReducedPoint
 
-import oracles
+import reference
 
 
 def _ptrim(a):
@@ -296,7 +296,7 @@ def map_with_cycle(field, pts, d, rng, step=1):
     fco, gco = [field.zero()] * (d + 1), [field.zero()] * (d + 1)
     for k, i in enumerate(idx):
         fco[i], gco[i] = sol[k], sol[len(idx) + k]
-    raw = oracles.clear_denominators(field, fco + gco)
+    raw = reference.clear_denominators(field, fco + gco)
     try:
         return ad.make_map(field, raw[: d + 1], raw[d + 1 :])
     except ad.DegenerateMapError:
@@ -346,7 +346,7 @@ class TestChartSwapOracle:
         for phi, pts in cases:
             assert all(ad.apply_map(phi, P) == Q for P, Q in zip(pts, pts[1:] + pts[:1]))
             got = ad.multiplier(phi, pts[0], len(pts)).value
-            assert got == oracles.chart_swap_multiplier(phi, pts), (phi, pts)
+            assert got == reference.chart_swap_multiplier(phi, pts), (phi, pts)
             through_inf += any(P.is_infinity for P in pts)
             zero += got.is_zero
             linear += phi.degree == 1
@@ -363,7 +363,7 @@ class TestChartSwapOracle:
                 rf = psi.rfield
                 cycle = [(P.x, P.y) for P in pts]
                 got = rf.div(*ratmap.cycle_multiplier(rf, psi.fco, psi.gco, cycle))
-                assert got == oracles.reduced_chart_swap_multiplier(psi, pts), (psi, pts)
+                assert got == reference.reduced_chart_swap_multiplier(psi, pts), (psi, pts)
                 kinds.add((rf.modulus is None, rf.tables() is None))
                 through_inf += any(P.is_infinity for P in pts)
                 zero += not got

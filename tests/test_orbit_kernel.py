@@ -1,9 +1,9 @@
 """The coordinate-pair orbit kernel against the ProjPoint loop it replaced.
 
-`oracles.reference_orbit` and `oracles.reference_preperiodic_search` keep
+`reference.reference_orbit` and `reference.reference_preperiodic_search` keep
 the earlier bodies of `orbit` and `preperiodic_search`: a visited dict of
 ProjPoints, `escape_clause` and one `apply_map` per step, on every point
-of `oracles.brute_points`.  On random maps over Q (z^2 + c and the three
+of `reference.brute_points`.  On random maps over Q (z^2 + c and the three
 general families of the benchmark's sweep, several with a non-unit
 resultant) and over F_2(t) and F_3(t), with step budgets of
 1 to 3 and small height caps, both must give equal SearchResults and equal
@@ -24,7 +24,7 @@ from arithdyn.dynamics import Budget
 from arithdyn.errors import DegenerateMapError
 
 from conftest import enumerated_points
-from oracles import reference_orbit, reference_preperiodic_search
+from reference import reference_orbit, reference_preperiodic_search
 
 KINDS = {"report", "escape:height", "escape:polynomial", "height", "steps"}
 

@@ -1,16 +1,21 @@
 """The parser on fractions over the integral ring against the parser over K.
 
-`oracles.reference_parse_map` / `reference_parse_element` evaluate in K
+`reference.reference_parse_map` / `reference_parse_element` evaluate in K
 (forms over K, num/den pairs over K, an lcm of denominators before
 make_map).  On random affine maps, bracket pairs and constants over Q,
 F_2(t) and F_3(t) (rational and t coefficients, 1/t, nested quotients and
 powers, and mutated, malformed strings) both parsers give the same map or
 element, or the same error: type, message and position.
 
-`oracles.reference_parse_point` splits a bracket point at ':' and
+`reference.reference_parse_point` splits a bracket point at ':' and
 normalizes two parsed elements; `parse_point` reads it with the bracket
 grammar of the maps.  Both give the same point, or an error of the same
 type; the positions differ by design (they index the whole input now).
+
+`reference.reference_tokenize` is the package's former tokenizer, one
+regex `match` per token; `parsing._tokenize` scans once with `finditer`.
+On random and mutated strings both give the same (kind, text, pos) list,
+or the same error: type, message and position.
 """
 
 import random
@@ -19,9 +24,15 @@ import pytest
 
 import arithdyn as ad
 from arithdyn.errors import ArithDynError, MapParseError
-from arithdyn.parsing import MAX_DEGREE
+from arithdyn.fields import MAX_BOUND_DIGITS
+from arithdyn.parsing import MAX_DEGREE, _tokenize
 
-from oracles import reference_parse_element, reference_parse_map, reference_parse_point
+from reference import (
+    reference_parse_element,
+    reference_parse_map,
+    reference_parse_point,
+    reference_tokenize,
+)
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -232,3 +243,57 @@ def test_point_errors_index_the_whole_input(s, message, position):
     with pytest.raises(MapParseError, match=message) as info:
         ad.parse_point(ad.QQ, s)
     assert info.value.position == position
+
+
+# whitespace runs, tabs, newlines, a no-break space, `**`, non-ASCII
+# letters and digits (z², é, €, the Arabic-Indic three), and junk
+TOKEN_PIECES = [
+    "z", "X", "Y", "t", "inf", "7", "42", "0", "+", "-", "*", "**", "/", "^", "(", ")",
+    "[", "]", ":", " ", "   ", "\t", "\n", " \t\n ", "\u00a0", "²", "z²", "é", "€",
+    "\u0663", "$", "w", ".", "_",
+]
+
+
+def tokens_or_error(tokenize, s):
+    """(kind, text, pos) of each token, or (error type, message, position)."""
+    try:
+        return [(tok.kind, tok.text, tok.pos) for tok in tokenize(s)]
+    except ArithDynError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+def token_inputs(rng):
+    out = []
+    for _ in range(600):
+        s = "".join(rng.choice(TOKEN_PIECES) for _ in range(rng.randint(0, 12)))
+        out.append(s + rng.choice(["", " ", "  \t", "\n"]))
+    for field in FIELDS:
+        for make in (affine, bracket):
+            for _ in range(100):
+                s = make(rng, field)
+                for _ in range(rng.randint(1, 3)):
+                    s = mutate(rng, s)
+                out.append(s.replace("^", rng.choice(["^", "**", " ^ "])))
+    for n in (MAX_BOUND_DIGITS, MAX_BOUND_DIGITS + 1):
+        literal = "9" * n
+        out += [
+            literal,
+            f"z^2 + {literal}",
+            f"\t{literal}  ",
+            f"{literal} €",  # the long literal comes first
+            f"€ {literal}",  # the character comes first
+            f"(z + {literal})/z²",
+        ]
+    return out
+
+
+def test_tokens_equal_the_reference():
+    rng = random.Random(3400)
+    results = []
+    for s in token_inputs(rng):
+        got = tokens_or_error(_tokenize, s)
+        assert got == tokens_or_error(reference_tokenize, s), repr(s)
+        results.append(got)
+    kinds = tally(results)
+    assert kinds["value"] >= 300 and kinds["MapParseError"] >= 300, kinds
+    assert kinds["BudgetExceededError"] == 5, kinds

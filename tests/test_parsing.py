@@ -18,7 +18,7 @@ from arithdyn.parsing import (
     _tokenize,
 )
 
-from oracles import repeated_pow
+from reference import repeated_pow
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)

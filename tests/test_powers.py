@@ -4,7 +4,7 @@
 through it and Z through the power of ints, both refusing a negative
 exponent, and element powers, S-strips and S-unit enumeration are built from those ring powers.  Each is
 compared with the package's earlier route through gcd-normalized field
-products and quotients, kept in `oracles`.
+products and quotients, kept in `reference`.
 """
 
 import random
@@ -16,7 +16,7 @@ from arithdyn import fppoly
 from arithdyn.errors import DomainError
 from arithdyn.fields import Z, polynomial_ring, strip_places
 
-from oracles import (
+from reference import (
     reference_enumerate_s_units,
     reference_is_s_unit,
     reference_pow,

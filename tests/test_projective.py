@@ -178,16 +178,7 @@ class TestReducePoint:
         assert (rp.x, rp.y) == (2, 1)  # code 2 = u
 
 
-class TestEnumerateP1:
-    def test_sizes(self):
-        assert len(ad.enumerate_p1(ad.field_of_size(3))) == 4
-        assert len(ad.enumerate_p1(ad.field_of_size(4))) == 5
-
-    def test_q2_exact(self):
-        rf = ad.field_of_size(2)
-        pts = ad.enumerate_p1(rf)
-        assert [(p.x, p.y) for p in pts] == [(0, 1), (1, 1), (1, 0)]
-
+class TestFieldOfSize:
     def test_field_of_size_4(self):
         rf = ad.field_of_size(4)
         assert rf.p == 2 and rf.deg == 2

@@ -14,7 +14,7 @@ from arithdyn.fields import KIND_INF, IntegerRing, Place, PolynomialRing
 from arithdyn.ratmap import max_coeff_degree, resultant_raw, sylvester_resultant
 
 from conftest import good_test_places, multiplier_sign, random_map, random_point
-from oracles import eval_form_ff, frac_det, poly_det, sylvester_rows
+from reference import eval_form_ff, frac_det, poly_det, sylvester_rows
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)

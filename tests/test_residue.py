@@ -11,7 +11,7 @@ from arithdyn.errors import BudgetExceededError, DomainError
 from arithdyn.projective import ReducedPoint
 from arithdyn.ratmap import ReducedMap, _successor_step
 from arithdyn.residue import ResidueField, field_of_size
-from oracles import PolyResidueField
+from reference import PolyResidueField
 
 # u is not primitive modulo these: it has order 5 in F_16 and 4 in F_9
 NON_PRIMITIVE = [(2, (1, 1, 1, 1, 1)), (3, (1, 0, 1))]

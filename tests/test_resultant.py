@@ -11,7 +11,7 @@ from arithdyn import fppoly, ratmap
 from arithdyn.errors import BudgetExceededError
 from arithdyn.ratmap import sylvester_resultant
 
-from oracles import (
+from reference import (
     PolyResidueField,
     form_from_linear_factors,
     frac_det,

@@ -28,7 +28,7 @@ from arithdyn.fields import Z, canon_pair, iter_places_by_size, polynomial_ring
 from arithdyn.projective import reduce_coordinates
 from arithdyn.residue import reduce_values
 from conftest import enumerated_points
-from oracles import (
+from reference import (
     brute_monic_irreducibles,
     reference_ord_int,
     reference_ord_poly,

@@ -40,6 +40,7 @@ from .ratmap import (
     EscapeProof,
     RationalMap,
     ReducedMap,
+    _periodic_walk,
     _successor_step,
     cycle_multiplier,
     escape_clause,
@@ -284,7 +285,7 @@ def reduced_period_data(
     psi = reduce_map(phi, place)
     codes, first = _walk(_successor_step(psi), reduce_point(point, place).code())
     rf = psi.rfield
-    cycle = [(c, 1) if c < rf.q else (1, 0) for c in codes[first:]]  # after the tail
+    cycle = [rf.pair(c) for c in codes[first:]]  # after the tail
     num, den = cycle_multiplier(rf, psi.fco, psi.gco, cycle)
     if not num:
         return PeriodData(len(cycle), INFINITE)
@@ -311,12 +312,7 @@ def check_period_relation(
     by one walk of n steps, and n < 1 raises PreconditionError.  A
     "violation" verdict would indicate an implementation bug.
     """
-    if n < 1:
-        raise PreconditionError("period must be >= 1")
-    pairs = list(walk_pairs(phi, point, n))
-    if pairs.pop() != pairs[0]:
-        raise PreconditionError("point is not n-periodic")
-    if len(set(pairs)) != n:
+    if len(set(_periodic_walk(phi, point, n))) != n:
         raise PreconditionError("n is not the minimal period")
     data = reduced_period_data(phi, point, place)
     m, r = data.m, data.r

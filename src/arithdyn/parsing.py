@@ -40,7 +40,7 @@ from .ratmap import RationalMap, make_map
 MAX_DEGREE = 256
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
 )
 
 
@@ -263,7 +263,7 @@ class _FractionAlgebra:
 
     def pow(self, a, e: int):
         n, d = a
-        return self._ppow(n, e), self._ppow(d, e)
+        return self._ppow(n, e), (d if d == self.one else self._ppow(d, e))
 
 
 def _parse_all(s: str, algebra: _FractionAlgebra, brackets: bool = False):

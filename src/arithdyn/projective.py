@@ -145,28 +145,17 @@ class ReducedPoint:
 
     @staticmethod
     def from_code(rfield: ResidueField, code: int) -> "ReducedPoint":
-        if code == rfield.q:
-            return ReducedPoint(rfield, 1, 0)
-        return ReducedPoint(rfield, code, 1)
-
-    @staticmethod
-    def make(rfield: ResidueField, x: int, y: int) -> "ReducedPoint":
-        return ReducedPoint.from_code(rfield, rfield.node(x, y))
+        return ReducedPoint(rfield, *rfield.pair(code))
 
     def __str__(self) -> str:
         return f"[{self.rfield.element_str(self.x)} : {self.rfield.element_str(self.y)}]"
-
-
-def reduce_coordinates(point: ProjPoint, place: Place) -> tuple[ResidueField, int, int]:
-    """Residue-field codes of locally renormalized coordinates at a place."""
-    rf = residue_field(place)
-    return (rf, *reduce_values(place, (point.x, point.y)))
 
 
 def reduce_point(point: ProjPoint, place: Place) -> ReducedPoint:
     """The canonical reduction of a point modulo a non-archimedean place."""
     if place.is_archimedean:
         raise UnsupportedPlaceError("cannot reduce at the archimedean place")
-    rf, x, y = reduce_coordinates(point, place)
-    return ReducedPoint.make(rf, x, y)
+    rf = residue_field(place)
+    code = rf.node(*reduce_values(place, (point.x, point.y)))
+    return ReducedPoint.from_code(rf, code)
 

@@ -327,6 +327,17 @@ def walk_pairs(phi: RationalMap, point: ProjPoint, n: int):
         yield x, y
 
 
+def _periodic_walk(phi: RationalMap, point: ProjPoint, n: int) -> list:
+    """The canonical pairs of P, phi(P), ..., phi^(n-1)(P); PreconditionError
+    when n < 1 or phi^n(P) != P."""
+    if n < 1:
+        raise PreconditionError("period must be >= 1")
+    pairs = list(walk_pairs(phi, point, n))
+    if pairs.pop() != pairs[0]:
+        raise PreconditionError(f"point is not n-periodic: {point} under {phi}, n = {n}")
+    return pairs
+
+
 def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
     """phi^n(P), walked on raw pairs in constant memory."""
     for x, y in walk_pairs(phi, point, n):
@@ -348,7 +359,9 @@ class ReducedMap:
     """The mod-p map over the residue field, same degree as the original.
 
     Its points are the nodes of P^1(F_q): node i < q is [i : 1], node q is
-    [1 : 0] (see ReducedPoint.code).
+    [1 : 0] (`ResidueField.pair`).  A prime field builds its whole successor
+    table at once; `apply` and every other field step node by node
+    (`_successor_step`).
     """
 
     rfield: ResidueField
@@ -367,8 +380,9 @@ class ReducedMap:
         product per node, by the one inverse of a nonzero constant G(x, 1)
         (none when it is 1) or else by `_inverse_table`.  A node where
         G(x, 1) vanishes goes through `rf.node(f, 0)`, which raises
-        DomainError when F vanishes there too.  Extension fields step node
-        by node (`_successor_step`).
+        DomainError when F vanishes there too, and infinity maps to
+        [c_d : g_d] mod p.  Extension fields step node by node
+        (`_successor_step`).
         """
         rf = self.rfield
         if rf.modulus is not None:
@@ -387,7 +401,7 @@ class ReducedMap:
                 for x, g in enumerate(gv):
                     if not g:
                         succ[x] = rf.node(fv[x], 0)
-        succ.append(rf.node(fco[-1], gco[-1]))
+        succ.append(rf.node(fco[-1] % p, gco[-1] % p))
         return succ
 
     def apply(self, point: ReducedPoint) -> ReducedPoint:
@@ -419,51 +433,32 @@ def _inverse_table(p: int) -> array:
     return inv
 
 
-@lru_cache(maxsize=64)
 def _successor_step(psi: ReducedMap):
-    """node -> image node, by Horner on F(x, 1) and G(x, 1) from c_d down.
+    """node -> image node: the one-node step of `ReducedMap.apply`, of
+    `dynamics.reduced_period_data` and of `ReducedMap.successors` over
+    extension fields.
 
-    The one-node step of `ReducedMap.apply` and of `dynamics._walk`, at any
-    q, and the table builder of `ReducedMap.successors` over extension
-    fields.  Node q (infinity) maps to [c_d : g_d].  Prime fields run on
-    ints mod p with one modular inverse.  Extension fields with tables skip
-    node 0 (it has no log) and run on logs (-1 for zero), a product being a
-    sum of logs and a sum g^a + g^c being g^(a + zech[c - a]).  Other
-    extensions evaluate both forms by `_eval_pair` on the field's
-    polynomial arithmetic.
+    Extension fields with tables skip node 0 (it has no log) and run on
+    logs (-1 for zero), a product being a sum of logs and a sum g^a + g^c
+    being g^(a + zech[c - a]).  Every other field, prime fields among
+    them, evaluates both forms at the node's coordinates by `_eval_pair`
+    on the field's own arithmetic, so node q (infinity) maps to
+    [c_d : g_d].
     """
-    rf = psi.rfield
-    p, q, d = rf.p, rf.q, psi.degree
-    fco, gco = psi.fco, psi.gco
-    fd, gd = fco[d], gco[d]
-    rest = tuple(zip(fco[:d][::-1], gco[:d][::-1]))
-    ends = {0: (fco[0], gco[0]), q: (fd, gd)}
+    rf, fco, gco = psi.rfield, psi.fco, psi.gco
     t = rf.tables()
 
-    if rf.modulus is None:
+    if t is None:
 
         def step(x):
-            if x == q:
-                return rf.node(fd, gd)
-            f, g = fd, gd
-            for cf, cg in rest:
-                f = (f * x + cf) % p
-                g = (g * x + cg) % p
-            if g:
-                return f * pow(g, -1, p) % p
-            return rf.node(f, g)
-
-    elif t is None:
-
-        def step(x):
-            if x == q:
-                return rf.node(fd, gd)
-            return rf.node(*_eval_pair(rf, fco, gco, x, 1))
+            return rf.node(*_eval_pair(rf, fco, gco, *rf.pair(x)))
 
     else:
+        q, d = rf.q, psi.degree
         exp, log, zech, n = t.exp, t.log, t.zech, t.n
-        lfd, lgd = log[fd], log[gd]
-        lrest = tuple((log[cf], log[cg]) for cf, cg in rest)
+        ends = {0: (fco[0], gco[0]), q: (fco[d], gco[d])}
+        lfd, lgd = log[fco[d]], log[gco[d]]
+        lrest = tuple((log[cf], log[cg]) for cf, cg in zip(fco[:d][::-1], gco[:d][::-1]))
 
         def step(x):
             if not x or x == q:
@@ -552,11 +547,7 @@ def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
     Checked by iteration; raises PreconditionError when the point is not
     n-periodic.
     """
-    if n < 1:
-        raise PreconditionError("period must be >= 1")
-    cycle = list(walk_pairs(phi, point, n))
-    if cycle.pop() != cycle[0]:
-        raise PreconditionError(f"{point} is not {n}-periodic under {phi}")
+    cycle = _periodic_walk(phi, point, n)
     field = phi.field
     value = field.element(*cycle_multiplier(field.ring, phi.fco, phi.gco, cycle))
     return MultiplierValue(value, n, point)

@@ -140,6 +140,11 @@ class ResidueField:
             return self.q
         raise DomainError("(0, 0) is not a point of P^1")
 
+    def pair(self, node: int) -> tuple[int, int]:
+        """The coordinates of a node, the inverse of `node`: (x, 1) for a
+        code x < q, (1, 0) for node q (infinity)."""
+        return (node, 1) if node < self.q else (1, 0)
+
     def multiplicative_order(self, a: int) -> int:
         """Order of a nonzero element in the unit group of size q-1."""
         if a == 0:

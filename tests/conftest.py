@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
-from arithdyn import dynamics, ratmap, residue
+from arithdyn import dynamics, residue
 from reference import clear_denominators
 
 settings.register_profile(
@@ -142,8 +142,6 @@ def rng():
 @pytest.fixture(params=["tables", "polynomial"])
 def arithmetic(request, monkeypatch):
     """Run a test with exp/log tables and again with polynomial arithmetic."""
-    ratmap._successor_step.cache_clear()
     if request.param == "polynomial":
         monkeypatch.setattr(residue, "DEFAULT_NODE_BUDGET", 0)
-    yield request.param
-    ratmap._successor_step.cache_clear()
+    return request.param

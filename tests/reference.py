@@ -716,10 +716,11 @@ def reference_preperiodic_search(phi, height_bound, budget=None):
 # and denominators cleared by an lcm before make_map.  Kept verbatim from
 # the algebras on, with the entry points renamed; the recursive-descent
 # `_Parser` and the degree check are the package's.  The tokenizer is the
-# package's former one: one `match` call and one dataclass token per token.
+# package's former one: one `match` call and one dataclass token per token,
+# with literals of ASCII digits as in the package.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z]+)|(?P<op>\*\*|[+\-*/^()\[\]:]))"
 )
 
 

@@ -247,6 +247,9 @@ ERROR_POSITIONS = [
     ("z^2 + s", F2T, 6),
     ("[X^2 : Y^2 : X]", ad.QQ, 11),
     ("(t*z^3+1)/z^", F2T, 11),
+    # a literal is ASCII digits only: an Arabic-Indic three or two is junk
+    ("z^2+\u0663", ad.QQ, 4),
+    ("z^\u0662", ad.QQ, 2),
 ]
 
 

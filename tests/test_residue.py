@@ -166,6 +166,19 @@ class TestArithmetic:
         for a in range(1, rf.q):
             assert rf.multiplicative_order(a) == orc.order(a)
 
+    @pytest.mark.parametrize("q", [2, 5, 4, 9, 101])
+    def test_pair_and_node_invert_each_other(self, arithmetic, q):
+        rf = field_of_size(q)
+        assert (rf.tables() is None) == (arithmetic == "polynomial" or rf.modulus is None)
+        scales = range(1, q) if q < 10 else (1, 2, q - 1)
+        for code in range(q + 1):
+            x, y = rf.pair(code)
+            assert rf.pair(rf.node(x, y)) == (x, y)
+            # every representative [s*x : s*y] of the node
+            assert {rf.node(rf.mul(s, x), rf.mul(s, y)) for s in scales} == {code}
+        with pytest.raises(DomainError):
+            rf.node(0, 0)
+
     def test_order_refused_when_q_minus_1_resists_factoring(self):
         # x^61 + x^5 + x^2 + x + 1 is irreducible (Rabin: 61 is prime) and
         # 2^61 - 1 is prime, certified by Miller-Rabin: every unit other
@@ -225,15 +238,21 @@ class TestSuccessorKernel:
         for fco, gco in kernel_maps(rf, rng):
             psi = ReducedMap(rf, fco, gco)
             want = orc.successors(fco, gco)
+            # the one-node step at every node, a (0, 0) image refused
+            for code in range(rf.q + 1):
+                point = ReducedPoint.from_code(rf, code)
+                if want[code] is None:
+                    with pytest.raises(DomainError):
+                        psi.apply(point)
+                else:
+                    assert psi.apply(point) == ReducedPoint.from_code(rf, want[code])
             if None in want:
                 with pytest.raises(DomainError):
                     functional_graph(psi)
                 continue
             valid += 1
+            assert psi.successors() == want
             assert list(functional_graph(psi).successors) == want
-            for code in range(rf.q + 1):
-                image = psi.apply(ReducedPoint.from_code(rf, code))
-                assert image == ReducedPoint.from_code(rf, want[code])
         assert valid >= 10
 
     # A prime field builds its table for all nodes at once.  The one-node
@@ -254,8 +273,11 @@ class TestSuccessorKernel:
             # G = c*Y^d with a constant c != 1, and G = 0 while F(0, 1) = 0
             maps.append((f + (1,), (rng.randrange(2, p) if p > 2 else 1,) + (0,) * d))
             maps.append(((0,) + f, (0,) * (d + 1)))
-        # a directly built map may hold coefficients not reduced mod p
+        # a directly built map may hold coefficients not reduced mod p, a
+        # leading one of G among them that is a nonzero multiple of p
         maps.append(tuple(tuple(c + p * rng.randrange(1, 4) for c in co) for co in maps[0]))
+        f, g = maps[0]
+        maps.append((f[:-1] + (1,), g[:-1] + (p,)))
         for fco, gco in maps:
             psi = ReducedMap(rf, fco, gco)
             step = _successor_step(psi)

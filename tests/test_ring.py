@@ -25,7 +25,6 @@ import pytest
 import arithdyn as ad
 from arithdyn.errors import BudgetExceededError, DegenerateMapError, DomainError
 from arithdyn.fields import Z, canon_pair, iter_places_by_size, polynomial_ring
-from arithdyn.projective import reduce_coordinates
 from arithdyn.residue import reduce_values
 from conftest import enumerated_points
 from reference import (
@@ -522,8 +521,7 @@ class TestReduceValues:
             if x or y:
                 pt = ad.point_from_raw(field, x, y)
                 for place in places:
-                    _, *codes = reduce_coordinates(pt, place)
-                    assert tuple(codes) == oracle(place, (pt.x, pt.y))
+                    assert reduce_values(place, (pt.x, pt.y)) == oracle(place, (pt.x, pt.y))
             fco, gco = [draw() for _ in range(3)], [draw() for _ in range(3)]
             try:
                 phi = ad.make_map(field, fco, gco)

@@ -68,7 +68,6 @@ from .parsing import parse_element, parse_map, parse_point
 from .projective import (
     INFINITE,
     ProjPoint,
-    ReducedPoint,
     from_affine,
     infinity,
     log_distance,
@@ -77,7 +76,6 @@ from .projective import (
     reduce_point,
 )
 from .ratmap import (
-    MultiplierValue,
     RationalMap,
     ReducedMap,
     apply_map,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -43,8 +44,7 @@ from .fields import (
     place_set,
 )
 from .parsing import parse_element, parse_map, parse_point
-from .projective import ReducedPoint
-from .ratmap import bad_places, reduce_map, resultant, resultant_raw
+from .ratmap import bad_places, make_map, reduce_map, resultant, resultant_raw
 from .residue import DEFAULT_NODE_BUDGET
 from .sunit import UnitEquationInstance, unit_equation_report
 
@@ -64,7 +64,7 @@ def _parse_field(token: str) -> BaseField:
         return QQ
     if token.lower().startswith("fp:"):
         try:
-            p = int(token[3:])
+            p = Z.parse(token[3:])
         except ValueError:
             raise UsageError(f"bad characteristic in {token!r} (use Fp:<prime>)") from None
         return function_field(p)
@@ -91,13 +91,13 @@ def _budget(args) -> tuple[Budget, dict]:
     return Budget(**echo), echo
 
 
-def _int_at_least(low: int, complaint: str, name: str):
-    """An argparse type: an int >= low, else `complaint` with the token.
-    argparse names the type in its "invalid ... value" message, so each
-    keeps the name it is bound to."""
+def _int_at_least(low, complaint: str, name: str):
+    """An argparse type: an ASCII int token (`Z.parse`) >= low, else
+    `complaint` with the token.  argparse names the type in its "invalid
+    ... value" message, so each keeps the name it is bound to."""
 
     def check(token: str) -> int:
-        n = int(token)
+        n = Z.parse(token)
         if n < low:
             raise argparse.ArgumentTypeError(complaint.format(repr(token)))
         return n
@@ -108,6 +108,7 @@ def _int_at_least(low: int, complaint: str, name: str):
 
 _positive_int = _int_at_least(1, "{} is not a positive integer", "_positive_int")
 _nonnegative_int = _int_at_least(0, "{} is a negative integer", "_nonnegative_int")
+_int = _int_at_least(-math.inf, "", "int")  # any int, e.g. --char, which BoundContext checks
 
 # (JSON key, text label) of each bound of a BoundSet, in print order; a
 # bound that does not apply (None) is left out
@@ -307,12 +308,9 @@ def _cmd_graph(args) -> int:
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
     rf = g.rfield
-    # every node is labelled in JSON, [a : 1] for each a and then [1 : 0];
-    # the text report labels cycle nodes only
-    labels = None
-    if args.json:
-        labels = [f"[{s} : 1]" for s in map(rf.element_str, rf.elements())]
-        labels.append("[1 : 0]")
+    # [a : 1] for each a and then [1 : 0]: every node in JSON, the cycle
+    # nodes in text
+    labels = [f"[{s} : 1]" for s in map(rf.element_str, range(rf.q))] + ["[1 : 0]"]
     result = {
         "map": phi.affine_str(),
         "place": place.serialize(),
@@ -328,7 +326,7 @@ def _cmd_graph(args) -> int:
         f"{g.node_count} nodes, {len(g.cycles)} cycles",
     ]
     for cyc in g.cycles:
-        lines.append("  cycle: " + " -> ".join(str(ReducedPoint.from_code(rf, c)) for c in cyc))
+        lines.append("  cycle: " + " -> ".join(labels[c] for c in cyc))
     tails = sum(1 for d in g.tail_depth if d)
     lines.append(f"  tail nodes: {tails}, max depth {max(g.tail_depth)}")
     _emit(args, result, lines)
@@ -397,8 +395,8 @@ def _cmd_verify_corollary3(args) -> int:
     else:
         lo, hi = args.c_range
         for c in range(lo, hi + 1):
-            expr = f"z^2{'+' if c >= 0 else '-'}{abs(c)}" if c else "z^2"
-            maps.append((expr, parse_map(expr, field)))
+            phi = make_map(field, (c, 0, 1), (1, 0, 0))
+            maps.append((phi.affine_str(), phi))
     S = place_set(field, [archimedean_place()])
     ctx = BoundContext(0, 1, 1)
     per_map = []
@@ -504,7 +502,7 @@ def _build_parser() -> _Parser:
     add_common(sp, with_budgets=False)
 
     sp = subcommand("bounds", _cmd_bounds, "evaluate all bound formulas")
-    sp.add_argument("--char", type=int, required=True)
+    sp.add_argument("--char", type=_int, required=True)
     sp.add_argument("--degree", type=_positive_int, required=True, help="extension degree D")
     sp.add_argument("--s", type=_positive_int, required=True, help="|S|")
     add_common(sp, with_budgets=False)
@@ -533,8 +531,7 @@ def _build_parser() -> _Parser:
 
 def _parse_range(token: str) -> tuple[int, int]:
     try:
-        lo, hi = token.split(":")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(Z.parse, token.split(":"))
     except ValueError as exc:
         raise UsageError(f"bad range {token!r}, expected LO:HI") from exc
     if lo > hi:

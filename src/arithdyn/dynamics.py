@@ -283,7 +283,7 @@ def reduced_period_data(
 ) -> PeriodData:
     """(m, r) for the reduction of a point at a good place."""
     psi = reduce_map(phi, place)
-    codes, first = _walk(_successor_step(psi), reduce_point(point, place).code())
+    codes, first = _walk(_successor_step(psi), reduce_point(point, place))
     rf = psi.rfield
     cycle = [rf.pair(c) for c in codes[first:]]  # after the tail
     num, den = cycle_multiplier(rf, psi.fco, psi.gco, cycle)

@@ -49,7 +49,7 @@ KIND_ARCH = "arch"
 # values) goes through one of the two ring objects below.  They also own the
 # finite places: `factor` splits a value into prime elements under a budget,
 # `split` divides the exact power of one prime element out of a value
-# (`fppoly.split`, O(log e) divisions; `ord` is its exponent),
+# (`fppoly.split`, O(log e) divisions; its exponent is the valuation),
 # `primes` yields the prime elements in scan order and `key` sorts them in
 # it, `check_prime` refuses a value that is not a canonical prime element,
 # `residue` gives the residue-field code of a value modulo a prime element,
@@ -113,7 +113,7 @@ class IntegerRing:
     size = staticmethod(abs)
     to_str = staticmethod(str)
     serialize = staticmethod(str)
-    parse = staticmethod(int)
+    parse = staticmethod(fppoly.parse_int)
     key = staticmethod(operator.index)
     length = staticmethod(int.bit_length)
     # 2^max_length < 10^MAX_BOUND_DIGITS, so a value this long prints
@@ -168,11 +168,6 @@ class IntegerRing:
     def split(a: int, pi: int) -> tuple[int, int]:
         """(e, a/pi^e) with pi^e the exact power of the prime pi dividing a != 0."""
         return fppoly.split(divmod, operator.mul, a, pi)
-
-    @staticmethod
-    def ord(a: int, pi: int) -> int:
-        """Exact power of the prime pi dividing a != 0."""
-        return IntegerRing.split(a, pi)[0]
 
     @staticmethod
     def coerce(v) -> int:
@@ -288,10 +283,6 @@ class PolynomialRing:
     def split(self, a: Coeffs, pi: Coeffs) -> tuple[int, Coeffs]:
         """(e, a/pi^e) with pi^e the exact power of the irreducible pi dividing a != 0."""
         return fppoly.split(lambda b, c: fppoly.pdivmod(self.p, b, c), self.mul, a, pi)
-
-    def ord(self, a: Coeffs, pi: Coeffs) -> int:
-        """Exact power of the irreducible pi dividing a != 0."""
-        return self.split(a, pi)[0]
 
     def coerce(self, v) -> Coeffs:
         if isinstance(v, (tuple, list)):
@@ -834,7 +825,7 @@ def ord_at(ring, a, place: Place) -> int:
     """Valuation of a nonzero integral value at a non-archimedean place."""
     if place.payload is None:
         return -ring.size(a)
-    return ring.ord(a, place.payload)
+    return ring.split(a, place.payload)[0]
 
 
 def valuation(x: GlobalFieldElement, place: Place) -> int:

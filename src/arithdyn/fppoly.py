@@ -507,6 +507,14 @@ def coeff_string(a: Coeffs) -> str:
     return ",".join(str(c) for c in a)
 
 
+def parse_int(token: str) -> int:
+    """int(token) on ASCII text only: a token with any other character,
+    such as a Unicode digit that int() reads, raises ValueError."""
+    if not token.isascii():
+        raise ValueError(f"non-ASCII character in {token!r}")
+    return int(token)
+
+
 def parse_coeff_string(p: int, s: str) -> Coeffs:
     """Inverse of coeff_string; a malformed string raises ValueError."""
-    return ptrim([int(part) % p for part in s.split(",")])
+    return ptrim([parse_int(part) % p for part in s.split(",")])

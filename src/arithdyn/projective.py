@@ -27,7 +27,7 @@ from .fields import (
     ord_at,
 )
 from .fppoly import Coeffs
-from .residue import ResidueField, reduce_values, residue_field
+from .residue import reduce_values, residue_field
 
 INFINITE = math.inf
 
@@ -127,35 +127,9 @@ def log_distance(p1: ProjPoint, p2: ProjPoint, place: Place):
     return int(delta)
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedPoint:
-    """A point of P^1(k(p)), stored as [a : 1] or [1 : 0] with int codes."""
-
-    rfield: ResidueField
-    x: int
-    y: int
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
-    def code(self) -> int:
-        """Graph node index: the affine code, or q for infinity."""
-        return self.x if self.y == 1 else self.rfield.node(self.x, self.y)
-
-    @staticmethod
-    def from_code(rfield: ResidueField, code: int) -> "ReducedPoint":
-        return ReducedPoint(rfield, *rfield.pair(code))
-
-    def __str__(self) -> str:
-        return f"[{self.rfield.element_str(self.x)} : {self.rfield.element_str(self.y)}]"
-
-
-def reduce_point(point: ProjPoint, place: Place) -> ReducedPoint:
-    """The canonical reduction of a point modulo a non-archimedean place."""
-    if place.is_archimedean:
-        raise UnsupportedPlaceError("cannot reduce at the archimedean place")
-    rf = residue_field(place)
-    code = rf.node(*reduce_values(place, (point.x, point.y)))
-    return ReducedPoint.from_code(rf, code)
-
+def reduce_point(point: ProjPoint, place: Place) -> int:
+    """The reduction of a point modulo a non-archimedean place, as its node
+    of P^1(k(p)): the code a of [a : 1], or q for [1 : 0]
+    (`ResidueField.node`).  The archimedean place has no residue field
+    and raises UnsupportedPlaceError."""
+    return residue_field(place).node(*reduce_values(place, (point.x, point.y)))

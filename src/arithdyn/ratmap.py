@@ -45,7 +45,7 @@ from .fields import (
     integer_root,
     poly_str,
 )
-from .projective import ProjPoint, ReducedPoint, canon_pair
+from .projective import ProjPoint, canon_pair
 from .residue import ResidueField, reduce_values, residue_field
 
 # ---------------------------------------------------------------------------
@@ -358,10 +358,11 @@ def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
 class ReducedMap:
     """The mod-p map over the residue field, same degree as the original.
 
-    Its points are the nodes of P^1(F_q): node i < q is [i : 1], node q is
-    [1 : 0] (`ResidueField.pair`).  A prime field builds its whole successor
-    table at once; `apply` and every other field step node by node
-    (`_successor_step`).
+    Its points are the nodes of P^1(F_q), and nothing else: node i < q is
+    [i : 1], node q is [1 : 0] (`ResidueField.pair`), and the node of a
+    point [x : y] is `ResidueField.node(x, y)`.  A prime field builds its
+    whole successor table at once; `apply` and every other field step node
+    by node (`_successor_step`).
     """
 
     rfield: ResidueField
@@ -404,11 +405,11 @@ class ReducedMap:
         succ.append(rf.node(fco[-1] % p, gco[-1] % p))
         return succ
 
-    def apply(self, point: ReducedPoint) -> ReducedPoint:
-        rf = self.rfield
-        if point.rfield != rf:
-            raise DomainError("point of a different residue field")
-        return ReducedPoint.from_code(rf, _successor_step(self)(point.code()))
+    def apply(self, node: int) -> int:
+        """The image of one node; DomainError for a node outside 0..q."""
+        if not 0 <= node <= self.rfield.q:
+            raise DomainError(f"{node} is not a node of P^1({self.rfield})")
+        return _successor_step(self)(node)
 
 
 def _horner_table(co: tuple, p: int) -> list[int]:
@@ -534,23 +535,16 @@ def cycle_multiplier(ring, fco: tuple, gco: tuple, cycle: list):
     return num, den
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplierValue:
-    value: GlobalFieldElement
-    period: int
-    point: ProjPoint
-
-
-def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> MultiplierValue:
-    """The multiplier of a point with phi^n(point) = point.
+def multiplier(phi: RationalMap, point: ProjPoint, n: int) -> GlobalFieldElement:
+    """The multiplier of a point with phi^n(point) = point, an element of
+    the base field.
 
     Checked by iteration; raises PreconditionError when the point is not
     n-periodic.
     """
     cycle = _periodic_walk(phi, point, n)
     field = phi.field
-    value = field.element(*cycle_multiplier(field.ring, phi.fco, phi.gco, cycle))
-    return MultiplierValue(value, n, point)
+    return field.element(*cycle_multiplier(field.ring, phi.fco, phi.gco, cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +634,7 @@ def _polynomial_proof(phi: RationalMap) -> EscapeProof | None:
     else:
         denominator = ring.one
         for pi, e in primes.items():
-            k = max(0, max((e - ring.ord(c, pi)) // w for c, w in terms))
+            k = max(0, max((e - ring.split(c, pi)[0]) // w for c, w in terms))
             denominator = ring.mul(denominator, ring.pow(pi, k))
     size = ring.size
     if field.is_rationals:

@@ -2,9 +2,10 @@
 
 Elements of a residue field of size q are the integers 0..q-1.  For a
 prime field the code is the element itself; for F_p[u]/(pi) the code is
-the base-p encoding of the residue polynomial.  Integer codes keep
-reduced points hashable and make functional-graph nodes plain array
-indices.
+the base-p encoding of the residue polynomial.  A point of P^1(F_q) is
+its node, an int: the code a of [a : 1], or q for [1 : 0] (`node`,
+`pair`), so a reduced point is hashable and a functional-graph node is a
+plain array index.
 
 An extension field small enough for a functional graph gets exp/log
 and Zech tables of a primitive element, built once and kept in a
@@ -70,9 +71,6 @@ class ResidueField:
     @property
     def q(self) -> int:
         return self.p**self.deg
-
-    def elements(self):
-        return range(self.q)
 
     def tables(self) -> FieldTables | None:
         """The exp/log tables of an extension field with q < DEFAULT_NODE_BUDGET."""

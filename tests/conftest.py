@@ -97,7 +97,7 @@ def multiplier_sign(phi, point, n: int, place) -> int:
     """The sign of v(multiplier) of an n-periodic point at a place: 1
     attracting (a zero multiplier has valuation +infinity), 0 indifferent,
     -1 repelling."""
-    lam = ad.multiplier(phi, point, n).value
+    lam = ad.multiplier(phi, point, n)
     if lam.is_zero:
         return 1
     v = ad.valuation(lam, place)

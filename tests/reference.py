@@ -489,8 +489,10 @@ def chart_swap_multiplier(phi, cycle):
 
 
 def reduced_chart_swap_multiplier(psi, cycle) -> int:
-    """The multiplier of a cycle of ReducedPoints of a ReducedMap, an int code."""
-    chain = [_INF_MARK if q.is_infinity else q.x for q in cycle]
+    """The multiplier of a cycle of nodes of a ReducedMap, an int code: node
+    x < q is the affine value x, node q is the point at infinity."""
+    q = psi.rfield.q
+    chain = [_INF_MARK if x == q else x for x in cycle]
     return cycle_multiplier(ResidueFieldOps(psi.rfield), list(psi.fco), list(psi.gco), chain)
 
 

@@ -189,27 +189,45 @@ class TestGraphCommand:
         assert "PreconditionError" in err
 
     # q = 2, 101 and 99991 over Q; 4 and 9 are extension fields of F_2(t)
-    # and F_3(t); at 99991 a sample of nodes and both ends
+    # and F_3(t), whose element u is the class of t; the labels of every
+    # node at q <= 9, and of a sample of nodes and both ends above
     @pytest.mark.parametrize(
-        "field, expr, token, sample",
+        "field, expr, token, want",
         [
-            ("Q", "z^2+1", "p:2", None),
-            ("Fp:2", "z^2+t", "pi:1,1,1", None),
-            ("Fp:3", "(z^2+t)/(z+1)", "pi:1,0,1", None),
-            ("Q", "(z^2+1)/(z-3)", "p:101", None),
-            ("Q", "z^2+1", "p:99991", [0, 1, 2, 3, 4567, 50000, 99989, 99990, 99991]),
+            ("Q", "z^2+1", "p:2", ["[0 : 1]", "[1 : 1]", "[1 : 0]"]),
+            (
+                "Fp:2", "z^2+t", "pi:1,1,1",
+                ["[0 : 1]", "[1 : 1]", "[u : 1]", "[u+1 : 1]", "[1 : 0]"],
+            ),
+            (
+                "Fp:3", "(z^2+t)/(z+1)", "pi:1,0,1",
+                ["[0 : 1]", "[1 : 1]", "[2 : 1]", "[u : 1]", "[u+1 : 1]", "[u+2 : 1]",
+                 "[2*u : 1]", "[2*u+1 : 1]", "[2*u+2 : 1]", "[1 : 0]"],
+            ),
+            ("Q", "(z^2+1)/(z-3)", "p:101", {0: "[0 : 1]", 57: "[57 : 1]", 101: "[1 : 0]"}),
+            (
+                "Q", "z^2+1", "p:99991",
+                {1: "[1 : 1]", 4567: "[4567 : 1]", 99990: "[99990 : 1]", 99991: "[1 : 0]"},
+            ),
         ],
         ids=["q2", "q4", "q9", "q101", "q99991"],
     )
-    def test_graph_labels_are_the_reduced_points(self, capsys, field, expr, token, sample):
-        code, out, _ = run_cli(capsys, "graph", "--field", field, expr, "--place", token, "--json")
+    def test_graph_labels_are_the_reduced_points(self, capsys, field, expr, token, want):
+        argv = ("graph", "--field", field, expr, "--place", token)
+        code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0
-        labels = json.loads(out)["result"]["labels"]
-        base = ad.QQ if field == "Q" else function_field(int(field[3:]))
-        rf = ad.residue_field(ad.parse_place(base, token))
-        assert len(labels) == rf.q + 1
-        for code in range(rf.q + 1) if sample is None else sample:
-            assert labels[code] == str(ad.ReducedPoint.from_code(rf, code)), code
+        result = json.loads(out)["result"]
+        labels = result["labels"]
+        assert len(labels) == result["q"] + 1
+        if isinstance(want, list):
+            assert labels == want
+        else:
+            assert {node: labels[node] for node in want} == want
+        # the text report labels the nodes of each cycle as JSON does
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cycles = [line.removeprefix("  cycle: ") for line in out.splitlines() if "cycle:" in line]
+        assert cycles == [" -> ".join(labels[node] for node in c) for c in result["cycles"]]
 
 
 # JSON values as the json module reads them: ints past 2^64, bools, None,
@@ -407,6 +425,28 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "usage"
+
+    # int() reads any Unicode decimal digit; option integers take ASCII
+    # only.  The same argv in ASCII digits is no usage error.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--field", "Q", "z^2-1", "--height", "\u0663"),
+            ("orbit", "--field", "Q", "z+1", "--point", "0", "--max-steps", "\u0665"),
+            ("bounds", "--char", "\u0660", "--degree", "1", "--s", "1"),
+            ("sunit-solve", "--field", "Q", "--a", "1", "--b", "1", "--S", "inf", "--cap", "\u0662"),
+            ("verify-corollary3", "--c-range=-\u0661:\u0661", "--height", "3"),
+            ("analyze", "--field", "Fp:\u0663", "z^2"),
+            ("graph", "--field", "Q", "z^2", "--place", "p:\u0667"),
+            ("graph", "--field", "Fp:2", "z^2", "--place", "pi:1,\u0661,1"),
+        ],
+        ids=["height", "max-steps", "char", "cap", "c-range", "characteristic", "place", "poly-place"],
+    )
+    def test_non_ascii_digit_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, json.loads(err)["error"]) == (1, "", "usage")
+        ascii_argv = [arg.translate({0x660 + d: str(d) for d in range(10)}) for arg in argv]
+        assert run_cli(capsys, *ascii_argv)[0] != 1
 
     @pytest.mark.parametrize("steps", [None, 1])
     def test_smallest_and_default_max_steps(self, capsys, steps):

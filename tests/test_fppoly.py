@@ -297,3 +297,11 @@ class TestSerialization:
         for cs in [(), (1,), (1, 0, 2), (0, 1, 1)]:
             s = fppoly.coeff_string(cs)
             assert fppoly.parse_coeff_string(3, s) == cs
+
+    # int() reads these as 3, 1, 0 and -12; the parser takes ASCII only
+    @pytest.mark.parametrize("s", ["\u0663", "1,\u0661", "\u0660,1", "-\u0661\u0662"])
+    def test_non_ascii_digits_refused(self, s):
+        with pytest.raises(ValueError):
+            fppoly.parse_coeff_string(3, s)
+        with pytest.raises(ValueError):
+            fppoly.parse_int(s)

@@ -435,6 +435,9 @@ def test_frobenius_checker_sees_each_second_loop(source):
 LIBRARY_API = {
     "bounds.automorphism_cycle_bound": "ROADMAP item 13 (degree-1 maps) wires it",
     "bounds.equal_distance_family_bound": "ROADMAP item 12 (cycle lemmas) wires it",
+    "fields.BaseField.gen": "library API: the element t of F_p(t)",
+    "fields.GlobalFieldElement.as_fraction": "library API: an element of Q as a Fraction",
+    "fields.Place.residue_size": "library API: the size q of the residue field at a place",
     "fields.find_small_prime_outside": "ROADMAP items 14 and 18 pick good places with it",
     "fields.irreducible_place": "library API: the place of a monic irreducible",
     "fields.prime_place": "library API: the place of a prime",
@@ -444,7 +447,9 @@ LIBRARY_API = {
     "projective.from_affine": "library API: the point [x : 1]",
     "projective.log_distance": "library API: the logarithmic distance at a place",
     "projective.normalize": "library API",
+    "projective.ProjPoint.affine": "library API: a finite point as its affine value x/y",
     "sunit.s_unit_generators": "library API: the generators of the S-unit group",
+    "sunit.SUnitGroupDesc.rank": "library API: the rank of the S-unit group",
 }
 
 
@@ -454,7 +459,9 @@ def unreached_public_names(sources: dict) -> list[str]:
     reference counts from any module but `__init__`, by a name bound there
     (defined or imported with `from .module import name`) or by
     `module.name` after `from . import module`, and not from the body of
-    the definition itself."""
+    the definition itself.  The public methods and properties of public
+    classes ('module.Class.name') count as reached by any attribute of
+    their name outside their own body."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     public = {
         (module, node.name)
@@ -487,11 +494,26 @@ def unreached_public_names(sources: dict) -> list[str]:
                     continue
                 if target in public and target != own:
                     reached.add(target)
-    return sorted(f"{module}.{name}" for module, name in public - reached)
+    unreached = [f"{module}.{name}" for module, name in public - reached]
+    library = [tree for module, tree in trees.items() if module != "__init__"]
+    attributes = [node for tree in library for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    methods = [
+        (f"{module}.{cls.name}.{method.name}", method)
+        for module, tree in trees.items() if module != "__init__"
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+    ]
+    for name, method in methods:
+        own = set(map(id, ast.walk(method)))
+        if not any(a.attr == method.name and id(a) not in own for a in attributes):
+            unreached.append(name)
+    return sorted(unreached)
 
 
 def test_every_public_name_is_reached_traced_or_library_api():
-    traced = {f"{module}.{attr.split('.')[0]}" for module, attr, _ in TRACED}
+    # a traced method, and its class
+    traced = {f"{module}.{name}" for module, attr, _ in TRACED for name in (attr, attr.split(".")[0])}
     unreached = unreached_public_names({path.stem: path.read_text() for path in SRC.glob("*.py")})
     assert [name for name in unreached if name not in traced | set(LIBRARY_API)] == []
     # an entry for a name that is reached, or gone, would hide nothing
@@ -508,7 +530,16 @@ def test_public_name_checker():
     assert unreached_public_names({
         "m": "class A:\n    def twin(self):\n        return A()\n"
              "def f(n):\n    return f(n - 1) if n else 0\n",
-    }) == ["m.A", "m.f"]
+    }) == ["m.A", "m.A.twin", "m.f"]
+    # a method that nothing reaches, one that only calls itself, and a
+    # property read from another module; methods of private classes are free
+    assert unreached_public_names({
+        "m": "class A:\n    def twin(self):\n        return self.twin()\n"
+             "    def lone(self):\n        return 0\n"
+             "    @property\n    def size(self):\n        return 1\n"
+             "class _B:\n    def hook(self):\n        return 0\n",
+        "n": "from .m import A\nX = A().size\n",
+    }) == ["m.A.lone", "m.A.twin"]
     # reached from another module by name and through the module, from the
     # same module, and from a module-level statement; private names are free
     assert unreached_public_names({

@@ -24,7 +24,7 @@ import pytest
 
 import arithdyn as ad
 from arithdyn import ratmap
-from arithdyn.projective import INFINITE, ReducedPoint
+from arithdyn.projective import INFINITE
 
 import reference
 
@@ -153,7 +153,7 @@ class TestCompositionOracle:
         start = ad.from_affine(ad.QQ.element(z0.numerator, z0.denominator))
         if ad.iterate_map(phi, start, n) != start:
             pytest.skip(f"{z0} is not {n}-periodic for {expr}")
-        got = ad.multiplier(phi, start, n).value.as_fraction()
+        got = ad.multiplier(phi, start, n).as_fraction()
         want = _iterate_derivative_at(phi, n, z0)
         assert got == want
 
@@ -163,14 +163,14 @@ class TestCompositionOracle:
         rep = ad.orbit(phi, one)
         assert rep.n == 3
         assert any(p.is_infinity for p in rep.cycle)
-        lam = ad.multiplier(phi, one, 3).value
+        lam = ad.multiplier(phi, one, 3)
         assert lam == ad.QQ.one()  # phi^3 = id in PGL_2
 
     def test_multiplier_same_along_cycle(self):
         phi = ad.parse_map("z^2-1", ad.QQ)
         zero = ad.from_affine(ad.QQ.zero())
         minus = ad.from_affine(-ad.QQ.one())
-        assert ad.multiplier(phi, zero, 2).value == ad.multiplier(phi, minus, 2).value
+        assert ad.multiplier(phi, zero, 2) == ad.multiplier(phi, minus, 2)
 
 
 class TestReductionCompatibility:
@@ -179,7 +179,7 @@ class TestReductionCompatibility:
         # be the residue class of the exact multiplier
         phi = ad.parse_map("z^2-1", ad.QQ)
         zero = ad.from_affine(ad.QQ.zero())
-        lam = ad.multiplier(phi, zero, 2).value
+        lam = ad.multiplier(phi, zero, 2)
         for p in (5, 7, 11, 13, 17):
             place = ad.prime_place(p)
             data = ad.reduced_period_data(phi, zero, place)
@@ -194,7 +194,7 @@ class TestReductionCompatibility:
     def test_fixed_points_of_squaring(self):
         sq = ad.parse_map("z^2", ad.QQ)
         one = ad.from_affine(ad.QQ.one())
-        lam = ad.multiplier(sq, one, 1).value.as_fraction()
+        lam = ad.multiplier(sq, one, 1).as_fraction()
         assert lam == 2
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
             data = ad.reduced_period_data(sq, one, ad.prime_place(p))
@@ -207,14 +207,14 @@ class TestFunctionFieldMultipliers:
     def test_cycle_through_infinity_char_2(self):
         F2T = ad.function_field(2)
         inv = ad.parse_map("1/z", F2T)
-        lam = ad.multiplier(inv, ad.infinity(F2T), 2).value
+        lam = ad.multiplier(inv, ad.infinity(F2T), 2)
         assert lam == F2T.one()
 
     def test_char_p_power_map_superattracting(self):
         F3T = ad.function_field(3)
         cube = ad.parse_map("z^3", F3T)  # Frobenius-like: derivative 3z^2 = 0
         one = ad.from_affine(F3T.one())
-        assert ad.multiplier(cube, one, 1).value.is_zero
+        assert ad.multiplier(cube, one, 1).is_zero
 
     def test_coefficient_t_cycle(self):
         # z -> t/z swaps 1 and t; multiplier of the 2-cycle is 1
@@ -223,7 +223,7 @@ class TestFunctionFieldMultipliers:
         one_pt = ad.from_affine(F2T.one())
         rep = ad.orbit(phi, one_pt)
         assert rep.n == 2
-        assert ad.multiplier(phi, one_pt, 2).value == F2T.one()
+        assert ad.multiplier(phi, one_pt, 2) == F2T.one()
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def random_cycles(field, seed, count):
 
 
 def reduced_cycles(phi):
-    """(reduced map, cycle of ReducedPoints) at a few good places."""
+    """(reduced map, cycle of nodes) at a few good places."""
     field = phi.field
     if field.is_rationals:
         places = [ad.prime_place(q) for q in (2, 3, 5, 7)]
@@ -335,7 +335,7 @@ def reduced_cycles(phi):
             continue
         psi = ad.reduce_map(phi, place)
         for cyc in ad.functional_graph(psi).cycles:
-            yield psi, [ReducedPoint.from_code(psi.rfield, c) for c in cyc]
+            yield psi, list(cyc)
 
 
 class TestChartSwapOracle:
@@ -345,7 +345,7 @@ class TestChartSwapOracle:
         through_inf = zero = linear = 0
         for phi, pts in cases:
             assert all(ad.apply_map(phi, P) == Q for P, Q in zip(pts, pts[1:] + pts[:1]))
-            got = ad.multiplier(phi, pts[0], len(pts)).value
+            got = ad.multiplier(phi, pts[0], len(pts))
             assert got == reference.chart_swap_multiplier(phi, pts), (phi, pts)
             through_inf += any(P.is_infinity for P in pts)
             zero += got.is_zero
@@ -361,11 +361,11 @@ class TestChartSwapOracle:
         for phi, _ in random_cycles(field, 9000 + field.char, 25):
             for psi, pts in reduced_cycles(phi):
                 rf = psi.rfield
-                cycle = [(P.x, P.y) for P in pts]
+                cycle = list(map(rf.pair, pts))
                 got = rf.div(*ratmap.cycle_multiplier(rf, psi.fco, psi.gco, cycle))
                 assert got == reference.reduced_chart_swap_multiplier(psi, pts), (psi, pts)
                 kinds.add((rf.modulus is None, rf.tables() is None))
-                through_inf += any(P.is_infinity for P in pts)
+                through_inf += rf.q in pts
                 zero += not got
         assert through_inf >= 10 and zero >= 5
         assert (True, True) in kinds

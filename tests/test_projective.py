@@ -5,6 +5,7 @@ import pytest
 import arithdyn as ad
 from arithdyn.errors import DomainError, UnsupportedPlaceError
 from arithdyn.projective import INFINITE
+from arithdyn.residue import reduce_values
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -151,31 +152,60 @@ class TestLogDistance:
 class TestReducePoint:
     def test_worked_examples(self):
         two = ad.from_affine(ad.QQ.element(2))
-        rp = ad.reduce_point(two, ad.prime_place(2))
-        assert (rp.x, rp.y) == (0, 1)
+        assert ad.reduce_point(two, ad.prime_place(2)) == 0  # [0 : 1]
         third = ad.normalize(ad.QQ.element(1), ad.QQ.element(3))
-        rp = ad.reduce_point(third, ad.prime_place(3))
-        assert rp.is_infinity
+        assert ad.reduce_point(third, ad.prime_place(3)) == 3  # [1 : 0], node q
         tp1 = ad.from_affine(F2T.gen() + F2T.one())
-        rp = ad.reduce_point(tp1, ad.parse_place(F2T, "pi:0,1"))
-        assert (rp.x, rp.y) == (1, 1)
+        assert ad.reduce_point(tp1, ad.parse_place(F2T, "pi:0,1")) == 1  # [1 : 1]
 
     def test_reduce_at_infinity_rescales(self):
         inf = ad.infinite_place(F2T)
         t_pt = ad.from_affine(F2T.gen())
-        assert ad.reduce_point(t_pt, inf).is_infinity
+        assert ad.reduce_point(t_pt, inf) == 2  # [1 : 0] in P^1(F_2)
         # [t+1 : t] -> top coefficients [1 : 1]
         p = ad.point_from_raw(F2T, (1, 1), (0, 1))
-        assert ad.reduce_point(p, inf) == ad.ReducedPoint(
-            ad.residue_field(inf), 1, 1
-        )
+        assert ad.reduce_point(p, inf) == 1
 
     def test_extension_field_reduction(self):
         pl = ad.parse_place(F2T, "pi:1,1,1")  # residue field F_4
         p = ad.from_affine(F2T.gen())  # t reduces to the class of u
-        rp = ad.reduce_point(p, pl)
-        assert rp.rfield.q == 4
-        assert (rp.x, rp.y) == (2, 1)  # code 2 = u
+        assert ad.reduce_point(p, pl) == 2  # code 2 = u
+
+    # q = 2 and 5 over Q, 4 and 9 over F_2(t) and F_3(t); reduction
+    # commutes with a map of good reduction there
+    @pytest.mark.parametrize(
+        "field, token, expr",
+        [
+            (ad.QQ, "p:2", "(z^2+1)/(z+2)"),
+            (ad.QQ, "p:5", "z^2+1"),
+            (F2T, "pi:1,1,1", "(z^2+t)/(z+1)"),
+            (F3T, "pi:1,0,1", "z^3+t*z+1"),
+        ],
+        ids=["2", "5", "4", "9"],
+    )
+    def test_the_reduction_is_a_node(self, field, token, expr):
+        place = ad.parse_place(field, token)
+        rf = ad.residue_field(place)
+        phi = ad.parse_map(expr, field)
+        psi = ad.reduce_map(phi, place)
+        rng = random.Random(rf.q)
+        if field.is_rationals:
+            coords = [(rng.randint(-40, 40), rng.randint(0, 40)) for _ in range(200)]
+        else:
+            coords = [
+                [tuple(rng.randrange(field.char) for _ in range(rng.randint(0, 4))) for _ in "xy"]
+                for _ in range(200)
+            ]
+        coords = [tuple(map(field.ring.coerce, pair)) for pair in coords]
+        points = [ad.point_from_raw(field, x, y) for x, y in coords if any((x, y))]
+        seen = set()
+        for pt in points:
+            node = ad.reduce_point(pt, place)
+            assert 0 <= node <= rf.q
+            assert node == rf.node(*reduce_values(place, (pt.x, pt.y)))
+            assert psi.apply(node) == ad.reduce_point(ad.apply_map(phi, pt), place)
+            seen.add(node)
+        assert seen == set(range(rf.q + 1))
 
 
 class TestFieldOfSize:

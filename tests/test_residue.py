@@ -8,7 +8,6 @@ import pytest
 from arithdyn import fppoly, residue
 from arithdyn.dynamics import functional_graph
 from arithdyn.errors import BudgetExceededError, DomainError
-from arithdyn.projective import ReducedPoint
 from arithdyn.ratmap import ReducedMap, _successor_step
 from arithdyn.residue import ResidueField, field_of_size
 from reference import PolyResidueField
@@ -240,12 +239,11 @@ class TestSuccessorKernel:
             want = orc.successors(fco, gco)
             # the one-node step at every node, a (0, 0) image refused
             for code in range(rf.q + 1):
-                point = ReducedPoint.from_code(rf, code)
                 if want[code] is None:
                     with pytest.raises(DomainError):
-                        psi.apply(point)
+                        psi.apply(code)
                 else:
-                    assert psi.apply(point) == ReducedPoint.from_code(rf, want[code])
+                    assert psi.apply(code) == want[code]
             if None in want:
                 with pytest.raises(DomainError):
                     functional_graph(psi)
@@ -297,11 +295,13 @@ class TestSuccessorKernel:
                     psi.successors()
                 continue
             assert psi.successors() == want
-            for x in nodes:
-                image = psi.apply(ReducedPoint.from_code(rf, x))
-                assert image == ReducedPoint.from_code(rf, want[x])
+            assert [psi.apply(x) for x in nodes] == [want[x] for x in nodes]
 
     def test_apply_checks_the_field(self):
+        # the nodes of P^1(F_5) are 0..5: -1 and 6 are none, and 7 is not
+        # [7 : 1] = [2 : 1], whose image is node 0
         psi = ReducedMap(ResidueField(5), (1, 0, 1), (1, 0, 0))
-        with pytest.raises(DomainError):
-            psi.apply(ReducedPoint(ResidueField(7), 1, 1))
+        assert [psi.apply(x) for x in range(6)] == [1, 2, 0, 0, 2, 5]
+        for node in (-1, 6, 7):
+            with pytest.raises(DomainError):
+                psi.apply(node)

@@ -698,12 +698,6 @@ class Place:
         """Residue degree over the prime subfield (infinity counts as 1)."""
         return fppoly.pdeg(self.payload) if self.kind == KIND_IRREDUCIBLE else 1
 
-    def residue_size(self) -> int:
-        """p^degree, with p the residue characteristic: q at a prime q of Q."""
-        if self.is_archimedean:
-            raise UnsupportedPlaceError("the archimedean place has no residue field")
-        return (self.field.char or self.payload) ** self.degree
-
     def sort_key(self):
         """The infinite place first, then the scan order of `ring.primes`."""
         if self.payload is None:

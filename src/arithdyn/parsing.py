@@ -2,8 +2,20 @@
 
 Maps come in two surface forms: an affine rational expression in z (over
 F_p(t) the symbol t denotes the coefficient-field generator), or an
-explicit homogeneous pair "[F(X,Y) : G(X,Y)]".  Parsing is a small
-recursive-descent evaluator with one value type for every form: a
+explicit homogeneous pair "[F(X,Y) : G(X,Y)]".
+
+Most map texts are sums of signed products whose factors are integers,
+variables with an optional integer exponent, and parenthesized
+coefficients without a map variable: '[(3)*X^2 + (-4)*X*Y : Y^2]', or
+what `affine_str` prints, a sum or (sum)/(sum) in z such as
+'(z^2+t)/((t)*z+1)'.  A one-scan reader takes those, one regex match per
+factor, straight into the coefficient dicts.  It hands the whole text to
+the recursive-descent evaluator below at the first factor it does not
+take, a leading '+', or a literal, degree or value past the limits
+below; it declines whatever the evaluator would refuse, so every error
+comes from the evaluator, and both give the same map.
+
+The evaluator has one value type for every form: a
 fraction num/den of polynomials in the variables whose coefficients are
 raw values of the integral ring Z or F_p[t], never elements of K, so no
 operation takes a gcd.  The affine form is the map [num : den]; the
@@ -23,6 +35,8 @@ position.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import re
 from typing import NamedTuple
@@ -51,14 +65,13 @@ class _Token(NamedTuple):
 
 
 def _tokenize(s: str) -> list[_Token]:
-    """The tokens of `s` from one scan; a match that does not start where
-    the last one ended stops it, and what is left is an error unless it is
-    blank."""
+    """The tokens of `s`, each matched where the last one ended; what is
+    left where no token matches is an error unless it is blank.  (A search
+    for the next match would retry at every blank of a run, quadratic in
+    its length.)"""
     tokens = []
     end = 0
-    for m in _TOKEN_RE.finditer(s):
-        if m.start() != end:
-            break
+    while m := _TOKEN_RE.match(s, end):
         kind = m.lastgroup
         text = m[kind]
         if kind == "int" and len(text) > MAX_BOUND_DIGITS:
@@ -157,6 +170,19 @@ def _longest(ring, a) -> int:
     return max(map(ring.length, a.values()), default=0)
 
 
+def _collect(ring, terms) -> dict:
+    """The dict of a sum of (key, c) terms; zero sums drop out."""
+    out = {}
+    add = ring.add
+    for key, c in terms:
+        c = add(out[key], c) if key in out else c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
 # the variables of each surface form, with the exponent key of each
 _FORM_SYMBOLS = {"X": (1, 0), "Y": (0, 1)}
 _AFFINE_SYMBOLS = {"z": (1, 0)}
@@ -182,30 +208,18 @@ class _FractionAlgebra:
 
     # polynomials: dicts {(i, j): c}
 
-    def _collect(self, terms):
-        """The dict of a sum of (key, c) terms, c != 0; zero sums drop out."""
-        out = {}
-        add = self.ring.add
-        for key, c in terms:
-            s = add(out[key], c) if key in out else c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return out
-
     def _padd(self, a, b):
-        return self._collect(itertools.chain(a.items(), b.items()))
+        return _collect(self.ring, itertools.chain(a.items(), b.items()))
 
     def _pmul(self, a, b):
         _check_degree(_degree(a) + _degree(b))
         check_length(self.ring, _longest(self.ring, a) + _longest(self.ring, b) - 1)
         mul = self.ring.mul
-        return self._collect(
+        return _collect(self.ring, (
             ((i1 + i2, j1 + j2), mul(c1, c2))
             for (i1, j1), c1 in a.items()
             for (i2, j2), c2 in b.items()
-        )
+        ))
 
     def _ppow(self, a, e: int):
         """a^e by square-and-multiply; a monomial c*X^i*Y^j in one step."""
@@ -294,6 +308,103 @@ def _product(ring, a, b):
 
 
 # ---------------------------------------------------------------------------
+# the one-scan reader of sums of monomials
+
+
+class _Decline(Exception):
+    """The text is not one the reader takes; the evaluator decides it."""
+
+
+# One factor and the operator before it: an integer, a variable with an
+# optional exponent, a parenthesized integer, or another parenthesized
+# coefficient with no parenthesis inside.  A literal matches at most
+# MAX_BOUND_DIGITS digits, so a longer one leaves digits that no operator
+# precedes, and the reader declines.  No two blank runs are adjacent, so a
+# failed match backtracks over a run of blanks in linear time.
+_FACTOR_RE = re.compile(
+    r"\s*(?:([-+*])\s*)?(?:(%(int)s)|([A-Za-z]+)(?:\s*(?:\^|\*\*)\s*(%(int)s))?"
+    r"|\(\s*(-\s*)?(%(int)s)\s*\)|\(([^()]*)\))" % {"int": f"[0-9]{{1,{MAX_BOUND_DIGITS}}}"}
+)
+_BLANK_RE = re.compile(r"\s*")
+
+
+def _skip(s: str, pos: int, chars: str) -> int:
+    """The position past `chars` at s[pos:], with blanks before each."""
+    for ch in chars:
+        pos = _BLANK_RE.match(s, pos).end()
+        if not s.startswith(ch, pos):
+            raise _Decline
+        pos += 1
+    return pos
+
+
+def _read_sum(ring, symbols: dict, t, s: str, pos: int = 0):
+    """(the dict {(i, j): c} of the sum of signed products at s[pos:], the
+    position past its last factor): the value the evaluator gives that sum.
+    `t` is the ring value t, None over Z.  Raises _Decline on a factor it
+    does not take or a leading '+', and BudgetExceededError on a degree or
+    a value past the evaluator's limits, each product bounded before it is
+    built; so it gives up on whatever the evaluator would refuse."""
+    terms = []  # [coefficient, i, j] of each term, the sign in the coefficient
+    while m := _FACTOR_RE.match(s, pos):
+        op, digits, name, exp, minus, paren_digits, inner = m.groups()
+        if op == "*" and terms:
+            term = terms[-1]
+        elif op == "-" or op == ("+" if terms else None):
+            term = [ring.neg(ring.one) if op == "-" else ring.one, 0, 0]
+            terms.append(term)
+        else:
+            raise _Decline
+        pos = m.end()
+        if name is None and inner is None:
+            n = int(digits or paren_digits)
+            v = ring.coerce(-n if minus else n)
+        elif inner is not None:
+            const, end = _read_sum(ring, {}, t, inner)
+            if _BLANK_RE.match(inner, end).end() != len(inner):
+                raise _Decline
+            v = const.get((0, 0), ring.zero)
+        else:
+            e = int(exp or 1)
+            if name in symbols:
+                di, dj = symbols[name]
+                term[1] += di * e
+                term[2] += dj * e
+                continue
+            if name != "t" or t is None:
+                raise _Decline
+            check_length(ring, e + 1)
+            v = ring.pow(t, e)
+        term[0] = _product(ring, term[0], v)
+        check_length(ring, ring.length(term[0]))
+    if not terms:
+        raise _Decline
+    _check_degree(max(i + j for _, i, j in terms))
+    out = _collect(ring, (((i, j), c) for c, i, j in terms))
+    check_length(ring, _longest(ring, out))
+    return out, pos
+
+
+def _read_map(field: BaseField, symbols: dict, s: str, brackets: bool):
+    """What `_parse_all` gives for the stripped map text `s` when it is
+    '[sum : sum]', or a sum or '(sum)/(sum)' in z; raises _Decline otherwise."""
+    ring = field.ring
+    read = functools.partial(_read_sum, ring, symbols, (0, 1) if field.char else None, s)
+    one = {(0, 0): ring.one}
+    if not brackets:
+        with contextlib.suppress(_Decline):
+            num, pos = read()
+            if pos == len(s):
+                return num, one
+    opening, middle, closing = ("[", ":", "]") if brackets else ("(", ")/(", ")")
+    f, pos = read(_skip(s, 0, opening))
+    g, pos = read(_skip(s, pos, middle))
+    if _skip(s, pos, closing) != len(s) or not (brackets or g):
+        raise _Decline  # the evaluator refuses a zero denominator
+    return ((f, one), (g, one)) if brackets else (f, g)
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
@@ -323,9 +434,16 @@ def parse_point(field: BaseField, s: str) -> ProjPoint:
 def parse_map(expr: str, field: BaseField) -> RationalMap:
     """Parse an affine expression in z or a homogeneous pair in X, Y."""
     stripped = expr.strip()
-    if stripped.startswith("["):
-        return _parse_map_pair(field, stripped)
-    num, den = _parse_all(stripped, _FractionAlgebra(field, _AFFINE_SYMBOLS))
+    brackets = stripped.startswith("[")
+    symbols = _FORM_SYMBOLS if brackets else _AFFINE_SYMBOLS
+    try:
+        value = _read_map(field, symbols, stripped, brackets)
+    except (_Decline, BudgetExceededError):  # the evaluator decides and raises
+        algebra = _FractionAlgebra(field, symbols, forms=brackets)
+        value = _parse_all(stripped, algebra, brackets)
+    if brackets:
+        return _map_of_pair(field, value)
+    num, den = value
     if not num:
         raise MapParseError("the zero map is not a self-map of P^1")
     d = max(_degree(num), _degree(den))
@@ -337,10 +455,9 @@ def parse_map(expr: str, field: BaseField) -> RationalMap:
     return make_map(field, fco, gco)
 
 
-def _parse_map_pair(field: BaseField, s: str) -> RationalMap:
+def _map_of_pair(field: BaseField, value) -> RationalMap:
     """[F/a : G/b] is the map [b*F : a*G]; a and b are constants."""
-    algebra = _FractionAlgebra(field, _FORM_SYMBOLS, forms=True)
-    (f, a), (g, b) = _parse_all(s, algebra, brackets=True)
+    (f, a), (g, b) = value
     if not f or not g:
         raise MapParseError("both forms must be nonzero")
     degrees = {i + j for form in (f, g) for (i, j) in form}

@@ -128,7 +128,7 @@ def test_criterion_3_small_prime_constructive():
                     if s - r > outside:
                         continue
                     answer = next(pl for pl in scan if pl not in T_set)
-                    assert answer.residue_size() <= (p * s) ** 2 - 1
+                    assert ad.residue_field(answer).q <= (p * s) ** 2 - 1
                     total_classes += 1
         # literal brute force for the two small pools validates the quotient
         if p in (2, 3):
@@ -136,7 +136,7 @@ def test_criterion_3_small_prime_constructive():
                 for combo in itertools.combinations(pool, s):
                     S = ad.place_set(field, combo)
                     got = ad.find_small_prime_outside(S)
-                    assert got.residue_size() <= (p * s) ** 2 - 1
+                    assert ad.residue_field(got).q <= (p * s) ** 2 - 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10
     _announce(
@@ -387,7 +387,7 @@ def _good_place_with_small_residue(phi, rng):
         for f in ad.enumerate_monic_irreducibles(field.char, 3)
     ]
     candidates = [
-        pl for pl in candidates if pl not in bad and pl.residue_size() + 1 <= 200
+        pl for pl in candidates if pl not in bad and ad.residue_field(pl).q + 1 <= 200
     ]
     if not candidates:
         return None

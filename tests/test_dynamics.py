@@ -268,7 +268,7 @@ class TestFunctionalGraph:
             field = rng.choice([ad.QQ, F2T, F3T])
             phi = random_map(field, rng, max_degree=2)
             places = [
-                pl for pl in good_test_places(phi) if pl.residue_size() <= 50
+                pl for pl in good_test_places(phi) if ad.residue_field(pl).q <= 50
             ]
             if not places:
                 continue

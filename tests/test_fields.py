@@ -268,11 +268,11 @@ class TestFactorInt:
 
 class TestResidueSizes:
     def test_examples(self):
-        assert ad.prime_place(7).residue_size() == 7
-        assert ad.parse_place(F2T, "pi:1,1,1").residue_size() == 4
-        assert ad.infinite_place(F3T).residue_size() == 3
+        assert ad.residue_field(ad.prime_place(7)).q == 7
+        assert ad.residue_field(ad.parse_place(F2T, "pi:1,1,1")).q == 4
+        assert ad.residue_field(ad.infinite_place(F3T)).q == 3
         with pytest.raises(UnsupportedPlaceError):
-            ad.archimedean_place().residue_size()
+            ad.residue_field(ad.archimedean_place())
 
 
 def _random_s_value(field, rng, places):
@@ -396,7 +396,7 @@ class TestSmallPrimeOutside:
         )
         got = ad.find_small_prime_outside(S2)
         assert got == ad.parse_place(F2T, "pi:1,1,1")
-        assert got.residue_size() == 4 <= (2 * 3) ** 2 - 1
+        assert ad.residue_field(got).q == 4 <= (2 * 3) ** 2 - 1
 
         S3 = ad.place_set(F3T, [ad.infinite_place(F3T)])
         assert ad.find_small_prime_outside(S3) == ad.parse_place(F3T, "pi:0,1")
@@ -428,4 +428,4 @@ class TestSmallPrimeOutside:
             for s in range(1, 9):
                 S = ad.place_set(field, pool[:s])
                 got = ad.find_small_prime_outside(S)
-                assert got.residue_size() < (p * s) ** 2
+                assert ad.residue_field(got).q < (p * s) ** 2

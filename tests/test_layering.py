@@ -437,7 +437,6 @@ LIBRARY_API = {
     "bounds.equal_distance_family_bound": "ROADMAP item 12 (cycle lemmas) wires it",
     "fields.BaseField.gen": "library API: the element t of F_p(t)",
     "fields.GlobalFieldElement.as_fraction": "library API: an element of Q as a Fraction",
-    "fields.Place.residue_size": "library API: the size q of the residue field at a place",
     "fields.find_small_prime_outside": "ROADMAP items 14 and 18 pick good places with it",
     "fields.irreducible_place": "library API: the place of a monic irreducible",
     "fields.prime_place": "library API: the place of a prime",

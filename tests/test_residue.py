@@ -197,6 +197,29 @@ class TestArithmetic:
         assert time.perf_counter() - start < 5.0
 
 
+def brute_tail_depth(succ):
+    """For each node, the steps its walk takes to reach a node on a cycle
+    (a node whose walk returns to it)."""
+    n = len(succ)
+
+    def on_cycle(x):
+        y = succ[x]
+        for _ in range(n):
+            if y == x:
+                return True
+            y = succ[y]
+        return False
+
+    cyclic = [on_cycle(x) for x in range(n)]
+    depths = []
+    for x in range(n):
+        k = 0
+        while not cyclic[x]:
+            x, k = succ[x], k + 1
+        depths.append(k)
+    return depths
+
+
 def kernel_maps(rf, rng, degrees=range(1, 6)):
     """Maps of the given degrees of four shapes, as (fco, gco) over rf's codes."""
     q = rf.q
@@ -233,7 +256,7 @@ class TestSuccessorKernel:
         rf = ResidueField(p, modulus)
         orc = oracle_for(rf)
         rng = random.Random(p * 1000 + rf.q)
-        valid = 0
+        valid = tail_at_zero = 0
         for fco, gco in kernel_maps(rf, rng):
             psi = ReducedMap(rf, fco, gco)
             want = orc.successors(fco, gco)
@@ -250,8 +273,12 @@ class TestSuccessorKernel:
                 continue
             valid += 1
             assert psi.successors() == want
-            assert list(functional_graph(psi).successors) == want
+            graph = functional_graph(psi)
+            assert list(graph.successors) == want
+            assert list(graph.tail_depth) == brute_tail_depth(want)
+            tail_at_zero += graph.tail_depth[0] > 0
         assert valid >= 10
+        assert tail_at_zero >= 1
 
     # A prime field builds its table for all nodes at once.  The one-node
     # step that `ReducedMap.apply` takes is its reference on every node; the

@@ -308,28 +308,34 @@ def _cmd_graph(args) -> int:
     psi = reduce_map(phi, place)
     g = functional_graph(psi, node_budget=args.node_budget)
     rf = g.rfield
-    # [a : 1] for each a and then [1 : 0]: every node in JSON, the cycle
-    # nodes in text
-    labels = [f"[{s} : 1]" for s in map(rf.element_str, range(rf.q))] + ["[1 : 0]"]
-    result = {
-        "map": phi.affine_str(),
-        "place": place.serialize(),
-        "q": rf.q,
-        "nodes": g.node_count,
-        "labels": labels,
-        "successors": list(g.successors),
-        "cycles": [list(c) for c in g.cycles],
-        "tail_depth": list(g.tail_depth),
-    }
+    # node a < q is [a : 1] and node q is [1 : 0]: every node in JSON, only
+    # the cycle nodes in text
+    if args.json:
+        labels = [f"[{s} : 1]" for s in map(rf.element_str, range(rf.q))] + ["[1 : 0]"]
+        result = {
+            "map": phi.affine_str(),
+            "place": place.serialize(),
+            "q": rf.q,
+            "nodes": g.node_count,
+            "labels": labels,
+            "successors": list(g.successors),
+            "cycles": [list(c) for c in g.cycles],
+            "tail_depth": list(g.tail_depth),
+        }
+        _emit(args, result, [])
+        return 0
+
+    def label(c):
+        return "[1 : 0]" if c == rf.q else f"[{rf.element_str(c)} : 1]"
+
     lines = [
         f"map: {phi.affine_str()} reduced at {place} (q = {rf.q})",
         f"{g.node_count} nodes, {len(g.cycles)} cycles",
     ]
-    for cyc in g.cycles:
-        lines.append("  cycle: " + " -> ".join(labels[c] for c in cyc))
-    tails = sum(1 for d in g.tail_depth if d)
+    lines += ["  cycle: " + " -> ".join(map(label, cyc)) for cyc in g.cycles]
+    tails = g.node_count - g.tail_depth.count(0)
     lines.append(f"  tail nodes: {tails}, max depth {max(g.tail_depth)}")
-    _emit(args, result, lines)
+    _emit(args, {}, lines)
     return 0
 
 

@@ -232,37 +232,54 @@ def _walk(step, start) -> tuple[list, int]:
 
 
 def functional_graph(psi: ReducedMap, node_budget: int = DEFAULT_NODE_BUDGET) -> FunctionalGraph:
-    """Successor table plus cycle/tail decomposition by iterative marking."""
+    """The successor table (`ReducedMap.successors`) and its cycles and tail
+    depths (`_decompose`); BudgetExceededError before any work when the
+    q + 1 nodes exceed `node_budget`."""
     q = psi.rfield.q
     if q + 1 > node_budget:
         raise BudgetExceededError(f"P^1(F_{q}) exceeds the node budget {node_budget}")
     succ = psi.successors()
+    cycles, depth = _decompose(succ)
+    return FunctionalGraph(psi.rfield, tuple(succ), tuple(cycles), tuple(depth))
 
-    # a node on the path being walked holds its position in `path`
-    UNSEEN, DONE = -2, -1
-    state = [UNSEEN] * (q + 1)
-    depth = [0] * (q + 1)
-    cycles: list[tuple[int, ...]] = []
-    for v in range(q + 1):
-        if state[v] != UNSEEN:
+
+def _decompose(succ: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(cycles, tail_depth) of the map i -> succ[i] on 0..n-1.
+
+    A cycle is listed when a walk from the lowest unseen start closes it,
+    from the first of its nodes that walk met.  `depth` holds -1 for an
+    unseen node and -2 for one on the current walk.  A start whose
+    successor is done needs no walk; in a random mapping that is most of
+    them.
+    """
+    depth = [-1] * len(succ)
+    cycles = []
+    for v, u in enumerate(succ):
+        if depth[v] != -1:
             continue
-        path = []
-        u = v
-        while state[u] == UNSEEN:
-            state[u] = len(path)
+        d = depth[u]
+        if d >= 0:
+            depth[v] = d + 1
+            continue
+        depth[v] = -2
+        path = [v]
+        while depth[u] == -1:
+            depth[u] = -2
             path.append(u)
             u = succ[u]
-        k = state[u]
-        if k >= 0:
-            # the walk closed a new cycle; its nodes keep depth 0
+        d = depth[u]
+        if d == -2:
+            # the walk closed a new cycle; its nodes get depth 0
+            k = path.index(u)
             cycles.append(tuple(path[k:]))
             for w in path[k:]:
-                state[w] = DONE
+                depth[w] = 0
             del path[k:]
+            d = 0
         for w in reversed(path):
-            depth[w] = depth[succ[w]] + 1
-            state[w] = DONE
-    return FunctionalGraph(psi.rfield, tuple(succ), tuple(cycles), tuple(depth))
+            d += 1
+            depth[w] = d
+    return cycles, depth
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, islice, repeat
+from operator import mod
 
 from .errors import (
     BudgetExceededError,
@@ -376,26 +378,26 @@ class ReducedMap:
     def successors(self) -> list[int]:
         """The image node of every node 0..q.
 
-        Over a prime field the table is built at once: F(x, 1) and G(x, 1)
-        for every x by Horner on whole lists (`_horner_table`), then one
-        product per node, by the one inverse of a nonzero constant G(x, 1)
-        (none when it is 1) or else by `_inverse_table`.  A node where
-        G(x, 1) vanishes goes through `rf.node(f, 0)`, which raises
-        DomainError when F vanishes there too, and infinity maps to
-        [c_d : g_d] mod p.  Extension fields step node by node
-        (`_successor_step`).
+        Over a prime field the table is built at once from value tables
+        (`_value_table`: forward differences summed level by level).  When
+        G(x, 1) is a nonzero constant its inverse is folded into F's
+        coefficients, and the value table of that form is the answer.
+        Otherwise F(x, 1) and G(x, 1) each get a table, and each node takes
+        one product by `_inverse_table`.  A node where G(x, 1) vanishes goes
+        through `rf.node(f, 0)`, which raises DomainError when F vanishes
+        there too, and infinity maps to [c_d : g_d] mod p.  Extension fields
+        step node by node (`_successor_step`).
         """
         rf = self.rfield
         if rf.modulus is not None:
             return list(map(_successor_step(self), range(rf.q + 1)))
         p, fco, gco = rf.p, self.fco, self.gco
-        fv = _horner_table(fco, p)
         g0 = gco[0] % p
         if g0 and not any(c % p for c in gco[1:]):
             u = pow(g0, -1, p)
-            succ = fv if u == 1 else [f * u % p for f in fv]
+            succ = _value_table([c * u for c in fco], p)
         else:
-            gv = _horner_table(gco, p)
+            fv, gv = _value_table(fco, p), _value_table(gco, p)
             inv = _inverse_table(p)
             succ = [f * inv[g] % p for f, g in zip(fv, gv)]
             if 0 in gv:
@@ -412,12 +414,31 @@ class ReducedMap:
         return _successor_step(self)(node)
 
 
-def _horner_table(co: tuple, p: int) -> list[int]:
-    """[C(x, 1) mod p for x in F_p] by Horner on whole lists, from c_d down."""
-    xs = range(p)
-    vals = [co[-1] % p] * p
-    for c in co[-2::-1]:
-        vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+def _value_table(co, p: int) -> list[int]:
+    """[C(x, 1) mod p for x in F_p] from forward differences, by one path
+    for every p and every degree d = len(co) - 1 (d >= p too).
+
+    The d-th difference of C is constant, and the j-th difference at x is
+    the j-th at 0 plus the (j + 1)-th summed below x.  So d `accumulate`
+    passes, each started from a leading difference, turn p copies of the
+    d-th difference into the p values.  The d + 1 leading differences come
+    from C(x, 1) mod p at x = 0..d.  A C-level `map` reduces the levels j
+    that k divides, j = 0 among them, with p^(k + 1) < 2^62: i passes after
+    a reduction an entry is below p * C(p - 1 + i, i) <= p^(i + 1), so none
+    outgrows a machine word.
+    """
+    col = [0] * len(co)
+    for c in reversed(co):
+        col = [(v * x + c) % p for x, v in enumerate(col)]
+    # step i leaves the i-th difference at x - i in col[x] for x >= i
+    for i in range(1, len(co)):
+        col[i:] = [(b - a) % p for a, b in zip(col[i - 1 :], col[i:])]
+    k = max(1, 62 // p.bit_length() - 1)
+    vals = [col[-1]] * p
+    for j in range(len(co) - 2, -1, -1):
+        vals = accumulate(vals, initial=col[j])
+        if j % k == 0:
+            vals = list(islice(map(mod, vals, repeat(p)), p))
     return vals
 
 

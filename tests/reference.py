@@ -24,7 +24,10 @@ maps and elements by arithmetic in K and an lcm of denominators instead
 of fractions over the integral ring, points by splitting the brackets at
 ':' and normalizing two parsed elements instead of the bracket grammar of
 the maps, tokens by one regex match per token instead of one `finditer`
-scan, and so on.
+scan, functional-graph decompositions by the two-list walk (a state and a
+depth per node, a path for every start) instead of one depth list, value
+tables by Horner at each x instead of summed forward differences, and so
+on.
 Oracle outputs are either compared live or frozen into expected values in
 the test modules.
 """
@@ -977,3 +980,40 @@ def reference_parse_point(field: BaseField, s: str) -> ProjPoint:
         y = reference_parse_element(field, parts[1])
         return normalize(x, y)
     return from_affine(reference_parse_element(field, stripped))
+
+
+# ---------------------------------------------------------------------------
+# functional graphs: the package's two-list walk before `_decompose`, kept
+# verbatim
+
+
+def reference_decompose(succ) -> tuple[list, list]:
+    """(cycles, tail_depth) of i -> succ[i]: a state and a depth per node,
+    and a path walked from every unseen start."""
+    n = len(succ)
+    # a node on the path being walked holds its position in `path`
+    UNSEEN, DONE = -2, -1
+    state = [UNSEEN] * n
+    depth = [0] * n
+    cycles = []
+    for v in range(n):
+        if state[v] != UNSEEN:
+            continue
+        path = []
+        u = v
+        while state[u] == UNSEEN:
+            state[u] = len(path)
+            path.append(u)
+            u = succ[u]
+        k = state[u]
+        if k >= 0:
+            # the walk closed a new cycle; its nodes keep depth 0
+            cycles.append(tuple(path[k:]))
+            for w in path[k:]:
+                state[w] = DONE
+            del path[k:]
+        for w in reversed(path):
+            depth[w] = depth[succ[w]] + 1
+            state[w] = DONE
+    return cycles, depth
+

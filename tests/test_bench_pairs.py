@@ -56,3 +56,33 @@ def test_quartiles_and_table_row():
     rows = bench_pairs.table("w", [{"work_per_s": x} for x in STEADY],
                              [{"work_per_s": x + 50} for x in STEADY], spec)
     assert rows[2] == "| w | work_per_s (1/s) | 100 [99.25, 100.8] | 150 | +50.0 % | 10/10 | gain |"
+
+
+def test_merged_keeps_one_header():
+    spec = [{"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    runs = [{"work_per_s": x} for x in STEADY]
+    a, b = (bench_pairs.table(w, runs, runs, spec) for w in ("a", "b"))
+    assert bench_pairs.merged([a, b]) == a + b[2:]
+    assert bench_pairs.merged([a]) == a
+
+
+def test_repeated_workload_runs_each_in_turn(monkeypatch, capsys):
+    spec = bench_pairs.json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the change reads twice the parent's value on every metric
+        calls.append((str(checkout), workload, seed))
+        value = {"a": 100, "b": 200}[workload] + seed % 3
+        return {m["name"]: value * (2 if str(checkout) == "change" else 1) for m in spec}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["parent", "change", "--workload", "a", "--workload", "b", "--pairs", "3", "--seed", "10"]
+    assert bench_pairs.main(argv) == 0
+    # the parent first in even pairs; workload a's pairs all before b's
+    order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(side, w, 10 + k) for w in "ab" for k in range(3) for side in order[k]]
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    assert rows[0].startswith("| workload | metric |") and rows[1].startswith("|---|")
+    assert [row.split(" | ")[0] for row in rows[2:]] == ["| a"] * len(spec) + ["| b"] * len(spec)
+    assert rows[2].startswith("| a | work_per_s (1/s) | 101 [100.5, 101.5] | 202 | +100.0 % | 3/3 |")

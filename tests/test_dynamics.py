@@ -9,7 +9,7 @@ from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
 
 from conftest import enumerated_points, good_test_places, interpolated_polynomial_map, random_map
-from reference import brute_points, map_step
+from reference import brute_points, map_step, reference_decompose
 
 F2T = ad.function_field(2)
 F3T = ad.function_field(3)
@@ -290,6 +290,39 @@ class TestFunctionalGraph:
                 ad.reduce_map(ad.parse_map("z^2", ad.QQ), ad.prime_place(101)),
                 node_budget=50,
             )
+
+
+def successor_lists():
+    """Seeded successor lists by name: random mappings, self-loops, the two
+    mixed, permutations (every node cyclic) and long chains into a 2-cycle."""
+    rng = random.Random(40)
+    for n in (1, 2, 3, 10, 1000):
+        yield f"random-{n}", [rng.randrange(n) for _ in range(n)]
+        yield f"loops-{n}", list(range(n))
+        yield f"mixed-{n}", [x if rng.random() < 0.3 else rng.randrange(n) for x in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield f"perm-{n}", perm
+    n = 100_000
+    # 0 -> 1 -> ... -> n-2 <-> n-1: one walk covers every node
+    yield "chain", list(range(1, n)) + [n - 2]
+    # 1 <-> 0 <- 2 <- 3 <- ...: every later start takes one step
+    yield "chain-reversed", [1, 0] + list(range(1, n - 1))
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("succ", [pytest.param(s, id=name) for name, s in successor_lists()])
+    def test_against_the_two_list_walk(self, succ):
+        # cycles in the same order and rotation, and the same depths
+        cycles, depth = dynamics._decompose(succ)
+        assert (cycles, depth) == reference_decompose(succ)
+        assert sum(map(len, cycles)) == depth.count(0)
+
+    def test_depths_count_up_from_the_cycle(self):
+        # 4 -> 3 -> 2 -> 0 <-> 1, and 5 -> 3
+        cycles, depth = dynamics._decompose([1, 0, 0, 2, 3, 3])
+        assert cycles == [(0, 1)]
+        assert depth == [0, 0, 1, 2, 3, 3]
 
 
 class TestReducedPeriodData:

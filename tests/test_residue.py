@@ -8,9 +8,9 @@ import pytest
 from arithdyn import fppoly, residue
 from arithdyn.dynamics import functional_graph
 from arithdyn.errors import BudgetExceededError, DomainError
-from arithdyn.ratmap import ReducedMap, _successor_step
+from arithdyn.ratmap import ReducedMap, _successor_step, _value_table
 from arithdyn.residue import ResidueField, field_of_size
-from reference import PolyResidueField
+from reference import PolyResidueField, ResidueFieldOps, _horner
 
 # u is not primitive modulo these: it has order 5 in F_16 and 4 in F_9
 NON_PRIMITIVE = [(2, (1, 1, 1, 1, 1)), (3, (1, 0, 1))]
@@ -332,3 +332,46 @@ class TestSuccessorKernel:
         for node in (-1, 6, 7):
             with pytest.raises(DomainError):
                 psi.apply(node)
+
+
+def horner_values(co, p, xs):
+    """C(x, 1) mod p at each x by the oracle's Horner, coefficients reduced first."""
+    ops, co = ResidueFieldOps(ResidueField(p)), [c % p for c in co]
+    return [_horner(ops, co, x) for x in xs]
+
+
+class TestValueTable:
+    """The prime-field value table against Horner at each x."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+    def test_every_degree_against_horner(self, p):
+        # degrees past p too, with coefficients negative or not reduced,
+        # and a leading one that p divides
+        rng = random.Random(p)
+        for d in range(1, 13):
+            for co in (
+                tuple(rng.randrange(p) for _ in range(d + 1)),
+                tuple(rng.randrange(-5 * p, 5 * p) for _ in range(d + 1)),
+                tuple(rng.randrange(-5 * p, 5 * p) for _ in range(d)) + (p * rng.randrange(-3, 4),),
+            ):
+                assert _value_table(co, p) == horner_values(co, p, range(p))
+
+    @pytest.mark.parametrize("p", [2, 7, 10007])
+    def test_constant_g_folds_into_f(self, p):
+        # G = c*Y^d with c != 1, c = 1 + p (1 mod p) and c < 0
+        rng = random.Random(p + 1)
+        for c in (rng.randrange(2, p) if p > 2 else 3, 1 + p, -3 * p - 1):
+            for d in (1, 2, 5):
+                fco = tuple(rng.randrange(-p, 2 * p) for _ in range(d)) + (rng.randrange(1, p) - p,)
+                u = pow(c, -1, p)
+                # infinity maps to [c_d : 0], node p
+                want = [v * u % p for v in horner_values(fco, p, range(p))] + [p]
+                assert ReducedMap(ResidueField(p), fco, (c,) + (0,) * d).successors() == want
+
+    def test_degree_256_on_a_sample(self):
+        p, rng = 99991, random.Random(256)
+        co = tuple(rng.randrange(p) for _ in range(256)) + (rng.randrange(1, p),)
+        table = _value_table(co, p)
+        assert len(table) == p
+        xs = rng.sample(range(p), 256) + [0, 1, p - 1]
+        assert [table[x] for x in xs] == horner_values(co, p, xs)

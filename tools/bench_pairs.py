@@ -1,11 +1,13 @@
 """Alternating pairs of benchmark runs on two checkouts, and a verdict per metric.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload analyze_mix \\
-        --pairs 10 --seed 5101 [--seconds 15]
+        [--workload residue_graphs ...] --pairs 10 --seed 5101 [--seconds 15]
 
 Pair k runs `perfbench/run.py --workload W --seed (seed + k) --seconds N
 --trace 0` in each checkout, one process at a time: the parent first in
-even pairs, the change first in odd ones.  Both sides run with
+even pairs, the change first in odd ones.  A repeated --workload runs the
+pairs of each workload in turn, from the same seeds, and they share one
+table.  Both sides run with
 PYTHONDONTWRITEBYTECODE=1, so neither reads bytecode that an earlier run
 left.  A run that reports `correct: false` or a failed job stops the
 script.  Each run prints one line as it ends; then, for each end-to-end
@@ -98,11 +100,16 @@ def table(workload: str, parent: list[dict], change: list[dict], spec: list[dict
     return rows
 
 
+def merged(tables: list[list[str]]) -> list[str]:
+    """One Markdown table: the header of the first, the rows of every one."""
+    return tables[0][:2] + [row for t in tables for row in t[2:]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="the seed of the first pair")
     ap.add_argument("--seconds", type=float, default=15.0)
@@ -110,16 +117,19 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
-        seed = args.seed + k
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            metrics = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            runs[side].append(metrics)
-            shown = "  ".join(f"{m['name']} {metrics[m['name']]:.6g}" for m in spec)
-            print(f"pair {k + 1} seed {seed} {side}: {shown}", flush=True)
-    print("\n".join(table(args.workload, runs["parent"], runs["change"], spec)))
+    tables = []
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                metrics = run_once(getattr(args, side), workload, seed, args.seconds)
+                runs[side].append(metrics)
+                shown = "  ".join(f"{m['name']} {metrics[m['name']]:.6g}" for m in spec)
+                print(f"{workload} pair {k + 1} seed {seed} {side}: {shown}", flush=True)
+        tables.append(table(workload, runs["parent"], runs["change"], spec))
+    print("\n".join(merged(tables)))
     return 0
 
 

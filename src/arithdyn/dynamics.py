@@ -5,19 +5,23 @@ a hash map of visited canonical points, and the first revisit splits the
 trajectory into its tail and cycle with the minimal period for free
 (cycle points are distinct by construction).  One kernel does this for
 `orbit` and for `preperiodic_search`, on raw coordinate pairs with the
-step of `apply_map` (`ratmap.map_pair`); only the points of a report and
-the starts it cannot decide become ProjPoints; the checks of a given cycle
-walk the same pairs (`ratmap.walk_pairs`).  Non-preperiodicity is only
-semi-decided in general: hitting the step or height budget yields an
-ExceededBudget outcome that claims nothing and names the budget that ran
-out ("steps" or "height").  For every map of degree d >= 2 an exact escape
-criterion (`ratmap.escape_profile`) proves divergence; such outcomes
-carry reason "escape", divergent=True and the clause that fired.  The
-kernel tests the criterion (`ratmap.escape_clause`) at every point of an
-orbit, the start included.  `preperiodic_search` starts it only on the
-pairs of the criterion's start box (`ratmap.start_box`), outside which a
-clause fires at step 0, and counts the rest as divergent without listing
-them (`ring.count_points`), so its cost follows the radii, not the bound.
+step of `apply_map` (`ratmap.pair_step`, built once per map); only the
+points of a report and the starts it cannot decide become ProjPoints; the
+checks of a given cycle walk the same pairs (`ratmap.walk_pairs`).
+Non-preperiodicity is only semi-decided in general: hitting the step or
+height budget yields an ExceededBudget outcome that claims nothing and
+names the budget that ran out ("steps" or "height").  For every map of
+degree d >= 2 an exact escape criterion (`ratmap.escape_profile`) proves
+divergence; such outcomes carry reason "escape", divergent=True and the
+clause that fired.  The kernel tests the criterion (`ratmap.escape_test`)
+at every point of an orbit, the start included.  `preperiodic_search`
+starts it only on the pairs of the criterion's start box
+(`ratmap.start_box`), outside which a clause fires at step 0, and counts
+the rest as divergent without listing them (`ring.count_points`), so its
+cost follows the radii, not the bound.  With a step budget of at least 2
+it walks the box row by row through `ratmap.first_step_cut`, which drops
+the starts whose image fires the height clause at step 1 and hands the
+kernel the image of each start it keeps.
 
 The functional graph of a reduced map is the complete successor structure
 on the q + 1 points of P^1(F_q), decomposed into cycles and tails; it
@@ -43,11 +47,11 @@ from .ratmap import (
     _periodic_walk,
     _successor_step,
     cycle_multiplier,
-    escape_clause,
     escape_profile,
-    map_pair,
+    escape_test,
+    first_step_cut,
+    pair_step,
     reduce_map,
-    resultant_raw,
     start_box,
     walk_pairs,
 )
@@ -124,30 +128,33 @@ class ExceededBudget:
 def _orbit_kernel(phi: RationalMap, budget: Budget, profile: EscapeProfile | None):
     """The orbit iteration of phi on canonical coordinate pairs.
 
-    The ring, the resultant, phi's escape profile (`escape_profile(phi)`,
-    passed in so that a search reads it once), the height cap and the
-    step budget are bound once; the returned `run(x, y)` iterates
-    `map_pair` from the canonical pair (x, y) with a dict of the visited
-    pairs, and returns (None, pairs, k, None) when the next image revisits
-    pairs[k] (the tail is pairs[:k], the cycle pairs[k:]), or
-    (reason, steps, last_height, proof) with the fields of the
-    ExceededBudget it stands for.
+    phi's step (`pair_step`), the test of its escape profile
+    (`escape_profile(phi)`, passed in so that a search reads it once), the
+    height cap and the step budget are bound once; the returned
+    `run(x, y, image=None)` iterates the step from the canonical pair
+    (x, y), taking the first image from `image` when it is given, with a
+    dict of the visited pairs, and returns (None, pairs, k, None) when the
+    next image revisits pairs[k] (the tail is pairs[:k], the cycle
+    pairs[k:]), or (reason, steps, last_height, proof) with the fields of
+    the ExceededBudget it stands for.
     """
     field = phi.field
-    ring = field.ring
-    size = ring.size
-    fco, gco, res = phi.fco, phi.gco, resultant_raw(phi)
+    size = field.ring.size
+    step, test = pair_step(phi), escape_test(profile, field.ring)
     cap, max_steps = budget.cap_for(field), budget.max_steps
 
-    def run(x, y):
+    def run(x, y, image=None):
         seen = {}  # pair -> its index in the orbit
         h = max(size(x), size(y))
         while True:
-            proof = escape_clause(profile, ring, x, y, h)
+            proof = test(x, y, h)
             if proof is not None:
                 return REASON_ESCAPE, len(seen), h, proof
             seen[x, y] = len(seen)
-            x, y = map_pair(ring, fco, gco, res, x, y)
+            if image is None:
+                x, y = step(x, y)
+            else:
+                (x, y), image = image, None
             hit = seen.get((x, y))
             if hit is not None:
                 return None, list(seen), hit, None
@@ -357,29 +364,6 @@ class SearchResult:
     divergent: int
 
 
-def _enumerate_pairs(field: BaseField, height_bound: int, profile: EscapeProfile | None):
-    """The canonical coordinate pairs of all points of P^1(K) of coordinate
-    height <= height_bound: infinity, then the coprime pairs (x, y) from
-    `ring.upto`, which refuses a bound whose pairs pass
-    `ratmap.ENUMERATION_BUDGET`; y is canonical (positive over Q, monic
-    over F_p(t)), so distinct pairs are distinct points.
-
-    With an escape profile only the pairs in `ratmap.start_box` are listed:
-    every pair left out fires `escape_clause` at once, and a bound refused
-    without a profile is refused with one.
-    """
-    if height_bound < 1:
-        raise DomainError("height bound must be >= 1")
-    ring = field.ring
-    xs, ys = start_box(profile, ring, height_bound)
-    gcd, one = ring.gcd, ring.one
-    yield one, ring.zero
-    for y in ys:
-        for x in xs:
-            if gcd(x, y) == one:
-                yield x, y
-
-
 def preperiodic_search(
     phi: RationalMap, height_bound: int, budget: Budget | None = None
 ) -> SearchResult:
@@ -388,28 +372,52 @@ def preperiodic_search(
     Returns the preperiodic orbits, plus the budget-unresolved points as
     undecided; points with a divergence proof are counted but are neither
     preperiodic nor undecided.  The orbit kernel runs, as in `orbit`, on
-    the pairs of `_enumerate_pairs` under phi's escape profile; every point
-    it leaves out is proved divergent at step 0, so it adds to `divergent`
-    through `scanned = ring.count_points(height_bound)` and is never built.
-    Only reported orbits and undecided points become ProjPoints.
+    infinity and on the coprime pairs (x, y) of `ratmap.start_box` under
+    phi's escape profile; y is canonical (positive over Q, monic over
+    F_p(t)), so distinct pairs are distinct points.  Every point the box
+    leaves out is proved divergent at step 0, and every start that
+    `ratmap.first_step_cut` drops at step 1, so they add to `divergent`
+    through `scanned = ring.count_points(height_bound)` and are never
+    built.  Only reported orbits and undecided points become ProjPoints.
+    A bound whose pairs pass `ratmap.ENUMERATION_BUDGET` is refused
+    (`ring.upto`), with a profile as without one.
     """
+    if height_bound < 1:
+        raise DomainError("height bound must be >= 1")
     field = phi.field
+    ring = field.ring
+    budget = budget or Budget()
     profile = escape_profile(phi)
-    run = _orbit_kernel(phi, budget or Budget(), profile)
+    run = _orbit_kernel(phi, budget, profile)
+    xs, ys = start_box(profile, ring, height_bound)
+    cut = first_step_cut(phi, profile, budget.cap_for(field)) if budget.max_steps >= 2 else None
+    gcd, one = ring.gcd, ring.one
+
+    def starts():
+        """(x, y, image): infinity, then the box row by row; image is None
+        where the kernel computes it."""
+        yield one, ring.zero, None
+        for y in ys:
+            row = [x for x in xs if gcd(x, y) == one]
+            if cut is None:
+                yield from ((x, y, None) for x in row)
+            else:
+                yield from ((x, y, image) for x, image in cut(row, y))
+
     reports = []
     undecided = []
     divergent = 0
     started = 0
-    for x, y in _enumerate_pairs(field, height_bound, profile):
+    for x, y, image in starts():
         started += 1
-        reason, a, b, _ = run(x, y)
+        reason, a, b, _ = run(x, y, image)
         if reason is None:
             reports.append(_report(phi, ProjPoint(field, x, y), a, b))
         elif reason == REASON_ESCAPE:
             divergent += 1
         else:
             undecided.append(ProjPoint(field, x, y))
-    scanned = field.ring.count_points(height_bound)
+    scanned = ring.count_points(height_bound)
     reports.sort(key=lambda r: r.start.sort_key())
     undecided.sort(key=ProjPoint.sort_key)
     return SearchResult(tuple(reports), tuple(undecided), scanned, divergent + scanned - started)

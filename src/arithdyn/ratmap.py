@@ -23,10 +23,18 @@ f_d vanishes.  Inputs whose cost estimate d^2 * (s + 1)^2 passes
 RESULTANT_BUDGET are refused before any elimination; s bounds the size of
 the resultant, d * (h(F) + h(G)) in units of 256 bits of the 2-norm over
 Z and of one t-degree over F_p[t].
+
+A map's orbit step is built once per map as closures: `_evaluator` is the
+one scalar Horner on the forms, `_canon_image` takes the gcd against Res
+and chooses the unit, and `pair_step` applies the second to the first.
+The escape criterion is read once into `escape_test`.  The search's start
+box (`start_box`) is cut at step 1 row by row by `first_step_cut`, the
+only evaluator that runs over a list of points.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,7 +55,7 @@ from .fields import (
     integer_root,
     poly_str,
 )
-from .projective import ProjPoint, canon_pair
+from .projective import ProjPoint
 from .residue import ResidueField, reduce_values, residue_field
 
 # ---------------------------------------------------------------------------
@@ -269,30 +277,34 @@ def has_good_reduction(phi: RationalMap, place: Place) -> bool:
 # evaluation
 
 
-def _eval_pair(ring, fco: tuple, gco: tuple, x, y):
-    """F(x, y) and G(x, y) by homogeneous Horner, both forms in one pass.
+def _evaluator(ring, fco: tuple, gco: tuple):
+    """(x, y) -> (F(x, y), G(x, y)) by homogeneous Horner, both forms in one
+    pass, on the arithmetic of `ring` (an integral ring or a ResidueField).
 
     f runs through c_d, c_d*x + c_(d-1)*y, ..., ending at
     sum_i c_i x^i y^(d-i); yk is y^(d-i) when c_i is added.
     """
-    add, mul = ring.add, ring.mul
-    d = len(fco) - 1
-    f, g, yk = fco[d], gco[d], ring.one
-    for i in range(d - 1, -1, -1):
-        yk = mul(yk, y)
-        f, g = mul(f, x), mul(g, x)
-        c = fco[i]
-        if c:
-            f = add(f, mul(c, yk))
-        c = gco[i]
-        if c:
-            g = add(g, mul(c, yk))
-    return f, g
+    add, mul, one = ring.add, ring.mul, ring.one
+    fd, gd = fco[-1], gco[-1]
+    rest = tuple(zip(fco[-2::-1], gco[-2::-1]))
+
+    def evaluate(x, y):
+        f, g, yk = fd, gd, one
+        for cf, cg in rest:
+            yk = mul(yk, y)
+            f, g = mul(f, x), mul(g, x)
+            if cf:
+                f = add(f, mul(cf, yk))
+            if cg:
+                g = add(g, mul(cg, yk))
+        return f, g
+
+    return evaluate
 
 
-def map_pair(ring, fco: tuple, gco: tuple, res, x, y):
-    """The image of the coprime pair (x, y) under (F, G) with Res(F, G) = res,
-    as the canonical coprime pair of `point_from_raw`.
+def _canon_image(ring, res):
+    """(F(x, y), G(x, y)) -> the canonical coprime pair of `point_from_raw`,
+    for a coprime (x, y) and a map with Res(F, G) = res.
 
     The common factor of F(x, y) and G(x, y) is taken against the
     resultant instead of by a Euclid run on the two values.  Sylvester
@@ -303,16 +315,41 @@ def map_pair(ring, fco: tuple, gco: tuple, res, x, y):
     Hence gcd(F(x, y), G(x, y)) = gcd(Res, F(x, y), G(x, y)) exactly, over
     Z as over F_p[t], and a unit resultant leaves nothing to divide out.
     Over F_p[t] every remainder in that gcd has degree below
-    deg Res <= 2*d*M.  This is the one step of `walk_pairs` and of the
-    orbit kernel of `dynamics`.
+    deg Res <= 2*d*M.  Then the unit that makes the second coordinate
+    canonical (the first, at infinity) is applied, as in `canon_pair`.
     """
-    fx, gx = _eval_pair(ring, fco, gco, x, y)
-    g = ring.one
-    if not ring.is_unit(res):
-        g = ring.gcd(res, fx)
-        if not ring.is_unit(g):
-            g = ring.gcd(g, gx)
-    return canon_pair(ring, fx, gx, g)
+    gcd, is_unit, exactdiv = ring.gcd, ring.is_unit, ring.exactdiv
+    unit_inverse, scale = ring.unit_inverse, ring.scale
+    divides = not is_unit(res)
+
+    def canon(f, g):
+        if divides:
+            c = gcd(res, f)
+            if not is_unit(c):
+                c = gcd(c, g)
+                if not is_unit(c):
+                    f, g = exactdiv(f, c), exactdiv(g, c)
+        u = unit_inverse(g if g else f)
+        if u != 1:
+            return scale(f, u), scale(g, u)
+        return f, g
+
+    return canon
+
+
+def pair_step(phi: RationalMap):
+    """(x, y) -> the canonical pair of phi([x : y]) for a canonical pair
+    (x, y): `_canon_image` of the values of `_evaluator`.  The forms, the
+    ring and the resultant are bound once; this is the one step of
+    `walk_pairs` and of the orbit kernel of `dynamics`."""
+    ring = phi.field.ring
+    evaluate = _evaluator(ring, phi.fco, phi.gco)
+    canon = _canon_image(ring, resultant_raw(phi))
+
+    def step(x, y):
+        return canon(*evaluate(x, y))
+
+    return step
 
 
 def walk_pairs(phi: RationalMap, point: ProjPoint, n: int):
@@ -321,11 +358,11 @@ def walk_pairs(phi: RationalMap, point: ProjPoint, n: int):
     field = phi.field
     if field != point.field:
         raise DomainError("map and point over different base fields")
-    ring, fco, gco, res = field.ring, phi.fco, phi.gco, resultant_raw(phi)
+    step = pair_step(phi)
     x, y = point.x, point.y
     yield x, y
     for _ in range(n):
-        x, y = map_pair(ring, fco, gco, res, x, y)
+        x, y = step(x, y)
         yield x, y
 
 
@@ -348,7 +385,7 @@ def iterate_map(phi: RationalMap, point: ProjPoint, n: int) -> ProjPoint:
 
 
 def apply_map(phi: RationalMap, point: ProjPoint) -> ProjPoint:
-    """phi(P), renormalized to canonical coprime coordinates (`map_pair`)."""
+    """phi(P), renormalized to canonical coprime coordinates (`pair_step`)."""
     return iterate_map(phi, point, 1)
 
 
@@ -463,7 +500,7 @@ def _successor_step(psi: ReducedMap):
     Extension fields with tables skip node 0 (it has no log) and run on
     logs (-1 for zero), a product being a sum of logs and a sum g^a + g^c
     being g^(a + zech[c - a]).  Every other field, prime fields among
-    them, evaluates both forms at the node's coordinates by `_eval_pair`
+    them, evaluates both forms at the node's coordinates by `_evaluator`
     on the field's own arithmetic, so node q (infinity) maps to
     [c_d : g_d].
     """
@@ -471,9 +508,10 @@ def _successor_step(psi: ReducedMap):
     t = rf.tables()
 
     if t is None:
+        node, pair, evaluate = rf.node, rf.pair, _evaluator(rf, fco, gco)
 
         def step(x):
-            return rf.node(*_eval_pair(rf, fco, gco, *rf.pair(x)))
+            return node(*evaluate(*pair(x)))
 
     else:
         q, d = rf.q, psi.degree
@@ -541,14 +579,16 @@ def cycle_multiplier(ring, fco: tuple, gco: tuple, cycle: list):
     # the partial derivatives, degree d - 1 forms by ascending X-power
     fx, gx = ([scale(co[i], i) for i in range(1, d + 1)] for co in (fco, gco))
     fy, gy = ([scale(co[i], d - i) for i in range(d)] for co in (fco, gco))
+    values = _evaluator(ring, fco, gco)
+    along_y, along_x = _evaluator(ring, fy, gy), _evaluator(ring, fx, gx)
     num = den = ring.one
     for (x, y), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]):
-        u, v = _eval_pair(ring, fco, gco, x, y)
+        u, v = values(x, y)
         if x:
-            a, b = _eval_pair(ring, fy, gy, x, y)
+            a, b = along_y(x, y)
             det = x
         else:
-            a, b = _eval_pair(ring, fx, gx, x, y)
+            a, b = along_x(x, y)
             det = ring.neg(y)
         c, s = (x1, u) if x1 else (y1, v)
         num = mul(num, mul(c, sub(mul(x1, b), mul(y1, a))))
@@ -717,23 +757,30 @@ def escape_profile(phi: RationalMap) -> EscapeProfile | None:
     return EscapeProfile(c, height, polynomial)
 
 
-def escape_clause(profile: EscapeProfile | None, ring, x, y, h: int) -> EscapeProof | None:
-    """The clause of `profile` that proves the orbit of the canonical pair
-    (x, y) of height h infinite, or None when neither fires (always None
-    for a None profile)."""
+def escape_test(profile: EscapeProfile | None, ring):
+    """(x, y, h) -> the clause of `profile` that proves the orbit of the
+    canonical pair (x, y) of height h infinite, or None when neither fires
+    (always None for a None profile).  The clauses are read once."""
     if profile is None:
+        return lambda x, y, h: None
+    height, poly = profile.height, profile.polynomial
+    radius = math.inf if height is None else height.radius
+    if poly is None:
+        return lambda x, y, h: height if h >= radius else None
+    size, gcd, mul, one = ring.size, ring.gcd, ring.mul, ring.one
+
+    def test(x, y, h):
+        if h >= radius:
+            return height
+        if not y:
+            return None
+        if y == one:  # the test below with y = 1, cheaper on integral orbits
+            return poly if size(x) >= poly.radius else None
+        if gcd(poly.denominator, y) != y or size(x) >= size(mul(poly.scale, y)):
+            return poly
         return None
-    height = profile.height
-    if height is not None and h >= height.radius:
-        return height
-    poly = profile.polynomial
-    if poly is None or not y:
-        return None
-    if y == ring.one:  # the test below with y = 1, cheaper on integral orbits
-        return poly if ring.size(x) >= poly.radius else None
-    if ring.gcd(poly.denominator, y) != y or ring.size(x) >= ring.size(ring.mul(poly.scale, y)):
-        return poly
-    return None
+
+    return test
 
 
 # The most coordinate pairs a search lists: `ring.upto` refuses a height
@@ -744,7 +791,7 @@ ENUMERATION_BUDGET = 500_000
 def start_box(profile: EscapeProfile | None, ring, height_bound: int):
     """The coordinates (xs, ys), from `ring.upto`, whose coprime pairs and
     infinity hold every canonical pair of height <= height_bound on which
-    `escape_clause` does not fire at step 0.
+    `escape_test` does not fire at step 0.
 
     The bound drops below the height radius.  Under the polynomial clause
     only the y dividing N stay, and the x below r times the largest of
@@ -764,3 +811,45 @@ def start_box(profile: EscapeProfile | None, ring, height_bound: int):
     ys = [y for y in ring.upto(min(h, size(n)), ENUMERATION_BUDGET)[1] if ring.gcd(n, y) == y]
     width = max((size(ring.mul(poly.scale, y)) for y in ys), default=1)
     return ring.upto(min(h, width - 1), ENUMERATION_BUDGET)[0], ys
+
+
+def first_step_cut(phi: RationalMap, profile: EscapeProfile | None, cap: int):
+    """(xs, y) -> [(x, image), ...]: the starts (x, y) of one row of the
+    start box that the height clause does not dismiss at step 1, each with
+    its image, the canonical pair of phi([x : y]).  Every x must be coprime
+    to y, and y canonical and nonzero.  None when `profile` has no height
+    clause.
+
+    The row runs Horner over all of xs at once, with the powers of y as
+    scalars, and `_canon_image` on each value pair.  A start whose image
+    has height h with radius <= h <= cap is dropped.  The orbit kernel
+    reports every such start divergent when its step budget is at least 2,
+    which the caller checks: either a clause fires on the start at step 0,
+    or the start lies below the radius and so is not its own image, the
+    image passes the cap test, and the height clause fires on it at step 1.
+    """
+    if profile is None or profile.height is None:
+        return None
+    ring = phi.field.ring
+    add, mul, size = ring.add, ring.mul, ring.size
+    fco, gco, d = phi.fco, phi.gco, phi.degree
+    canon = _canon_image(ring, resultant_raw(phi))
+    radius = profile.height.radius
+
+    def cut(xs, y):
+        yk = list(accumulate(repeat(y, d), mul, initial=ring.one))  # y^0 .. y^d
+        f, g = repeat(fco[d], len(xs)), repeat(gco[d], len(xs))
+        for i in range(d - 1, -1, -1):
+            a, b = mul(fco[i], yk[d - i]), mul(gco[i], yk[d - i])
+            f, g = map(mul, f, xs), map(mul, g, xs)
+            if a:
+                f = map(add, f, repeat(a))
+            if b:
+                g = map(add, g, repeat(b))
+        return [
+            (x, image)
+            for x, image in zip(xs, map(canon, f, g))
+            if not radius <= max(size(image[0]), size(image[1])) <= cap
+        ]
+
+    return cut

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arithdyn as ad
-from arithdyn import dynamics, residue
+from arithdyn import ratmap, residue
 from reference import clear_denominators
 
 settings.register_profile(
@@ -86,10 +86,22 @@ def random_point(field, rng: random.Random, height: int = 6) -> ad.ProjPoint:
             return ad.point_from_raw(field, x, y)
 
 
+def enumerated_pairs(field, height_bound: int):
+    """The canonical pair of every point of height <= height_bound, in the
+    search's order without an escape profile: infinity, then row by row
+    the coprime pairs of `ratmap.start_box`."""
+    ring = field.ring
+    xs, ys = ratmap.start_box(None, ring, height_bound)
+    yield ring.one, ring.zero
+    for y in ys:
+        for x in xs:
+            if ring.gcd(x, y) == ring.one:
+                yield x, y
+
+
 def enumerated_points(field, height_bound: int):
-    """Every point of height <= height_bound, in the search's order: the
-    pairs of `dynamics._enumerate_pairs` without an escape profile."""
-    for x, y in dynamics._enumerate_pairs(field, height_bound, None):
+    """The points of `enumerated_pairs`."""
+    for x, y in enumerated_pairs(field, height_bound):
         yield ad.ProjPoint(field, x, y)
 
 

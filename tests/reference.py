@@ -17,7 +17,7 @@ at infinity instead of the homogeneous Jacobian, valuations by dividing out one 
 at a time instead of splitting off its square, powers, S-strips and
 S-units by gcd-normalized field products and quotients instead of ring
 powers and exact division, orbits by a loop over ProjPoints through the public
-`apply_map` and `escape_clause` instead of the coordinate-pair kernel,
+`apply_map` and `escape_test` instead of the coordinate-pair kernel,
 searches over the points of `brute_points` instead of the search's own
 enumeration, parsed
 maps and elements by arithmetic in K and an lcm of denominators instead
@@ -61,7 +61,7 @@ from arithdyn.fields import (
 from arithdyn.fppoly import power
 from arithdyn.parsing import _check_degree, _Parser
 from arithdyn.projective import ProjPoint, from_affine, infinity, normalize
-from arithdyn.ratmap import RationalMap, apply_map, escape_clause, escape_profile, make_map
+from arithdyn.ratmap import RationalMap, apply_map, escape_profile, escape_test, make_map
 from arithdyn.sunit import _free_places, s_unit_generators
 
 
@@ -664,13 +664,12 @@ def reference_orbit(phi, start, budget=None):
     if budget is None:
         budget = Budget()
     cap = budget.cap_for(phi.field)
-    profile = escape_profile(phi)
-    ring = phi.field.ring
+    escapes = escape_test(escape_profile(phi), phi.field.ring)
     pts = [start]
     index = {start: 0}
     current = start
     while True:
-        proof = escape_clause(profile, ring, current.x, current.y, current.height())
+        proof = escapes(current.x, current.y, current.height())
         if proof is not None:
             return ExceededBudget(start, len(pts) - 1, current.height(), REASON_ESCAPE, proof)
         nxt = apply_map(phi, current)
@@ -692,7 +691,7 @@ def reference_orbit(phi, start, budget=None):
 def reference_preperiodic_search(phi, height_bound, budget=None):
     """`dynamics.preperiodic_search` by `reference_orbit` on every point of
     `brute_points`."""
-    profile = escape_profile(phi)
+    escapes = escape_test(escape_profile(phi), phi.field.ring)
     reports = []
     undecided = []
     divergent = 0
@@ -700,7 +699,7 @@ def reference_preperiodic_search(phi, height_bound, budget=None):
     for x, y in brute_points(phi.field.char, height_bound):
         pt = ProjPoint(phi.field, x, y)
         scanned += 1
-        if escape_clause(profile, phi.field.ring, x, y, pt.height()) is not None:
+        if escapes(x, y, pt.height()) is not None:
             divergent += 1
             continue
         outcome = reference_orbit(phi, pt, budget)

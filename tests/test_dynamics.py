@@ -8,7 +8,13 @@ from arithdyn.dynamics import Budget
 from arithdyn.errors import BudgetExceededError, DomainError, PreconditionError
 from arithdyn.projective import INFINITE
 
-from conftest import enumerated_points, good_test_places, interpolated_polynomial_map, random_map
+from conftest import (
+    enumerated_pairs,
+    enumerated_points,
+    good_test_places,
+    interpolated_polynomial_map,
+    random_map,
+)
 from reference import brute_points, map_step, reference_decompose
 
 F2T = ad.function_field(2)
@@ -447,7 +453,7 @@ class TestPreperiodicSearch:
         monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 10**7)
         field = ad.function_field(p) if p else ad.QQ
         for H in range(1, max_height + 1):
-            points = list(dynamics._enumerate_pairs(field, H, None))
+            points = list(enumerated_pairs(field, H))
             assert len(set(points)) == len(points)
             assert set(points) == brute_points(p, H)
 
@@ -461,7 +467,7 @@ class TestPreperiodicSearch:
     def test_enumeration_budget(self, monkeypatch):
         monkeypatch.setattr(ratmap, "ENUMERATION_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            list(dynamics._enumerate_pairs(ad.QQ, 100, None))
+            ad.preperiodic_search(ad.parse_map("z+1", ad.QQ), 100)
 
     def test_results_are_sorted_and_validated(self):
         res = ad.preperiodic_search(ad.parse_map("z^2-1", ad.QQ), 10)

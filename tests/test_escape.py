@@ -1,4 +1,4 @@
-"""The escape criterion (`ratmap.escape_profile`, `ratmap.escape_clause`) against
+"""The escape criterion (`ratmap.escape_profile`, `ratmap.escape_test`) against
 independent oracles.
 
 - The cofactors: a*F + b*G = Res * Y^(2d-1) checked by schoolbook form
@@ -14,7 +14,7 @@ independent oracles.
 - `preperiodic_search`, which proves points before starting their orbits,
   returns what `orbit` called on every point gives.
 - The start box (`ratmap.start_box`): every canonical pair of height <= H
-  outside it fires `escape_clause` at step 0, on random maps with a
+  outside it fires `escape_test` at step 0, on random maps with a
   profile, the pairs listed by `reference.brute_points`.
 - Below the radii: the search, which starts the kernel only on the pairs
   no clause dismisses at step 0 and counts the rest, equals
@@ -42,8 +42,8 @@ from arithdyn.dynamics import Budget, SearchResult
 from arithdyn.errors import BudgetExceededError
 from arithdyn.ratmap import (
     RationalMap,
-    escape_clause,
     escape_profile,
+    escape_test,
     start_box,
     sylvester_resultant,
 )
@@ -274,7 +274,7 @@ def test_never_fires_on_preperiodic_points(field):
                 continue
             found += 1
             for x, y in truth[0] + truth[1]:
-                assert escape_clause(profile, field.ring, x, y, height(field, x, y)) is None
+                assert escape_test(profile, field.ring)(x, y, height(field, x, y)) is None
             out = ad.orbit(phi, pt)
             assert isinstance(out, ad.OrbitReport)
             assert [(q.x, q.y) for q in out.tail] == truth[0]
@@ -437,7 +437,7 @@ def test_pairs_outside_the_start_box_escape_at_once(field, height_bound):
         xs, ys = start_box(profile, ring, height_bound)
         box = {(ring.one, ring.zero)} | {(x, y) for x in xs for y in ys}
         for x, y in pairs - box:
-            assert escape_clause(profile, ring, x, y, height(field, x, y)) is not None, (phi, x, y)
+            assert escape_test(profile, ring)(x, y, height(field, x, y)) is not None, (phi, x, y)
             outside += 1
     assert outside >= 5000
 
@@ -451,9 +451,9 @@ def kernel_starts(monkeypatch):
     def counting_kernel(*args):
         run = make_kernel(*args)
 
-        def counted(x, y):
+        def counted(x, y, image=None):
             starts.append((x, y))
-            return run(x, y)
+            return run(x, y, image)
 
         return counted
 
